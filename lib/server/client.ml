@@ -2,43 +2,20 @@ exception Timeout
 
 type t = {
   fd : Unix.file_descr;
-  input : Wire.reader;
-  output : out_channel;
-  mutable framing : Wire.framing;
+  stream : Wire.Stream.t; (* reply parser; holds the negotiated framing *)
+  chunk : Bytes.t; (* read(2) landing buffer *)
   mutable sent : int;
-  deadline : float option ref; (* absolute, Unix.gettimeofday based *)
-  mutable broken : bool; (* reader state indeterminate; reconnect *)
+  mutable broken : bool; (* parser state indeterminate; reconnect *)
 }
 
+let chunk_size = 64 * 1024
+
 let connect_fd fd =
-  (* The reader pulls straight from the fd so a per-call deadline can
-     wait on readiness with the remaining budget before every read
-     (poll-based: client fds can sit above FD_SETSIZE when thousands of
-     connections are open). Reads without a deadline behave like the
-     old in_channel-backed reader. *)
-  let deadline = ref None in
-  let pull buf off len =
-    match !deadline with
-    | None -> Unix.read fd buf off len
-    | Some until ->
-        let rec wait () =
-          let remaining = until -. Unix.gettimeofday () in
-          if remaining <= 0. then raise Timeout
-          else
-            match Poll.wait_readable ~timeout:remaining fd with
-            | `Timeout -> raise Timeout
-            | `Readable -> Unix.read fd buf off len
-            | exception Unix.Unix_error (Unix.EINTR, _, _) -> wait ()
-        in
-        wait ()
-  in
   {
     fd;
-    input = Wire.reader_fn pull;
-    output = Unix.out_channel_of_descr fd;
-    framing = Wire.V1;
+    stream = Wire.Stream.create Wire.V1;
+    chunk = Bytes.create chunk_size;
     sent = 0;
-    deadline;
     broken = false;
   }
 
@@ -100,59 +77,75 @@ let try_connect ?timeout_ms address =
            (Unix.error_message e))
   | exception Failure message -> Error message
 
-let wire_version t = match t.framing with Wire.V1 -> 1 | Wire.V2 -> 2
+let wire_version t =
+  match Wire.Stream.framing t.stream with Wire.V1 -> 1 | Wire.V2 -> 2
+
 let bytes_sent t = t.sent
-let bytes_received t = Wire.reader_bytes t.input
+let bytes_received t = Wire.Stream.fed t.stream
 let is_broken t = t.broken
 
-let send t frame =
-  let data = Wire.to_wire t.framing frame in
+let write_all t data =
   t.sent <- t.sent + String.length data;
-  output_string t.output data;
-  flush t.output
+  ignore (Unix.write_substring t.fd data 0 (String.length data))
+
+let send t frame = write_all t (Wire.to_wire (Wire.Stream.framing t.stream) frame)
 
 let send_raw t line =
-  let line =
-    if line = "" || line.[String.length line - 1] <> '\n' then line ^ "\n"
-    else line
-  in
-  t.sent <- t.sent + String.length line;
-  output_string t.output line;
-  flush t.output
+  if line = "" || line.[String.length line - 1] <> '\n' then
+    write_all t (line ^ "\n")
+  else write_all t line
 
-let set_deadline t = function
-  | None -> t.deadline := None
-  | Some ms ->
-      t.deadline := Some (Unix.gettimeofday () +. (float_of_int ms /. 1000.))
+(* Wait for readability with what is left of the deadline; client fds
+   can sit above FD_SETSIZE when thousands of connections are open, so
+   this is poll-based. *)
+let rec wait_readable fd until =
+  let remaining = until -. Unix.gettimeofday () in
+  if remaining <= 0. then raise Timeout
+  else
+    match Poll.wait_readable ~timeout:remaining fd with
+    | `Timeout -> raise Timeout
+    | `Readable -> ()
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> wait_readable fd until
+
+(* Parse what is already buffered first; only when the stream needs
+   more bytes wait (blocking, or bounded by the deadline) and feed one
+   read(2) worth. A reply that fits the chunk costs one read. *)
+let rec next_result t until =
+  match Wire.Stream.next t.stream with
+  | Some result -> result
+  | None ->
+      Option.iter (wait_readable t.fd) until;
+      (match Unix.read t.fd t.chunk 0 chunk_size with
+      | 0 -> Wire.Stream.feed_eof t.stream
+      | k -> Wire.Stream.feed t.stream t.chunk 0 k);
+      next_result t until
 
 let read_reply ?deadline_ms t =
-  set_deadline t deadline_ms;
-  Fun.protect
-    ~finally:(fun () -> t.deadline := None)
-    (fun () ->
-      match Wire.read ~framing:t.framing t.input with
-      | Wire.Frame frame -> Ok frame
-      | Wire.Malformed message -> Error ("malformed reply: " ^ message)
-      | Wire.Eof ->
-          t.broken <- true;
-          Error "connection closed by server"
-      | exception Timeout ->
-          (* A partial frame may sit in the buffer; the connection can
-             no longer be trusted for framing. *)
-          t.broken <- true;
-          Error
-            (Printf.sprintf "deadline exceeded after %d ms"
-               (Option.value deadline_ms ~default:0))
-      | exception Unix.Unix_error (e, _, _) ->
-          t.broken <- true;
-          Error ("connection lost: " ^ Unix.error_message e))
+  let until =
+    Option.map
+      (fun ms -> Unix.gettimeofday () +. (float_of_int ms /. 1000.))
+      deadline_ms
+  in
+  match next_result t until with
+  | Wire.Frame frame -> Ok frame
+  | Wire.Malformed message -> Error ("malformed reply: " ^ message)
+  | Wire.Eof ->
+      t.broken <- true;
+      Error "connection closed by server"
+  | exception Timeout ->
+      (* A partial frame may sit in the buffer; the connection can no
+         longer be trusted for framing. *)
+      t.broken <- true;
+      Error
+        (Printf.sprintf "deadline exceeded after %d ms"
+           (Option.value deadline_ms ~default:0))
+  | exception Unix.Unix_error (e, _, _) ->
+      t.broken <- true;
+      Error ("connection lost: " ^ Unix.error_message e)
 
 let call ?deadline_ms t frame =
   match send t frame with
   | () -> read_reply ?deadline_ms t
-  | exception Sys_error message ->
-      t.broken <- true;
-      Error ("connection lost: " ^ message)
   | exception Unix.Unix_error (e, _, _) ->
       t.broken <- true;
       Error ("connection lost: " ^ Unix.error_message e)
@@ -170,7 +163,7 @@ let negotiate t ~wire =
       match call t (Wire.Hello { client_version = wanted }) with
       | Ok (Wire.Hello_ok { server_version; _ }) when server_version = wanted ->
           (* The server switched right after its hello_ok; follow it. *)
-          if wire = 2 then t.framing <- Wire.V2;
+          if wire = 2 then Wire.Stream.set_framing t.stream Wire.V2;
           Ok ()
       | Ok (Wire.Hello_ok { server_version; _ }) ->
           Error
@@ -181,11 +174,7 @@ let negotiate t ~wire =
           Error ("unexpected hello reply: " ^ Wire.encode frame)
       | Error _ as e -> e)
 
-let close t =
-  try
-    flush t.output;
-    Unix.close t.fd
-  with Sys_error _ | Unix.Unix_error _ -> ()
+let close t = try Unix.close t.fd with Unix.Unix_error _ -> ()
 
 (* ---- retry policy ---- *)
 

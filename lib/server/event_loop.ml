@@ -448,7 +448,7 @@ let run t =
       Mutex.unlock t.mutex;
       let ready =
         (* 200ms cap: stop and EMFILE recovery never wait on a quiet
-           poll set, mirroring the old accept loop's select timeout *)
+           poll set *)
         try
           Poll.poll ~fds:t.p_fds ~events:t.p_events ~revents:t.p_revents ~n
             ~timeout_ms:200

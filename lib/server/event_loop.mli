@@ -7,13 +7,12 @@
     (never fds) to worker domains ([dispatch_loop]) that run the
     protocol [handler]. Replies go out through {!send}: straight to the
     socket when nothing is queued, else via a per-connection outbound
-    buffer the event domain drains on writability.
+    buffer the event domain drains on writability. {!Handler} is the
+    per-frame handler both callers plug in.
 
-    Replaces the accept-domain + blocking-per-connection-worker core,
-    whose every wait was a select(2) — a hard failure for any fd >=
-    FD_SETSIZE (1024) — and whose connection concurrency was capped by
-    the worker-domain count. Here concurrency is capped by the fd
-    limit, and no wait anywhere uses select.
+    Connection concurrency is capped by the fd limit, not by the
+    worker-domain count, and no wait uses select(2) (which fails for
+    any fd >= FD_SETSIZE).
 
     Invariants:
     - at most one parsed-but-unhandled frame per connection, so
@@ -85,8 +84,7 @@ val set_framing : 'a conn -> Wire.framing -> unit
     the hello is in the handler. *)
 
 val bytes_in : 'a conn -> int
-(** Total bytes read from this connection (mirrors the old
-    [Wire.reader_bytes] accounting). *)
+(** Total bytes read from this connection ({!Wire.Stream.fed}). *)
 
 val bytes_out : 'a conn -> int
 (** Total bytes accepted for write to this connection. *)

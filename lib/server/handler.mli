@@ -1,0 +1,45 @@
+(** The per-frame handler shared by {!Server} and {!Router}.
+
+    For every result the {!Event_loop} dispatches it does the work that
+    does not depend on what the frame asks for: span accounting
+    ({!Metrics}), an [error] reply to malformed input, the [hello]
+    negotiation and framing switch, capture of handler exceptions (the
+    frame fails, the connection survives), the reply-size cap, and
+    error/shed/rounds marking. A caller supplies only its [handle]
+    function, its identity and its cap. *)
+
+type 'a state
+(** Per-connection handler state — the {!Event_loop} connection data:
+    one reused {!Metrics.span} and lock-wait closure (so the hot path
+    allocates nothing per request), the bytes-in watermark, and the
+    caller's own ['a]. *)
+
+val state : 'a -> 'a state
+(** Fresh state around the caller's part; the {!Event_loop} [on_open]. *)
+
+val ext : 'a state -> 'a
+(** The caller's part. *)
+
+val on_lock : 'a state -> int -> unit
+(** Adds µs of session-lock wait to the frame now being handled. *)
+
+type 'a t = {
+  role : string;
+      (** ["server"] or ["router"], named in the unsupported-version
+          error *)
+  id : string;  (** identity surfaced in [hello_ok] *)
+  max_wire : int;  (** highest framing negotiable; [1] pins /1 *)
+  max_reply : int;  (** reply frame size cap, at most {!Wire.max_frame} *)
+  metrics : Metrics.t;  (** where spans are recorded; also the uptime *)
+  handle : 'a state Event_loop.conn -> Wire.frame -> Wire.frame;
+      (** the reply to one request frame; never sees [hello] *)
+}
+
+val reply_bytes : max_reply:int -> Wire.framing -> Wire.frame -> string
+(** The wire bytes of a reply, or — when they exceed [max_reply] — of an
+    [error] naming the limit: a peer's parser would reject the
+    over-long frame as malformed. *)
+
+val handle_event :
+  'a t -> worker:int -> 'a state Event_loop.conn -> Wire.read_result -> unit
+(** The {!Event_loop} handler. *)

@@ -1,6 +1,4 @@
-(* Shared serving-layer plumbing: addresses, listen sockets, the live
-   connection table, the bounded accept->worker handoff queue, and the
-   accept/worker domain loops. Used by both the session server
+(* Addresses and listen sockets, shared by the session server
    ([Server]) and the sharding router ([Router]). *)
 
 type address = Unix_socket of string | Tcp of string * int
@@ -69,138 +67,3 @@ let port_of fd =
 let address_label = function
   | Unix_socket path -> "unix:" ^ path
   | Tcp (host, port) -> Printf.sprintf "tcp:%s:%d" host port
-
-(* ---- live connection table ---- *)
-
-type conn_table = {
-  c_mutex : Mutex.t;
-  c_fds : (Unix.file_descr, unit) Hashtbl.t;
-}
-
-let conn_table () = { c_mutex = Mutex.create (); c_fds = Hashtbl.create 16 }
-
-let conn_add table fd =
-  Mutex.lock table.c_mutex;
-  Hashtbl.replace table.c_fds fd ();
-  Mutex.unlock table.c_mutex
-
-let conn_remove table fd =
-  Mutex.lock table.c_mutex;
-  Hashtbl.remove table.c_fds fd;
-  Mutex.unlock table.c_mutex
-
-let conn_shutdown_all table =
-  Mutex.lock table.c_mutex;
-  Hashtbl.iter
-    (fun fd () -> try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE with _ -> ())
-    table.c_fds;
-  Mutex.unlock table.c_mutex
-
-(* ---- bounded handoff queue: accept loop -> worker domains ---- *)
-
-type handoff = {
-  q_mutex : Mutex.t;
-  q_nonempty : Condition.t;
-  q_nonfull : Condition.t;
-  q_items : Unix.file_descr Queue.t;
-  q_capacity : int;
-  mutable q_closed : bool;
-}
-
-let handoff_create capacity =
-  {
-    q_mutex = Mutex.create ();
-    q_nonempty = Condition.create ();
-    q_nonfull = Condition.create ();
-    q_items = Queue.create ();
-    q_capacity = capacity;
-    q_closed = false;
-  }
-
-let handoff_push q fd =
-  Mutex.lock q.q_mutex;
-  while Queue.length q.q_items >= q.q_capacity && not q.q_closed do
-    Condition.wait q.q_nonfull q.q_mutex
-  done;
-  let accepted = not q.q_closed in
-  (* Signal only when something was actually queued: a rejected push on
-     a closed queue has nothing for a worker to pop, and the spurious
-     signal could steal the wakeup a real push is entitled to. *)
-  if accepted then begin
-    Queue.push fd q.q_items;
-    Condition.signal q.q_nonempty
-  end;
-  Mutex.unlock q.q_mutex;
-  accepted
-
-let handoff_pop q =
-  Mutex.lock q.q_mutex;
-  while Queue.is_empty q.q_items && not q.q_closed do
-    Condition.wait q.q_nonempty q.q_mutex
-  done;
-  let item =
-    if Queue.is_empty q.q_items then None else Some (Queue.pop q.q_items)
-  in
-  Condition.signal q.q_nonfull;
-  Mutex.unlock q.q_mutex;
-  item
-
-let handoff_close q =
-  Mutex.lock q.q_mutex;
-  q.q_closed <- true;
-  Condition.broadcast q.q_nonempty;
-  Condition.broadcast q.q_nonfull;
-  Mutex.unlock q.q_mutex
-
-(* ---- accept / worker domain bodies ---- *)
-
-(* Poll with a short readiness timeout rather than blocking in accept:
-   closing a listen socket does not wake an accept blocked in another
-   domain, so a blocking loop would hang stop. *)
-let accept_loop ~stopping ~listen_fd ~conns ~handoff =
-  let rec loop () =
-    if Atomic.get stopping then ()
-    else
-      match Poll.wait_readable ~timeout:0.2 listen_fd with
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
-      | exception Unix.Unix_error _ -> ()
-      | `Timeout -> loop ()
-      | `Readable -> (
-          match Unix.accept ~cloexec:true listen_fd with
-          | exception Unix.Unix_error (Unix.EINTR, _, _) ->
-              (* Same retry as the poll above: a signal landing between
-                 the readiness wait and the accept must not drop the
-                 pending connection (or, under the catch-all below with
-                 [stopping] racing true, the whole accept loop). *)
-              loop ()
-          | exception Unix.Unix_error _ ->
-              if Atomic.get stopping then () else loop ()
-          | fd, _addr ->
-              conn_add conns fd;
-              if not (handoff_push handoff fd) then begin
-                conn_remove conns fd;
-                (try Unix.close fd with Unix.Unix_error _ -> ())
-              end;
-              loop ())
-  in
-  loop ()
-
-(* One worker: pop connections until the handoff closes; a raising
-   [serve] costs that connection, never the worker — and never the fd:
-   [serve] normally owns the close, but if it raises before getting
-   there the worker closes the popped fd itself, so a handler bug
-   cannot leak descriptors one crashed connection at a time. *)
-let worker_loop ~handoff ~conns ~worker ~serve =
-  let rec loop () =
-    match handoff_pop handoff with
-    | None -> ()
-    | Some fd ->
-        (try serve ~worker fd
-         with e ->
-           Slog.error ~event:"connection_raised"
-             [ ("worker", Slog.int worker); ("exn", Printexc.to_string e) ];
-           (try Unix.close fd with Unix.Unix_error _ -> ()));
-        conn_remove conns fd;
-        loop ()
-  in
-  loop ()

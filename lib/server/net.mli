@@ -1,8 +1,6 @@
-(** Shared serving-layer plumbing: addresses and listen sockets, the
-    live-connection table, the bounded accept->worker handoff queue and
-    the accept/worker domain loop bodies. {!Server} and {!Router} are
-    both built on it; {!Server} re-exports {!address} so existing
-    callers keep their spelling. *)
+(** Addresses and listen sockets, shared by {!Server} and {!Router};
+    {!Server} re-exports {!address} so existing callers keep their
+    spelling. Connections themselves are served by {!Event_loop}. *)
 
 type address = Unix_socket of string | Tcp of string * int
 
@@ -24,50 +22,3 @@ val port_of : Unix.file_descr -> int option
     port 0). *)
 
 val address_label : address -> string
-
-(** {1 Live connection table} *)
-
-type conn_table
-
-val conn_table : unit -> conn_table
-val conn_add : conn_table -> Unix.file_descr -> unit
-val conn_remove : conn_table -> Unix.file_descr -> unit
-
-val conn_shutdown_all : conn_table -> unit
-(** Shut down the read side of every live connection, unblocking
-    workers parked in reads so stop can join them. *)
-
-(** {1 Accept -> worker handoff} *)
-
-type handoff
-
-val handoff_create : int -> handoff
-
-val handoff_push : handoff -> Unix.file_descr -> bool
-(** Blocks while full; false when the queue is closed (caller closes
-    the fd — nothing was queued and no worker is signalled). *)
-
-val handoff_pop : handoff -> Unix.file_descr option
-(** Blocks while empty; [None] once closed and drained. *)
-
-val handoff_close : handoff -> unit
-
-(** {1 Domain loop bodies} *)
-
-val accept_loop :
-  stopping:bool Atomic.t ->
-  listen_fd:Unix.file_descr ->
-  conns:conn_table ->
-  handoff:handoff ->
-  unit
-
-val worker_loop :
-  handoff:handoff ->
-  conns:conn_table ->
-  worker:int ->
-  serve:(worker:int -> Unix.file_descr -> unit) ->
-  unit
-(** Pop and serve connections until the handoff closes. [serve] owns
-    the fd and closes it on every normal path; if it raises instead,
-    the worker closes the fd itself — an exception never leaks the
-    descriptor. *)

@@ -130,19 +130,15 @@ type t = {
   stopping : bool Atomic.t;
   (* Assigned right after construction (the loop handler needs [t]);
      always Some once [start] returns. *)
-  mutable loop : conn_state Event_loop.t option;
+  mutable loop : backends Handler.state Event_loop.t option;
   mutable event_domain : unit Domain.t option;
   mutable worker_domains : unit Domain.t list;
   mutable prober_domain : unit Domain.t option;
 }
 
-(* Per-connection handler state: the reused span plus this connection's
-   cached backend legs (one per shard, connected lazily). *)
-and conn_state = {
-  rc_span : Metrics.span;
-  rc_backends : Client.t option array;
-  mutable rc_in_mark : int; (* bytes_in watermark at the last frame end *)
-}
+(* This connection's cached backend legs (one per shard, connected
+   lazily): the router's part of the per-connection handler state. *)
+and backends = Client.t option array
 
 let now_ms () = Int64.to_int (Int64.div (Clock.now_ns ()) 1_000_000L)
 
@@ -155,30 +151,6 @@ let session_of_frame = function
   | Wire.Close { session; _ } ->
       Some session
   | _ -> None
-
-let hello_reply t client_version =
-  let hello_ok server_version =
-    Wire.Hello_ok
-      {
-        server_version;
-        server = t.cfg.router_id;
-        uptime_s = Metrics.uptime_s t.metrics;
-      }
-  in
-  if client_version = Wire.version then (hello_ok Wire.version, Some Wire.V1)
-  else if client_version = Wire.version2 && t.cfg.max_wire >= 2 then
-    (hello_ok Wire.version2, Some Wire.V2)
-  else
-    ( Wire.Error_frame
-        {
-          message =
-            Printf.sprintf "unsupported wire version %S (this router speaks %s)"
-              client_version
-              (if t.cfg.max_wire >= 2 then
-                 Wire.version ^ " and " ^ Wire.version2
-               else Wire.version);
-        },
-      None )
 
 (* The router's own metrics view: front-side spans merged across
    workers plus routing/health gauges — shards_total/up, per-shard
@@ -292,98 +264,24 @@ let forward t backends frame session =
             fail message)
   end
 
-let handle t backends frame =
+(* The router's [Handler.handle]: [metrics] is answered locally (the
+   router's own view), every session frame is forwarded to its owner. *)
+let handle t conn frame =
   match frame with
-  | Wire.Hello _ | Wire.Metrics _ ->
-      (* Handled locally, never forwarded: hello is per-connection
-         negotiation, metrics is the router's own view. *)
-      assert false
+  | Wire.Metrics { slow } -> handle_metrics t ~slow
   | _ -> (
       match session_of_frame frame with
-      | Some session -> forward t backends frame session
+      | Some session -> forward t (Handler.ext (Event_loop.data conn)) frame session
       | None ->
           Wire.Error_frame { message = "reply frames are not requests" })
 
-let us_since t0 = Int64.to_int (Int64.div (Int64.sub (Clock.now_ns ()) t0) 1000L)
-
-let conn_state t () =
-  {
-    rc_span = Metrics.span ();
-    rc_backends = Array.make (Array.length t.shards) None;
-    rc_in_mark = 0;
-  }
-
 let conn_close_backends st =
+  let backends = Handler.ext st in
   Array.iteri
     (fun i c ->
       Option.iter Client.close c;
-      st.rc_backends.(i) <- None)
-    st.rc_backends
-
-(* One complete inbound result on a worker domain: same span accounting
-   as the server's, with the handle phase being the proxied backend
-   call. s_read_us measures dispatch-queue wait (there is no per-frame
-   blocking read under the readiness loop). *)
-let handle_event t ~worker conn result =
-  let metrics = t.metrics in
-  let st = Event_loop.data conn in
-  let span = st.rc_span in
-  let framing = Event_loop.framing conn in
-  Metrics.reset_span span;
-  span.Metrics.s_wire <- (match framing with Wire.V1 -> 1 | Wire.V2 -> 2);
-  let started = Clock.now_ns () in
-  span.Metrics.s_read_us <-
-    Int64.to_int
-      (Int64.div (Int64.sub started (Event_loop.queued_ns conn)) 1000L);
-  let bytes_in_now = Event_loop.bytes_in conn in
-  span.Metrics.s_bytes_in <- bytes_in_now - st.rc_in_mark;
-  st.rc_in_mark <- bytes_in_now;
-  let send reply =
-    let bytes = Wire.to_wire framing reply in
-    Event_loop.send conn bytes;
-    String.length bytes
-  in
-  match result with
-  | Wire.Eof -> ()
-  | Wire.Malformed message ->
-      let handled = Clock.now_ns () in
-      let wrote = send (Wire.Error_frame { message }) in
-      span.Metrics.s_bytes_out <- wrote;
-      span.Metrics.s_write_us <- us_since handled;
-      Metrics.record_malformed metrics ~worker span
-  | Wire.Frame frame ->
-      span.Metrics.s_kind <- Metrics.kind_index frame;
-      Option.iter
-        (fun session -> span.Metrics.s_session <- session)
-        (session_of_frame frame);
-      let reply, negotiated =
-        match frame with
-        | Wire.Hello { client_version } -> hello_reply t client_version
-        | Wire.Metrics { slow } -> (handle_metrics t ~slow, None)
-        | _ ->
-            let reply =
-              (* A routing bug must cost this request, never the
-                 router. *)
-              try handle t st.rc_backends frame
-              with e ->
-                Slog.error ~event:"router_raised"
-                  [ ("exn", Printexc.to_string e) ];
-                Wire.Error_frame
-                  { message = "internal error: " ^ Printexc.to_string e }
-            in
-            (reply, None)
-      in
-      let handled = Clock.now_ns () in
-      span.Metrics.s_handle_us <-
-        Int64.to_int (Int64.div (Int64.sub handled started) 1000L);
-      (match reply with
-      | Wire.Error_frame _ -> span.Metrics.s_error <- true
-      | _ -> ());
-      let wrote = send reply in
-      span.Metrics.s_bytes_out <- wrote;
-      span.Metrics.s_write_us <- us_since handled;
-      Option.iter (fun f -> Event_loop.set_framing conn f) negotiated;
-      Metrics.record metrics ~worker span
+      backends.(i) <- None)
+    backends
 
 (* Re-admission probe: bounded connect + hello. Success re-admits the
    shard (the supervisor restarted it and restore-at-boot brought its
@@ -475,10 +373,21 @@ let start (config : config) =
       prober_domain = None;
     }
   in
+  let handler =
+    {
+      Handler.role = "router";
+      id = config.router_id;
+      max_wire = config.max_wire;
+      max_reply = Wire.max_frame;
+      metrics;
+      handle = handle t;
+    }
+  in
   let loop =
-    Event_loop.create ~listen_fd ~stopping ~on_open:(conn_state t)
+    Event_loop.create ~listen_fd ~stopping
+      ~on_open:(fun () -> Handler.state (Array.make (Array.length shards) None))
       ~on_close:conn_close_backends
-      ~handler:(fun ~worker conn result -> handle_event t ~worker conn result)
+      ~handler:(Handler.handle_event handler)
       ()
   in
   t.loop <- Some loop;

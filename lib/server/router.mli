@@ -20,7 +20,11 @@
     [shard_failures_total]/[shard_trips_total]/[shard_readmits_total]/
     [routed_<label>]/[errors_<label>]/[routed_shard_down_total]).
     Everything session-bearing is forwarded verbatim; replies pass
-    through untouched. *)
+    through unchanged except for the frame-size cap: the front counts
+    and caps frames through the same {!Handler} as {!Server}, so a shard
+    reply that re-encodes past {!Wire.max_frame} in the front's framing
+    becomes a clean [error], and [admission_reject] counts as an
+    error. *)
 
 (** Consistent-hash ring with virtual nodes (FNV-1a 64-bit). *)
 module Ring : sig

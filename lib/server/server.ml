@@ -1,6 +1,5 @@
 module Json = Rrs_sim.Event_sink.Json
 module Probe = Rrs_obs.Probe
-module Clock = Rrs_obs.Clock
 
 type address = Net.address = Unix_socket of string | Tcp of string * int
 
@@ -42,12 +41,9 @@ type manager = {
   m_queue_limit : int;
   m_trace_dir : string option;
   m_snap_dir : string option;
-  m_max_wire : int;
   m_snap_version : int; (* 1 or 2 *)
   m_checkpoint_every : int option; (* None = Session's per-version default *)
-  m_max_reply : int;
   m_metrics : Metrics.t;
-  m_server_id : string;
   m_autosnap : bool;
   m_admission : Admission.t option; (* None = gate off *)
 }
@@ -197,25 +193,6 @@ let handle_open m ~session ~policy ~delta ~bounds ~n ~speed ~horizon
             end)
   end
 
-(* The hello exchange doubles as framing negotiation: asking for
-   [rrs-wire/2] (when the server allows it) switches the connection to
-   the binary framing right after the [hello_ok] goes out in the old
-   one. It also surfaces the server's identity and uptime. *)
-let hello_reply m client_version =
-  let hello_ok server_version =
-    Wire.Hello_ok
-      { server_version; server = m.m_server_id;
-        uptime_s = Metrics.uptime_s m.m_metrics }
-  in
-  if client_version = Wire.version then (hello_ok Wire.version, Some Wire.V1)
-  else if client_version = Wire.version2 && m.m_max_wire >= 2 then
-    (hello_ok Wire.version2, Some Wire.V2)
-  else
-    ( err "unsupported wire version %S (this server speaks %s)" client_version
-        (if m.m_max_wire >= 2 then Wire.version ^ " and " ^ Wire.version2
-         else Wire.version),
-      None )
-
 (* The merged metrics view: every worker slot folded into one fresh
    registry, plus scrape-time series derived from the live sessions.
    The session list is grabbed under the manager mutex; per-session
@@ -274,12 +251,12 @@ let handle_metrics m ~slow =
   in
   Wire.Metrics_ok { doc; slow }
 
-(* [on_lock] observes session-mutex wait for the span being traced;
-   [wire]/[bytes_in]/[bytes_out] describe the answering connection for
-   [stats]. *)
-let handle_frame m ~on_lock ~wire ~bytes_in ~bytes_out frame =
+(* The server's [Handler.handle]: one request frame on connection
+   [conn], whose span observes session-mutex wait through [on_lock]. *)
+let handle_frame m conn frame =
+  let on_lock = Handler.on_lock (Event_loop.data conn) in
   match frame with
-  | Wire.Hello { client_version } -> fst (hello_reply m client_version)
+  | Wire.Hello _ -> assert false (* answered by Handler, never dispatched *)
   | Wire.Open
       { session; policy; delta; bounds; n; speed; horizon; queue_limit; decl }
     ->
@@ -387,9 +364,12 @@ let handle_frame m ~on_lock ~wire ~bytes_in ~bytes_out frame =
               reconfigs = st.st_reconfigs;
               failed = st.st_failed;
               cost = st.st_cost;
-              wire;
-              bytes_in;
-              bytes_out;
+              wire =
+                (match Event_loop.framing conn with
+                | Wire.V1 -> 1
+                | Wire.V2 -> 2);
+              bytes_in = Event_loop.bytes_in conn;
+              bytes_out = Event_loop.bytes_out conn;
             })
   | Wire.Snapshot { session; path } ->
       with_session m session (fun s -> (
@@ -449,133 +429,13 @@ let handle_frame m ~on_lock ~wire ~bytes_in ~bytes_out frame =
   | Wire.Metrics_ok _ | Wire.Error_frame _ | Wire.Admission_reject _ ->
       err "reply frames are not requests"
 
-(* ---- connection serving ---- *)
-
-(* A reply longer than [m_max_reply] (<= [Wire.max_frame]) is
-   un-receivable: the peer's reader rejects any frame over its cap as
-   malformed, so writing one — an inline snapshot of a session with a
-   deep history, say — would desynchronize or kill the connection.
-   Answer a clean [error] naming the limit instead; the connection (and
-   the session) survives, and the snapshot is still reachable through
-   the file path. *)
-
-let us_since t0 = Int64.to_int (Int64.div (Int64.sub (Clock.now_ns ()) t0) 1000L)
-
-(* Per-connection handler state for the event loop: one reused span and
-   lock-wait closure (the tracing hot path allocates nothing per
-   request), plus the bytes-in watermark for per-frame accounting. *)
-type conn_state = {
-  cs_span : Metrics.span;
-  cs_on_lock : int -> unit;
-  mutable cs_in_mark : int; (* Event_loop.bytes_in at the last frame end *)
-}
-
-let conn_state () =
-  let span = Metrics.span () in
-  {
-    cs_span = span;
-    cs_on_lock = (fun us -> span.Metrics.s_lock_us <- span.Metrics.s_lock_us + us);
-    cs_in_mark = 0;
-  }
-
-(* Frame and queue the reply (capped per the policy above); returns the
-   bytes queued. The event loop writes straight to the socket when the
-   connection's outbound buffer is empty. *)
-let send_reply manager ~framing conn reply =
-  let bytes = Wire.to_wire framing reply in
-  let data =
-    if String.length bytes <= manager.m_max_reply then bytes
-    else
-      Wire.to_wire framing
-        (err
-           "reply frame of %d bytes exceeds the %d-byte frame limit; \
-            request the snapshot to a file (snapshot with a path) instead"
-           (String.length bytes) manager.m_max_reply)
-  in
-  Event_loop.send conn data;
-  String.length data
-
-(* One complete inbound result (frame or malformed report — the loop
-   never dispatches Eof), handled on a worker domain. Same span
-   accounting as the old blocking loop, except s_read_us now measures
-   dispatch-queue wait (there is no per-frame blocking read to time). *)
-let handle_event manager ~worker conn result =
-  let metrics = manager.m_metrics in
-  let st = Event_loop.data conn in
-  let span = st.cs_span in
-  let framing = Event_loop.framing conn in
-  Metrics.reset_span span;
-  span.Metrics.s_wire <- (match framing with Wire.V1 -> 1 | Wire.V2 -> 2);
-  let started = Clock.now_ns () in
-  span.Metrics.s_read_us <-
-    Int64.to_int
-      (Int64.div (Int64.sub started (Event_loop.queued_ns conn)) 1000L);
-  let bytes_in_now = Event_loop.bytes_in conn in
-  span.Metrics.s_bytes_in <- bytes_in_now - st.cs_in_mark;
-  st.cs_in_mark <- bytes_in_now;
-  match result with
-  | Wire.Eof -> ()
-  | Wire.Malformed message ->
-      let handled = Clock.now_ns () in
-      let wrote = send_reply manager ~framing conn (Wire.Error_frame { message }) in
-      span.Metrics.s_bytes_out <- wrote;
-      span.Metrics.s_write_us <- us_since handled;
-      Metrics.record_malformed metrics ~worker span
-  | Wire.Frame frame ->
-      span.Metrics.s_kind <- Metrics.kind_index frame;
-      (match frame with
-      | Wire.Open { session; _ } | Wire.Feed { session; _ }
-      | Wire.Step { session; _ } | Wire.Stats { session; _ }
-      | Wire.Snapshot { session; _ } | Wire.Close { session; _ } ->
-          span.Metrics.s_session <- session
-      | _ -> ());
-      let reply, negotiated =
-        match frame with
-        (* The hello reply goes out in the framing the hello arrived
-           in; only then does the connection switch. *)
-        | Wire.Hello { client_version } -> hello_reply manager client_version
-        | _ ->
-            let reply =
-              (* A bug in frame handling must cost this request, not
-                 the server: fail the frame, keep the connection. *)
-              try
-                handle_frame manager ~on_lock:st.cs_on_lock
-                  ~wire:span.Metrics.s_wire ~bytes_in:bytes_in_now
-                  ~bytes_out:(Event_loop.bytes_out conn)
-                  frame
-              with e ->
-                Slog.error ~event:"handler_raised"
-                  [ ("exn", Printexc.to_string e) ];
-                Wire.Error_frame
-                  { message = "internal error: " ^ Printexc.to_string e }
-            in
-            (reply, None)
-      in
-      let handled = Clock.now_ns () in
-      span.Metrics.s_handle_us <-
-        Int64.to_int (Int64.div (Int64.sub handled started) 1000L);
-      (match reply with
-      | Wire.Error_frame _ | Wire.Admission_reject _ ->
-          span.Metrics.s_error <- true
-      | Wire.Stepped _ -> (
-          match frame with
-          | Wire.Step { rounds; _ } -> span.Metrics.s_rounds <- max rounds 1
-          | _ -> ())
-      | Wire.Shed { shed; _ } -> span.Metrics.s_shed <- shed
-      | _ -> ());
-      let wrote = send_reply manager ~framing conn reply in
-      span.Metrics.s_bytes_out <- wrote;
-      span.Metrics.s_write_us <- us_since handled;
-      Option.iter (fun f -> Event_loop.set_framing conn f) negotiated;
-      Metrics.record metrics ~worker span
-
 (* ---- server handle ---- *)
 
 type t = {
   manager : manager;
   listen_fd : Unix.file_descr;
   stopping : bool Atomic.t;
-  loop : conn_state Event_loop.t;
+  loop : unit Handler.state Event_loop.t;
   event_domain : unit Domain.t;
   worker_domains : unit Domain.t list;
   cleanup_socket : string option; (* unix socket path to unlink on stop *)
@@ -595,24 +455,56 @@ let address_label = Net.address_label
    A single domain serving one tiny HTTP/1.1 exchange per connection:
    read and discard the request head, write the full exposition, close.
    Scrapes are rare (seconds apart) and the registry fold is cheap, so
-   one blocking responder is plenty; the short-timeout readiness wait
-   mirrors the accept loop so [stop] can join it. *)
+   one responder is plenty. The head is read straight off the fd within
+   a fixed deadline and size, so a silent or endless peer costs at most
+   [http_head_timeout_s] — never every later scrape, nor [stop]. Every
+   wait is a short poll, so [stop] can join the domain. *)
+
+let http_head_timeout_s = 1.0
+let http_head_max = 8 * 1024
+
+(* Does [buf] up to [len] hold a blank line, the end of a request head? *)
+let http_head_complete buf len =
+  let blank_at i =
+    (i < len && Bytes.get buf i = '\n')
+    || (i + 1 < len && Bytes.get buf i = '\r' && Bytes.get buf (i + 1) = '\n')
+  in
+  let rec scan i =
+    i < len && ((Bytes.get buf i = '\n' && blank_at (i + 1)) || scan (i + 1))
+  in
+  blank_at 0 || scan 0
+
+(* Read the request head; false when the peer stalls past the deadline,
+   sends more than [http_head_max] without ending it, or the server is
+   stopping. EOF ends the head: answer what was asked. *)
+let read_http_head stopping fd =
+  let buf = Bytes.create http_head_max in
+  let deadline = Unix.gettimeofday () +. http_head_timeout_s in
+  let rec go len =
+    let remaining = deadline -. Unix.gettimeofday () in
+    if remaining <= 0. || len >= http_head_max || Atomic.get stopping then
+      false
+    else
+      match Poll.wait_readable ~timeout:(Float.min remaining 0.2) fd with
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go len
+      | `Timeout -> go len
+      | `Readable -> (
+          match Unix.read fd buf len (http_head_max - len) with
+          | 0 -> true
+          | k -> http_head_complete buf (len + k) || go (len + k))
+  in
+  go 0
+
 let serve_metrics_http manager stopping fd =
   let answer client =
-    let input = Unix.in_channel_of_descr client in
-    let output = Unix.out_channel_of_descr client in
-    (try
-       (* Drain the request head (request line + headers). *)
-       let rec head () =
-         match input_line input with
-         | "" | "\r" -> ()
-         | _ -> head ()
-       in
-       head ()
-     with End_of_file -> ());
-    let body = Exposition.render (metrics_registry manager) in
-    output_string output (Exposition.http_response body);
-    flush output
+    if read_http_head stopping client then begin
+      let response =
+        Exposition.http_response (Exposition.render (metrics_registry manager))
+      in
+      (* a peer that stops reading cannot hold the responder either *)
+      Unix.setsockopt_float client Unix.SO_SNDTIMEO http_head_timeout_s;
+      ignore (Unix.write_substring client response 0 (String.length response))
+    end
   in
   let rec loop () =
     if Atomic.get stopping then ()
@@ -627,8 +519,7 @@ let serve_metrics_http manager stopping fd =
           | exception Unix.Unix_error _ ->
               if Atomic.get stopping then () else loop ()
           | client, _ ->
-              (try answer client
-               with Sys_error _ | Unix.Unix_error _ -> ());
+              (try answer client with Unix.Unix_error _ -> ());
               (try Unix.close client with Unix.Unix_error _ -> ());
               loop ())
   in
@@ -715,8 +606,9 @@ let restore_sessions manager =
 let start ?(restore = true) config =
   (* A client that disconnects before its reply is written must cost
      that connection, not the process: with SIGPIPE ignored, writes to
-     a dead peer raise Sys_error (EPIPE), which serve_connection
-     already absorbs. Unavailable on some platforms, hence the try. *)
+     a dead peer raise Unix_error (EPIPE), which the event loop and the
+     metrics responder absorb. Unavailable on some platforms, hence the
+     try. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ -> ());
   let snap_version = if config.snap_version = 1 then 1 else 2 in
@@ -775,18 +667,13 @@ let start ?(restore = true) config =
       m_queue_limit = config.queue_limit;
       m_trace_dir = config.trace_dir;
       m_snap_dir = config.snap_dir;
-      m_max_wire = (if config.max_wire = 1 then 1 else 2);
       m_snap_version = snap_version;
       m_checkpoint_every =
         (if config.checkpoint_every > 0 then Some config.checkpoint_every
          else None);
-      m_max_reply =
-        (if config.max_reply > 0 then min config.max_reply Wire.max_frame
-         else Wire.max_frame);
       m_metrics =
         Metrics.create ~workers ~slow_threshold_us:config.slow_threshold_us
           ~slow_capacity:config.slow_log ();
-      m_server_id = config.server_id;
       m_autosnap = config.autosnap && config.snap_dir <> None;
       m_admission = admission_gate;
     }
@@ -809,10 +696,21 @@ let start ?(restore = true) config =
         (Some fd, cleanup)
   in
   let stopping = Atomic.make false in
+  let handler =
+    {
+      Handler.role = "server";
+      id = config.server_id;
+      max_wire = (if config.max_wire = 1 then 1 else 2);
+      max_reply =
+        (if config.max_reply > 0 then min config.max_reply Wire.max_frame
+         else Wire.max_frame);
+      metrics = manager.m_metrics;
+      handle = handle_frame manager;
+    }
+  in
   let loop =
-    Event_loop.create ~listen_fd ~stopping ~on_open:conn_state
-      ~handler:(fun ~worker conn result ->
-        handle_event manager ~worker conn result)
+    Event_loop.create ~listen_fd ~stopping ~on_open:Handler.state
+      ~handler:(Handler.handle_event handler)
       ()
   in
   let event_domain = Domain.spawn (fun () -> Event_loop.run loop) in

@@ -1,9 +1,9 @@
 (** The rrs session server ([rrs-wire/1] JSON by default, [rrs-wire/2]
     binary by negotiation).
 
-    One accept-loop domain hands connections to a pool of worker domains
-    over a bounded queue; each worker serves its connection frame by
-    frame against a shared session manager (many named
+    One {!Event_loop} domain owns every connection and hands complete
+    frames to a pool of worker domains, which answer them through the
+    shared {!Handler} against a shared session manager (many named
     {!Session}s). Malformed input is answered with an [error] frame and
     the connection — and every session — survives; a frame-handler
     exception costs that one frame, never the server. A connection
@@ -50,14 +50,17 @@ type config = {
       (** reply frame size cap in bytes; [0] = {!Wire.max_frame}
           (values above it are clamped). A reply that would exceed the
           cap — an inline snapshot of a deep session — is replaced by an
-          [error] naming the limit, because the peer's reader could
+          [error] naming the limit, because the peer's parser could
           never receive the frame anyway; snapshot-to-file is the
           unbounded path *)
   metrics : address option;
       (** when set, a separate listener serving the merged metrics as
           Prometheus/OpenMetrics text over one-shot HTTP/1.1 exchanges
           (see {!Exposition}). Metrics are always collected; this only
-          adds the exposition endpoint *)
+          adds the exposition endpoint. One responder serves scrapes in
+          turn, reading each request head within a fixed 1 s deadline
+          and 8 KiB, so an idle or endless peer cannot stall later
+          scrapes or [stop] *)
   slow_threshold_us : int;
       (** slow-request log threshold in µs;
           [0] = {!Metrics.default_slow_threshold_us} *)

@@ -763,87 +763,7 @@ let to_wire framing frame =
   | V1 -> frame_line (encode frame)
   | V2 -> encode_binary frame
 
-let write ?(framing = V1) channel frame =
-  output_string channel (to_wire framing frame);
-  flush channel
-
 type read_result = Frame of frame | Malformed of string | Eof
-
-(* ---- buffered reader, shared by both framings ----
-
-   One [input] call per chunk instead of one per byte; both the /1 line
-   scan and the /2 header/payload reads run over the in-memory chunk. *)
-
-type reader = {
-  pull : Bytes.t -> int -> int -> int;
-  chunk : Bytes.t;
-  mutable pos : int; (* next unconsumed byte in [chunk] *)
-  mutable len : int; (* valid bytes in [chunk] *)
-  mutable pulled : int; (* total bytes pulled from the source *)
-}
-
-let chunk_size = 64 * 1024
-
-let reader_fn pull =
-  { pull; chunk = Bytes.create chunk_size; pos = 0; len = 0; pulled = 0 }
-
-let reader channel = reader_fn (fun buf off len -> input channel buf off len)
-
-let reader_bytes r = r.pulled
-
-(* Make at least one byte available; false at EOF. *)
-let refill r =
-  if r.pos < r.len then true
-  else begin
-    let k = r.pull r.chunk 0 (Bytes.length r.chunk) in
-    r.pos <- 0;
-    r.len <- k;
-    r.pulled <- r.pulled + k;
-    k > 0
-  end
-
-(* Make at least [want] contiguous bytes available (compacting first);
-   false at EOF. [want] must fit the chunk. *)
-let ensure r want =
-  if r.len - r.pos >= want then true
-  else begin
-    if r.pos > 0 then begin
-      Bytes.blit r.chunk r.pos r.chunk 0 (r.len - r.pos);
-      r.len <- r.len - r.pos;
-      r.pos <- 0
-    end;
-    let rec fill () =
-      if r.len >= want then true
-      else
-        let k = r.pull r.chunk r.len (Bytes.length r.chunk - r.len) in
-        if k = 0 then false
-        else begin
-          r.len <- r.len + k;
-          r.pulled <- r.pulled + k;
-          fill ()
-        end
-    in
-    fill ()
-  end
-
-(* Exactly [n] bytes as a fresh string (may exceed the chunk); None at
-   EOF. *)
-let read_exact r n =
-  let out = Bytes.create n in
-  let have = min n (r.len - r.pos) in
-  Bytes.blit r.chunk r.pos out 0 have;
-  r.pos <- r.pos + have;
-  let rec go off =
-    if off >= n then Some (Bytes.unsafe_to_string out)
-    else
-      let k = r.pull out off (n - off) in
-      if k = 0 then None
-      else begin
-        r.pulled <- r.pulled + k;
-        go (off + k)
-      end
-  in
-  go have
 
 let find_newline chunk pos len =
   let rec go i =
@@ -853,41 +773,7 @@ let find_newline chunk pos len =
   in
   go pos
 
-(* Read one '\n'-terminated line of at most [max_frame] bytes; an
-   over-long line is truncated (bounded memory) and flagged with a "..."
-   suffix so [read] reports it malformed. *)
-let read_line_bounded r =
-  if not (refill r) then None
-  else begin
-    let buffer = Buffer.create 256 in
-    let overflow = ref false in
-    let finished = ref false in
-    while not !finished do
-      if r.pos >= r.len && not (refill r) then finished := true
-      else begin
-        let nl = find_newline r.chunk r.pos r.len in
-        let stop = if nl = -1 then r.len else nl in
-        let segment = stop - r.pos in
-        let room = max_frame - Buffer.length buffer in
-        if segment > room then begin
-          if room > 0 then Buffer.add_subbytes buffer r.chunk r.pos room;
-          overflow := true
-        end
-        else Buffer.add_subbytes buffer r.chunk r.pos segment;
-        r.pos <- stop;
-        if nl >= 0 then begin
-          r.pos <- r.pos + 1;
-          finished := true
-        end
-      end
-    done;
-    let line = Buffer.contents buffer in
-    Some (if !overflow then line ^ "..." else line)
-  end
-
-(* Parse one complete /1 line (newline already stripped). Shared by the
-   pull reader and the incremental [Stream] so the two stay
-   byte-for-byte equivalent. *)
+(* Parse one complete /1 line (newline already stripped). *)
 let parse_v1_line line =
   if String.length line > max_frame then
     Malformed (Printf.sprintf "frame longer than %d bytes" max_frame)
@@ -910,91 +796,25 @@ let parse_v1_line line =
             | Ok frame -> Frame frame
             | Error message -> Malformed message))
 
-let read_v1 r =
-  match read_line_bounded r with None -> Eof | Some line -> parse_v1_line line
-
-(* Consume garbage up to (and including) a newline, or up to (but not
-   including) the next magic pair, whichever comes first; count what was
-   skipped. Stopping at newlines keeps textual garbage request/reply
-   interactive — the peer gets its [error] without the reader blocking
-   for a frame that may never come. *)
-let skip_garbage r =
-  let skipped = ref 0 in
-  let continue = ref true in
-  while !continue do
-    if r.pos >= r.len && not (refill r) then continue := false
-    else
-      let c = Bytes.get r.chunk r.pos in
-      if c = '\n' then begin
-        r.pos <- r.pos + 1;
-        incr skipped;
-        continue := false
-      end
-      else if
-        c = magic0 && ensure r 2 && Bytes.get r.chunk (r.pos + 1) = magic1
-      then continue := false
-      else begin
-        r.pos <- r.pos + 1;
-        incr skipped
-      end
-  done;
-  !skipped
-
-let read_v2 r =
-  if not (ensure r 2) then begin
-    (* 0 or 1 dangling bytes before EOF: nothing decodable remains. *)
-    r.pos <- r.len;
-    Eof
-  end
-  else if
-    not (Bytes.get r.chunk r.pos = magic0 && Bytes.get r.chunk (r.pos + 1) = magic1)
-  then
-    let skipped = skip_garbage r in
-    Malformed (Printf.sprintf "not a frame: skipped %d garbage byte(s)" skipped)
-  else if not (ensure r 7) then begin
-    r.pos <- r.len;
-    Eof
-  end
-  else begin
-    let b i = Char.code (Bytes.get r.chunk (r.pos + i)) in
-    let length = (b 2 lsl 24) lor (b 3 lsl 16) lor (b 4 lsl 8) lor b 5 in
-    let tag = b 6 in
-    r.pos <- r.pos + 7;
-    if length > max_frame then
-      Malformed (Printf.sprintf "frame longer than %d bytes" max_frame)
-    else
-      match read_exact r length with
-      | None -> Eof
-      | Some payload -> (
-          match decode_payload tag payload with
-          | Ok frame -> Frame frame
-          | Error message -> Malformed message)
-  end
-
-let read ?(framing = V1) r =
-  match framing with V1 -> read_v1 r | V2 -> read_v2 r
-
 (* ---- incremental frame stream ----
 
-   The pull [reader] blocks inside its pull function until a whole frame
-   arrives, which is fine for one-thread-per-connection but useless for
-   a readiness loop: there a read(2) that would block simply is not
-   made, so the parser must accept bytes as they arrive and say "need
-   more" in between. [Stream] is that push-style parser. Its observable
-   behaviour — frames, malformed reports (same messages), resync points,
-   EOF handling — matches [read] over the same byte sequence exactly;
-   test_server's qcheck equivalence suite holds the two together. *)
+   The one parser for both framings, server and client side alike. It
+   accepts bytes as they arrive and says "need more" in between, so a
+   readiness loop never makes a read(2) that would block, and a
+   blocking client reads only when [next] has nothing left to give.
+   The test suite holds it against a blocking pull-reader reference
+   model: same frames, malformed reports (same messages), resync points
+   and EOF handling over any byte sequence and any chunking. *)
 
 module Stream = struct
   type state =
     | Idle  (* between frames *)
     | V1_discard
       (* over-long /1 line: drop bytes until the newline, then report
-         [Malformed "frame longer than ..."] like read_line_bounded's
-         truncate-and-flag path *)
+         [Malformed "frame longer than ..."] once for the whole line *)
     | V2_garbage of int
-      (* skipping to newline / magic pair; the count mirrors
-         [skip_garbage]'s *)
+      (* skipping to newline / magic pair; the count of bytes skipped
+         so far, reported in the malformed message *)
     | V2_payload of int * int  (* tag, remaining payload length *)
 
   type t = {
@@ -1081,7 +901,7 @@ module Stream = struct
             consume t (buffered t);
             t.scanned <- 0;
             if t.eof then begin
-              (* read_line_bounded ends the truncated line at EOF *)
+              (* EOF ends the truncated line *)
               t.state <- Idle;
               Some
                 (Malformed
@@ -1110,8 +930,8 @@ module Stream = struct
             else if t.eof then
               if t.scanned = 0 then Some Eof
               else begin
-                (* trailing newline-less line: read_line_bounded parses
-                   it as a final line at EOF *)
+                (* trailing newline-less line: parsed as a final line
+                   at EOF *)
                 let line = take t t.scanned in
                 t.scanned <- 0;
                 Some (parse_v1_line line)
@@ -1135,12 +955,13 @@ module Stream = struct
             | Ok frame -> Frame frame
             | Error message -> Malformed message)
         end
-        else if t.eof then Some Eof (* truncated payload, like read_exact *)
+        else if t.eof then Some Eof (* truncated payload *)
         else None
     | V2_garbage count ->
-        (* mirror [skip_garbage]: stop after a newline (consumed) or
-           before a magic pair (not consumed); at EOF everything left is
-           garbage *)
+        (* stop after a newline (consumed) or before a magic pair (not
+           consumed), so textual garbage draws its [error] without
+           waiting for a frame that may never come; at EOF everything
+           left is garbage *)
         let rec scan count =
           if t.start >= t.stop then
             if t.eof then begin
@@ -1178,8 +999,7 @@ module Stream = struct
                   scan (count + 1)
                 end
               else if t.eof then begin
-                (* dangling magic0 at EOF is garbage, like [ensure]
-                   failing inside skip_garbage *)
+                (* dangling magic0 at EOF is garbage *)
                 consume t 1;
                 scan (count + 1)
               end

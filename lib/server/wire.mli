@@ -1,6 +1,6 @@
 (** The rrs session protocol: typed frames, two negotiated framings
-    ([rrs-wire/1] JSON and [rrs-wire/2] binary) and a buffered channel
-    reader shared by both.
+    ([rrs-wire/1] JSON and [rrs-wire/2] binary) and one incremental
+    parser ({!Stream}) shared by both.
 
     {b [rrs-wire/1]} framing is ["<byte length of JSON> <JSON>\n"] —
     length-delimited but still line-synced, so a peer that sends garbage
@@ -23,9 +23,8 @@
     garbage still draws an immediate [error] instead of stalling the
     reader.
 
-    Both framings are served by one {!reader}: a chunked buffer filled
-    with one [input] call per chunk, so neither framing pays a libc call
-    per byte. *)
+    Every byte a live process reads off a socket — the server's event
+    loop and {!Client} alike — goes through {!Stream}. *)
 
 val version : string
 (** ["rrs-wire/1"], the default, exchanged in [hello]/[hello_ok]. *)
@@ -176,44 +175,21 @@ val frame_line : string -> string
 val to_wire : framing -> frame -> string
 (** The complete wire bytes of one frame under the given framing. *)
 
-val write : ?framing:framing -> out_channel -> frame -> unit
-(** Encode, frame, write and flush. Default framing is [V1]. *)
-
 type read_result =
   | Frame of frame
   | Malformed of string
-      (** Bad framing, over-long frame, codec or frame error; the reader
+      (** Bad framing, over-long frame, codec or frame error; the parser
           is positioned after the offending input (next newline for /1,
           next newline or magic pair for /2). *)
   | Eof
 
-type reader
-(** A buffered frame reader over an [in_channel]: chunked refills, so
-    neither framing reads byte-at-a-time from the OS. One reader per
-    connection; not thread-safe. *)
-
-val reader : in_channel -> reader
-
-val reader_fn : (bytes -> int -> int -> int) -> reader
-(** A reader over an arbitrary pull function [pull buf off len -> k]
-    with [read(2)] semantics (0 means EOF). Lets callers interpose
-    deadlines: a pull that polls with a remaining-time budget before
-    reading gives every {!read} a hard time bound. *)
-
-val reader_bytes : reader -> int
-(** Total bytes pulled from the underlying channel so far (used by the
-    E18 harness for bytes/frame accounting). *)
-
-val read : ?framing:framing -> reader -> read_result
-(** Read one frame under the given framing. Default is [V1]. *)
-
-(** Incremental (push-style) frame extraction for the readiness event
-    loop: the loop feeds whatever bytes a non-blocking [read(2)]
-    returned and asks for the next complete frame, getting [None] when
-    more bytes are needed instead of blocking. Over any byte sequence
-    and split points, the emitted results — frames, malformed messages,
-    resync positions, EOF handling — are identical to repeated {!read}
-    over the same bytes (pinned by a qcheck equivalence suite). *)
+(** Incremental (push-style) frame extraction: the caller feeds whatever
+    bytes a [read(2)] returned and asks for the next complete frame,
+    getting [None] when more bytes are needed instead of blocking. The
+    emitted results — frames, malformed messages, resync positions, EOF
+    handling — do not depend on how the bytes were split into feeds
+    (pinned by a qcheck suite, which also compares them against a
+    blocking pull-reader reference model). *)
 module Stream : sig
   type t
 
@@ -234,8 +210,8 @@ module Stream : sig
 
   val feed_eof : t -> unit
   (** The peer closed its write side; pending partial input is resolved
-      exactly as the pull reader resolves EOF (a newline-less trailing
-      /1 line still parses, a truncated /2 header or payload is [Eof]). *)
+      (a newline-less trailing /1 line still parses, a truncated /2
+      header or payload is [Eof]). *)
 
   val next : t -> read_result option
   (** The next complete result, or [None] when more bytes are needed.
@@ -247,6 +223,6 @@ module Stream : sig
       per-connection backpressure signal. *)
 
   val fed : t -> int
-  (** Total bytes ever fed (mirrors {!reader_bytes} for the stats
-      [bytes_in] accounting). *)
+  (** Total bytes ever fed (the stats [bytes_in] and
+      {!Client.bytes_received} accounting). *)
 end

@@ -1,13 +1,14 @@
 (* Connection-core regression tests for the poll-based serving layer:
    socket-steal refusal (a second server must not silently unlink a
-   live server's Unix socket), fd hygiene in the accept->worker handoff
-   (a raising handler never leaks the popped fd; a rejected push never
-   signals), close-on-exec across [Shard]'s create_process children
+   live server's Unix socket), fd hygiene in the event loop (a raising
+   handler costs its connection, never the worker or an fd),
+   close-on-exec across [Shard]'s create_process children
    (an inherited socket would keep dead clients from ever seeing EOF),
    and the FD_SETSIZE-cliff churn test: >= 1024 concurrent connections
    with open/close churn, zero frame errors, and a flat fd table. *)
 
 module Net = Rrs_server.Net
+module Event_loop = Rrs_server.Event_loop
 module Poll = Rrs_server.Poll
 module Server = Rrs_server.Server
 module Client = Rrs_server.Client
@@ -82,40 +83,63 @@ let test_second_server_refused () =
       | Error message -> Alcotest.failf "first server broken: %s" message);
       Client.close client)
 
-(* ---- handoff queue and worker fd hygiene ---- *)
+(* ---- Event_loop: a raising handler costs its connection only ---- *)
 
-let test_handoff_push_closed_queues_nothing () =
-  let q = Net.handoff_create 4 in
-  Net.handoff_close q;
-  let r, w = Unix.pipe () in
-  check_bool "push on a closed queue is rejected" false (Net.handoff_push q r);
-  (* Nothing was queued: a pop on the closed queue drains to None
-     immediately instead of handing out the rejected fd. *)
-  (match Net.handoff_pop q with
-  | None -> ()
-  | Some _ -> Alcotest.fail "rejected push left an fd in the queue");
-  Unix.close r;
-  Unix.close w
+let fd_table_size () = Array.length (Sys.readdir "/proc/self/fd")
 
-let test_worker_loop_closes_fd_when_serve_raises () =
-  let q = Net.handoff_create 4 in
-  let conns = Net.conn_table () in
-  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  check_bool "push accepted" true (Net.handoff_push q a);
-  Net.handoff_close q;
-  (* The handler raises before ever closing its fd; the worker must
-     close it anyway — otherwise every crashed connection leaks one
-     descriptor until the process hits EMFILE. *)
-  Net.worker_loop ~handoff:q ~conns ~worker:0
-    ~serve:(fun ~worker:_ _fd -> failwith "handler bug before close");
-  (match Unix.fstat a with
-  | _ -> Alcotest.fail "raising handler leaked the connection fd"
-  | exception Unix.Unix_error (Unix.EBADF, _, _) -> ());
-  (* And the peer observes the close as EOF, not a hang. *)
-  (match Poll.wait_readable ~timeout:5.0 b with
-  | `Readable -> check "peer sees EOF" 0 (Unix.read b (Bytes.create 8) 0 8)
-  | `Timeout -> Alcotest.fail "peer never saw the close");
-  Unix.close b
+(* One worker domain, a handler that raises on the frame for session
+   "boom": that connection is closed (the peer sees EOF, [on_close]
+   runs), the same worker then serves a second connection, and after
+   shutdown the fd table is back where it started. *)
+let test_dispatch_survives_raising_handler () =
+  let has_proc = Sys.file_exists "/proc/self/fd" in
+  let fds_before = if has_proc then fd_table_size () else 0 in
+  let dir = temp_dir "rrs_raise" in
+  let path = Filename.concat dir "sock" in
+  let listen_fd, _ = Net.listen_socket (Net.Unix_socket path) in
+  let stopping = Atomic.make false in
+  let closed = Atomic.make 0 in
+  let loop =
+    Event_loop.create ~listen_fd ~stopping
+      ~on_open:(fun () -> ())
+      ~on_close:(fun () -> Atomic.incr closed)
+      ~handler:(fun ~worker:_ conn result ->
+        match result with
+        | Wire.Frame (Wire.Stats { session = "boom" }) ->
+            failwith "handler bug"
+        | _ ->
+            Event_loop.send conn
+              (Wire.to_wire Wire.V1 (Wire.Closed { session = "ok"; cost = 0 })))
+      ()
+  in
+  let event_domain = Domain.spawn (fun () -> Event_loop.run loop) in
+  let worker = Domain.spawn (fun () -> Event_loop.dispatch_loop loop ~worker:0) in
+  let address = Server.Unix_socket path in
+  let first = Client.connect address in
+  (match Client.call ~deadline_ms:5_000 first (Wire.Stats { session = "boom" }) with
+  | Error "connection closed by server" -> ()
+  | Ok frame -> Alcotest.failf "raising handler answered: %s" (Wire.encode frame)
+  | Error message -> Alcotest.failf "peer did not see EOF: %s" message);
+  Client.close first;
+  let deadline = Unix.gettimeofday () +. 5. in
+  while Atomic.get closed < 1 && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.01
+  done;
+  check "on_close ran for the failed connection" 1 (Atomic.get closed);
+  let second = Client.connect address in
+  (match Client.call ~deadline_ms:5_000 second (Wire.Stats { session = "ok" }) with
+  | Ok (Wire.Closed { session = "ok"; _ }) -> ()
+  | Ok frame -> Alcotest.failf "unexpected reply: %s" (Wire.encode frame)
+  | Error message -> Alcotest.failf "worker did not survive: %s" message);
+  Client.close second;
+  Atomic.set stopping true;
+  Event_loop.wake_loop loop;
+  Domain.join event_domain;
+  Domain.join worker;
+  check "on_close ran for both connections" 2 (Atomic.get closed);
+  Sys.remove path;
+  Unix.rmdir dir;
+  if has_proc then check "fd table back to its start" fds_before (fd_table_size ())
 
 (* ---- close-on-exec across Shard children ---- *)
 
@@ -191,8 +215,6 @@ let test_shard_children_inherit_no_sockets () =
   end
 
 (* ---- the FD_SETSIZE cliff: >= 1024 concurrent connections ---- *)
-
-let fd_table_size () = Array.length (Sys.readdir "/proc/self/fd")
 
 let test_churn_beyond_fd_setsize () =
   let conns_wanted = 1100 in
@@ -281,12 +303,10 @@ let suite =
         Alcotest.test_case "second server cannot steal the socket" `Quick
           test_second_server_refused;
       ] );
-    ( "net.handoff",
+    ( "net.event_loop",
       [
-        Alcotest.test_case "push on a closed queue queues nothing" `Quick
-          test_handoff_push_closed_queues_nothing;
-        Alcotest.test_case "raising handler never leaks the fd" `Quick
-          test_worker_loop_closes_fd_when_serve_raises;
+        Alcotest.test_case "raising handler costs only its connection" `Quick
+          test_dispatch_survives_raising_handler;
       ] );
     ( "net.cloexec",
       [

@@ -16,6 +16,8 @@ module Wire = Rrs_server.Wire
 module Session = Rrs_server.Session
 module Server = Rrs_server.Server
 module Client = Rrs_server.Client
+module Router = Rrs_server.Router
+module Handler = Rrs_server.Handler
 module H = Test_helpers
 
 let check = Alcotest.(check int)
@@ -128,43 +130,91 @@ let prop_wire_roundtrip =
   QCheck2.Test.make ~name:"wire: decode (encode frame) = frame" ~count:500
     gen_frame (fun frame -> Wire.decode (Wire.encode frame) = Ok frame)
 
+let show_result = function
+  | Wire.Frame f -> "Frame " ^ Wire.encode f
+  | Wire.Malformed m -> "Malformed " ^ m
+  | Wire.Eof -> "Eof"
+
+(* The incremental stream, fed in [chunks]-sized pieces (any leftover
+   arrives as one final piece), drained after every feed. *)
+let stream_results framing data chunks =
+  let s = Wire.Stream.create framing in
+  let acc = ref [] in
+  let finished = ref false in
+  let drain () =
+    let continue = ref true in
+    while !continue && not !finished do
+      match Wire.Stream.next s with
+      | None -> continue := false
+      | Some Wire.Eof ->
+          acc := Wire.Eof :: !acc;
+          finished := true
+      | Some res -> acc := res :: !acc
+    done
+  in
+  let pos = ref 0 in
+  let total = String.length data in
+  let feed k =
+    let k = min k (total - !pos) in
+    if k > 0 then begin
+      Wire.Stream.feed s (Bytes.unsafe_of_string data) !pos k;
+      pos := !pos + k;
+      drain ()
+    end
+  in
+  List.iter feed chunks;
+  feed (total - !pos);
+  Wire.Stream.feed_eof s;
+  drain ();
+  if not !finished then failwith "stream did not reach EOF";
+  if Wire.Stream.fed s <> total then failwith "Stream.fed miscounts";
+  List.rev !acc
+
+(* The same results handed out one per call ([Eof] once drained), with
+   [data] fed in 64 KiB pieces — one read(2) of the event loop or
+   [Client]. *)
+let stream_reader ?(framing = Wire.V1) data =
+  let chunk = 64 * 1024 in
+  let pending =
+    ref
+      (stream_results framing data
+         (List.init ((String.length data / chunk) + 1) (fun _ -> chunk)))
+  in
+  fun () ->
+    match !pending with
+    | [] -> Wire.Eof
+    | result :: rest ->
+        pending := rest;
+        result
+
 let prop_wire_framed_roundtrip =
-  QCheck2.Test.make ~name:"wire: read (write frame) = frame through a channel"
+  QCheck2.Test.make ~name:"wire: read (write frame) = frame through Wire.Stream"
     ~count:100 gen_frame (fun frame ->
-      let path = Filename.temp_file "rrs_wire" ".txt" in
-      let out = open_out path in
-      Wire.write out frame;
-      close_out out;
-      let channel = open_in path in
-      let input = Wire.reader channel in
-      let result = Wire.read input in
-      let eof = Wire.read input in
-      close_in channel;
-      Sys.remove path;
+      let next = stream_reader (Wire.to_wire Wire.V1 frame) in
+      let result = next () in
+      let eof = next () in
       result = Wire.Frame frame && eof = Wire.Eof)
 
 let test_wire_malformed_lines () =
-  let path = Filename.temp_file "rrs_wire" ".txt" in
-  let out = open_out path in
-  output_string out "this is not a frame\n";
-  output_string out "999 {\"type\":\"stats\",\"session\":\"s\"}\n";
-  output_string out "{\"type\":\"stats\",\"session\":\"s\"}\n";
-  output_string out "8 {\"a\":1}\n";
-  output_string out
-    (Wire.frame_line (Wire.encode (Wire.Stats { session = "s" })));
-  close_out out;
-  let channel = open_in path in
-  let input = Wire.reader channel in
+  let next =
+    stream_reader
+      (String.concat ""
+         [
+           "this is not a frame\n";
+           "999 {\"type\":\"stats\",\"session\":\"s\"}\n";
+           "{\"type\":\"stats\",\"session\":\"s\"}\n";
+           "8 {\"a\":1}\n";
+           Wire.frame_line (Wire.encode (Wire.Stats { session = "s" }));
+         ])
+  in
   let malformed = function Wire.Malformed _ -> true | _ -> false in
-  check_bool "garbage words" true (malformed (Wire.read input));
-  check_bool "length mismatch" true (malformed (Wire.read input));
-  check_bool "missing prefix" true (malformed (Wire.read input));
-  check_bool "missing type" true (malformed (Wire.read input));
+  check_bool "garbage words" true (malformed (next ()));
+  check_bool "length mismatch" true (malformed (next ()));
+  check_bool "missing prefix" true (malformed (next ()));
+  check_bool "missing type" true (malformed (next ()));
   check_bool "still synced: valid frame after garbage" true
-    (Wire.read input = Wire.Frame (Wire.Stats { session = "s" }));
-  check_bool "eof" true (Wire.read input = Wire.Eof);
-  close_in channel;
-  Sys.remove path
+    (next () = Wire.Frame (Wire.Stats { session = "s" }));
+  check_bool "eof" true (next () = Wire.Eof)
 
 (* ---- session admission control ---- *)
 
@@ -810,35 +860,30 @@ let prop_wire2_roundtrip =
 
 let prop_wire2_framed_roundtrip =
   QCheck2.Test.make
-    ~name:"wire/2: read (write frame) = frame through a channel" ~count:100
+    ~name:"wire/2: read (write frame) = frame through Wire.Stream" ~count:100
     gen_frame (fun frame ->
-      let path = Filename.temp_file "rrs_wire2" ".bin" in
-      let out = open_out_bin path in
-      Wire.write ~framing:Wire.V2 out frame;
-      close_out out;
-      let channel = open_in_bin path in
-      let input = Wire.reader channel in
-      let result = Wire.read ~framing:Wire.V2 input in
-      let eof = Wire.read ~framing:Wire.V2 input in
-      close_in channel;
-      Sys.remove path;
+      let next =
+        stream_reader ~framing:Wire.V2 (Wire.to_wire Wire.V2 frame)
+      in
+      let result = next () in
+      let eof = next () in
       result = Wire.Frame frame && eof = Wire.Eof)
 
 let test_wire2_garbage_resync () =
   let stats = Wire.Stats { session = "s" } in
-  let path = Filename.temp_file "rrs_wire2" ".bin" in
-  let out = open_out_bin path in
-  output_string out "textual garbage line\n";
-  (* resync at the newline *)
-  output_string out "x";
-  (* resync right before the magic pair, no newline in between *)
-  output_string out (Wire.encode_binary stats);
-  output_string out (Wire.encode_binary stats);
-  output_string out "trailing junk";
-  close_out out;
-  let channel = open_in_bin path in
-  let input = Wire.reader channel in
-  let next () = Wire.read ~framing:Wire.V2 input in
+  let next =
+    stream_reader ~framing:Wire.V2
+      (String.concat ""
+         [
+           "textual garbage line\n";
+           (* resync at the newline *)
+           "x";
+           (* resync right before the magic pair, no newline in between *)
+           Wire.encode_binary stats;
+           Wire.encode_binary stats;
+           "trailing junk";
+         ])
+  in
   let malformed = function Wire.Malformed _ -> true | _ -> false in
   check_bool "garbage line" true (malformed (next ()));
   check_bool "garbage before magic" true (malformed (next ()));
@@ -846,20 +891,13 @@ let test_wire2_garbage_resync () =
   check_bool "second frame" true (next () = Wire.Frame stats);
   check_bool "trailing garbage" true (malformed (next ()));
   check_bool "eof" true (next () = Wire.Eof);
-  close_in channel;
-  Sys.remove path;
   (* A frame truncated mid-payload is EOF, not a stall or a crash. *)
   let whole = Wire.encode_binary stats in
-  let cut = Filename.temp_file "rrs_wire2" ".bin" in
-  let out = open_out_bin cut in
-  output_string out (String.sub whole 0 (String.length whole - 3));
-  close_out out;
-  let channel = open_in_bin cut in
-  let input = Wire.reader channel in
-  check_bool "truncated frame is eof" true
-    (Wire.read ~framing:Wire.V2 input = Wire.Eof);
-  close_in channel;
-  Sys.remove cut
+  let next =
+    stream_reader ~framing:Wire.V2
+      (String.sub whole 0 (String.length whole - 3))
+  in
+  check_bool "truncated frame is eof" true (next () = Wire.Eof)
 
 (* ---- forward compatibility, both framings ----
 
@@ -907,22 +945,16 @@ let test_wire_forward_compat () =
   (match Wire.decode_binary (Bytes.to_string retagged) with
   | Error m -> check_bool "names the tag" true (contains ~needle:"99" m)
   | Ok f -> Alcotest.failf "unknown tag accepted: %s" (Wire.encode f));
-  (* ...and the stream reader steps over it to the next frame. *)
-  let path = Filename.temp_file "rrs_fwd" ".bin" in
-  let out = open_out_bin path in
-  output_string out (Bytes.to_string retagged);
-  output_string out (Wire.encode_binary stats);
-  close_out out;
-  let channel = open_in_bin path in
-  let input = Wire.reader channel in
-  (match Wire.read ~framing:Wire.V2 input with
+  (* ...and the stream parser steps over it to the next frame. *)
+  let next =
+    stream_reader ~framing:Wire.V2
+      (Bytes.to_string retagged ^ Wire.encode_binary stats)
+  in
+  (match next () with
   | Wire.Malformed _ -> ()
   | Wire.Frame f -> Alcotest.failf "unknown tag read as %s" (Wire.encode f)
   | Wire.Eof -> Alcotest.fail "unknown tag read as eof");
-  check_bool "resynced on the next frame" true
-    (Wire.read ~framing:Wire.V2 input = Wire.Frame stats);
-  close_in channel;
-  Sys.remove path;
+  check_bool "resynced on the next frame" true (next () = Wire.Frame stats);
   (* /2: trailing bytes after a complete payload are refused — on a
      frame with no extension point... *)
   let with_trailing frame junk =
@@ -953,8 +985,8 @@ let test_wire_forward_compat () =
   | Error _ -> ()
   | Ok f -> Alcotest.failf "junk read as a declaration: %s" (Wire.encode f)
 
-(* A payload bigger than the reader's 64 KiB chunk exercises the
-   read-past-the-buffer path. *)
+(* A payload bigger than one 64 KiB read exercises a frame completed
+   across several feeds. *)
 let test_wire2_large_frame () =
   let colors = Array.init 20_000 (fun i -> i land 0xffff) in
   let counts = Array.init 20_000 (fun i -> i * 7 land 0xffff) in
@@ -963,21 +995,15 @@ let test_wire2_large_frame () =
   check_bool "payload exceeds one reader chunk" true
     (String.length encoded > 64 * 1024);
   check_bool "decodes in memory" true (Wire.decode_binary encoded = Ok frame);
-  let path = Filename.temp_file "rrs_wire2" ".bin" in
-  let out = open_out_bin path in
-  Wire.write ~framing:Wire.V2 out frame;
-  Wire.write ~framing:Wire.V2 out (Wire.Stats { session = "after" });
-  close_out out;
-  let channel = open_in_bin path in
-  let input = Wire.reader channel in
-  check_bool "large frame round trips" true
-    (Wire.read ~framing:Wire.V2 input = Wire.Frame frame);
+  let next =
+    stream_reader ~framing:Wire.V2
+      (Wire.to_wire Wire.V2 frame
+      ^ Wire.to_wire Wire.V2 (Wire.Stats { session = "after" }))
+  in
+  check_bool "large frame round trips" true (next () = Wire.Frame frame);
   check_bool "reader still synced after it" true
-    (Wire.read ~framing:Wire.V2 input
-    = Wire.Frame (Wire.Stats { session = "after" }));
-  check_bool "eof" true (Wire.read ~framing:Wire.V2 input = Wire.Eof);
-  close_in channel;
-  Sys.remove path
+    (next () = Wire.Frame (Wire.Stats { session = "after" }));
+  check_bool "eof" true (next () = Wire.Eof)
 
 (* ---- regression: Session.save must not leave its temp file behind ---- *)
 
@@ -1311,26 +1337,57 @@ let test_wire_equality_across_framings () =
 (* ---- regression: oversize replies answer a clean error ---- *)
 
 (* Why the server must guard its replies: the wire writer happily emits
-   a frame larger than [Wire.max_frame], but no reader will ever accept
+   a frame larger than [Wire.max_frame], but no parser will ever accept
    it — the peer sees [Malformed], not its snapshot. *)
 let test_wire_overlong_frame_unreceivable () =
   let doc = String.make Wire.max_frame 'x' in
   let frame = Wire.Snapshotted { session = "s"; path = None; doc = Some doc } in
   List.iter
     (fun framing ->
-      let path = Filename.temp_file "rrs_long" ".bin" in
-      let out = open_out_bin path in
-      Wire.write ~framing out frame;
-      close_out out;
-      let channel = open_in_bin path in
-      let input = Wire.reader channel in
-      (match Wire.read ~framing input with
+      let next = stream_reader ~framing (Wire.to_wire framing frame) in
+      match next () with
       | Wire.Malformed _ -> ()
       | Wire.Frame _ -> Alcotest.fail "a reader accepted an over-long frame"
-      | Wire.Eof -> Alcotest.fail "over-long frame read as eof");
-      close_in channel;
-      Sys.remove path)
+      | Wire.Eof -> Alcotest.fail "over-long frame read as eof")
     [ Wire.V1; Wire.V2 ]
+
+(* The shared reply cap ([Handler.reply_bytes]), which the router also
+   applies: a reply within the cap passes byte-identical, one over it
+   becomes an [error] naming both sizes — in either framing. A /2 reply
+   that fits exactly re-encodes past the same cap in /1, which is why a
+   /1 front must cap what its /2 shards return. *)
+let test_reply_cap_both_framings () =
+  let small = Wire.Stats { session = "s" } in
+  let big =
+    Wire.Snapshotted
+      { session = "s"; path = None; doc = Some (String.make 500 'x') }
+  in
+  let cap = String.length (Wire.to_wire Wire.V2 big) in
+  check_bool "the /1 encoding is the larger one" true
+    (String.length (Wire.to_wire Wire.V1 big) > cap);
+  List.iter
+    (fun framing ->
+      check_string "a small reply passes unchanged" (Wire.to_wire framing small)
+        (Handler.reply_bytes ~max_reply:cap framing small);
+      let capped = Handler.reply_bytes ~max_reply:(cap - 1) framing big in
+      match stream_reader ~framing capped () with
+      | Wire.Frame (Wire.Error_frame { message }) ->
+          check_bool "names the limit" true
+            (contains ~needle:(Printf.sprintf "the %d-byte frame limit" (cap - 1))
+               message);
+          check_bool "names the reply size" true
+            (contains
+               ~needle:
+                 (Printf.sprintf "reply frame of %d bytes"
+                    (String.length (Wire.to_wire framing big)))
+               message)
+      | other -> Alcotest.failf "capped reply parsed as %s" (show_result other))
+    [ Wire.V1; Wire.V2 ];
+  check_string "a /2 reply at the cap passes" (Wire.to_wire Wire.V2 big)
+    (Handler.reply_bytes ~max_reply:cap Wire.V2 big);
+  match stream_reader (Handler.reply_bytes ~max_reply:cap Wire.V1 big) () with
+  | Wire.Frame (Wire.Error_frame _) -> ()
+  | other -> Alcotest.failf "/1 re-encoding slipped the cap: %s" (show_result other)
 
 (* A [max_reply] cap small enough to trip with a few rounds of history:
    the inline snapshot answers an [error] naming the limit, the
@@ -1663,6 +1720,71 @@ let test_metrics_http_endpoint () =
       expect "le=\"+Inf\"";
       Client.close client)
 
+(* One silent peer on the metrics port must not stall the responder:
+   the request head is read within a fixed deadline, so a real scrape
+   behind it is answered and [stop] returns while the peer still idles
+   (an unbounded head read would hold both until the peer closed). *)
+let test_metrics_http_idle_peer () =
+  let dir = Filename.temp_file "rrs_http_idle" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o700;
+  let address = Server.Unix_socket (Filename.concat dir "sock") in
+  let config =
+    { (Server.default_config address) with domains = 2;
+      metrics = Some (Server.Tcp ("127.0.0.1", 0)) }
+  in
+  let server = Server.start config in
+  let port =
+    match Server.bound_metrics_port server with
+    | Some port -> port
+    | None -> Alcotest.fail "no bound metrics port"
+  in
+  let connect () =
+    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+    Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+    (* the test itself must never hang on a stalled responder *)
+    Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
+    fd
+  in
+  let idle = connect () in
+  Unix.sleepf 0.05;
+  let t0 = Unix.gettimeofday () in
+  let scrape = connect () in
+  let request = "GET /metrics HTTP/1.1\r\nHost: test\r\n\r\n" in
+  ignore (Unix.write_substring scrape request 0 (String.length request));
+  let response =
+    (* a receive timeout surfaces as Sys_blocked_io *)
+    try In_channel.input_all (Unix.in_channel_of_descr scrape)
+    with Sys_error _ | Sys_blocked_io -> ""
+  in
+  let answered_s = Unix.gettimeofday () -. t0 in
+  Unix.close scrape;
+  check_bool "scrape behind an idle peer is answered" true
+    (contains ~needle:"HTTP/1.1 200 OK" response);
+  check_bool (Printf.sprintf "answered within 3 s (%.2f s)" answered_s) true
+    (answered_s < 3.0);
+  (* A fresh idle peer, accepted and waited on while [stop] runs. *)
+  let idle2 = connect () in
+  Unix.sleepf 0.1;
+  let stopped = Atomic.make false in
+  let t1 = Unix.gettimeofday () in
+  let stopper =
+    Domain.spawn (fun () ->
+        ignore (Server.stop ~drain:false server);
+        Atomic.set stopped true)
+  in
+  while (not (Atomic.get stopped)) && Unix.gettimeofday () -. t1 < 3.0 do
+    Unix.sleepf 0.01
+  done;
+  let stop_s = Unix.gettimeofday () -. t1 in
+  let returned = Atomic.get stopped in
+  Unix.close idle;
+  Unix.close idle2;
+  Domain.join stopper;
+  check_bool
+    (Printf.sprintf "stop returned within 3 s with a peer idle (%.2f s)" stop_s)
+    true returned
+
 (* ---- admission gate, live ---- *)
 
 (* 2 colors at 1/2 job/round: sized n = 2, supply 2000 mj/r. *)
@@ -1756,6 +1878,53 @@ let test_admission_enforce () =
       check_bool "rejects counted" true
         (admission_gauge client "admission_rejected_total" >= 2);
       Client.close client)
+
+(* The router accounts for frames through the same handler as the
+   server: an [admission_reject] relayed from an enforcing shard counts
+   as an error in the router's metrics, as it does on the shard. *)
+let test_router_counts_admission_reject () =
+  with_admission_server ~mode:Rrs_server.Admission.Enforce (fun ~address ->
+      let dir = Filename.temp_file "rrs_adm_route" "" in
+      Sys.remove dir;
+      Unix.mkdir dir 0o700;
+      let front = Server.Unix_socket (Filename.concat dir "front.sock") in
+      let router =
+        Router.start
+          { (Router.default_config ~address:front
+               ~shards:[ { Router.shard_label = "s0"; shard_address = address } ])
+            with
+            Router.domains = 2 }
+      in
+      Fun.protect
+        ~finally:(fun () -> Router.stop router)
+        (fun () ->
+          let client = Client.connect front in
+          (match
+             Client.call client
+               (declared_open ~n:1 "infeasible" (decl [| 1; 1 |] 1))
+           with
+          | Ok (Wire.Admission_reject { session = "infeasible"; _ }) -> ()
+          | Ok f -> Alcotest.failf "routed open: %s" (Wire.encode f)
+          | Error m -> Alcotest.fail m);
+          (* Same connection: the reject's span is recorded before this
+             metrics frame is dispatched. *)
+          check "router counts the reject as an error" 1
+            (admission_gauge client "errors_total");
+          Client.close client;
+          (* The shard records its span after its reply is out; give it
+             a bounded moment. *)
+          let shard = Client.connect address in
+          let deadline = Unix.gettimeofday () +. 5. in
+          let rec shard_errors () =
+            let n = admission_gauge shard "errors_total" in
+            if n >= 1 || Unix.gettimeofday () > deadline then n
+            else begin
+              Unix.sleepf 0.01;
+              shard_errors ()
+            end
+          in
+          check "as the shard does" 1 (shard_errors ());
+          Client.close shard))
 
 let test_admission_policing_conservation () =
   with_admission_server ~mode:Rrs_server.Admission.Enforce (fun ~address ->
@@ -1967,6 +2136,8 @@ let suite =
           test_wire_malformed_lines;
         Alcotest.test_case "over-long frames are unreceivable" `Quick
           test_wire_overlong_frame_unreceivable;
+        Alcotest.test_case "reply cap, both framings" `Quick
+          test_reply_cap_both_framings;
       ] );
     ( "server.wire2",
       [
@@ -2044,6 +2215,8 @@ let suite =
           test_admission_warn_admits;
         Alcotest.test_case "gate state survives drain + restart" `Quick
           test_admission_survives_restart;
+        Alcotest.test_case "router counts admission_reject as an error"
+          `Quick test_router_counts_admission_reject;
       ] );
     ( "server.top",
       [
@@ -2062,5 +2235,7 @@ let suite =
           test_exposition_render;
         Alcotest.test_case "--metrics http endpoint serves a scrape" `Quick
           test_metrics_http_endpoint;
+        Alcotest.test_case "an idle metrics peer stalls neither scrape nor stop"
+          `Quick test_metrics_http_idle_peer;
       ] );
   ]

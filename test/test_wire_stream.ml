@@ -1,76 +1,18 @@
-(* Equivalence suite for Wire.Stream, the push-style frame extractor the
-   readiness event loop runs on: over any byte sequence — valid frames,
-   garbage, truncations — and ANY split of that sequence into feed
-   chunks, the stream must emit exactly what the blocking pull reader
-   emits over the same bytes. This is what lets the event-loop refactor
-   claim both wire framings are preserved byte-identically. *)
+(* Suite for Wire.Stream, the one wire parser (the event loop's and
+   Client's): over any byte sequence — valid frames, garbage,
+   truncations — its results must not depend on how the bytes were split
+   into feed chunks, and must equal what the blocking pull-reader
+   reference model ([Pull_reader]) emits over the same bytes. *)
 
 module Wire = Rrs_server.Wire
 
-let show_result = function
-  | Wire.Frame f -> "Frame " ^ Wire.encode f
-  | Wire.Malformed m -> "Malformed " ^ m
-  | Wire.Eof -> "Eof"
+let show_result = Test_server.show_result
 
 let show_results rs = String.concat " | " (List.map show_result rs)
 
-(* Reference: the pull reader over the full byte string, read to EOF. *)
-let collect_reader framing data =
-  let pos = ref 0 in
-  let pull buf off len =
-    let k = min len (String.length data - !pos) in
-    Bytes.blit_string data !pos buf off k;
-    pos := !pos + k;
-    k
-  in
-  let r = Wire.reader_fn pull in
-  let rec go acc n =
-    if n > 10_000 then failwith "pull reader did not reach EOF"
-    else
-      match Wire.read ~framing r with
-      | Wire.Eof -> List.rev (Wire.Eof :: acc)
-      | res -> go (res :: acc) (n + 1)
-  in
-  go [] 0
-
-(* Candidate: the incremental stream, fed in [chunks]-sized pieces (any
-   leftover arrives as one final piece), drained after every feed. *)
-let collect_stream framing data chunks =
-  let s = Wire.Stream.create framing in
-  let acc = ref [] in
-  let finished = ref false in
-  let drain () =
-    let continue = ref true in
-    while !continue && not !finished do
-      match Wire.Stream.next s with
-      | None -> continue := false
-      | Some Wire.Eof ->
-          acc := Wire.Eof :: !acc;
-          finished := true
-      | Some res -> acc := res :: !acc
-    done
-  in
-  let pos = ref 0 in
-  let total = String.length data in
-  let feed k =
-    let k = min k (total - !pos) in
-    if k > 0 then begin
-      Wire.Stream.feed s (Bytes.unsafe_of_string data) !pos k;
-      pos := !pos + k;
-      drain ()
-    end
-  in
-  List.iter feed chunks;
-  feed (total - !pos);
-  Wire.Stream.feed_eof s;
-  drain ();
-  if not !finished then failwith "stream did not reach EOF";
-  if Wire.Stream.fed s <> total then failwith "Stream.fed miscounts";
-  List.rev !acc
-
 let check_equivalent framing data chunks =
-  let expected = collect_reader framing data in
-  let got = collect_stream framing data chunks in
+  let expected = Pull_reader.results framing data in
+  let got = Test_server.stream_results framing data chunks in
   if expected <> got then
     Alcotest.failf "reader/stream divergence on %S:\n  reader: %s\n  stream: %s"
       data (show_results expected) (show_results got);
@@ -110,6 +52,29 @@ let prop_equiv_v1 =
 
 let prop_equiv_v2 =
   prop_equiv Wire.V2 "stream: /2 equivalent to pull reader under any chunking"
+
+(* Chunking invariance on its own: the whole input in one feed, one byte
+   per feed, and random chunks all yield the same results. *)
+let prop_chunking framing name =
+  QCheck2.Test.make ~name ~count:400 (gen_soup framing)
+    (fun (data, chunks) ->
+      let whole = Test_server.stream_results framing data [] in
+      let bytewise =
+        Test_server.stream_results framing data (List.init (String.length data) (fun _ -> 1))
+      in
+      let random = Test_server.stream_results framing data chunks in
+      if whole <> bytewise || whole <> random then
+        Alcotest.failf
+          "chunking changed the results on %S:\n  whole:  %s\n  bytes:  %s\n  random: %s"
+          data (show_results whole) (show_results bytewise)
+          (show_results random);
+      true)
+
+let prop_chunking_v1 =
+  prop_chunking Wire.V1 "stream: /1 results invariant under chunking"
+
+let prop_chunking_v2 =
+  prop_chunking Wire.V2 "stream: /2 results invariant under chunking"
 
 (* ---- directed: the paths random soups are too small to hit ---- *)
 
@@ -205,6 +170,8 @@ let suite =
       [
         prop prop_equiv_v1;
         prop prop_equiv_v2;
+        prop prop_chunking_v1;
+        prop prop_chunking_v2;
         Alcotest.test_case "overlong /1 line resyncs identically" `Quick
           test_v1_overlong;
         Alcotest.test_case "oversize /2 length resyncs identically" `Quick
