@@ -1,19 +1,20 @@
 (* E19 — snapshot size and save/restore latency vs session age.
 
    Two identically-fed steppers (same seeded workload as E18: ~n jobs
-   per round across 8 colors, dlru-edf) age side by side: one plain
-   (rrs-snap/1, the replay base is the full arrival history) and one
-   checkpointing every [checkpoint_interval] rounds (rrs-snap/2, the
-   replay base is the latest materialized-state checkpoint). At each
-   round milestone both are snapshotted to disk and restored back, and
-   the bench reports document bytes, save latency, restore latency and
-   whether the document still fits an inline [snapshotted] reply frame
-   (the wire's max_frame).
+   per round across 8 colors, dlru-edf) age side by side, both writing
+   rrs-snap/2: one that never checkpoints (K = 0, the replay base is
+   the full arrival history) and one checkpointing every
+   [checkpoint_interval] rounds (the replay base is the latest
+   materialized-state checkpoint). At each round milestone both are
+   snapshotted to disk and restored back, and the bench reports
+   document bytes, save latency, restore latency and whether the
+   document still fits an inline [snapshotted] reply frame (the wire's
+   max_frame).
 
-   The claim under test: /1 grows linearly with rounds served — bytes,
-   save and restore all O(total arrivals) — until the document cannot
-   cross the wire at all, while /2 stays flat at O(checkpoint interval)
-   however long the session runs. *)
+   The claim under test: K = 0 grows linearly with rounds served —
+   bytes, save and restore all O(total arrivals) — until the document
+   cannot cross the wire at all, while the checkpointed document stays
+   flat at O(checkpoint interval) however long the session runs. *)
 
 module Stepper = Rrs_sim.Stepper
 module Ledger = Rrs_sim.Ledger
@@ -28,9 +29,9 @@ let delta = 4
 let n = 8
 let checkpoint_interval = 256
 
-(* The last milestone pushes the /1 document past Wire.max_frame, so the
-   run demonstrates both the growth curve and the point where only /2
-   can still snapshot inline. *)
+(* The last milestone pushes the K = 0 document past Wire.max_frame, so
+   the run demonstrates both the growth curve and the point where only
+   the checkpointed session can still snapshot inline. *)
 let milestones = [ 1_000; 5_000; 10_000; 20_000; 40_000; 60_000 ]
 
 let us_of_ns span = Int64.to_int (Int64.div span 1000L)
@@ -55,10 +56,8 @@ type sample = {
   s_inline_ok : bool; (* fits one inline snapshotted reply frame *)
 }
 
-let measure dir ~version stepper =
-  let path =
-    Filename.concat dir (Printf.sprintf "e19-v%d.sess.jsonl" version)
-  in
+let measure dir ~every stepper =
+  let path = Filename.concat dir (Printf.sprintf "e19-k%d.jsonl" every) in
   let t0 = Clock.now_ns () in
   Stepper.save stepper ~path;
   let s_save_us = us_of_ns (Int64.sub (Clock.now_ns ()) t0) in
@@ -67,7 +66,7 @@ let measure dir ~version stepper =
   (match Stepper.restore ~record_events:false ~policy doc with
   | Ok _ -> ()
   | Error message ->
-      Printf.ksprintf failwith "E19: /%d restore failed: %s" version message);
+      Printf.ksprintf failwith "E19: K = %d restore failed: %s" every message);
   let s_restore_us = us_of_ns (Int64.sub (Clock.now_ns ()) t1) in
   let reply =
     Wire.to_wire Wire.V1
@@ -88,10 +87,11 @@ let run ?json () =
     Rrs_stats.Table.create
       ~title:
         (Printf.sprintf
-           "E19 snapshot growth (policy %s, /2 checkpoint every %d rounds)"
-           policy_key checkpoint_interval)
+           "E19 snapshot growth (policy %s, rrs-snap/2, K = checkpoint \
+            interval)"
+           policy_key)
       ~columns:
-        [ "rounds"; "snap"; "bytes"; "save us"; "restore us"; "inline" ]
+        [ "rounds"; "K"; "bytes"; "save us"; "restore us"; "inline" ]
   in
   let bench =
     Option.map
@@ -104,42 +104,39 @@ let run ?json () =
     (fun (b, _) ->
       Rrs_stats.Bench_io.start_experiment b ~id:"E19"
         ~claim:
-          "rrs-snap/1 snapshot size and save/restore latency grow linearly \
-           with rounds served until the document exceeds the wire frame \
-           limit; rrs-snap/2 checkpointed snapshots stay flat at \
-           O(checkpoint interval) and remain inline-frameable at every \
+          "Without checkpoints (K = 0) snapshot size and save/restore \
+           latency grow linearly with rounds served until the document \
+           exceeds the wire frame limit; checkpointed snapshots stay flat \
+           at O(checkpoint interval) and remain inline-frameable at every \
            session age.")
     bench;
   let ok = ref true in
   (try
-     let config version =
-       { Stepper.name = Printf.sprintf "e19-v%d" version; delta; bounds; n;
-         speed = 1; horizon = 0 }
+     let aging every =
+       ( every,
+         Stepper.create ~record_events:false ~checkpoint_every:every ~policy
+           { Stepper.name = Printf.sprintf "e19-k%d" every; delta; bounds; n;
+             speed = 1; horizon = 0 },
+         Random.State.make [| 0xE19; 1 |] )
      in
-     let v1 = Stepper.create ~record_events:false ~policy (config 1) in
-     let v2 =
-       Stepper.create ~record_events:false ~checkpoint_every:checkpoint_interval
-         ~policy (config 2)
-     in
-     let random1 = Random.State.make [| 0xE19; 1 |] in
-     let random2 = Random.State.make [| 0xE19; 1 |] in
+     let steppers = [ aging 0; aging checkpoint_interval ] in
      let rounds_done = ref 0 in
      List.iter
        (fun milestone ->
          let t0 = Clock.now_s () in
          for _ = !rounds_done + 1 to milestone do
-           feed_round random1 v1;
-           feed_round random2 v2
+           List.iter (fun (_, stepper, random) -> feed_round random stepper)
+             steppers
          done;
          rounds_done := milestone;
          List.iter
-           (fun (version, stepper) ->
-             let sample = measure dir ~version stepper in
+           (fun (every, stepper, _) ->
+             let sample = measure dir ~every stepper in
              let ledger = Stepper.ledger stepper in
              Rrs_stats.Table.add_row table
                [
                  Rrs_stats.Table.cell_int milestone;
-                 Printf.sprintf "/%d" version;
+                 Rrs_stats.Table.cell_int every;
                  Rrs_stats.Table.cell_int sample.s_bytes;
                  Rrs_stats.Table.cell_int sample.s_save_us;
                  Rrs_stats.Table.cell_int sample.s_restore_us;
@@ -149,7 +146,7 @@ let run ?json () =
                (fun (b, _) ->
                  Rrs_stats.Bench_io.record b ~policy:policy_key
                    ~workload:
-                     (Printf.sprintf "snap-age-%d-v%d" milestone version)
+                     (Printf.sprintf "snap-age-%d-k%d" milestone every)
                    ~n ~delta
                    ~cost:(Ledger.total_cost ledger)
                    ~reconfig_count:(Ledger.reconfig_count ledger)
@@ -158,18 +155,16 @@ let run ?json () =
                    ~wall_s:(Clock.elapsed_s t0)
                    ~extras:
                      [
-                       ("snap_version", version);
                        ("rounds", milestone);
                        ("snap_bytes", sample.s_bytes);
                        ("save_us", sample.s_save_us);
                        ("restore_us", sample.s_restore_us);
-                       ( "checkpoint_every",
-                         if version = 2 then checkpoint_interval else 0 );
+                       ("checkpoint_every", every);
                        ("inline_frameable", if sample.s_inline_ok then 1 else 0);
                      ]
                    ())
                bench)
-           [ (1, v1); (2, v2) ])
+           steppers)
        milestones
    with e ->
      ok := false;

@@ -707,25 +707,17 @@ let serve_cmd =
         "Highest wire version to negotiate (default 2). With --wire 1 the \
          server refuses rrs-wire/2 hellos."
   in
-  let snap_version =
-    Arg.(
-      value & opt int 0
-      & info [ "snap-version" ] ~docv:"1|2"
-          ~doc:
-            "Session snapshot schema (default 2). 2 = rrs-snap/2: sessions \
-             checkpoint their materialized state and snapshots embed only \
-             the arrivals since the last checkpoint, so snapshot size and \
-             restore time stay bounded however long the session runs. 1 = \
-             rrs-snap/1: full-history replay (restored rrs-snap/2 \
-             snapshots are never downgraded).")
-  in
   let checkpoint_every =
     Arg.(
       value & opt int 0
       & info [ "checkpoint-every" ] ~docv:"ROUNDS"
           ~doc:
-            "Checkpoint interval of rrs-snap/2 sessions (0 = built-in \
-             default). Requires --snap-version 2.")
+            "Session checkpoint interval (0 = built-in default, 256). \
+             Sessions snapshot as rrs-snap/2: each checkpoint materializes \
+             the session's state, and a snapshot embeds only the arrivals \
+             since the last one, so snapshot size and restore time stay \
+             bounded however long the session runs. Restored rrs-snap/1 \
+             files are upgraded.")
   in
   let max_reply =
     Arg.(
@@ -768,7 +760,7 @@ let serve_cmd =
             "Write each session's snapshot into --snap-dir whenever a step \
              crosses a checkpoint boundary, so a crash (kill -9, no drain) \
              loses at most --checkpoint-every rounds per session. Requires \
-             --snap-dir; no effect on rrs-snap/1 sessions.")
+             --snap-dir.")
   in
   let admission =
     Arg.(
@@ -793,8 +785,8 @@ let serve_cmd =
              envelope. warn: violations are admitted and logged.")
   in
   let run () socket tcp snap_dir trace_dir domains queue_limit no_restore wire
-      snap_version checkpoint_every max_reply metrics slow_us slow_log autosnap
-      admission admission_mode log_level =
+      checkpoint_every max_reply metrics slow_us slow_log autosnap admission
+      admission_mode log_level =
     let address = or_die (address_of_args socket tcp) in
     let max_wire = or_die (check_wire ~default:2 wire) in
     (match Rrs_server.Slog.level_of_string log_level with
@@ -821,7 +813,6 @@ let serve_cmd =
         domains;
         queue_limit;
         max_wire;
-        snap_version;
         checkpoint_every;
         max_reply;
         metrics;
@@ -851,9 +842,9 @@ let serve_cmd =
           Prometheus text on a second listener.")
     Term.(
       const run $ verbose_arg $ socket_arg $ tcp_arg $ snap_dir $ trace_dir
-      $ domains $ queue_limit $ no_restore $ wire $ snap_version
-      $ checkpoint_every $ max_reply $ metrics $ slow_us $ slow_log $ autosnap
-      $ admission $ admission_mode $ log_level_arg)
+      $ domains $ queue_limit $ no_restore $ wire $ checkpoint_every
+      $ max_reply $ metrics $ slow_us $ slow_log $ autosnap $ admission
+      $ admission_mode $ log_level_arg)
 
 (* The client script language, one command per line ('#' comments):
      hello

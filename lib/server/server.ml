@@ -10,8 +10,7 @@ type config = {
   domains : int; (* worker domains; 0 = Sweep.default_domains () *)
   queue_limit : int; (* per-session default; 0 = Session default *)
   max_wire : int; (* highest wire version negotiable; 0 = both (2) *)
-  snap_version : int; (* session snapshot schema; 0 = default (2) *)
-  checkpoint_every : int; (* checkpoint interval; 0 = per-version default *)
+  checkpoint_every : int; (* checkpoint interval; 0 = Session default *)
   max_reply : int; (* reply frame size cap; 0 = Wire.max_frame *)
   metrics : address option; (* OpenMetrics exposition listener *)
   slow_threshold_us : int; (* slow-request log threshold; 0 = default *)
@@ -29,7 +28,7 @@ type config = {
 
 let default_config address =
   { address; snap_dir = None; trace_dir = None; domains = 0; queue_limit = 0;
-    max_wire = 2; snap_version = 0; checkpoint_every = 0; max_reply = 0;
+    max_wire = 2; checkpoint_every = 0; max_reply = 0;
     metrics = None; slow_threshold_us = 0; slow_log = 0; server_id = "rrs";
     autosnap = false; admission = None; admission_mode = Admission.Off }
 
@@ -41,8 +40,7 @@ type manager = {
   m_queue_limit : int;
   m_trace_dir : string option;
   m_snap_dir : string option;
-  m_snap_version : int; (* 1 or 2 *)
-  m_checkpoint_every : int option; (* None = Session's per-version default *)
+  m_checkpoint_every : int option; (* None = Session's default *)
   m_metrics : Metrics.t;
   m_autosnap : bool;
   m_admission : Admission.t option; (* None = gate off *)
@@ -167,9 +165,7 @@ let handle_open m ~session ~policy ~delta ~bounds ~n ~speed ~horizon
            other connection's. Insert with a double-check on the name; the
            losing racer tears its session down again. *)
         match
-          Session.create ~name:session ~policy ~queue_limit
-            ~snap_version:m.m_snap_version
-            ?checkpoint_every:m.m_checkpoint_every ?trace_dir:m.m_trace_dir
+          Session.create ~name:session ~policy ~queue_limit ?checkpoint_every:m.m_checkpoint_every ?trace_dir:m.m_trace_dir
             config
         with
         | Error message ->
@@ -538,7 +534,6 @@ let restore_sessions manager =
             let path = Filename.concat dir file in
             match
               Session.load ?trace_dir:manager.m_trace_dir
-                ~snap_version:manager.m_snap_version
                 ?checkpoint_every:manager.m_checkpoint_every ~path ()
             with
             | Ok session ->
@@ -611,19 +606,9 @@ let start ?(restore = true) config =
      try. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ -> ());
-  let snap_version = if config.snap_version = 1 then 1 else 2 in
-  if config.snap_version <> 0 && config.snap_version <> 1
-     && config.snap_version <> 2 then
-    failwith
-      (Printf.sprintf "unsupported snapshot version %d (known: 1, 2)"
-         config.snap_version);
   if config.checkpoint_every < 0 then
     failwith
       (Printf.sprintf "negative checkpoint interval %d" config.checkpoint_every);
-  if snap_version = 1 && config.checkpoint_every > 0 then
-    failwith
-      "a checkpoint interval requires snapshot version 2 (rrs-snap/1 cannot \
-       compact history)";
   if config.slow_threshold_us < 0 then
     failwith
       (Printf.sprintf "negative slow-request threshold %d"
@@ -667,7 +652,6 @@ let start ?(restore = true) config =
       m_queue_limit = config.queue_limit;
       m_trace_dir = config.trace_dir;
       m_snap_dir = config.snap_dir;
-      m_snap_version = snap_version;
       m_checkpoint_every =
         (if config.checkpoint_every > 0 then Some config.checkpoint_every
          else None);

@@ -38,14 +38,10 @@ type config = {
       (** highest wire version the server will negotiate: [1] pins every
           connection to [rrs-wire/1]; anything else (the default, [2])
           also accepts [rrs-wire/2] upgrades *)
-  snap_version : int;
-      (** session snapshot schema: [1] = [rrs-snap/1] (full-history
-          replay, no checkpointing), [0] or [2] = [rrs-snap/2]
-          (checkpointed). Restored /2 snapshots are never downgraded *)
   checkpoint_every : int;
-      (** checkpoint interval for version-2 sessions; [0] =
-          {!Session.default_checkpoint_every}. Requires
-          [snap_version <> 1] when positive *)
+      (** session checkpoint interval; [0] =
+          {!Session.default_checkpoint_every}. Sessions always snapshot
+          as [rrs-snap/2]; restored [rrs-snap/1] files are upgraded *)
   max_reply : int;
       (** reply frame size cap in bytes; [0] = {!Wire.max_frame}
           (values above it are clamped). A reply that would exceed the
@@ -74,7 +70,7 @@ type config = {
           [step] crosses a checkpoint boundary, so a crashed process
           (kill -9 — no SIGTERM drain) loses at most one unsnapshotted
           window (≤ [checkpoint_every] rounds) per session. Requires
-          [snap_dir]; no-op for /1 sessions. Autosave failures are
+          [snap_dir]. Autosave failures are
           logged and never fail the step *)
   admission : Rrs_workload.Demand.t option;
       (** deployment capacity spec ([rrs-spec/1]) for the admission

@@ -10,7 +10,6 @@ type t = {
   name : string;
   policy_key : string;
   queue_limit : int;
-  snap_version : int; (* stepper snapshot schema this session writes *)
   mutex : Mutex.t;
   stepper : Stepper.t;
   probes : Probe.registry;
@@ -57,35 +56,14 @@ let resolve_policy key =
         (Printf.sprintf "unknown policy %S (known: %s)" key
            (String.concat ", " Rrs_core.Policies.names))
 
-(* The version/interval pair a session runs with. [snap_version]
-   defaults to 2 (checkpointed snapshots); [checkpoint_every] defaults
-   per version: [default_checkpoint_every] under /2, 0 (never) under /1
-   — a /1 session must never compact, or its own snapshot would become
-   unwritable. *)
-let resolve_versioning ?snap_version ?checkpoint_every () =
-  let version = Option.value snap_version ~default:2 in
-  if version <> 1 && version <> 2 then
-    Error (Printf.sprintf "unsupported snapshot version %d (known: 1, 2)" version)
-  else
-    match checkpoint_every with
-    | Some k when k < 0 ->
-        Error (Printf.sprintf "negative checkpoint interval %d" k)
-    | Some k when k > 0 && version = 1 ->
-        Error
-          (Printf.sprintf
-             "checkpoint interval %d requires snapshot version 2 \
-              (rrs-snap/1 cannot compact history)"
-             k)
-    | Some k -> Ok (version, k)
-    | None ->
-        Ok (version, if version = 2 then default_checkpoint_every else 0)
+let negative_interval k =
+  Error (Printf.sprintf "negative checkpoint interval %d" k)
 
-let make ~name ~policy_key ~queue_limit ~snap_version ~trace stepper probes =
+let make ~name ~policy_key ~queue_limit ~trace stepper probes =
   {
     name;
     policy_key;
     queue_limit;
-    snap_version;
     mutex = Mutex.create ();
     stepper;
     probes;
@@ -117,35 +95,32 @@ let open_trace trace_dir name =
       let channel = open_out path in
       (Some channel, Some (Rrs_sim.Event_sink.Jsonl channel))
 
-let create ~name ~policy:policy_key ?(queue_limit = 0) ?snap_version
-    ?checkpoint_every ?trace_dir (config : Stepper.config) =
+let create ~name ~policy:policy_key ?(queue_limit = 0)
+    ?(checkpoint_every = default_checkpoint_every) ?trace_dir
+    (config : Stepper.config) =
   let queue_limit =
     if queue_limit > 0 then queue_limit else default_queue_limit
   in
-  match resolve_versioning ?snap_version ?checkpoint_every () with
-  | Error _ as e -> e
-  | Ok (snap_version, checkpoint_every) -> (
-      match resolve_policy policy_key with
-      | Error _ as e -> e
-      | Ok policy -> (
-          let trace, sink = open_trace trace_dir name in
-          let probes = Probe.create_registry () in
-          match
-            Stepper.create ?sink ~probes ~checkpoint_every
-              ~label:("session " ^ name) ~policy config
-          with
-          | stepper ->
-              Ok
-                (make ~name ~policy_key ~queue_limit ~snap_version ~trace
-                   stepper probes)
-          | exception Invalid_argument message ->
-              Option.iter close_out trace;
-              Error message))
+  if checkpoint_every < 0 then negative_interval checkpoint_every
+  else
+    match resolve_policy policy_key with
+    | Error _ as e -> e
+    | Ok policy -> (
+        let trace, sink = open_trace trace_dir name in
+        let probes = Probe.create_registry () in
+        match
+          Stepper.create ?sink ~probes ~checkpoint_every
+            ~label:("session " ^ name) ~policy config
+        with
+        | stepper ->
+            Ok (make ~name ~policy_key ~queue_limit ~trace stepper probes)
+        | exception Invalid_argument message ->
+            Option.iter close_out trace;
+            Error message)
 
 let name t = t.name
 let policy_key t = t.policy_key
 let queue_limit t = t.queue_limit
-let snap_version t = t.snap_version
 let checkpoint_every t = Stepper.checkpoint_every t.stepper
 let num_colors t = Array.length (Stepper.config t.stepper).Stepper.bounds
 let config t = Stepper.config t.stepper
@@ -327,11 +302,11 @@ let stats ?on_lock_wait_us t =
         st_cost = Rrs_sim.Ledger.total_cost ledger;
       })
 
-(* ---- snapshot: one rrs-sess/1 header line + the embedded rrs-snap/1
-   or /2 stepper document. The header declares the body's version
-   ([snap_version], absent = 1 for pre-/2 files) so a restore can detect
-   a spliced or truncated-and-recombined document before replaying
-   it. ---- *)
+(* ---- snapshot: one rrs-sess/1 header line + the embedded rrs-snap/2
+   stepper document. The header declares the body's version
+   ([snap_version], always 2 when written; absent = 1 in pre-/2 files,
+   which embed rrs-snap/1) so a restore can detect a spliced or
+   truncated-and-recombined document before replaying it. ---- *)
 
 let ints_literal a = Json.ints (Array.to_list a)
 
@@ -352,39 +327,24 @@ let header_line t =
   in
   Printf.sprintf
     "{\"schema\":%s,\"session\":%s,\"policy\":%s,\"queue_limit\":%d,\
-     \"fed\":%d,\"shed\":%d,\"snap_version\":%d%s}"
+     \"fed\":%d,\"shed\":%d,\"snap_version\":2%s}"
     (Json.escape snapshot_schema) (Json.escape t.name)
-    (Json.escape t.policy_key) t.queue_limit t.fed t.shed t.snap_version
-    decl_suffix
+    (Json.escape t.policy_key) t.queue_limit t.fed t.shed decl_suffix
+
+let document t = header_line t ^ "\n" ^ Stepper.snapshot t.stepper
 
 let snapshot ?on_lock_wait_us t =
-  locked ?on_lock_wait_us t (fun () ->
-      header_line t ^ "\n" ^ Stepper.snapshot ~version:t.snap_version t.stepper)
-
-(* Atomic, as Stepper.save: protected close so a failure mid-write
-   never leaks the channel, and the temp file is unlinked instead of
-   left behind when the write or the rename fails. *)
-let write_doc doc ~path =
-  let tmp = path ^ ".tmp" in
-  let channel = open_out tmp in
-  try
-    Fun.protect
-      ~finally:(fun () -> close_out channel)
-      (fun () -> output_string channel doc);
-    Sys.rename tmp path
-  with e ->
-    (try Sys.remove tmp with Sys_error _ -> ());
-    raise e
+  locked ?on_lock_wait_us t (fun () -> document t)
 
 let save ?on_lock_wait_us t ~path =
-  write_doc (snapshot ?on_lock_wait_us t) ~path
+  Rrs_sim.Atomic_file.write ~path (snapshot ?on_lock_wait_us t)
 
 (* Checkpoint-boundary autosave: write the snapshot to [path] once per
    checkpoint epoch (round / checkpoint_every), so a crashed process
    (kill -9, no drain) loses at most the current unsnapshotted window.
    The document is built under the session lock; file I/O runs outside
    it. Returns true when a document was written. No-op for sessions
-   without checkpoints (rrs-snap/1). *)
+   without checkpoints ([checkpoint_every = 0]). *)
 let autosave ?on_lock_wait_us t ~path =
   let doc =
     locked ?on_lock_wait_us t (fun () ->
@@ -395,15 +355,13 @@ let autosave ?on_lock_wait_us t ~path =
           if epoch = t.saved_epoch then None
           else begin
             t.saved_epoch <- epoch;
-            Some
-              (header_line t ^ "\n"
-              ^ Stepper.snapshot ~version:t.snap_version t.stepper)
+            Some (document t)
           end)
   in
   match doc with
   | None -> false
   | Some doc -> (
-      match write_doc doc ~path with
+      match Rrs_sim.Atomic_file.write ~path doc with
       | () -> true
       | exception e ->
           (* Retry at the next boundary instead of skipping the epoch. *)
@@ -446,7 +404,7 @@ let body_schema rest =
   | schema -> Some schema
   | exception Json.Parse_error _ -> None
 
-let restore ?trace_dir ?snap_version ?checkpoint_every text =
+let restore ?trace_dir ?checkpoint_every text =
   match String.index_opt text '\n' with
   | None -> Error "session snapshot: missing stepper document"
   | Some newline -> (
@@ -503,42 +461,26 @@ let restore ?trace_dir ?snap_version ?checkpoint_every text =
                      "session snapshot declares unsupported snap_version %d"
                      declared)
               else
-                let declared_schema = Stepper.schema_of_version declared in
                 match body_schema rest with
-                | Some schema when schema <> declared_schema ->
+                | Some schema
+                  when (declared = 2) <> (schema = Stepper.snapshot_schema) ->
                     Error
                       (Printf.sprintf
-                         "session snapshot declares snap_version %d (%s) but \
+                         "session snapshot declares snap_version %d but \
                           embeds a %S stepper document: spliced or corrupt \
                           snapshot"
-                         declared declared_schema schema)
+                         declared schema)
                 | _ -> (
-                    (* A /2 server override upgrades a /1 document on its
-                       next snapshot; a /1 override never downgrades a /2
-                       one (its base cannot replay from round 0). *)
-                    let snap_version =
-                      match snap_version with
-                      | None -> declared
-                      | Some v -> max v declared
-                    in
+                    (* A /1 document upgrades: it gets the default
+                       interval, and its next snapshot is /2. *)
                     let checkpoint_override =
                       match checkpoint_every with
                       | Some _ as k -> k
-                      | None ->
-                          if snap_version = 2 && declared = 1 then
-                            Some default_checkpoint_every
-                          else None
+                      | None when declared = 1 -> Some default_checkpoint_every
+                      | None -> None
                     in
                     match checkpoint_override with
-                    | Some k when k < 0 ->
-                        Error
-                          (Printf.sprintf "negative checkpoint interval %d" k)
-                    | Some k when k > 0 && snap_version = 1 ->
-                        Error
-                          (Printf.sprintf
-                             "checkpoint interval %d requires snapshot \
-                              version 2 (rrs-snap/1 cannot compact history)"
-                             k)
+                    | Some k when k < 0 -> negative_interval k
                     | _ -> (
                         match resolve_policy policy_key with
                         | Error _ as e -> e
@@ -552,8 +494,8 @@ let restore ?trace_dir ?snap_version ?checkpoint_every text =
                             with
                             | Ok stepper ->
                                 let t =
-                                  make ~name ~policy_key ~queue_limit
-                                    ~snap_version ~trace stepper probes
+                                  make ~name ~policy_key ~queue_limit ~trace
+                                    stepper probes
                                 in
                                 t.fed <- fed;
                                 t.shed <- shed;
@@ -576,7 +518,7 @@ let restore ?trace_dir ?snap_version ?checkpoint_every text =
           with Json.Parse_error message ->
             Error ("session snapshot header: " ^ message)))
 
-let load ?trace_dir ?snap_version ?checkpoint_every ~path () =
+let load ?trace_dir ?checkpoint_every ~path () =
   match In_channel.with_open_bin path In_channel.input_all with
-  | text -> restore ?trace_dir ?snap_version ?checkpoint_every text
+  | text -> restore ?trace_dir ?checkpoint_every text
   | exception Sys_error message -> Error message

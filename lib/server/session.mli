@@ -18,15 +18,17 @@
 
     {b Snapshot} (schema [rrs-sess/1]): one header line carrying the
     session name, policy key, queue limit, fed/shed totals and the
-    embedded stepper document's version ([snap_version]: 1 or 2,
-    absent = 1 in pre-/2 files), followed by that [rrs-snap/1] or [/2]
-    document. [restore] cross-checks the declared version against the
-    schema the body actually carries — a mismatch is a spliced or
-    corrupt file, rejected before any replay — then rebuilds the
-    stepper by deterministic replay (see {!Rrs_sim.Stepper}). Sessions
-    default to [rrs-snap/2] with a checkpoint every
-    {!default_checkpoint_every} rounds, which bounds snapshot size and
-    restore time by the interval instead of the session's lifetime. *)
+    embedded stepper document's version ([snap_version]), followed by
+    that document. Sessions always write [rrs-snap/2] and
+    ["snap_version":2]; [restore] also reads pre-/2 files, whose header
+    declares 1 or omits the field and whose body is [rrs-snap/1].
+    [restore] cross-checks the declared version against the schema the
+    body actually carries — a mismatch is a spliced or corrupt file,
+    rejected before any replay — then rebuilds the stepper by
+    deterministic replay (see {!Rrs_sim.Stepper}). Sessions default to
+    a checkpoint every {!default_checkpoint_every} rounds, which bounds
+    snapshot size and restore time by the interval instead of the
+    session's lifetime. *)
 
 val snapshot_schema : string
 (** ["rrs-sess/1"]. *)
@@ -35,25 +37,22 @@ val default_queue_limit : int
 (** Backlog bound used when [create]'s [queue_limit] is 0 or absent. *)
 
 val default_checkpoint_every : int
-(** Checkpoint interval of a version-2 session when [checkpoint_every]
-    is absent. *)
+(** Checkpoint interval of a session when [checkpoint_every] is absent,
+    and of a restored [rrs-snap/1] document. *)
 
 type t
 
 (** [create ~name ~policy config] opens a session at round 0. [policy]
     is a registry key ({!Rrs_core.Policies}); [trace_dir], when given,
     streams the session's [rrs-events/2] document to
-    [<trace_dir>/<name>.events.jsonl]. [snap_version] (default 2)
-    selects the snapshot schema; [checkpoint_every] (default
-    {!default_checkpoint_every} under version 2, 0 under version 1)
-    the stepper's checkpoint interval. Errors (unknown policy, invalid
-    config, unknown version, a positive interval under version 1) are
-    returned, never raised. *)
+    [<trace_dir>/<name>.events.jsonl]. [checkpoint_every] (default
+    {!default_checkpoint_every}; 0 = never) is the stepper's checkpoint
+    interval. Errors (unknown policy, invalid config, a negative
+    interval) are returned, never raised. *)
 val create :
   name:string ->
   policy:string ->
   ?queue_limit:int ->
-  ?snap_version:int ->
   ?checkpoint_every:int ->
   ?trace_dir:string ->
   Rrs_sim.Stepper.config ->
@@ -69,9 +68,6 @@ val queue_limit : t -> int
 val config : t -> Rrs_sim.Stepper.config
 
 val num_colors : t -> int
-
-(** The stepper snapshot version this session writes (1 or 2). *)
-val snap_version : t -> int
 
 (** The stepper's checkpoint interval (0 = never). *)
 val checkpoint_every : t -> int
@@ -148,19 +144,19 @@ type stats = {
 
 val stats : ?on_lock_wait_us:(int -> unit) -> t -> stats
 
-(** The session as an [rrs-sess/1] document (embedded stepper schema per
-    {!snap_version}). *)
+(** The session as an [rrs-sess/1] document embedding [rrs-snap/2]. *)
 val snapshot : ?on_lock_wait_us:(int -> unit) -> t -> string
 
-(** Atomic write of {!snapshot} (temp + rename); on failure the channel
-    is closed and the temp file unlinked before the exception
-    propagates. *)
+(** Write {!snapshot} through {!Rrs_sim.Atomic_file.write}; on failure
+    the temp file is unlinked before the exception propagates. *)
 val save : ?on_lock_wait_us:(int -> unit) -> t -> path:string -> unit
 
 (** Checkpoint-boundary autosave: {!save} to [path] at most once per
     checkpoint epoch ([round / checkpoint_every]), so a crashed process
     loses at most the unsnapshotted window. True when a document was
-    written; always false for /1 sessions (no checkpoints). A failed
+    written; always false for sessions with [checkpoint_every = 0]. The
+    document is built under the session lock and written outside it;
+    concurrent writers of one [path] never tear it. A failed
     write re-arms the epoch so the next boundary retries. *)
 val autosave : ?on_lock_wait_us:(int -> unit) -> t -> path:string -> bool
 
@@ -174,15 +170,13 @@ val release : t -> unit
 
 (** Rebuild a session from an [rrs-sess/1] document. Rejects a document
     whose declared [snap_version] disagrees with the schema the embedded
-    stepper document carries. [snap_version], when given, is the
-    server's preference for {e future} snapshots: the session adopts
-    [max declared preference] — an upgrade re-snapshots a /1 document as
-    /2 (gaining a {!default_checkpoint_every} interval unless
-    [checkpoint_every] overrides it), while a /2 document is never
-    downgraded (its checkpoint base cannot replay from round 0). *)
+    stepper document carries. [checkpoint_every], when given, overrides
+    the document's interval (a negative value is an error). A pre-/2
+    document is upgraded: it gets {!default_checkpoint_every} unless
+    [checkpoint_every] overrides it, and its next snapshot is
+    [rrs-snap/2]. *)
 val restore :
   ?trace_dir:string ->
-  ?snap_version:int ->
   ?checkpoint_every:int ->
   string ->
   (t, string) result
@@ -190,7 +184,6 @@ val restore :
 (** {!restore} from a file. *)
 val load :
   ?trace_dir:string ->
-  ?snap_version:int ->
   ?checkpoint_every:int ->
   path:string ->
   unit ->

@@ -111,14 +111,7 @@ let to_string plan =
     plan.reconfig_failures;
   Buffer.contents buffer
 
-let save plan ~path =
-  (* Atomic, as Trace.save: a crash mid-write must not leave a torn plan. *)
-  let temp = path ^ ".tmp" in
-  let out = open_out temp in
-  Fun.protect
-    ~finally:(fun () -> close_out out)
-    (fun () -> output_string out (to_string plan));
-  Sys.rename temp path
+let save plan ~path = Atomic_file.write ~path (to_string plan)
 
 let parse text =
   let lines =

@@ -74,7 +74,7 @@ val offline_location_rounds : plan -> int
 
 val to_string : plan -> string
 
-(** Atomic write (temp + rename), like [Trace.save]. *)
+(** Atomic write through {!Atomic_file.write}. *)
 val save : plan -> path:string -> unit
 
 (** Parse a serialized plan; the result is canonicalized by {!make}. *)

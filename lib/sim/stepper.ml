@@ -4,13 +4,7 @@ module Json = Event_sink.Json
 
 let phase_names = [ "drop"; "arrival"; "reconfig"; "execute" ]
 
-let snapshot_schema = "rrs-snap/1"
-let snapshot_schema_v2 = "rrs-snap/2"
-
-let schema_of_version = function
-  | 1 -> snapshot_schema
-  | 2 -> snapshot_schema_v2
-  | v -> invalid_arg (Printf.sprintf "Stepper: unknown snapshot version %d" v)
+let snapshot_schema = "rrs-snap/2"
 
 type config = {
   name : string;
@@ -454,14 +448,16 @@ let finish t =
     profile = (if t.profile then Some t.prof else None);
   }
 
-(* ---- snapshot (rrs-snap/1 and /2) ----
+(* ---- snapshot (rrs-snap/2; rrs-snap/1 is read only) ----
 
    The document's source of truth for restore is the deterministic replay
    section: config + fault plan + a replay base + the arrivals to replay
-   on top of it + the still buffered feed. In rrs-snap/1 the base is
-   round 0 and the arrivals are the complete history; in rrs-snap/2 the
-   base is the latest materialized-state checkpoint ([base_*] lines) and
-   the arrivals are only those consumed since it. Either way the
+   on top of it + the still buffered feed. The base is the latest
+   materialized-state checkpoint ([base_*] lines) and the arrivals are
+   only those consumed since it; a stepper that has not checkpointed
+   (or never does, [checkpoint_every = 0]) writes no [base_*] lines and
+   replays from round 0. The legacy rrs-snap/1 header lacks
+   [checkpoint_every] and its document never has a base. Either way the
    [check_*] lines carry the current materialized scheduler state (pool
    deadlines, assignment, offline set, ledger counters); [restore]
    replays and cross-checks them, so a snapshot that does not reproduce
@@ -491,44 +487,20 @@ let pending_fields deadlines =
   Printf.sprintf "\"deadlines\":%s,\"counts\":%s" (ints_to_json ds)
     (ints_to_json ks)
 
-let snapshot ?version t =
-  let version =
-    match version with
-    | Some v -> v
-    | None -> if t.checkpoint_every > 0 || t.base <> None then 2 else 1
-  in
-  let schema = schema_of_version version in
-  if version = 1 && t.base <> None then
-    invalid_arg
-      (t.label
-     ^ ": cannot write rrs-snap/1 after checkpoint compaction (the arrival \
-        history no longer reaches round 0); snapshot with version 2");
+let snapshot t =
   let buffer = Buffer.create 1024 in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buffer s;
                                    Buffer.add_char buffer '\n') fmt in
-  (match version with
-  | 1 ->
-      line
-        "{\"schema\":%s,\"name\":%s,\"delta\":%d,\"n\":%d,\"speed\":%d,\
-         \"horizon\":%d,\"bounds\":%s,\"policy\":%s,\"round\":%d,\
-         \"accepted\":%d}"
-        (Json.escape schema)
-        (Json.escape t.config.name)
-        t.config.delta t.config.n t.config.speed t.config.horizon
-        (ints_to_json t.config.bounds)
-        (Json.escape t.pi.p_name)
-        t.round t.accepted_jobs
-  | _ ->
-      line
-        "{\"schema\":%s,\"name\":%s,\"delta\":%d,\"n\":%d,\"speed\":%d,\
-         \"horizon\":%d,\"bounds\":%s,\"policy\":%s,\"round\":%d,\
-         \"accepted\":%d,\"checkpoint_every\":%d}"
-        (Json.escape schema)
-        (Json.escape t.config.name)
-        t.config.delta t.config.n t.config.speed t.config.horizon
-        (ints_to_json t.config.bounds)
-        (Json.escape t.pi.p_name)
-        t.round t.accepted_jobs t.checkpoint_every);
+  line
+    "{\"schema\":%s,\"name\":%s,\"delta\":%d,\"n\":%d,\"speed\":%d,\
+     \"horizon\":%d,\"bounds\":%s,\"policy\":%s,\"round\":%d,\
+     \"accepted\":%d,\"checkpoint_every\":%d}"
+    (Json.escape snapshot_schema)
+    (Json.escape t.config.name)
+    t.config.delta t.config.n t.config.speed t.config.horizon
+    (ints_to_json t.config.bounds)
+    (Json.escape t.pi.p_name)
+    t.round t.accepted_jobs t.checkpoint_every;
   (match t.fault_plan with
   | None -> ()
   | Some plan ->
@@ -544,7 +516,7 @@ let snapshot ?version t =
           line "{\"type\":\"fault_reconfig\",\"round\":%d,\"location\":%d}"
             rf_round rf_location)
         plan.Fault.reconfig_failures);
-  (* The /2 replay base: restore seeds this state directly instead of
+  (* The replay base: restore seeds this state directly instead of
      replaying rounds [0..base.round-1]. *)
   (match t.base with
   | None -> ()
@@ -601,27 +573,18 @@ let snapshot ?version t =
   line "{\"type\":\"end\"}";
   Buffer.contents buffer
 
-let save ?version t ~path =
-  (* Atomic, as Trace.save: a drain interrupted mid-write must never
-     leave a torn snapshot behind. *)
-  let temp = path ^ ".tmp" in
-  let out = open_out temp in
-  Fun.protect
-    ~finally:(fun () -> close_out out)
-    (fun () -> output_string out (snapshot ?version t));
-  Sys.rename temp path
+let save t ~path = Atomic_file.write ~path (snapshot t)
 
 (* ---- restore: replay + cross-check ---- *)
 
 type parsed_snapshot = {
-  ps_version : int; (* 1 or 2, from the schema line *)
   ps_checkpoint_every : int; (* 0 in /1 documents *)
   ps_config : config;
   ps_policy : string;
   ps_round : int;
   ps_accepted : int;
   ps_faults : Fault.plan option;
-  ps_base : checkpoint option; (* the /2 replay base, when present *)
+  ps_base : checkpoint option; (* the replay base, when present *)
   ps_arrivals : (int * Types.request) list; (* chronological *)
   ps_buffered : Types.request;
   ps_pending : (int * (int * int) list) list; (* color -> deadline multiset *)
@@ -648,12 +611,14 @@ let parse_snapshot text =
       try
         let fields = Json.parse_fields header in
         let schema = Json.str_field fields "schema" in
-        if schema <> snapshot_schema && schema <> snapshot_schema_v2 then
+        (* The legacy read-only schema: no checkpoint interval, no base. *)
+        let schema_v1 = "rrs-snap/1" in
+        if schema <> snapshot_schema && schema <> schema_v1 then
           Error
             (Printf.sprintf "unsupported snapshot schema %S (want %S or %S)"
-               schema snapshot_schema snapshot_schema_v2)
+               schema snapshot_schema schema_v1)
         else begin
-          let version = if schema = snapshot_schema then 1 else 2 in
+          let v1 = schema = schema_v1 in
           let ps_config =
             {
               name = Json.str_field fields "name";
@@ -668,8 +633,7 @@ let parse_snapshot text =
           let ps_round = Json.int_field fields "round" in
           let ps_accepted = Json.int_field fields "accepted" in
           let ps_checkpoint_every =
-            if version = 1 then 0
-            else Json.int_field fields "checkpoint_every"
+            if v1 then 0 else Json.int_field fields "checkpoint_every"
           in
           let crashes = ref [] and fault_reconfigs = ref [] in
           let arrivals = ref [] and buffered = ref [] in
@@ -679,7 +643,7 @@ let parse_snapshot text =
           let base_assignment = ref None and base_offline = ref [] in
           let base_counters = ref None and base_policy = ref None in
           let only_v2 kind =
-            if version = 1 then
+            if v1 then
               raise
                 (Json.Parse_error
                    (Printf.sprintf "%S line in an rrs-snap/1 document" kind))
@@ -828,7 +792,6 @@ let parse_snapshot text =
                 in
                 Ok
                   {
-                    ps_version = version;
                     ps_checkpoint_every;
                     ps_config;
                     ps_policy;
@@ -938,6 +901,10 @@ let seed_checkpoint t ck =
     ck.ck_pending;
   Array.iteri
     (fun location c ->
+      if c < -1 || c >= Array.length t.config.bounds then
+        failwith
+          (Printf.sprintf "base_assignment of unknown color %d at location %d"
+             c location);
       t.assignment.(location) <- (if c < 0 then None else Some c))
     ck.ck_assignment;
   List.iter

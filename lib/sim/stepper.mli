@@ -15,7 +15,7 @@
     the round the {e next} [step] executes; a round with no feeds is a
     legal idle round.
 
-    {1 Snapshot / restore (schemas [rrs-snap/1] and [rrs-snap/2])}
+    {1 Snapshot / restore (schema [rrs-snap/2]; [rrs-snap/1] read only)}
 
     [snapshot] captures the full scheduler state as a versioned JSONL
     document; [restore] rebuilds a live stepper from it by {e
@@ -28,42 +28,37 @@
     cross-checks the replay against them and fails loudly on any
     mismatch rather than continuing from a diverged state.
 
-    In [rrs-snap/1] the replay base is round 0 and the document embeds
-    {e every} arrival ever consumed — snapshot size and restore time
-    grow as O(total arrivals fed), which is fine for batch runs and
-    bounded experiments but unbounded for a long-lived serving session.
-
-    [rrs-snap/2] fixes that lifetime bound: with [checkpoint_every = K]
+    Every stepper writes [rrs-snap/2]. With [checkpoint_every = K]
     (> 0), every K-th round the stepper materializes its state — pool,
     assignment, offline set, ledger counters, and the policy's
     {!Policy.POLICY.serialize} blob — as the new replay base and drops
     the arrival history it supersedes. Snapshots then embed the
     checkpoint ([base_*] lines) plus at most K rounds of arrivals, so
     resident history, snapshot bytes and restore replay time are all
-    O(K), independent of the rounds served. [restore] accepts both
-    schemas; a /2 restore seeds the checkpoint, replays only the delta
-    rounds, and still runs every cross-check.
+    O(K), independent of the rounds served. With [K = 0] the document
+    has no [base_*] lines and embeds {e every} arrival ever consumed:
+    size and restore time grow as O(total arrivals fed), fine for batch
+    runs and bounded experiments but unbounded for a long-lived serving
+    session.
+
+    [restore] also reads the legacy [rrs-snap/1] schema, which is the
+    [K = 0] document without the header's [checkpoint_every] field (it
+    refuses [base_*] lines there). Nothing writes /1 any more.
 
     Replayed events are re-emitted into the restored stepper's (fresh)
-    sink. For /1 the restored stream is a complete rrs-events document
-    from round 0, byte-identical to an uninterrupted run's. For /2 the
-    stream starts at the checkpoint: a [restored] line written right
-    after the header carries the event totals accumulated before it, so
-    stream readers ({!Rrs_stats.Report}) still reconcile the closing
-    summary against the folded events. *)
+    sink. Without a base the restored stream is a complete rrs-events
+    document from round 0, byte-identical to an uninterrupted run's.
+    With one the stream starts at the checkpoint: a [restored] line
+    written right after the header carries the event totals accumulated
+    before it, so stream readers ({!Rrs_stats.Report}) still reconcile
+    the closing summary against the folded events. *)
 
 (** Phase slot names of [result.profile], in slot order:
     [drop; arrival; reconfig; execute]. *)
 val phase_names : string list
 
+(** [rrs-snap/2], the one snapshot schema {!snapshot} writes. *)
 val snapshot_schema : string
-
-(** [rrs-snap/2], the checkpointed snapshot schema. *)
-val snapshot_schema_v2 : string
-
-(** The schema id of a snapshot version (1 or 2).
-    @raise Invalid_argument on any other version. *)
-val schema_of_version : int -> string
 
 (** Static run parameters. [horizon] is nominal for a served session (it
     sizes fault-plan compilation and is echoed in the stream header);
@@ -182,23 +177,21 @@ val history_rounds : t -> int
 
 (** {1 Snapshot / restore} *)
 
-(** The full scheduler state as an [rrs-snap/1] or [/2] JSONL document.
-    [version] defaults to 2 when the stepper checkpoints (or has a base),
-    1 otherwise — so steppers created without [checkpoint_every] emit the
-    same bytes as before.
-    @raise Invalid_argument on a version other than 1 or 2, or on
-    [~version:1] after a checkpoint has compacted the history (the
-    document could no longer replay from round 0). *)
-val snapshot : ?version:int -> t -> string
+(** The full scheduler state as an [rrs-snap/2] JSONL document. A
+    stepper that never checkpoints writes ["checkpoint_every":0] and no
+    [base_*] lines. *)
+val snapshot : t -> string
 
-(** [save t ~path] writes {!snapshot} atomically (temp + rename). *)
-val save : ?version:int -> t -> path:string -> unit
+(** [save t ~path] writes {!snapshot} through {!Atomic_file.write}. *)
+val save : t -> path:string -> unit
 
 (** [restore ~policy doc] rebuilds a stepper by deterministic replay —
-    from round 0 for [rrs-snap/1], from the embedded checkpoint for
-    [rrs-snap/2] — and cross-checks the result against the document's
-    materialized state (see module docs). [policy] must be the module
-    the snapshot names. [checkpoint_every] overrides the document's
+    from the embedded checkpoint when the document has one, from round
+    0 otherwise (always for a legacy [rrs-snap/1] document) — and
+    cross-checks the result against the document's materialized state
+    (see module docs). A checkpoint that names a color or location
+    outside the config is refused. [policy] must be the module the
+    snapshot names. [checkpoint_every] overrides the document's
     interval for the restored stepper (default: keep the document's;
     0 for /1 documents). Replayed events go to [sink]. *)
 val restore :

@@ -110,22 +110,7 @@ let of_string text =
                  ~arrivals:(List.rev state.arrivals) ())
           with Invalid_argument message -> Error message))
 
-(* Atomic: write a temp file in the same directory, then rename, so an
-   interrupted run can never leave a truncated trace at [path]. *)
-let save instance ~path =
-  let temp_dir = Filename.dirname path in
-  let temp_path, channel =
-    Filename.open_temp_file ~temp_dir (Filename.basename path ^ ".") ".tmp"
-  in
-  match
-    Fun.protect
-      ~finally:(fun () -> close_out channel)
-      (fun () -> output_string channel (to_string instance))
-  with
-  | () -> Sys.rename temp_path path
-  | exception e ->
-      (try Sys.remove temp_path with Sys_error _ -> ());
-      raise e
+let save instance ~path = Atomic_file.write ~path (to_string instance)
 
 let load ~path =
   match

@@ -18,8 +18,7 @@ val to_string : Instance.t -> string
     directive after [end] (signs of a corrupt or concatenated file). *)
 val of_string : string -> (Instance.t, string) result
 
-(** Atomic write: the trace is written to a temp file in [path]'s
-    directory and renamed into place, so interruption cannot leave a
-    truncated file at [path]. *)
+(** Atomic write through {!Atomic_file.write}: interruption cannot leave
+    a truncated file at [path]. *)
 val save : Instance.t -> path:string -> unit
 val load : path:string -> (Instance.t, string) result

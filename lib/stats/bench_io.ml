@@ -260,16 +260,4 @@ let to_string t =
        (List.length experiments) total_runs (float_field total_wall));
   Buffer.contents buffer
 
-(* Atomic, like Trace.save: a reader (CI polling for the BENCH file, a
-   crashed bench rerun) never observes a half-written document. *)
-let write t ~path =
-  let text = to_string t in
-  let dir = Filename.dirname path in
-  let tmp, out = Filename.open_temp_file ~temp_dir:dir "bench" ".tmp" in
-  (match output_string out text with
-  | () -> close_out out
-  | exception e ->
-      close_out_noerr out;
-      (try Sys.remove tmp with Sys_error _ -> ());
-      raise e);
-  Sys.rename tmp path
+let write t ~path = Rrs_sim.Atomic_file.write ~path (to_string t)

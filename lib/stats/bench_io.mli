@@ -107,6 +107,6 @@ val set_domain_load : t -> Rrs_sim.Sweep.domain_load list -> unit
 val to_string : t -> string
 
 (** [write t ~path] finalizes and writes the JSON document to [path]
-    atomically (temp file + rename, like [Trace.save]): a concurrent
+    atomically through {!Rrs_sim.Atomic_file.write}: a concurrent
     reader never observes a half-written document. *)
 val write : t -> path:string -> unit

@@ -358,15 +358,18 @@ let test_drain_survives_one_failing_snapshot () =
   open_session "doomed";
   open_session "survivor";
   Client.close client;
-  (* Block the doomed session's atomic snapshot write: its tmp path is
-     already a directory, so open_out raises inside the drain. *)
-  Unix.mkdir (Filename.concat snap_dir "doomed.sess.jsonl.tmp") 0o700;
+  (* Block the doomed session's atomic snapshot write: its target path
+     is already a directory, so the rename raises inside the drain. *)
+  let doomed = Filename.concat snap_dir "doomed.sess.jsonl" in
+  Unix.mkdir doomed 0o700;
   let drained = Server.stop ~drain:true server in
   check "only the survivor drained" 1 drained;
   check_bool "survivor snapshot written" true
     (Sys.file_exists (Filename.concat snap_dir "survivor.sess.jsonl"));
-  check_bool "doomed snapshot absent" false
-    (Sys.file_exists (Filename.concat snap_dir "doomed.sess.jsonl"))
+  check_bool "doomed snapshot absent" true (Sys.is_directory doomed);
+  Alcotest.(check (list string))
+    "no temp file left" [ "doomed.sess.jsonl"; "survivor.sess.jsonl" ]
+    (List.sort compare (Array.to_list (Sys.readdir snap_dir)))
 
 (* ---- live router end-to-end: crash, clean errors, re-admission ---- *)
 

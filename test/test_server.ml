@@ -363,29 +363,11 @@ let test_stepper_multi_feed_order () =
 
 (* ---- snapshot / restore ---- *)
 
-(* Interrupt a streamed run at [cut], restore from the snapshot into a
-   fresh sink, finish both; ledgers, assignments and the full event
-   streams must agree. *)
-let run_with_interruption ~n ~cut instance =
+(* Restore [snapshot] (taken after round [cut - 1]) into a fresh sink
+   and finish [instance] from there; the uninterrupted engine run must
+   agree on ledger, assignment and the full event stream. *)
+let resume_and_compare ~n ~cut instance snapshot =
   let full_path, full = trace_engine ~n instance in
-  let part_path = Filename.temp_file "rrs_part" ".jsonl" in
-  let channel = open_out part_path in
-  let config =
-    { Stepper.name = instance.Instance.name; delta = instance.Instance.delta;
-      bounds = instance.Instance.bounds; n; speed = 1;
-      horizon = instance.Instance.horizon }
-  in
-  let stepper =
-    Stepper.create ~sink:(Event_sink.Jsonl channel) ~policy config
-  in
-  for round = 0 to cut - 1 do
-    Stepper.feed stepper instance.Instance.requests.(round);
-    Stepper.step stepper
-  done;
-  let snapshot = Stepper.snapshot stepper in
-  (* The interrupted process dies here: its stream is abandoned. *)
-  close_out channel;
-  Sys.remove part_path;
   let resumed_path = Filename.temp_file "rrs_resumed" ".jsonl" in
   let channel = open_out resumed_path in
   let resumed =
@@ -411,17 +393,72 @@ let run_with_interruption ~n ~cut instance =
   Sys.remove resumed_path;
   outcome
 
-let test_snapshot_restore_midrun () =
-  let instance =
-    Rrs_workload.Random_workloads.uniform ~seed:7 ~colors:5 ~delta:3
-      ~bound_log_range:(0, 3) ~horizon:40 ~load:1.0 ~rate_limited:true ()
+(* Interrupt a streamed run at [cut], restore from the snapshot into a
+   fresh sink, finish both; ledgers, assignments and the full event
+   streams must agree. *)
+let run_with_interruption ~n ~cut instance =
+  let part_path = Filename.temp_file "rrs_part" ".jsonl" in
+  let channel = open_out part_path in
+  let config =
+    { Stepper.name = instance.Instance.name; delta = instance.Instance.delta;
+      bounds = instance.Instance.bounds; n; speed = 1;
+      horizon = instance.Instance.horizon }
   in
-  let full_cost, resumed_cost, same_assignment, same_stream =
-    run_with_interruption ~n:5 ~cut:17 instance
+  let stepper =
+    Stepper.create ~sink:(Event_sink.Jsonl channel) ~policy config
   in
+  for round = 0 to cut - 1 do
+    Stepper.feed stepper instance.Instance.requests.(round);
+    Stepper.step stepper
+  done;
+  let snapshot = Stepper.snapshot stepper in
+  (* The interrupted process dies here: its stream is abandoned. *)
+  close_out channel;
+  Sys.remove part_path;
+  resume_and_compare ~n ~cut instance snapshot
+
+let midrun_instance () =
+  Rrs_workload.Random_workloads.uniform ~seed:7 ~colors:5 ~delta:3
+    ~bound_log_range:(0, 3) ~horizon:40 ~load:1.0 ~rate_limited:true ()
+
+let check_resumed (full_cost, resumed_cost, same_assignment, same_stream) =
   check "same total cost" full_cost resumed_cost;
   check_bool "same final assignment" true same_assignment;
   check_bool "byte-identical stream after restore" true same_stream
+
+let test_snapshot_restore_midrun () =
+  check_resumed (run_with_interruption ~n:5 ~cut:17 (midrun_instance ()))
+
+(* The legacy read path: a frozen rrs-snap/1 document of the same run,
+   cut at the same round, resumes exactly as the live snapshot does. The
+   live snapshot of a stepper that never checkpoints is that document
+   line for line, but for the header's schema and one more field. *)
+let test_frozen_v1_snapshot_resumes () =
+  let instance = midrun_instance () in
+  check_resumed
+    (resume_and_compare ~n:5 ~cut:17 instance Snap_v1_fixtures.midrun);
+  let stepper =
+    Stepper.create ~policy
+      { Stepper.name = instance.Instance.name; delta = instance.Instance.delta;
+        bounds = instance.Instance.bounds; n = 5; speed = 1;
+        horizon = instance.Instance.horizon }
+  in
+  for round = 0 to 16 do
+    Stepper.feed stepper instance.Instance.requests.(round);
+    Stepper.step stepper
+  done;
+  let live = Stepper.snapshot stepper in
+  ignore (Stepper.finish stepper);
+  match String.split_on_char '\n' Snap_v1_fixtures.midrun with
+  | header :: body ->
+      let header =
+        "{\"schema\":\"rrs-snap/2\""
+        ^ String.sub header 22 (String.length header - 23)
+        ^ ",\"checkpoint_every\":0}"
+      in
+      check_string "/1 document + one header field" live
+        (String.concat "\n" (header :: body))
+  | [] -> Alcotest.fail "empty fixture"
 
 let prop_snapshot_restore =
   QCheck2.Test.make
@@ -565,11 +602,6 @@ let test_checkpoint_compaction_bound () =
   (* O(interval), not O(rounds): 5x the rounds, same ballpark bytes. *)
   let snap_late = String.length (Stepper.snapshot stepper) in
   check_bool "snapshot size stays flat" true (snap_late < 2 * !snap_early);
-  (* A compacted stepper can no longer write /1 (its arrival history no
-     longer reaches back to round 0) — refused, not silently wrong. *)
-  (match Stepper.snapshot ~version:1 stepper with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "rrs-snap/1 after compaction must be refused");
   ignore (Stepper.finish stepper)
 
 (* serialize o deserialize is the identity for every registry policy
@@ -1026,8 +1058,9 @@ let test_session_save_failure_cleans_tmp () =
   (match Session.save session ~path:target with
   | () -> Alcotest.fail "save onto a directory must fail"
   | exception Sys_error _ -> ());
-  check_bool "temp file removed on failure" false
-    (Sys.file_exists (target ^ ".tmp"));
+  Alcotest.(check (list string))
+    "temp file removed on failure" [ "snap.sess.jsonl" ]
+    (Array.to_list (Sys.readdir dir));
   Session.release session
 
 (* ---- regression: restore validates embedded names, first snapshot
@@ -1092,17 +1125,19 @@ let test_restore_validates_names () =
    spliced or hand-edited file) and must not restore ---- *)
 
 let test_restore_rejects_mixed_versions () =
-  let config = session_config ~name:"mix" () in
-  let make_body ~checkpoint_every =
-    let stepper = Stepper.create ~checkpoint_every ~policy config in
+  let body_v2 =
+    let stepper =
+      Stepper.create ~checkpoint_every:2 ~policy
+        (session_config ~name:"mix" ())
+    in
     Stepper.feed stepper [ (0, 2); (1, 1) ];
     for _ = 1 to 4 do
       Stepper.step stepper
     done;
     Stepper.snapshot stepper
   in
-  let body_v1 = make_body ~checkpoint_every:0 in
-  let body_v2 = make_body ~checkpoint_every:2 in
+  (* Nothing writes /1 any more: the same session, frozen. *)
+  let body_v1 = Snap_v1_fixtures.session_body in
   let header ?snap_version () =
     let version =
       match snap_version with
@@ -1133,6 +1168,151 @@ let test_restore_rejects_mixed_versions () =
   match Session.restore (header ~snap_version:2 () ^ "\n" ^ body_v2) with
   | Ok s -> Session.release s
   | Error m -> Alcotest.failf "consistent /2 pairing: %s" m
+
+(* A session file written before rrs-snap/2 (no [snap_version] field,
+   rrs-snap/1 body) restores upgraded: it gets the default checkpoint
+   interval, and what it writes next is /2. *)
+let test_frozen_v1_session_upgrades () =
+  let doc =
+    Snap_v1_fixtures.session_header ^ "\n" ^ Snap_v1_fixtures.session_body
+  in
+  match Session.restore doc with
+  | Error m -> Alcotest.failf "pre-/2 session file: %s" m
+  | Ok s ->
+      check "upgraded to the default interval"
+        Session.default_checkpoint_every (Session.checkpoint_every s);
+      let next = Session.snapshot s in
+      Session.release s;
+      let header, body =
+        match String.index_opt next '\n' with
+        | Some i ->
+            (String.sub next 0 i,
+             String.sub next (i + 1) (String.length next - i - 1))
+        | None -> Alcotest.fail "session snapshot without a body"
+      in
+      check_bool "header declares snap_version 2" true
+        (contains ~needle:"\"snap_version\":2" header);
+      check_bool "body is rrs-snap/2" true
+        (String.starts_with ~prefix:"{\"schema\":\"rrs-snap/2\"" body);
+      check_bool "body carries the default interval" true
+        (contains
+           ~needle:
+             (Printf.sprintf "\"checkpoint_every\":%d"
+                Session.default_checkpoint_every)
+           body);
+      (* The upgraded document is itself a restore fixpoint. *)
+      (match Session.restore next with
+      | Ok again ->
+          check_string "upgraded snapshot fixpoint" next
+            (Session.snapshot again);
+          Session.release again
+      | Error m -> Alcotest.failf "upgraded snapshot: %s" m)
+
+(* ---- regression: a checkpoint naming a color that does not exist is
+   refused, not installed ---- *)
+
+let test_restore_refuses_unknown_base_color () =
+  (* Idle rounds with a checkpoint every round: the base is the current
+     round, so the forged assignment is never replayed away and the
+     cross-check alone cannot catch it. *)
+  let stepper =
+    Stepper.create ~checkpoint_every:1 ~policy
+      { (session_config ~name:"forged" ()) with n = 2 }
+  in
+  for _ = 1 to 3 do
+    Stepper.step stepper
+  done;
+  let doc = Stepper.snapshot stepper in
+  ignore (Stepper.finish stepper);
+  let forge ~base ~check =
+    String.split_on_char '\n' doc
+    |> List.map (fun line ->
+           if String.starts_with ~prefix:"{\"type\":\"base_assignment\"" line
+           then
+             Printf.sprintf "{\"type\":\"base_assignment\",\"colors\":%s}" base
+           else if
+             String.starts_with ~prefix:"{\"type\":\"check_assignment\"" line
+           then
+             Printf.sprintf "{\"type\":\"check_assignment\",\"colors\":%s}"
+               check
+           else line)
+    |> String.concat "\n"
+  in
+  (match Stepper.restore ~policy doc with
+  | Ok _ -> ()
+  | Error m -> Alcotest.failf "unforged document: %s" m);
+  List.iter
+    (fun (base, check) ->
+      match Stepper.restore ~policy (forge ~base ~check) with
+      | Error m ->
+          check_bool ("error names base_assignment: " ^ m) true
+            (contains ~needle:"base_assignment" m)
+      | Ok _ ->
+          Alcotest.failf "base_assignment %s restored with 3 colors" base)
+    [ ("[99,99]", "[99,99]"); ("[3,-1]", "[3,-1]"); ("[-2,-1]", "[-1,-1]") ]
+
+(* ---- regression: concurrent saves of one path ----
+
+   Two domains save different documents to one path in a loop (a
+   stepper snapshot and a session snapshot, the two durable writers the
+   server runs concurrently) while the main domain reads it. Every save
+   returns, every read sees one whole document, and no temp file is
+   left behind. *)
+
+let test_concurrent_saves_never_tear () =
+  let dir = Filename.temp_file "rrs_race" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o700;
+  let path = Filename.concat dir "race.sess.jsonl" in
+  let stepper =
+    Stepper.create ~checkpoint_every:4 ~policy (session_config ~name:"a" ())
+  in
+  for round = 0 to 9 do
+    Stepper.feed stepper [ (round mod 3, 1) ];
+    Stepper.step stepper
+  done;
+  let session =
+    match
+      Session.create ~name:"b" ~policy:"dlru-edf" (session_config ~name:"b" ())
+    with
+    | Ok s -> s
+    | Error m -> Alcotest.fail m
+  in
+  let doc_a = Stepper.snapshot stepper and doc_b = Session.snapshot session in
+  Stepper.save stepper ~path;
+  let saves = 300 in
+  let running = Atomic.make 2 in
+  let writer save =
+    Domain.spawn (fun () ->
+        let failed = ref 0 in
+        for _ = 1 to saves do
+          match save () with () -> () | exception _ -> incr failed
+        done;
+        Atomic.decr running;
+        !failed)
+  in
+  let a = writer (fun () -> Stepper.save stepper ~path) in
+  let b = writer (fun () -> Session.save session ~path) in
+  let torn = ref 0 in
+  let whole () =
+    match read_file path with
+    | text -> text = doc_a || text = doc_b
+    | exception Sys_error _ -> false
+  in
+  while Atomic.get running > 0 do
+    if not (whole ()) then incr torn
+  done;
+  let failed = Domain.join a + Domain.join b in
+  check "failed saves" 0 failed;
+  check "torn reads" 0 !torn;
+  check_bool "final document whole" true (whole ());
+  Alcotest.(check (list string))
+    "no temp file left" [ "race.sess.jsonl" ]
+    (Array.to_list (Sys.readdir dir));
+  ignore (Stepper.finish stepper);
+  Session.release session;
+  Sys.remove path;
+  Unix.rmdir dir
 
 (* ---- regression: unresolvable TCP hosts fail cleanly ---- *)
 
@@ -2160,6 +2340,10 @@ let suite =
           test_session_save_failure_cleans_tmp;
         Alcotest.test_case "restore rejects mixed snapshot versions" `Quick
           test_restore_rejects_mixed_versions;
+        Alcotest.test_case "pre-/2 session file restores upgraded" `Quick
+          test_frozen_v1_session_upgrades;
+        Alcotest.test_case "concurrent saves of one path never tear" `Quick
+          test_concurrent_saves_never_tear;
       ] );
     ( "server.stepper",
       [
@@ -2169,6 +2353,10 @@ let suite =
           test_stepper_multi_feed_order;
         Alcotest.test_case "snapshot/restore mid-run" `Quick
           test_snapshot_restore_midrun;
+        Alcotest.test_case "frozen rrs-snap/1 document resumes" `Quick
+          test_frozen_v1_snapshot_resumes;
+        Alcotest.test_case "restore refuses an unknown base color" `Quick
+          test_restore_refuses_unknown_base_color;
         Alcotest.test_case "restore rejects tampering" `Quick
           test_restore_rejects_tampering;
         prop prop_snapshot_restore;
