@@ -44,6 +44,18 @@ let tests () =
           ~n instance)
       [ 4; 16; 64 ]
   in
+  (* The benchmark sweep's large cell: 256 colors, Zipf(1.1) arrivals,
+     n = 64, where the per-round work of the policies dominates. *)
+  let sweep_shape =
+    let instance =
+      Rrs_workload.Random_workloads.zipf ~seed:17 ~colors:256 ~delta:8
+        ~bound_log_range:(2, 6) ~horizon:128 ~load:0.2 ~s:1.1 ~rate_limited:true ()
+    in
+    List.map
+      (fun (name, policy) ->
+        engine_test ~name:(Printf.sprintf "%s/zipf256,n=64" name) ~policy ~n:64 instance)
+      policies
+  in
   let pipelines =
     let batched =
       Rrs_workload.Random_workloads.uniform ~seed:17 ~colors:16 ~delta:4
@@ -68,7 +80,7 @@ let tests () =
              ignore (Rrs_offline.Greedy_offline.cost ~m:2 (make_instance ~colors:32))));
     ]
   in
-  scaling_in_colors @ scaling_in_resources @ pipelines
+  scaling_in_colors @ scaling_in_resources @ sweep_shape @ pipelines
 
 let run () =
   Format.printf "@.---- E11: throughput microbenches (bechamel, ns per full run) ----@.";

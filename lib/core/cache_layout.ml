@@ -1,46 +1,89 @@
-let place ?into ~n ~copies ~current ~want () =
-  if copies < 1 then invalid_arg "Cache_layout.place: copies must be >= 1";
-  let needed = Hashtbl.create 16 in
-  List.iter
-    (fun color ->
-      if Hashtbl.mem needed color then
-        invalid_arg "Cache_layout.place: duplicate wanted color";
-      Hashtbl.replace needed color copies)
-    want;
-  if copies * List.length want > n then
-    invalid_arg
-      (Printf.sprintf "Cache_layout.place: %d copies of %d colors exceed %d locations"
-         copies (List.length want) n);
-  let target =
-    match into with
-    | Some buffer when Array.length buffer = n ->
-        Array.fill buffer 0 n None;
-        buffer
-    | Some _ -> invalid_arg "Cache_layout.place: into buffer has wrong length"
-    | None -> Array.make n None
+type t = {
+  n : int;
+  copies : int;
+  needed : int array; (* per color: copies still to place, 0 = not wanted *)
+  wanted : int array; (* the wanted colors, [0 .. count - 1] *)
+  mutable count : int;
+  some : Rrs_sim.Types.color option array; (* [Some c], shared, per color *)
+  target : Rrs_sim.Types.color option array;
+  mutable next_free : int;
+  fill : Rrs_sim.Types.color -> unit; (* [fill_missing] of this layout *)
+}
+
+(* Places [color]'s missing copies in the lowest free locations. *)
+let fill_missing t color =
+  while t.needed.(color) > 0 do
+    while t.next_free < t.n && Option.is_some t.target.(t.next_free) do
+      t.next_free <- t.next_free + 1
+    done;
+    t.target.(t.next_free) <- t.some.(color);
+    t.next_free <- t.next_free + 1;
+    t.needed.(color) <- t.needed.(color) - 1
+  done
+
+let create ~n ~copies ~num_colors =
+  if copies < 1 then invalid_arg "Cache_layout: copies must be >= 1";
+  let rec t =
+    {
+      n;
+      copies;
+      needed = Array.make num_colors 0;
+      wanted = Array.make (n / copies) 0;
+      count = 0;
+      some = Array.init num_colors Option.some;
+      target = Array.make n None;
+      next_free = 0;
+      fill = (fun color -> fill_missing t color);
+    }
   in
+  t
+
+let want t color =
+  if t.needed.(color) > 0 then invalid_arg "Cache_layout: duplicate wanted color";
+  if (t.count + 1) * t.copies > t.n then
+    invalid_arg
+      (Printf.sprintf "Cache_layout: %d copies of %d colors exceed %d locations"
+         t.copies (t.count + 1) t.n);
+  t.needed.(color) <- t.copies;
+  t.wanted.(t.count) <- color;
+  t.count <- t.count + 1
+
+let assign t ~current ~order =
+  let target = t.target in
+  Array.fill target 0 t.n None;
   (* Keep existing placements of wanted colors. *)
-  for location = 0 to n - 1 do
+  let missing = ref (t.count * t.copies) in
+  for location = 0 to t.n - 1 do
     match current.(location) with
-    | Some color when (try Hashtbl.find needed color with Not_found -> 0) > 0 ->
-        target.(location) <- Some color;
-        Hashtbl.replace needed color (Hashtbl.find needed color - 1)
+    | Some color as kept when t.needed.(color) > 0 ->
+        target.(location) <- kept;
+        t.needed.(color) <- t.needed.(color) - 1;
+        decr missing
     | Some _ | None -> ()
   done;
-  (* Fill missing copies into the lowest free locations. *)
-  let next_free = ref 0 in
-  let take_free () =
-    while !next_free < n && target.(!next_free) <> None do incr next_free done;
-    if !next_free >= n then invalid_arg "Cache_layout.place: out of locations";
-    let location = !next_free in
-    incr next_free;
-    location
-  in
-  List.iter
-    (fun color ->
-      let missing = try Hashtbl.find needed color with Not_found -> 0 in
-      for _ = 1 to missing do
-        target.(take_free ()) <- Some color
-      done)
-    want;
+  (* Fill missing copies into the lowest free locations, in order. *)
+  if !missing > 0 then begin
+    t.next_free <- 0;
+    order t.fill;
+    for i = 0 to t.count - 1 do
+      let color = t.wanted.(i) in
+      if t.needed.(color) > 0 then begin
+        t.needed.(color) <- 0;
+        t.count <- 0;
+        invalid_arg "Cache_layout.assign: order skipped a wanted color"
+      end
+    done
+  end;
+  t.count <- 0;
   target
+
+let place ~n ~copies ~current ~want:colors () =
+  let num_colors =
+    List.fold_left max
+      (Array.fold_left (fun acc c -> match c with Some c -> max acc c | None -> acc) 0 current)
+      colors
+    + 1
+  in
+  let t = create ~n ~copies ~num_colors in
+  List.iter (want t) colors;
+  assign t ~current ~order:(fun f -> List.iter f colors)

@@ -4,25 +4,47 @@
     {e where}, preserving existing placements so that the engine's
     location diff charges exactly one reconfiguration per newly placed
     copy. Each wanted color is cached in [copies] locations (Section 3.1
-    replicates every cached color in two locations; Seq-EDF uses one). *)
-
-(** [place ~n ~copies ~current ~want ()] is a target assignment of length
-    [n] in which every color of [want] occupies exactly [copies] locations
-    and all other locations are inactive ([None]).
+    replicates every cached color in two locations; Seq-EDF uses one).
 
     Locations already holding a wanted color are kept (up to [copies]);
-    missing copies go to the lowest-index locations not otherwise used.
+    missing copies go to the lowest-index locations not otherwise used,
+    color by color in the policy's {e placement order}. That order is
+    observable — it decides which free location each new color takes —
+    so a policy supplies it explicitly (see [DESIGN.md], determinism). *)
 
-    [into] is an optional reusable buffer of length [n]: it is cleared,
-    filled and returned instead of allocating a fresh array. Policies pass
-    their own scratch buffer here so the per-mini-round target costs no
-    allocation; the engine never retains the returned array across
-    mini-rounds, so reuse is safe.
+(** A reusable placement: the per-color count of copies still to place
+    and the target buffer, owned by one policy. After {!create} neither
+    {!want} nor {!assign} allocates. *)
+type t
 
-    @raise Invalid_argument if [want] has duplicates, [copies * |want| > n],
-    or [into] has a length other than [n]. *)
+(** @raise Invalid_argument if [copies < 1]. *)
+val create : n:int -> copies:int -> num_colors:int -> t
+
+(** [want t color] adds [color] to the wanted set of the next {!assign}.
+    @raise Invalid_argument if [color] is already wanted, or the wanted
+    colors would need more than [n] locations. *)
+val want : t -> Rrs_sim.Types.color -> unit
+
+(** [assign t ~current ~order] is the target assignment (length [n]): every
+    wanted color occupies exactly [copies] locations and all other
+    locations are inactive ([None]). [order f] must call [f] on every
+    wanted color, in placement order; it is called only when some copy is
+    missing. The wanted set is emptied. The returned array is [t]'s own
+    buffer, overwritten by the next call; the engine never retains it
+    across mini-rounds.
+    @raise Invalid_argument if [order] skips a wanted color that has a
+    missing copy. *)
+val assign :
+  t ->
+  current:Rrs_sim.Types.color option array ->
+  order:((Rrs_sim.Types.color -> unit) -> unit) ->
+  Rrs_sim.Types.color option array
+
+(** The one-call form over a list, into a fresh array: [want] holds the
+    wanted colors in placement order.
+    @raise Invalid_argument if [copies < 1], [want] has duplicates or
+    [copies * |want| > n]. *)
 val place :
-  ?into:Rrs_sim.Types.color option array ->
   n:int ->
   copies:int ->
   current:Rrs_sim.Types.color option array ->

@@ -17,19 +17,42 @@
     strictly before the most recent multiple of [D_l] in which a counter
     wrapping event of [l] occurred, and 0 if there is none.
 
+    State follows events. Each color's rank keys — its ΔLRU timestamp,
+    its LRU-2 timestamp and its deadline — are stored and refreshed only
+    at that color's boundaries and wraps, the only events that move
+    them. The eligible colors are kept sorted in each rank order
+    ({!ranked}), updated where eligibility or a key changes (a wrap, a
+    boundary, a reset, a restore), so a policy reads the [k] best colors
+    as [k] array reads and nothing is ranked per round.
+
     The module also instruments the quantities used by the analysis:
     epochs (Section 3.2), counter wraps, timestamp update events
     (Section 3.4), and the eligible/ineligible split of drop costs. *)
 
 type t
 
+(** The rank orders over the eligible colors, each total (the color id
+    breaks the last tie):
+    - [Recency]: the more recent ΔLRU timestamp first (Section 3.1.1);
+    - [Recency2]: the more recent LRU-2 timestamp first, then the more
+      recent ΔLRU timestamp;
+    - [Deadline]: the earlier deadline first, then the smaller bound —
+      Section 3.1.2's EDF rank without its nonidle-first rule, which
+      depends on the pool;
+    - [Deadline_all]: the same order over every color, eligible or not
+      (Seq-EDF's ungated ranking). *)
+type order = Recency | Recency2 | Deadline | Deadline_all
+
 (** [on_timestamp] is invoked once per timestamp-update event, in
     chronological order, as the event happens — the incremental
     alternative to [record_timestamp_events] for consumers (super-epoch
-    tracking) that must not hold the whole event log. *)
+    tracking) that must not hold the whole event log. [orders] are the
+    rank orders the state keeps sorted (default: all three); each costs
+    its upkeep at every event, so a policy asks only for those it reads. *)
 val create :
   ?record_timestamp_events:bool ->
   ?on_timestamp:(round:int -> color:int -> unit) ->
+  ?orders:order list ->
   delta:int ->
   bounds:int array ->
   unit ->
@@ -58,7 +81,12 @@ val eligible : t -> Rrs_sim.Types.color -> bool
 (** Current per-color deadline [l.dd] (0 before the first boundary). *)
 val deadline : t -> Rrs_sim.Types.color -> int
 
-(** ΔLRU timestamp of the color as of [round]. *)
+(** The color's delay bound [D_l]. *)
+val bound : t -> Rrs_sim.Types.color -> int
+
+(** ΔLRU timestamp of the color as of [round], computed from its wrap
+    rounds (the definition; the [Recency] order ranks by its stored
+    value). *)
 val timestamp : t -> Rrs_sim.Types.color -> round:int -> int
 
 (** LRU-2 timestamp: the second-to-last counter-wrap round strictly
@@ -67,8 +95,21 @@ val timestamp : t -> Rrs_sim.Types.color -> round:int -> int
     used by the {!Policy_lru_k} baseline. *)
 val timestamp2 : t -> Rrs_sim.Types.color -> round:int -> int
 
-(** Currently eligible colors, ascending. *)
-val eligible_colors : t -> Rrs_sim.Types.color list
+(** Number of currently eligible colors. *)
+val eligible_count : t -> int
+
+(** [ranked t order i], [0 <= i < eligible_count t] ([num_colors t] for
+    [Deadline_all]): the color of rank [i] (0 = best) under [order]. The recency orders are as of the
+    round of the latest {!on_arrival} or {!sync_keys}.
+    @raise Invalid_argument if [order] was not requested at {!create}. *)
+val ranked : t -> order -> int -> Rrs_sim.Types.color
+
+(** [sync_keys t ~round] makes the recency orders current for [round].
+    [on_arrival] keeps them current for its round — re-ranking only the
+    colors at a boundary or a wrap when rounds advance one at a time, and
+    rebuilding both orders after any other jump or after
+    {!deserialize_fields} — so in a stepped run this call is a no-op. *)
+val sync_keys : t -> round:int -> unit
 
 (** Counters for experiments: ["epochs"] (ended + active incomplete),
     ["wraps"], ["timestamp_updates"], ["eligible_drops"],

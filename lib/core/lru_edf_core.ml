@@ -1,20 +1,21 @@
 module Types = Rrs_sim.Types
 module Job_pool = Rrs_sim.Job_pool
-module Topk = Rrs_ds.Topk
+module Dense_set = Rrs_ds.Dense_set
 
 module Make (Config : sig
   val name : string
   val lru_share : float
 end) : Rrs_sim.Policy.POLICY = struct
   type t = {
-    n : int;
     lru_slots : int; (* distinct colors in the LRU set *)
     edf_slots : int; (* distinct colors in the EDF set *)
     state : Color_state.t;
     se : Instrument.tracker; (* super-epochs, fed incrementally *)
-    lru_half : (Types.color, unit) Hashtbl.t;
-    edf_half : (Types.color, unit) Hashtbl.t;
-    target : Types.color option array; (* reusable reconfigure buffer *)
+    lru_half : Dense_set.t;
+    edf_half : Sticky_set.t;
+    layout : Cache_layout.t;
+    in_cache : Types.color -> bool;
+    order : (Types.color -> unit) -> unit;
     mutable evictions : int;
     mutable lru_promotions : int;
   }
@@ -24,90 +25,92 @@ end) : Rrs_sim.Policy.POLICY = struct
   let create ~n ~delta ~bounds =
     if Config.lru_share < 0.0 || Config.lru_share > 1.0 then
       invalid_arg "Lru_edf_core: lru_share out of [0, 1]";
+    let num_colors = Array.length bounds in
     let distinct = n / 2 in
     let lru_slots =
       int_of_float (Float.round (Config.lru_share *. float_of_int distinct))
     in
+    let edf_slots = distinct - lru_slots in
     (* Super-epochs (Section 3.4) with the Theorem 1 watermark 2m = n/4
        (at least 1 so the count is defined for tiny n), maintained
        incrementally so no per-round event log accumulates. *)
     let se = Instrument.tracker ~watermark:(max 1 (n / 4)) in
+    let state =
+      Color_state.create
+        ~on_timestamp:(fun ~round:_ ~color -> Instrument.track se ~color)
+        ~orders:[ Recency; Deadline ] ~delta ~bounds ()
+    in
+    let lru_half = Dense_set.create ~universe:num_colors in
+    let edf_half = Sticky_set.create ~num_colors in
     {
-      n;
       lru_slots;
-      edf_slots = distinct - lru_slots;
-      state =
-        Color_state.create
-          ~on_timestamp:(fun ~round:_ ~color -> Instrument.track se ~color)
-          ~delta ~bounds ();
+      edf_slots;
+      state;
       se;
-      lru_half = Hashtbl.create 16;
-      edf_half = Hashtbl.create 16;
-      target = Array.make n None;
+      lru_half;
+      edf_half;
+      layout = Cache_layout.create ~n ~copies:2 ~num_colors;
+      in_cache =
+        (fun color -> Dense_set.mem lru_half color || Sticky_set.mem edf_half color);
+      (* Placement order: the LRU set in rank order, then the EDF half in
+         its order of record. *)
+      order =
+        (fun f ->
+          for i = 0 to Dense_set.cardinal lru_half - 1 do
+            f (Color_state.ranked state Recency i)
+          done;
+          Sticky_set.iter_placement_order edf_half f);
       evictions = 0;
       lru_promotions = 0;
     }
 
-  let in_cache t color = Hashtbl.mem t.lru_half color || Hashtbl.mem t.edf_half color
-
   let on_drop t ~round ~dropped =
-    Color_state.on_drop t.state ~round ~dropped ~in_cache:(in_cache t)
+    Color_state.on_drop t.state ~round ~dropped ~in_cache:t.in_cache
 
   let on_arrival t ~round ~request = Color_state.on_arrival t.state ~round ~request
 
-  let worst_in_edf_half t ~compare =
-    Hashtbl.fold
-      (fun color () worst ->
-        match worst with
-        | None -> Some color
-        | Some w -> if compare color w > 0 then Some color else worst)
-      t.edf_half None
-
   let reconfigure t (view : Rrs_sim.Policy.view) =
-    let eligible = Color_state.eligible_colors t.state in
+    let state = t.state in
+    Color_state.sync_keys state ~round:view.round;
     (* LRU set: the most recently stamped eligible colors. *)
-    let lru =
-      Topk.select_list
-        ~compare:(Ranking.lru_compare t.state ~round:view.round)
-        ~k:t.lru_slots eligible
-    in
-    Hashtbl.reset t.lru_half;
-    List.iter (fun color -> Hashtbl.replace t.lru_half color ()) lru;
-    List.iter
-      (fun color ->
-        if Hashtbl.mem t.edf_half color then begin
-          Hashtbl.remove t.edf_half color;
-          t.lru_promotions <- t.lru_promotions + 1
-        end)
-      lru;
+    Dense_set.clear t.lru_half;
+    for i = 0 to min t.lru_slots (Color_state.eligible_count state) - 1 do
+      let color = Color_state.ranked state Recency i in
+      Dense_set.add t.lru_half color;
+      if Sticky_set.mem t.edf_half color then begin
+        Sticky_set.remove t.edf_half color;
+        t.lru_promotions <- t.lru_promotions + 1
+      end
+    done;
     (* EDF set: sticky admission of the best-ranked nonidle non-LRU
-       colors, evicting the worst-ranked member when full. *)
-    let non_lru =
-      List.filter (fun color -> not (Hashtbl.mem t.lru_half color)) eligible
-    in
-    let compare = Ranking.edf_compare t.state view.pool ~bounds:view.bounds in
-    let top = Topk.select_list ~compare ~k:t.edf_slots non_lru in
-    List.iter
-      (fun color ->
-        if Job_pool.nonidle view.pool color && not (in_cache t color) then begin
-          Hashtbl.replace t.edf_half color ();
-          if Hashtbl.length t.edf_half > t.edf_slots then begin
-            match worst_in_edf_half t ~compare with
-            | Some worst ->
-                Hashtbl.remove t.edf_half worst;
-                t.evictions <- t.evictions + 1
-            | None -> assert false
-          end
-        end)
-      top;
-    let want =
-      lru @ Hashtbl.fold (fun color () acc -> color :: acc) t.edf_half []
-    in
-    Cache_layout.place ~into:t.target ~n:t.n ~copies:2 ~current:view.assignment
-      ~want ()
+       colors, evicting the worst-ranked member when full. Idle colors
+       rank after nonidle ones and are never admitted, so the candidates
+       are the first [edf_slots] nonidle non-LRU colors in deadline
+       order. *)
+    let taken = ref 0 and i = ref 0 in
+    while !taken < t.edf_slots && !i < Color_state.eligible_count state do
+      let color = Color_state.ranked state Deadline !i in
+      incr i;
+      if Job_pool.nonidle view.pool color && not (Dense_set.mem t.lru_half color)
+      then begin
+        incr taken;
+        if
+          (not (Sticky_set.mem t.edf_half color))
+          && Ranking.edf_admit state view.pool ~bounds:view.bounds t.edf_half
+               ~capacity:t.edf_slots color
+        then t.evictions <- t.evictions + 1
+      end
+    done;
+    for i = 0 to Dense_set.cardinal t.lru_half - 1 do
+      Cache_layout.want t.layout (Dense_set.nth t.lru_half i)
+    done;
+    for i = 0 to Sticky_set.cardinal t.edf_half - 1 do
+      Cache_layout.want t.layout (Sticky_set.nth t.edf_half i)
+    done;
+    Cache_layout.assign t.layout ~current:view.assignment ~order:t.order
 
   let stats t =
-    ("cached", Hashtbl.length t.lru_half + Hashtbl.length t.edf_half)
+    ("cached", Dense_set.cardinal t.lru_half + Sticky_set.cardinal t.edf_half)
     :: ("edf_evictions", t.evictions)
     :: ("lru_promotions", t.lru_promotions)
     :: ("super_epochs", Instrument.tracker_count t.se)
@@ -115,16 +118,12 @@ end) : Rrs_sim.Policy.POLICY = struct
 
   module Json = Rrs_sim.Event_sink.Json
 
-  let half_list half =
-    Hashtbl.fold (fun color () acc -> color :: acc) half []
-    |> List.sort Int.compare
-
   let serialize t =
     Printf.sprintf
       "{\"lru\":%s,\"edf\":%s,\"evictions\":%d,\"promotions\":%d,\
        \"se_complete\":%d,\"se_seen\":%s,%s}"
-      (Json.ints (half_list t.lru_half))
-      (Json.ints (half_list t.edf_half))
+      (Json.ints (Dense_set.to_sorted_list t.lru_half))
+      (Json.ints (Sticky_set.to_sorted_list t.edf_half))
       t.evictions t.lru_promotions
       (Instrument.tracker_complete t.se)
       (Json.ints (Instrument.tracker_seen t.se))
@@ -138,14 +137,9 @@ end) : Rrs_sim.Policy.POLICY = struct
     Instrument.tracker_restore t.se
       ~complete:(Json.int_field fields "se_complete")
       ~seen:(Array.to_list (Json.ints_field fields "se_seen"));
-    Hashtbl.reset t.lru_half;
-    Hashtbl.reset t.edf_half;
-    Array.iter
-      (fun color -> Hashtbl.replace t.lru_half color ())
-      (Json.ints_field fields "lru");
-    Array.iter
-      (fun color -> Hashtbl.replace t.edf_half color ())
-      (Json.ints_field fields "edf")
+    Dense_set.clear t.lru_half;
+    Array.iter (Dense_set.add t.lru_half) (Json.ints_field fields "lru");
+    Sticky_set.restore t.edf_half (Json.ints_field fields "edf")
 end
 
 let with_share share : (module Rrs_sim.Policy.POLICY) =

@@ -9,85 +9,97 @@
 
 module Types = Rrs_sim.Types
 module Job_pool = Rrs_sim.Job_pool
-module Topk = Rrs_ds.Topk
 
-type t = {
-  n : int;
-  state : Color_state.t;
-  cached : (Types.color, unit) Hashtbl.t;
-  target : Types.color option array; (* reusable reconfigure buffer *)
-  mutable evictions : int;
-}
-
-let name = "edf"
-
-let create ~n ~delta ~bounds =
-  {
-    n;
-    state = Color_state.create ~delta ~bounds ();
-    cached = Hashtbl.create 16;
-    target = Array.make n None;
-    evictions = 0;
+(* The sticky EDF cache, shared with {!Seq_edf}. Only nonidle colors are
+   ever admitted, and nonidle colors rank before idle ones, so the
+   admissions of a round are the first [slots] nonidle candidates in
+   deadline order, which [Color_state] keeps sorted: the eligible colors
+   when gated, every color when not. *)
+module Make (S : sig
+  val name : string
+  val slots : n:int -> int (* distinct cached colors *)
+  val copies : int
+  val gated : bool (* candidates must be eligible *)
+end) =
+struct
+  type t = {
+    state : Color_state.t;
+    capacity : int;
+    cached : Sticky_set.t;
+    layout : Cache_layout.t;
+    in_cache : Types.color -> bool;
+    order : (Types.color -> unit) -> unit;
+    mutable evictions : int;
   }
 
-let on_drop t ~round ~dropped =
-  Color_state.on_drop t.state ~round ~dropped ~in_cache:(Hashtbl.mem t.cached)
+  let name = S.name
+  let candidates : Color_state.order = if S.gated then Deadline else Deadline_all
 
-let on_arrival t ~round ~request = Color_state.on_arrival t.state ~round ~request
+  let create ~n ~delta ~bounds =
+    let num_colors = Array.length bounds in
+    let cached = Sticky_set.create ~num_colors in
+    {
+      state = Color_state.create ~orders:[ candidates ] ~delta ~bounds ();
+      capacity = S.slots ~n;
+      cached;
+      layout = Cache_layout.create ~n ~copies:S.copies ~num_colors;
+      in_cache = Sticky_set.mem cached;
+      order = Sticky_set.iter_placement_order cached;
+      evictions = 0;
+    }
 
-let worst_cached t ~compare =
-  Hashtbl.fold
-    (fun color () worst ->
-      match worst with
-      | None -> Some color
-      | Some w -> if compare color w > 0 then Some color else worst)
-    t.cached None
+  let on_drop t ~round ~dropped =
+    Color_state.on_drop t.state ~round ~dropped ~in_cache:t.in_cache
 
-let reconfigure t (view : Rrs_sim.Policy.view) =
-  let capacity = t.n / 2 in
-  let compare = Ranking.edf_compare t.state view.pool ~bounds:view.bounds in
-  let top =
-    Topk.select_list ~compare ~k:capacity (Color_state.eligible_colors t.state)
-  in
-  List.iter
-    (fun color ->
-      if Job_pool.nonidle view.pool color && not (Hashtbl.mem t.cached color) then begin
-        Hashtbl.replace t.cached color ();
-        if Hashtbl.length t.cached > capacity then begin
-          match worst_cached t ~compare with
-          | Some worst ->
-              Hashtbl.remove t.cached worst;
-              t.evictions <- t.evictions + 1
-          | None -> assert false
-        end
-      end)
-    top;
-  let want = Hashtbl.fold (fun color () acc -> color :: acc) t.cached [] in
-  Cache_layout.place ~into:t.target ~n:t.n ~copies:2 ~current:view.assignment
-    ~want ()
+  let on_arrival t ~round ~request =
+    Color_state.on_arrival t.state ~round ~request
 
-let stats t =
-  ("cached", Hashtbl.length t.cached)
-  :: ("evictions", t.evictions)
-  :: Color_state.stats t.state
+  let reconfigure t (view : Rrs_sim.Policy.view) =
+    let state = t.state in
+    let count =
+      if S.gated then Color_state.eligible_count state else Color_state.num_colors state
+    in
+    let taken = ref 0 and i = ref 0 in
+    while !taken < t.capacity && !i < count do
+      let color = Color_state.ranked state candidates !i in
+      incr i;
+      if Job_pool.nonidle view.pool color then begin
+        incr taken;
+        if
+          (not (Sticky_set.mem t.cached color))
+          && Ranking.edf_admit state view.pool ~bounds:view.bounds t.cached
+               ~capacity:t.capacity color
+        then t.evictions <- t.evictions + 1
+      end
+    done;
+    for i = 0 to Sticky_set.cardinal t.cached - 1 do
+      Cache_layout.want t.layout (Sticky_set.nth t.cached i)
+    done;
+    Cache_layout.assign t.layout ~current:view.assignment ~order:t.order
 
-module Json = Rrs_sim.Event_sink.Json
+  let stats t =
+    ("cached", Sticky_set.cardinal t.cached)
+    :: ("evictions", t.evictions)
+    :: Color_state.stats t.state
 
-let cached_list cached =
-  Hashtbl.fold (fun color () acc -> color :: acc) cached []
-  |> List.sort Int.compare
+  module Json = Rrs_sim.Event_sink.Json
 
-let serialize t =
-  Printf.sprintf "{\"cached\":%s,\"evictions\":%d,%s}"
-    (Json.ints (cached_list t.cached))
-    t.evictions
-    (Color_state.serialize_fields t.state)
+  let serialize t =
+    Printf.sprintf "{\"cached\":%s,\"evictions\":%d,%s}"
+      (Json.ints (Sticky_set.to_sorted_list t.cached))
+      t.evictions
+      (Color_state.serialize_fields t.state)
 
-let deserialize t blob =
-  let fields = Json.parse_fields blob in
-  Color_state.deserialize_fields t.state fields;
-  t.evictions <- Json.int_field fields "evictions";
-  Hashtbl.reset t.cached;
-  Array.iter
-    (fun color -> Hashtbl.replace t.cached color ())
-    (Json.ints_field fields "cached")
+  let deserialize t blob =
+    let fields = Json.parse_fields blob in
+    Color_state.deserialize_fields t.state fields;
+    t.evictions <- Json.int_field fields "evictions";
+    Sticky_set.restore t.cached (Json.ints_field fields "cached")
+end
+
+include Make (struct
+  let name = "edf"
+  let slots ~n = n / 2
+  let copies = 2
+  let gated = true
+end)

@@ -13,3 +13,13 @@
     as a baseline. *)
 
 include Rrs_sim.Policy.POLICY
+
+(** The sticky EDF scheme, shared with {!Seq_edf}: up to [slots ~n]
+    distinct colors cached in [copies] locations each; candidates are the
+    nonidle colors, restricted to eligible ones when [gated]. *)
+module Make (_ : sig
+  val name : string
+  val slots : n:int -> int
+  val copies : int
+  val gated : bool
+end) : Rrs_sim.Policy.POLICY

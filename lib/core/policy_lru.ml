@@ -7,60 +7,79 @@
     many pending jobs (Appendix A); implemented as a baseline. *)
 
 module Types = Rrs_sim.Types
-module Topk = Rrs_ds.Topk
+module Dense_set = Rrs_ds.Dense_set
 
-type t = {
-  n : int;
-  state : Color_state.t;
-  cached : (Types.color, unit) Hashtbl.t;
-  target : Types.color option array; (* reusable reconfigure buffer *)
-}
-
-let name = "dlru"
-
-let create ~n ~delta ~bounds =
-  {
-    n;
-    state = Color_state.create ~delta ~bounds ();
-    cached = Hashtbl.create 16;
-    target = Array.make n None;
+(* Pure-recency caching, shared with {!Policy_lru_k}: keep the [n/2]
+   eligible colors that rank best in [R.order] cached, placed in rank
+   order. [Color_state] keeps that order sorted as events happen, so a
+   round reads the first [n/2] colors. *)
+module Recency (R : sig
+  val name : string
+  val order : Color_state.order
+end) =
+struct
+  type t = {
+    state : Color_state.t;
+    capacity : int;
+    cached : Dense_set.t;
+    layout : Cache_layout.t;
+    in_cache : Types.color -> bool;
+    order : (Types.color -> unit) -> unit; (* placement order: rank order *)
   }
 
-let on_drop t ~round ~dropped =
-  Color_state.on_drop t.state ~round ~dropped ~in_cache:(Hashtbl.mem t.cached)
+  let name = R.name
 
-let on_arrival t ~round ~request = Color_state.on_arrival t.state ~round ~request
+  let create ~n ~delta ~bounds =
+    let num_colors = Array.length bounds in
+    let state = Color_state.create ~orders:[ R.order ] ~delta ~bounds () in
+    let capacity = n / 2 in
+    let cached = Dense_set.create ~universe:num_colors in
+    {
+      state;
+      capacity;
+      cached;
+      layout = Cache_layout.create ~n ~copies:2 ~num_colors;
+      in_cache = Dense_set.mem cached;
+      order =
+        (fun f ->
+          for i = 0 to min capacity (Color_state.eligible_count state) - 1 do
+            f (Color_state.ranked state R.order i)
+          done);
+    }
 
-let reconfigure t (view : Rrs_sim.Policy.view) =
-  let capacity = t.n / 2 in
-  let want =
-    Topk.select_list
-      ~compare:(Ranking.lru_compare t.state ~round:view.round)
-      ~k:capacity
-      (Color_state.eligible_colors t.state)
-  in
-  Hashtbl.reset t.cached;
-  List.iter (fun color -> Hashtbl.replace t.cached color ()) want;
-  Cache_layout.place ~into:t.target ~n:t.n ~copies:2 ~current:view.assignment
-    ~want ()
+  let on_drop t ~round ~dropped =
+    Color_state.on_drop t.state ~round ~dropped ~in_cache:t.in_cache
 
-let stats t = ("cached", Hashtbl.length t.cached) :: Color_state.stats t.state
+  let on_arrival t ~round ~request =
+    Color_state.on_arrival t.state ~round ~request
 
-module Json = Rrs_sim.Event_sink.Json
+  let reconfigure t (view : Rrs_sim.Policy.view) =
+    Color_state.sync_keys t.state ~round:view.round;
+    Dense_set.clear t.cached;
+    for i = 0 to min t.capacity (Color_state.eligible_count t.state) - 1 do
+      let color = Color_state.ranked t.state R.order i in
+      Dense_set.add t.cached color;
+      Cache_layout.want t.layout color
+    done;
+    Cache_layout.assign t.layout ~current:view.assignment ~order:t.order
 
-let cached_list cached =
-  Hashtbl.fold (fun color () acc -> color :: acc) cached []
-  |> List.sort Int.compare
+  let stats t = ("cached", Dense_set.cardinal t.cached) :: Color_state.stats t.state
 
-let serialize t =
-  Printf.sprintf "{\"cached\":%s,%s}"
-    (Json.ints (cached_list t.cached))
-    (Color_state.serialize_fields t.state)
+  module Json = Rrs_sim.Event_sink.Json
 
-let deserialize t blob =
-  let fields = Json.parse_fields blob in
-  Color_state.deserialize_fields t.state fields;
-  Hashtbl.reset t.cached;
-  Array.iter
-    (fun color -> Hashtbl.replace t.cached color ())
-    (Json.ints_field fields "cached")
+  let serialize t =
+    Printf.sprintf "{\"cached\":%s,%s}"
+      (Json.ints (Dense_set.to_sorted_list t.cached))
+      (Color_state.serialize_fields t.state)
+
+  let deserialize t blob =
+    let fields = Json.parse_fields blob in
+    Color_state.deserialize_fields t.state fields;
+    Dense_set.clear t.cached;
+    Array.iter (Dense_set.add t.cached) (Json.ints_field fields "cached")
+end
+
+include Recency (struct
+  let name = "dlru"
+  let order = Color_state.Recency
+end)

@@ -12,3 +12,11 @@
     and experiment E1). Implemented as a baseline. *)
 
 include Rrs_sim.Policy.POLICY
+
+(** The recency scheme over a rank order of the eligible colors: the
+    [n/2] eligible colors that rank best are cached, placed in rank
+    order. {!Policy_lru_k} is this with the LRU-2 order. *)
+module Recency (_ : sig
+  val name : string
+  val order : Color_state.order
+end) : Rrs_sim.Policy.POLICY

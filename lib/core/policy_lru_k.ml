@@ -9,76 +9,7 @@
     same way it defeats ΔLRU — the baseline demonstrates that the EDF
     half of ΔLRU-EDF is doing real work. *)
 
-module Types = Rrs_sim.Types
-module Topk = Rrs_ds.Topk
-
-type t = {
-  n : int;
-  state : Color_state.t;
-  cached : (Types.color, unit) Hashtbl.t;
-  target : Types.color option array; (* reusable reconfigure buffer *)
-}
-
-let name = "dlru-2"
-
-let create ~n ~delta ~bounds =
-  {
-    n;
-    state = Color_state.create ~delta ~bounds ();
-    cached = Hashtbl.create 16;
-    target = Array.make n None;
-  }
-
-let on_drop t ~round ~dropped =
-  Color_state.on_drop t.state ~round ~dropped ~in_cache:(Hashtbl.mem t.cached)
-
-let on_arrival t ~round ~request = Color_state.on_arrival t.state ~round ~request
-
-let lru2_compare state ~round a b =
-  let by_second =
-    Int.compare
-      (Color_state.timestamp2 state b ~round)
-      (Color_state.timestamp2 state a ~round)
-  in
-  if by_second <> 0 then by_second
-  else
-    let by_first =
-      Int.compare
-        (Color_state.timestamp state b ~round)
-        (Color_state.timestamp state a ~round)
-    in
-    if by_first <> 0 then by_first else Int.compare a b
-
-let reconfigure t (view : Rrs_sim.Policy.view) =
-  let capacity = t.n / 2 in
-  let want =
-    Topk.select_list
-      ~compare:(lru2_compare t.state ~round:view.round)
-      ~k:capacity
-      (Color_state.eligible_colors t.state)
-  in
-  Hashtbl.reset t.cached;
-  List.iter (fun color -> Hashtbl.replace t.cached color ()) want;
-  Cache_layout.place ~into:t.target ~n:t.n ~copies:2 ~current:view.assignment
-    ~want ()
-
-let stats t = ("cached", Hashtbl.length t.cached) :: Color_state.stats t.state
-
-module Json = Rrs_sim.Event_sink.Json
-
-let cached_list cached =
-  Hashtbl.fold (fun color () acc -> color :: acc) cached []
-  |> List.sort Int.compare
-
-let serialize t =
-  Printf.sprintf "{\"cached\":%s,%s}"
-    (Json.ints (cached_list t.cached))
-    (Color_state.serialize_fields t.state)
-
-let deserialize t blob =
-  let fields = Json.parse_fields blob in
-  Color_state.deserialize_fields t.state fields;
-  Hashtbl.reset t.cached;
-  Array.iter
-    (fun color -> Hashtbl.replace t.cached color ())
-    (Json.ints_field fields "cached")
+include Policy_lru.Recency (struct
+  let name = "dlru-2"
+  let order = Color_state.Recency2
+end)

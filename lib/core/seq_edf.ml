@@ -12,93 +12,9 @@
     jobs never wraps, so a gated reference would drop jobs Par-EDF
     executes. *)
 
-module Types = Rrs_sim.Types
-module Job_pool = Rrs_sim.Job_pool
-module Topk = Rrs_ds.Topk
-
-type t = {
-  n : int;
-  num_colors : int;
-  state : Color_state.t; (* deadlines update at boundaries for all colors *)
-  cached : (Types.color, unit) Hashtbl.t;
-  target : Types.color option array; (* reusable reconfigure buffer *)
-  mutable evictions : int;
-}
-
-let name = "seq-edf"
-
-let create ~n ~delta ~bounds =
-  {
-    n;
-    num_colors = Array.length bounds;
-    state = Color_state.create ~delta ~bounds ();
-    cached = Hashtbl.create 16;
-    target = Array.make n None;
-    evictions = 0;
-  }
-
-let on_drop t ~round ~dropped =
-  Color_state.on_drop t.state ~round ~dropped ~in_cache:(Hashtbl.mem t.cached)
-
-let on_arrival t ~round ~request = Color_state.on_arrival t.state ~round ~request
-
-let worst_cached t ~compare =
-  Hashtbl.fold
-    (fun color () worst ->
-      match worst with
-      | None -> Some color
-      | Some w -> if compare color w > 0 then Some color else worst)
-    t.cached None
-
-let reconfigure t (view : Rrs_sim.Policy.view) =
-  let capacity = t.n in
-  let compare = Ranking.edf_compare t.state view.pool ~bounds:view.bounds in
-  (* All colors are candidates: no eligibility gate. *)
-  let top =
-    Topk.select ~compare ~k:capacity (fun f ->
-        for color = 0 to t.num_colors - 1 do
-          f color
-        done)
-  in
-  List.iter
-    (fun color ->
-      if Job_pool.nonidle view.pool color && not (Hashtbl.mem t.cached color) then begin
-        Hashtbl.replace t.cached color ();
-        if Hashtbl.length t.cached > capacity then begin
-          match worst_cached t ~compare with
-          | Some worst ->
-              Hashtbl.remove t.cached worst;
-              t.evictions <- t.evictions + 1
-          | None -> assert false
-        end
-      end)
-    top;
-  let want = Hashtbl.fold (fun color () acc -> color :: acc) t.cached [] in
-  Cache_layout.place ~into:t.target ~n:t.n ~copies:1 ~current:view.assignment
-    ~want ()
-
-let stats t =
-  ("cached", Hashtbl.length t.cached)
-  :: ("evictions", t.evictions)
-  :: Color_state.stats t.state
-
-module Json = Rrs_sim.Event_sink.Json
-
-let cached_list cached =
-  Hashtbl.fold (fun color () acc -> color :: acc) cached []
-  |> List.sort Int.compare
-
-let serialize t =
-  Printf.sprintf "{\"cached\":%s,\"evictions\":%d,%s}"
-    (Json.ints (cached_list t.cached))
-    t.evictions
-    (Color_state.serialize_fields t.state)
-
-let deserialize t blob =
-  let fields = Json.parse_fields blob in
-  Color_state.deserialize_fields t.state fields;
-  t.evictions <- Json.int_field fields "evictions";
-  Hashtbl.reset t.cached;
-  Array.iter
-    (fun color -> Hashtbl.replace t.cached color ())
-    (Json.ints_field fields "cached")
+include Policy_edf.Make (struct
+  let name = "seq-edf"
+  let slots ~n = n (* all [m] locations, distinct colors *)
+  let copies = 1
+  let gated = false (* every color is a candidate *)
+end)

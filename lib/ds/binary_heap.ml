@@ -8,21 +8,18 @@ module Make (Elt : ORDERED) = struct
   type t = {
     mutable data : Elt.t array;
     mutable size : int;
+    capacity : int; (* length of the backing array at the first push *)
   }
-
-  let create ?(capacity = 16) () =
-    { data = [||]; size = 0 } |> fun h ->
-    ignore capacity;
-    h
 
   (* The backing array is created lazily on first push so that [create]
      needs no dummy element. *)
+  let create ?(capacity = 16) () = { data = [||]; size = 0; capacity = max capacity 1 }
 
   let length h = h.size
   let is_empty h = h.size = 0
 
   let grow h x =
-    if Array.length h.data = 0 then h.data <- Array.make 16 x
+    if Array.length h.data = 0 then h.data <- Array.make h.capacity x
     else begin
       let data = Array.make (2 * Array.length h.data) h.data.(0) in
       Array.blit h.data 0 data 0 h.size;
@@ -69,7 +66,7 @@ module Make (Elt : ORDERED) = struct
         let n = List.length xs in
         let data = Array.make (max n 16) first in
         List.iteri (fun i x -> data.(i) <- x) xs;
-        let h = { data; size = n } in
+        let h = { data; size = n; capacity = 16 } in
         for i = (n / 2) - 1 downto 0 do
           sift_down h i
         done;
@@ -98,7 +95,7 @@ module Make (Elt : ORDERED) = struct
   let to_sorted_list h =
     if h.size = 0 then []
     else begin
-      let copy = { data = Array.sub h.data 0 h.size; size = h.size } in
+      let copy = { h with data = Array.sub h.data 0 h.size } in
       let rec drain acc =
         match pop_min_opt copy with
         | None -> List.rev acc

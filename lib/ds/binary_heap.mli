@@ -15,8 +15,10 @@ end
 module Make (Elt : ORDERED) : sig
   type t
 
-  (** [create ?capacity ()] is an empty heap. [capacity] is a size hint
-      (default 16); the heap grows on demand. *)
+  (** [create ?capacity ()] is an empty heap. The first push allocates
+      room for [capacity] elements (default 16), so up to [capacity]
+      pushes never regrow the backing array; past that the heap doubles
+      on demand. *)
   val create : ?capacity:int -> unit -> t
 
   (** [of_list xs] is a heap holding exactly the elements of [xs], built in

@@ -1,7 +1,8 @@
 (** Multiset of integers, stored as an ordered [key -> count] map.
 
-    Used for deadline multisets (pending jobs of one color grouped by
-    deadline) and for cache-content multisets in the offline search. All
+    Used by the offline exact search for its deadline and cache-content
+    multisets, where persistence (sharing between search branches) is
+    the point. All
     counts are kept strictly positive; removing the last occurrence of a
     key deletes it. *)
 

@@ -48,6 +48,15 @@ let add wheel ~time value =
   wheel.buckets.(slot) <- value :: wheel.buckets.(slot);
   wheel.count <- wheel.count + 1
 
+(* A bucket holds its values newest first: fire them oldest first, with
+   no reversed copy (buckets are short). *)
+let rec fire_in_order wheel f time = function
+  | [] -> ()
+  | v :: older ->
+      fire_in_order wheel f time older;
+      wheel.count <- wheel.count - 1;
+      f time v
+
 let advance wheel ~time f =
   if time < wheel.time then
     invalid_arg
@@ -61,12 +70,7 @@ let advance wheel ~time f =
     | [] -> ()
     | values ->
         wheel.buckets.(slot) <- [];
-        let t = wheel.time in
-        List.iter
-          (fun v ->
-            wheel.count <- wheel.count - 1;
-            f t v)
-          (List.rev values));
+        fire_in_order wheel f wheel.time values);
     wheel.time <- wheel.time + 1
   done;
   if wheel.time < time then wheel.time <- time

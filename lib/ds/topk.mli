@@ -4,8 +4,9 @@
     without sorting the whole stream: a size-[k] max-heap of the current
     best candidates is maintained, so the cost is [O(n log k)].
 
-    Scheduling policies use this every reconfiguration phase to pick the
-    top-[n/4] colors by recency or by deadline rank. *)
+    The scheduling policies do not select per round: their rankings are
+    kept sorted as events happen ({!Ranked_set}), and a round reads the
+    best colors as a prefix. *)
 
 (** [select ~compare ~k iter] returns the [k] smallest elements (ascending
     order by [compare]) among those produced by [iter]. [iter f] must call

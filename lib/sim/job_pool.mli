@@ -4,7 +4,15 @@
     indistinguishable except for their deadline, so they are stored as
     [deadline -> count] multisets; executing a job of a color always
     consumes the earliest deadline (within one color this is optimal and
-    matches every algorithm in the paper). *)
+    matches every algorithm in the paper).
+
+    Each multiset is a run-length FIFO in a reused circular buffer: every
+    engine arrival has deadline [round + bound], so per color deadlines
+    arrive in nondecreasing order and [add] appends at the back, while
+    execution and expiry consume the front. An out-of-order deadline
+    (only direct callers produce one) is inserted at its place in
+    O(runs). The drop phase reuses its scratch buffers; execution
+    ({!execute}) and adds to an existing run allocate nothing. *)
 
 type t
 
@@ -45,7 +53,11 @@ val drop_expired : t -> round:int -> (Types.color * int) list
     [<= round] (an expired job survived a drop phase — engine bug). *)
 val execute_one : t -> color:Types.color -> round:int -> int option
 
-(** Deep copy (used by what-if explorations in tests). The copy preserves
+(** [execute] is {!execute_one} without the option: the consumed job's
+    deadline, or [-1] when the color is idle. *)
+val execute : t -> color:Types.color -> round:int -> int
+
+(** Deep copy, O(pending runs). The copy preserves
     the pool's expiry clock: it rejects the same past deadlines as the
     original and its next [drop_expired] resumes from the original's
     round, not from 0. *)

@@ -29,10 +29,14 @@ let create ?(record_events = true) ?sink ~delta () =
 
 let sink t = t.sink
 
+(* Events are built only for a sink that keeps them: a [Null] batch run
+   allocates nothing per event. *)
 let record_reconfig t ~round ~mini_round ~location ~previous ~next =
   t.reconfigs <- t.reconfigs + 1;
-  Event_sink.record t.sink
-    (Reconfig { round; mini_round; location; previous; next })
+  match t.sink with
+  | Event_sink.Null -> ()
+  | sink ->
+      Event_sink.record sink (Reconfig { round; mini_round; location; previous; next })
 
 let record_failed_reconfig t ~round ~mini_round ~location ~previous ~attempted =
   (* A failed Configure still pays Delta, so it counts as a reconfig. *)
@@ -44,12 +48,15 @@ let record_failed_reconfig t ~round ~mini_round ~location ~previous ~attempted =
 let record_drop t ~round ~color ~count =
   if count < 0 then invalid_arg "Ledger.record_drop: negative count";
   t.drops <- t.drops + count;
-  if count > 0 then Event_sink.record t.sink (Drop { round; color; count })
+  match t.sink with
+  | Event_sink.Null -> ()
+  | sink -> if count > 0 then Event_sink.record sink (Drop { round; color; count })
 
 let record_execute t ~round ~mini_round ~location ~color ~deadline =
   t.execs <- t.execs + 1;
-  Event_sink.record t.sink
-    (Execute { round; mini_round; location; color; deadline })
+  match t.sink with
+  | Event_sink.Null -> ()
+  | sink -> Event_sink.record sink (Execute { round; mini_round; location; color; deadline })
 
 let record_crash t ~round ~location =
   Event_sink.record t.sink (Crash { round; location })

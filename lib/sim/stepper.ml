@@ -112,7 +112,8 @@ type t = {
   mutable base : checkpoint option; (* latest checkpoint, if any *)
   mutable offline_count : int;
   mutable round : int; (* the round the next [step] executes *)
-  mutable buffered : Types.request list; (* fed chunks, newest first *)
+  mutable first_chunk : Types.request; (* the round's first fed chunk *)
+  mutable buffered : Types.request list; (* later fed chunks, newest first *)
   mutable buffered_jobs : int;
   mutable accepted_jobs : int; (* total jobs accepted by [feed] *)
   mutable history : (int * Types.request) list;
@@ -177,6 +178,7 @@ let create ?(record_events = true) ?sink ?probes ?(profile = false) ?faults
     base = None;
     offline_count = 0;
     round = 0;
+    first_chunk = [];
     buffered = [];
     buffered_jobs = 0;
     accepted_jobs = 0;
@@ -197,26 +199,31 @@ let checkpoint_every t = t.checkpoint_every
 let base_round t = match t.base with None -> 0 | Some ck -> ck.ck_round
 let history_rounds t = List.length t.history
 
+let rec count_jobs t ~num_colors acc = function
+  | [] -> acc
+  | (color, count) :: rest ->
+      if color < 0 || color >= num_colors then
+        invalid_arg
+          (Printf.sprintf "%s: feed of unknown color %d (valid: 0..%d)"
+             t.label color (num_colors - 1));
+      if count < 0 then
+        invalid_arg
+          (Printf.sprintf "%s: feed of color %d with negative count %d"
+             t.label color count);
+      count_jobs t ~num_colors (acc + count) rest
+
 let feed t request =
   if t.finished then invalid_arg (t.label ^ ": feed after finish");
-  let num_colors = Array.length t.config.bounds in
   let jobs =
-    List.fold_left
-      (fun acc (color, count) ->
-        if color < 0 || color >= num_colors then
-          invalid_arg
-            (Printf.sprintf "%s: feed of unknown color %d (valid: 0..%d)"
-               t.label color (num_colors - 1));
-        if count < 0 then
-          invalid_arg
-            (Printf.sprintf "%s: feed of color %d with negative count %d"
-               t.label color count);
-        acc + count)
-      0 request
+    count_jobs t ~num_colors:(Array.length t.config.bounds) 0 request
   in
-  (* Chunks are prepended (constant-time), so repeated feeds within one
-     round stay linear; [buffered_request] restores fed order. *)
-  if request <> [] then t.buffered <- request :: t.buffered;
+  (* The first chunk of a round is held as is; later chunks are
+     prepended (constant-time), so repeated feeds within one round stay
+     linear; [buffered_request] restores fed order. *)
+  (match (request, t.first_chunk) with
+  | [], _ -> ()
+  | _, [] -> t.first_chunk <- request
+  | _, _ :: _ -> t.buffered <- request :: t.buffered);
   t.buffered_jobs <- t.buffered_jobs + jobs;
   t.accepted_jobs <- t.accepted_jobs + jobs
 
@@ -224,9 +231,8 @@ let feed t request =
    single-feed round returns the chunk itself, no copy. *)
 let buffered_request t =
   match t.buffered with
-  | [] -> []
-  | [ request ] -> request
-  | chunks -> List.concat (List.rev chunks)
+  | [] -> t.first_chunk
+  | chunks -> List.concat (t.first_chunk :: List.rev chunks)
 
 (* Already-normalized requests (strictly ascending colors, positive
    counts — everything [Instance.make] produces) are consumed as-is, so
@@ -237,6 +243,28 @@ let rec is_normalized prev = function
       count > 0 && color > prev && is_normalized color rest
 
 let idle_mark = { Profile.mark_s = 0.0; mark_minor = 0.0 }
+let mark t = if t.profile then Profile.start () else idle_mark
+let tick t index m = if t.profile then Profile.stop t.prof index m
+
+let rec record_drops ledger probes ~bounds ~round = function
+  | [] -> ()
+  | (color, count) :: rest ->
+      Ledger.record_drop ledger ~round ~color ~count;
+      (match probes with
+      | None -> ()
+      | Some p -> Probe.observe_n p.drop_latency bounds.(color) ~n:count);
+      record_drops ledger probes ~bounds ~round rest
+
+let rec add_arrivals pool ~bounds ~round = function
+  | [] -> ()
+  | (color, count) :: rest ->
+      Job_pool.add pool ~color ~deadline:(round + bounds.(color)) ~count;
+      add_arrivals pool ~bounds ~round rest
+
+let pp_dropped =
+  Format.pp_print_list
+    ~pp_sep:(fun ppf () -> Format.fprintf ppf " ")
+    (fun ppf (c, k) -> Format.fprintf ppf "%d:%d" c k)
 
 let offline_list offline =
   let acc = ref [] in
@@ -280,8 +308,6 @@ let step t =
   let pool = t.pool and ledger = t.ledger and sink = t.sink in
   let assignment = t.assignment and offline = t.offline in
   let probes = t.probes in
-  let mark () = if t.profile then Profile.start () else idle_mark in
-  let tick index m = if t.profile then Profile.stop t.prof index m in
   let round = t.round in
   let reconfigs0 = Ledger.reconfig_count ledger in
   let drops0 = Ledger.drop_count ledger in
@@ -306,47 +332,35 @@ let step t =
           Ledger.record_crash ledger ~round ~location)
         (Fault.crashes_at plan ~round));
   (* Drop phase: jobs with deadline = round are dropped. *)
-  let m0 = mark () in
+  let m0 = mark t in
   let dropped = Job_pool.drop_expired pool ~round in
-  if dropped <> [] then
-    Log.debug (fun m ->
-        m "round %d: dropped %a" round
-          (Format.pp_print_list
-             ~pp_sep:(fun ppf () -> Format.fprintf ppf " ")
-             (fun ppf (c, k) -> Format.fprintf ppf "%d:%d" c k))
-          dropped);
-  List.iter
-    (fun (color, count) -> Ledger.record_drop ledger ~round ~color ~count)
-    dropped;
-  (match probes with
-  | None -> ()
-  | Some p ->
-      List.iter
-        (fun (color, count) ->
-          Probe.observe_n p.drop_latency bounds.(color) ~n:count)
-        dropped);
+  (match dropped with
+  | _ :: _ when Logs.Src.level Log.src = Some Logs.Debug ->
+      Log.debug (fun m -> m "round %d: dropped %a" round pp_dropped dropped)
+  | _ -> ());
+  record_drops ledger probes ~bounds ~round dropped;
   t.pi.p_on_drop ~round ~dropped;
-  tick 0 m0;
+  tick t 0 m0;
   (* Arrival phase: consume the fed buffer. *)
-  let m1 = mark () in
+  let m1 = mark t in
   let request =
     match buffered_request t with
     | [] -> []
     | request when is_normalized (-1) request -> request
     | request -> Types.normalize_request request
   in
+  t.first_chunk <- [];
   t.buffered <- [];
   t.buffered_jobs <- 0;
-  if request <> [] then t.history <- (round, request) :: t.history;
-  List.iter
-    (fun (color, count) ->
-      Job_pool.add pool ~color ~deadline:(round + bounds.(color)) ~count)
-    request;
+  (match request with
+  | [] -> ()
+  | _ :: _ -> t.history <- (round, request) :: t.history);
+  add_arrivals pool ~bounds ~round request;
   t.pi.p_on_arrival ~round ~request;
-  tick 1 m1;
+  tick t 1 m1;
   (* Reconfiguration + execution, [speed] mini-rounds. *)
   for mini_round = 0 to speed - 1 do
-    let m2 = mark () in
+    let m2 = mark t in
     let view = { Policy.round; mini_round; n; delta; bounds; assignment; pool } in
     let target = t.pi.p_reconfigure view in
     if Array.length target <> n then
@@ -356,7 +370,7 @@ let step t =
     for location = 0 to n - 1 do
       match target.(location) with
       | None -> () (* inactive this mini-round; physical color persists *)
-      | Some next ->
+      | Some next as wanted ->
           if next < 0 || next >= num_colors then
             invalid_arg
               (Printf.sprintf
@@ -364,9 +378,14 @@ let step t =
                   mini-round %d); valid colors are 0..%d"
                  t.label t.pi.p_name next location round mini_round
                  (num_colors - 1));
+          let unchanged =
+            match assignment.(location) with
+            | Some current -> current = next
+            | None -> false
+          in
           if offline.(location) then
             () (* offline: the target is ignored, nothing is paid *)
-          else if assignment.(location) <> Some next then
+          else if not unchanged then
             if
               match t.faults with
               | None -> false
@@ -381,28 +400,27 @@ let step t =
             else begin
               Ledger.record_reconfig ledger ~round ~mini_round ~location
                 ~previous:assignment.(location) ~next;
-              assignment.(location) <- Some next
+              assignment.(location) <- wanted
             end
     done;
-    tick 2 m2;
-    let m3 = mark () in
+    tick t 2 m2;
+    let m3 = mark t in
     for location = 0 to n - 1 do
       (* Execute the location's PHYSICAL color: after a failed
          reconfiguration it differs from the policy's target. *)
-      if (not offline.(location)) && target.(location) <> None then
-        match assignment.(location) with
-        | None -> ()
-        | Some color -> (
-            match Job_pool.execute_one pool ~color ~round with
-            | None -> ()
-            | Some deadline ->
-                Ledger.record_execute ledger ~round ~mini_round ~location
-                  ~color ~deadline;
-                (match probes with
-                | None -> ()
-                | Some p -> Probe.observe p.exec_slack (deadline - round)))
+      match (target.(location), assignment.(location)) with
+      | Some _, Some color when not offline.(location) -> (
+          match Job_pool.execute pool ~color ~round with
+          | -1 -> ()
+          | deadline -> (
+              Ledger.record_execute ledger ~round ~mini_round ~location ~color
+                ~deadline;
+              match probes with
+              | None -> ()
+              | Some p -> Probe.observe p.exec_slack (deadline - round)))
+      | _ -> ()
     done;
-    tick 3 m3
+    tick t 3 m3
   done;
   (* End-of-round observability: probes and the streamed snapshot. *)
   (match probes with

@@ -1,5 +1,7 @@
 module Types = Rrs_sim.Types
 module Job_pool = Rrs_sim.Job_pool
+module Sticky_set = Rrs_core.Sticky_set
+module Cache_layout = Rrs_core.Cache_layout
 
 let policy ~drop_costs : (module Rrs_sim.Policy.POLICY) =
   (module struct
@@ -8,8 +10,8 @@ let policy ~drop_costs : (module Rrs_sim.Policy.POLICY) =
       delta : int;
       demand : int array; (* weighted backlog accumulated while uncached *)
       credit : float array; (* Landlord credit of cached colors *)
-      cached : (Types.color, unit) Hashtbl.t;
-      target : Types.color option array; (* reusable reconfigure buffer *)
+      cached : Sticky_set.t;
+      layout : Cache_layout.t;
       mutable faults : int;
       mutable evictions : int;
       mutable hits : int;
@@ -26,8 +28,8 @@ let policy ~drop_costs : (module Rrs_sim.Policy.POLICY) =
         delta;
         demand = Array.make num_colors 0;
         credit = Array.make num_colors 0.0;
-        cached = Hashtbl.create 16;
-        target = Array.make n None;
+        cached = Sticky_set.create ~num_colors;
+        layout = Cache_layout.create ~n ~copies:2 ~num_colors;
         faults = 0;
         evictions = 0;
         hits = 0;
@@ -39,7 +41,7 @@ let policy ~drop_costs : (module Rrs_sim.Policy.POLICY) =
       List.iter
         (fun (color, count) ->
           if count > 0 then
-            if Hashtbl.mem t.cached color then begin
+            if Sticky_set.mem t.cached color then begin
               (* Hit: refresh the landlord credit. *)
               t.credit.(color) <- float_of_int t.delta;
               t.hits <- t.hits + 1
@@ -53,22 +55,22 @@ let policy ~drop_costs : (module Rrs_sim.Policy.POLICY) =
     let evict_for_room t =
       (* The Landlord step: charge everyone the minimum credit, evict the
          zeroed tenants (lowest credit first). *)
-      let min_credit =
-        Hashtbl.fold (fun color () acc -> Float.min acc t.credit.(color)) t.cached
-          infinity
-      in
-      if Float.is_finite min_credit then begin
-        let victims = ref [] in
-        Hashtbl.iter
-          (fun color () ->
-            t.credit.(color) <- t.credit.(color) -. min_credit;
-            if t.credit.(color) <= 1e-9 then victims := color :: !victims)
-          t.cached;
-        match List.sort Int.compare !victims with
-        | victim :: _ ->
-            Hashtbl.remove t.cached victim;
-            t.evictions <- t.evictions + 1
-        | [] -> ()
+      let min_credit = ref infinity in
+      for i = 0 to Sticky_set.cardinal t.cached - 1 do
+        min_credit := Float.min !min_credit t.credit.(Sticky_set.nth t.cached i)
+      done;
+      if Float.is_finite !min_credit then begin
+        let victim = ref (-1) in
+        for i = 0 to Sticky_set.cardinal t.cached - 1 do
+          let color = Sticky_set.nth t.cached i in
+          t.credit.(color) <- t.credit.(color) -. !min_credit;
+          if t.credit.(color) <= 1e-9 && (!victim < 0 || color < !victim) then
+            victim := color
+        done;
+        if !victim >= 0 then begin
+          Sticky_set.remove t.cached !victim;
+          t.evictions <- t.evictions + 1
+        end
       end
 
     let reconfigure t (view : Rrs_sim.Policy.view) =
@@ -79,32 +81,34 @@ let policy ~drop_costs : (module Rrs_sim.Policy.POLICY) =
       let faulting =
         Job_pool.nonidle_colors view.pool
         |> List.filter (fun color ->
-               (not (Hashtbl.mem t.cached color)) && t.demand.(color) >= t.delta)
+               (not (Sticky_set.mem t.cached color)) && t.demand.(color) >= t.delta)
         |> List.sort (fun a b -> Int.compare t.demand.(b) t.demand.(a))
       in
       List.iter
         (fun color ->
-          if not (Hashtbl.mem t.cached color) then begin
+          if not (Sticky_set.mem t.cached color) then begin
             let guard = ref (2 * capacity) in
-            while Hashtbl.length t.cached >= capacity && !guard > 0 do
+            while Sticky_set.cardinal t.cached >= capacity && !guard > 0 do
               evict_for_room t;
               decr guard
             done;
-            if Hashtbl.length t.cached < capacity then begin
-              Hashtbl.replace t.cached color ();
+            if Sticky_set.cardinal t.cached < capacity then begin
+              Sticky_set.add t.cached color;
               t.credit.(color) <- float_of_int t.delta;
               t.demand.(color) <- 0;
               t.faults <- t.faults + 1
             end
           end)
         faulting;
-      let want = Hashtbl.fold (fun color () acc -> color :: acc) t.cached [] in
-      Rrs_core.Cache_layout.place ~into:t.target ~n:t.n ~copies:2
-        ~current:view.assignment ~want ()
+      for i = 0 to Sticky_set.cardinal t.cached - 1 do
+        Cache_layout.want t.layout (Sticky_set.nth t.cached i)
+      done;
+      Cache_layout.assign t.layout ~current:view.assignment
+        ~order:(Sticky_set.iter_placement_order t.cached)
 
     let stats t =
       [
-        ("cached", Hashtbl.length t.cached);
+        ("cached", Sticky_set.cardinal t.cached);
         ("faults", t.faults);
         ("evictions", t.evictions);
         ("hits", t.hits);
@@ -121,10 +125,7 @@ let policy ~drop_costs : (module Rrs_sim.Policy.POLICY) =
         |> List.map (Printf.sprintf "%h")
         |> String.concat ","
       in
-      let cached =
-        Hashtbl.fold (fun color () acc -> color :: acc) t.cached []
-        |> List.sort Int.compare
-      in
+      let cached = Sticky_set.to_sorted_list t.cached in
       Printf.sprintf
         "{\"demand\":%s,\"credit\":%s,\"cached\":%s,\"faults\":%d,\
          \"evictions\":%d,\"hits\":%d}"
@@ -157,8 +158,5 @@ let policy ~drop_costs : (module Rrs_sim.Policy.POLICY) =
       t.faults <- Json.int_field fields "faults";
       t.evictions <- Json.int_field fields "evictions";
       t.hits <- Json.int_field fields "hits";
-      Hashtbl.reset t.cached;
-      Array.iter
-        (fun color -> Hashtbl.replace t.cached color ())
-        (Json.ints_field fields "cached")
+      Sticky_set.restore t.cached (Json.ints_field fields "cached")
   end)

@@ -59,6 +59,22 @@ let test_heap_grow () =
   check_bool "invariant after growth" true (Int_heap.check_invariant h);
   check "min" 1 (Int_heap.pop_min h)
 
+(* The size hint is honoured at the first push: [capacity] pushes never
+   regrow the backing array, so they allocate nothing after the first. *)
+let test_heap_capacity_hint () =
+  let capacity = 200 in
+  let h = Int_heap.create ~capacity () in
+  Int_heap.push h 0;
+  let before = Gc.minor_words () in
+  for i = 1 to capacity - 1 do
+    Int_heap.push h i
+  done;
+  let words = Gc.minor_words () -. before in
+  check "length" capacity (Int_heap.length h);
+  check_bool
+    (Printf.sprintf "no regrowth up to capacity (%.0f minor words)" words)
+    true (words < 16.)
+
 let prop_heap_sorts =
   QCheck2.Test.make ~name:"heap: to_sorted_list sorts any list" ~count:200
     QCheck2.Gen.(list (int_bound 1000))
@@ -100,6 +116,63 @@ let prop_topk_matches_sort =
         List.sort Int.compare xs |> List.filteri (fun i _ -> i < k)
       in
       Topk.select_list ~compare:Int.compare ~k xs = expected)
+
+(* ---- Dense set ---- *)
+
+let prop_dense_set_model =
+  QCheck2.Test.make ~name:"dense set: mirrors a sorted-list model" ~count:300
+    QCheck2.Gen.(list (pair bool (int_bound 31)))
+    (fun ops ->
+      let set = Rrs_ds.Dense_set.create ~universe:32 in
+      let model =
+        List.fold_left
+          (fun model (add, x) ->
+            if add then begin
+              Rrs_ds.Dense_set.add set x;
+              List.sort_uniq Int.compare (x :: model)
+            end
+            else begin
+              Rrs_ds.Dense_set.remove set x;
+              List.filter (( <> ) x) model
+            end)
+          [] ops
+      in
+      Rrs_ds.Dense_set.to_sorted_list set = model
+      && Rrs_ds.Dense_set.cardinal set = List.length model
+      && List.for_all (Rrs_ds.Dense_set.mem set) model
+      && List.sort Int.compare
+           (List.init (Rrs_ds.Dense_set.cardinal set) (Rrs_ds.Dense_set.nth set))
+         = model)
+
+(* ---- Ranked set ---- *)
+
+let prop_ranked_set_model =
+  QCheck2.Test.make ~name:"ranked set: sorted by (k1, k2, id) under re-keying"
+    ~count:300
+    QCheck2.Gen.(list (triple (int_bound 2) (int_bound 15) (pair (int_bound 4) (int_bound 2))))
+    (fun ops ->
+      let set = Rrs_ds.Ranked_set.create ~universe:16 in
+      let model = Hashtbl.create 16 in
+      List.iter
+        (fun (op, x, (k1, k2)) ->
+          if op = 0 then begin
+            Rrs_ds.Ranked_set.remove set x;
+            Hashtbl.remove model x
+          end
+          else begin
+            Rrs_ds.Ranked_set.add set x ~k1 ~k2;
+            Hashtbl.replace model x (k1, k2)
+          end)
+        ops;
+      let expected =
+        Hashtbl.fold (fun x (k1, k2) acc -> (k1, k2, x) :: acc) model []
+        |> List.sort compare
+        |> List.map (fun (_, _, x) -> x)
+      in
+      let got =
+        List.init (Rrs_ds.Ranked_set.cardinal set) (Rrs_ds.Ranked_set.nth set)
+      in
+      got = expected && List.for_all (Rrs_ds.Ranked_set.mem set) expected)
 
 (* ---- Timing wheel ---- *)
 
@@ -318,6 +391,7 @@ let suite =
         quick "of_list heapifies" test_heap_of_list_invariant;
         quick "clear and reuse" test_heap_clear;
         quick "growth" test_heap_grow;
+        quick "capacity hint honoured" test_heap_capacity_hint;
         prop prop_heap_sorts;
         prop prop_heap_pop_order;
       ] );
@@ -327,6 +401,8 @@ let suite =
         quick "custom order" test_topk_reverse_order;
         prop prop_topk_matches_sort;
       ] );
+    ("ds.dense_set", [ prop prop_dense_set_model ]);
+    ("ds.ranked_set", [ prop prop_ranked_set_model ]);
     ( "ds.timing_wheel",
       [
         quick "ordered delivery" test_wheel_basic;

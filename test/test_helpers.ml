@@ -57,6 +57,46 @@ let gen_tiny : Instance.t QCheck2.Gen.t =
       (Rrs_workload.Random_workloads.uniform ~seed ~colors ~delta
          ~bound_log_range:(0, 2) ~horizon ~load ~rate_limited:true ()))
 
+(* Instances at the benchmark sweep's shape: 16-256 colors, uniform or
+   Zipf arrivals, and n in {8, 16, 32, 64}, so every cached set holds
+   several colors and the order of the sticky sets is exercised. *)
+let gen_sweep_shape : (Instance.t * int) QCheck2.Gen.t =
+  QCheck2.Gen.(
+    let* seed = int_bound 10_000 in
+    let* colors = int_range 16 256 in
+    let* n = oneofl [ 8; 16; 32; 64 ] in
+    let* delta = int_range 2 8 in
+    let* horizon = int_range 48 128 in
+    let* zipf = bool in
+    let* instance =
+      if zipf then
+        let* load = float_range 0.1 0.6 in
+        return
+          (Rrs_workload.Random_workloads.zipf ~seed ~colors ~delta
+             ~bound_log_range:(1, 6) ~horizon ~load ~s:1.1 ~rate_limited:true ())
+      else
+        let* load = float_range 0.1 1.0 in
+        return
+          (Rrs_workload.Random_workloads.uniform ~seed ~colors ~delta
+             ~bound_log_range:(1, 5) ~horizon ~load ~rate_limited:true ())
+    in
+    return (instance, n))
+
+(* Every engine-drivable policy of the repository, each paired with its
+   reference model (test/reference_policies.ml): the registry, ΔLRU-2,
+   two ΔLRU-EDF splits and Landlord (unit drop costs). *)
+let policy_pairs (instance : Instance.t) :
+    ((module Rrs_sim.Policy.POLICY) * (module Rrs_sim.Policy.POLICY)) list =
+  let drop_costs = Array.make (Array.length instance.Instance.bounds) 1 in
+  List.combine Rrs_core.Policies.all Reference_policies.all
+  @ [
+      ((module Rrs_core.Policy_lru_k), (module Reference_policies.Policy_lru_k));
+      (Rrs_core.Lru_edf_core.with_share 0.25, Reference_policies.Lru_edf_core.with_share 0.25);
+      (Rrs_core.Lru_edf_core.with_share 0.75, Reference_policies.Lru_edf_core.with_share 0.75);
+      ( Rrs_uniform.Landlord.policy ~drop_costs,
+        Reference_policies.Landlord.policy ~drop_costs );
+    ]
+
 (* Run a policy and return (ledger, stats, validated schedule). Fails the
    test on validation errors. *)
 let run_validated ?speed ~n ~policy instance =

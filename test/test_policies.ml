@@ -310,6 +310,34 @@ let test_par_edf_prefers_early_deadlines () =
   check "both executed" 2 result.executed
 
 let quick name f = Alcotest.test_case name `Quick f
+(* ---- allocation budget of the batch path ---- *)
+
+(* [Engine.run ~record_events:false] at the benchmark sweep's large
+   shape (256 colors, n = 64, Zipf arrivals): minor words per round stay
+   within twice what the event-driven engine was measured to allocate
+   (dlru 104, edf 109, dlru-edf 122, seq-edf 93 words per round, set-up
+   included). What remains is proportional to events — drop lists, new
+   deadline runs, admissions — not to colors or locations. The counts
+   are deterministic for one compiler (measured with OCaml 5.1.1); the
+   engine before that rewrite allocated ~3,000 words per round here. *)
+let test_allocation_budget () =
+  let horizon = 1_000 in
+  let instance =
+    Rrs_workload.Random_workloads.zipf ~seed:2 ~colors:256 ~delta:8
+      ~bound_log_range:(2, 6) ~horizon ~load:0.2 ~s:1.1 ~rate_limited:true ()
+  in
+  let budget = [ ("dlru", 210.); ("edf", 220.); ("dlru-edf", 245.); ("seq-edf", 185.) ] in
+  List.iter
+    (fun (module P : Rrs_sim.Policy.POLICY) ->
+      let before = Gc.minor_words () in
+      ignore (Engine.run ~record_events:false ~n:64 ~policy:(module P) instance);
+      let per_round = (Gc.minor_words () -. before) /. float_of_int horizon in
+      let limit = List.assoc P.name budget in
+      check_bool
+        (Printf.sprintf "%s: %.1f minor words per round <= %.0f" P.name per_round limit)
+        true (per_round <= limit))
+    Rrs_core.Policies.all
+
 let prop p = QCheck_alcotest.to_alcotest p
 
 let suite =
@@ -348,6 +376,7 @@ let suite =
         quick "appendix B shape" test_edf_killer_shape;
         quick "dlru-edf survives both adversaries" test_lru_edf_handles_both_adversaries;
       ] );
+    ("core.allocation", [ quick "batch path within its budget" test_allocation_budget ]);
     ( "core.par_edf",
       [
         quick "drop optimality on overload" test_par_edf_optimal_drops;

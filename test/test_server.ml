@@ -296,7 +296,7 @@ let test_session_close_idempotent_trace () =
 
 (* ---- engine over stepper: stream identity ---- *)
 
-let trace_engine ~n instance =
+let trace_engine ?(policy = policy) ~n instance =
   let path = Filename.temp_file "rrs_engine" ".jsonl" in
   let channel = open_out path in
   let result =
@@ -490,8 +490,9 @@ let is_suffix ~of_:full suffix =
 let restored_line line =
   String.length line >= 18 && String.sub line 0 18 = "{\"type\":\"restored\""
 
-let run_with_interruption_v2 ~n ~cut ~checkpoint_every instance =
-  let full_path, full = trace_engine ~n instance in
+let run_with_interruption_v2 ?(policy = policy) ~n ~cut ~checkpoint_every
+    instance =
+  let full_path, full = trace_engine ~policy ~n instance in
   let config =
     { Stepper.name = instance.Instance.name; delta = instance.Instance.delta;
       bounds = instance.Instance.bounds; n; speed = 1;
@@ -556,6 +557,28 @@ let prop_snapshot_restore_v2 =
         run_with_interruption_v2 ~n:4 ~cut ~checkpoint_every instance
       in
       full_cost = resumed_cost && same_assignment && stream_ok)
+
+(* The same property at the benchmark sweep's shape (up to 256 colors,
+   n up to 64), where the cached sets hold many colors and their order
+   matters, for every policy of the repository. *)
+let prop_snapshot_restore_v2_sweep_shape =
+  QCheck2.Test.make
+    ~name:
+      "rrs-snap/2: checkpointed snapshot + restore = uninterrupted run, \
+       every policy at the sweep shape"
+    ~count:10
+    QCheck2.Gen.(
+      triple H.gen_sweep_shape (int_bound 1_000_000) (int_range 1 16))
+    (fun ((instance, n), cut_seed, checkpoint_every) ->
+      let horizon = instance.Instance.horizon in
+      let cut = 1 + (cut_seed mod (horizon - 1)) in
+      List.for_all
+        (fun (policy, _) ->
+          let full_cost, resumed_cost, same_assignment, stream_ok =
+            run_with_interruption_v2 ~policy ~n ~cut ~checkpoint_every instance
+          in
+          full_cost = resumed_cost && same_assignment && stream_ok)
+        (H.policy_pairs instance))
 
 (* Checkpointing compacts the replay base but must never perturb the
    run itself: same feeds, same events, byte for byte. *)
@@ -2361,6 +2384,7 @@ let suite =
           test_restore_rejects_tampering;
         prop prop_snapshot_restore;
         prop prop_snapshot_restore_v2;
+        prop prop_snapshot_restore_v2_sweep_shape;
         Alcotest.test_case "checkpointing does not perturb the stream" `Quick
           test_checkpointing_does_not_perturb_stream;
         Alcotest.test_case "checkpoints bound history and snapshot size"
