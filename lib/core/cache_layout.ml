@@ -76,14 +76,3 @@ let assign t ~current ~order =
   end;
   t.count <- 0;
   target
-
-let place ~n ~copies ~current ~want:colors () =
-  let num_colors =
-    List.fold_left max
-      (Array.fold_left (fun acc c -> match c with Some c -> max acc c | None -> acc) 0 current)
-      colors
-    + 1
-  in
-  let t = create ~n ~copies ~num_colors in
-  List.iter (want t) colors;
-  assign t ~current ~order:(fun f -> List.iter f colors)

@@ -39,15 +39,3 @@ val assign :
   current:Rrs_sim.Types.color option array ->
   order:((Rrs_sim.Types.color -> unit) -> unit) ->
   Rrs_sim.Types.color option array
-
-(** The one-call form over a list, into a fresh array: [want] holds the
-    wanted colors in placement order.
-    @raise Invalid_argument if [copies < 1], [want] has duplicates or
-    [copies * |want| > n]. *)
-val place :
-  n:int ->
-  copies:int ->
-  current:Rrs_sim.Types.color option array ->
-  want:Rrs_sim.Types.color list ->
-  unit ->
-  Rrs_sim.Types.color option array

@@ -2,27 +2,18 @@ module Probe = Rrs_obs.Probe
 module Clock = Rrs_obs.Clock
 module Json = Rrs_sim.Event_sink.Json
 
-(* Request kinds, indexed by [kind_index]. [error] is the bucket for
-   frames that never resolved to a request (malformed input, replies
-   sent as requests). *)
-let kinds =
-  [| "hello"; "open"; "feed"; "step"; "stats"; "snapshot"; "close"; "metrics";
-     "error" |]
+(* Request kinds, indexed by [kind_index]: the request frames in /2 tag
+   order, then [error], the bucket for frames that never resolved to a
+   request (malformed input, replies sent as requests). *)
+let kinds = Array.append Wire.requests [| "error" |]
 
-let error_kind = Array.length kinds - 1
+let error_kind = Array.length Wire.requests
 
-let step_kind = 3
+let kind_index frame =
+  let tag = Wire.tag frame in
+  if tag <= error_kind then tag - 1 else error_kind
 
-let kind_index = function
-  | Wire.Hello _ -> 0
-  | Wire.Open _ -> 1
-  | Wire.Feed _ -> 2
-  | Wire.Step _ -> 3
-  | Wire.Stats _ -> 4
-  | Wire.Snapshot _ -> 5
-  | Wire.Close _ -> 6
-  | Wire.Metrics _ -> 7
-  | _ -> error_kind
+let step_kind = kind_index (Wire.Step { session = ""; rounds = 1 })
 
 let kind_name index = kinds.(index)
 

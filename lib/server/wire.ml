@@ -9,13 +9,6 @@ let max_frame = 4 * 1024 * 1024
 
 type framing = V1 | V2
 
-(* A declared workload: per-color token-bucket rate numerators over one
-   shared denominator, plus optional per-color bursts ([||] = all
-   zero). Optional on [Open] (admission) and [Feed] (re-declaration) in
-   both framings: /1 encodes three extra JSON fields old servers
-   ignore, /2 appends a presence-marked group old frames simply lack
-   (an undeclared frame is byte-identical to the pre-declaration
-   encoding). *)
 type decl = { d_rates : int array; d_den : int; d_bursts : int array }
 
 type frame =
@@ -93,293 +86,299 @@ type frame =
     }
   | Error_frame of { message : string }
 
-(* ---- rrs-wire/1 encoding: flat JSON objects ---- *)
+(* ---- the field schema ----
 
-let ints array =
-  let buffer = Buffer.create 32 in
+   Each frame type is described once: its /1 type name, its /2 tag and
+   its fields in wire order, each with its /1 key. The four codecs below
+   (/1 and /2, encode and decode) interpret this description, so a new
+   field goes into the frame type and its shape here, and no codec
+   changes. *)
+
+type _ field =
+  | Int : string * int option -> int field
+      (* key, and the value of a /1 frame that leaves the key out *)
+  | Str : string * string option -> string field
+  | Ints : string -> int array field
+  | Opt_str : string -> string option field
+      (* /1: the key is left out for [None]; /2: a presence byte *)
+  | Decl : decl option field
+      (* Always last. /1: the keys [rates], [rate_den] and [bursts] (left
+         out when empty), keyed on [rate_den]. /2: a presence-marked
+         group written only when declared, so an undeclared frame is
+         byte-identical to the pre-declaration encoding. *)
+
+(* A frame's fields, and a list of values of the same shape. *)
+type _ fields =
+  | [] : unit fields
+  | ( :: ) : 'a field * 'b fields -> ('a * 'b) fields
+
+type _ values = [] : unit values | ( :: ) : 'a * 'b values -> ('a * 'b) values
+
+type 'a shape = {
+  name : string; (* the /1 "type" *)
+  tag : int; (* the /2 tag byte *)
+  fields : 'a fields;
+  make : 'a values -> frame;
+}
+
+type any_shape = Shape : 'a shape -> any_shape
+type view = View : 'a shape * 'a values -> view
+
+let shape name tag fields make = { name; tag; fields; make }
+let int key = Int (key, None)
+let str key = Str (key, None)
+let session = str "session"
+
+(* requests *)
+let hello =
+  shape "hello" 1 [ str "version" ] (fun [ client_version ] ->
+      Hello { client_version })
+let open_ =
+  shape "open" 2
+    [ session; str "policy"; int "delta"; Ints "bounds"; int "n";
+      Int ("speed", Some 1); Int ("horizon", Some 0);
+      Int ("queue_limit", Some 0); Decl ]
+    (fun [ session; policy; delta; bounds; n; speed; horizon; queue_limit;
+           decl ] ->
+      Open
+        { session; policy; delta; bounds; n; speed; horizon; queue_limit;
+          decl })
+let feed =
+  shape "feed" 3 [ session; Ints "colors"; Ints "counts"; Decl ]
+    (fun [ session; colors; counts; decl ] ->
+      Feed { session; colors; counts; decl })
+let step =
+  shape "step" 4 [ session; Int ("rounds", Some 1) ] (fun [ session; rounds ] ->
+      Step { session; rounds })
+let stats = shape "stats" 5 [ session ] (fun [ session ] -> Stats { session })
+let snapshot =
+  shape "snapshot" 6 [ session; Opt_str "path" ] (fun [ session; path ] ->
+      Snapshot { session; path })
+let close = shape "close" 7 [ session ] (fun [ session ] -> Close { session })
+let metrics =
+  shape "metrics" 8 [ Int ("slow", Some 0) ] (fun [ slow ] -> Metrics { slow })
+
+(* replies *)
+let hello_ok =
+  shape "hello_ok" 17
+    [ str "version"; Str ("server", Some ""); Int ("uptime_s", Some 0) ]
+    (fun [ server_version; server; uptime_s ] ->
+      Hello_ok { server_version; server; uptime_s })
+let opened =
+  shape "opened" 18 [ session; int "round" ] (fun [ session; round ] ->
+      Opened { session; round })
+let fed =
+  shape "fed" 19 [ session; int "accepted"; int "buffered" ]
+    (fun [ session; accepted; buffered ] -> Fed { session; accepted; buffered })
+let shed =
+  shape "shed" 20 [ session; int "shed"; int "buffered"; int "limit" ]
+    (fun [ session; shed; buffered; limit ] ->
+      Shed { session; shed; buffered; limit })
+let stepped =
+  shape "stepped" 21
+    [ session; int "round"; int "pending"; int "cost"; int "reconfigs";
+      int "drops"; int "execs" ]
+    (fun [ session; round; pending; cost; reconfigs; drops; execs ] ->
+      Stepped { session; round; pending; cost; reconfigs; drops; execs })
+let stats_ok =
+  shape "stats_ok" 22
+    [ session; int "round"; int "pending"; int "buffered"; int "fed";
+      int "accepted"; int "shed"; int "execs"; int "drops"; int "reconfigs";
+      int "failed"; int "cost"; Int ("wire", Some 0); Int ("bytes_in", Some 0);
+      Int ("bytes_out", Some 0) ]
+    (fun [ session; round; pending; buffered; fed; accepted; shed; execs;
+           drops; reconfigs; failed; cost; wire; bytes_in; bytes_out ] ->
+      Stats_ok
+        { session; round; pending; buffered; fed; accepted; shed; execs; drops;
+          reconfigs; failed; cost; wire; bytes_in; bytes_out })
+let snapshotted =
+  shape "snapshotted" 23 [ session; Opt_str "path"; Opt_str "doc" ]
+    (fun [ session; path; doc ] -> Snapshotted { session; path; doc })
+let closed =
+  shape "closed" 24 [ session; int "cost" ] (fun [ session; cost ] ->
+      Closed { session; cost })
+let error =
+  shape "error" 25 [ str "message" ] (fun [ message ] ->
+      Error_frame { message })
+let metrics_ok =
+  shape "metrics_ok" 26 [ str "doc"; Str ("slow", Some "") ]
+    (fun [ doc; slow ] -> Metrics_ok { doc; slow })
+let admission_rejected =
+  shape "admission_rejected" 27
+    [ session; int "color"; int "demand"; int "supply"; str "message" ]
+    (fun [ session; color; demand; supply; message ] ->
+      Admission_reject { session; color; demand; supply; message })
+
+let request_shapes : any_shape list =
+  [ Shape hello; Shape open_; Shape feed; Shape step; Shape stats;
+    Shape snapshot; Shape close; Shape metrics ]
+
+let shapes =
+  request_shapes
+  @ [ Shape hello_ok; Shape opened; Shape fed; Shape shed; Shape stepped;
+      Shape stats_ok; Shape snapshotted; Shape closed; Shape error;
+      Shape metrics_ok; Shape admission_rejected ]
+
+let requests =
+  Array.of_list (List.map (fun (Shape shape) -> shape.name) request_shapes)
+
+let view = function
+  | Hello { client_version } -> View (hello, [ client_version ])
+  | Open { session; policy; delta; bounds; n; speed; horizon; queue_limit; decl }
+    ->
+      View
+        ( open_,
+          [ session; policy; delta; bounds; n; speed; horizon; queue_limit;
+            decl ] )
+  | Feed { session; colors; counts; decl } ->
+      View (feed, [ session; colors; counts; decl ])
+  | Step { session; rounds } -> View (step, [ session; rounds ])
+  | Stats { session } -> View (stats, [ session ])
+  | Snapshot { session; path } -> View (snapshot, [ session; path ])
+  | Close { session } -> View (close, [ session ])
+  | Metrics { slow } -> View (metrics, [ slow ])
+  | Hello_ok { server_version; server; uptime_s } ->
+      View (hello_ok, [ server_version; server; uptime_s ])
+  | Opened { session; round } -> View (opened, [ session; round ])
+  | Fed { session; accepted; buffered } ->
+      View (fed, [ session; accepted; buffered ])
+  | Shed { session; shed = s; buffered; limit } ->
+      View (shed, [ session; s; buffered; limit ])
+  | Stepped { session; round; pending; cost; reconfigs; drops; execs } ->
+      View (stepped, [ session; round; pending; cost; reconfigs; drops; execs ])
+  | Stats_ok
+      { session; round; pending; buffered; fed = f; accepted; shed = s; execs;
+        drops; reconfigs; failed; cost; wire; bytes_in; bytes_out } ->
+      View
+        ( stats_ok,
+          [ session; round; pending; buffered; f; accepted; s; execs; drops;
+            reconfigs; failed; cost; wire; bytes_in; bytes_out ] )
+  | Snapshotted { session; path; doc } ->
+      View (snapshotted, [ session; path; doc ])
+  | Closed { session; cost } -> View (closed, [ session; cost ])
+  | Error_frame { message } -> View (error, [ message ])
+  | Metrics_ok { doc; slow } -> View (metrics_ok, [ doc; slow ])
+  | Admission_reject { session; color; demand; supply; message } ->
+      View (admission_rejected, [ session; color; demand; supply; message ])
+
+let tag frame =
+  let (View (shape, _)) = view frame in
+  shape.tag
+
+(* The walks every codec shares: one field at a time, in schema order. *)
+
+type each = { each : 'a. 'a field -> 'a -> unit }
+
+let rec iter : type a. each -> a fields -> a values -> unit =
+ fun f fields values ->
+  match (fields, values) with
+  | [], [] -> ()
+  | field :: fields, value :: values ->
+      f.each field value;
+      iter f fields values
+
+type read = { read : 'a. 'a field -> 'a }
+
+let rec build : type a. read -> a fields -> a values =
+ fun r fields ->
+  match fields with
+  | [] -> []
+  | field :: fields ->
+      let value = r.read field in
+      value :: build r fields
+
+(* ---- rrs-wire/1: flat JSON objects ---- *)
+
+let add_key buffer key =
+  Buffer.add_string buffer ",\"";
+  Buffer.add_string buffer key;
+  Buffer.add_string buffer "\":"
+
+let add_json_int buffer key value =
+  add_key buffer key;
+  Buffer.add_string buffer (string_of_int value)
+
+let add_json_ints buffer key values =
+  add_key buffer key;
   Buffer.add_char buffer '[';
   Array.iteri
     (fun i v ->
       if i > 0 then Buffer.add_char buffer ',';
       Buffer.add_string buffer (string_of_int v))
-    array;
-  Buffer.add_char buffer ']';
+    values;
+  Buffer.add_char buffer ']'
+
+let add_json_str buffer key value =
+  add_key buffer key;
+  Json.escape_into buffer value
+
+let add_json_field (type a) buffer (field : a field) (value : a) =
+  match field with
+  | Int (key, _) -> add_json_int buffer key value
+  | Str (key, _) -> add_json_str buffer key value
+  | Ints key -> add_json_ints buffer key value
+  | Opt_str key -> Option.iter (add_json_str buffer key) value
+  | Decl ->
+      Option.iter
+        (fun { d_rates; d_den; d_bursts } ->
+          add_json_ints buffer "rates" d_rates;
+          add_json_int buffer "rate_den" d_den;
+          if Array.length d_bursts > 0 then
+            add_json_ints buffer "bursts" d_bursts)
+        value
+
+let encode frame =
+  let (View (shape, values)) = view frame in
+  let buffer = Buffer.create 256 in
+  Buffer.add_string buffer "{\"type\":\"";
+  Buffer.add_string buffer shape.name;
+  Buffer.add_char buffer '"';
+  iter { each = (fun f v -> add_json_field buffer f v) } shape.fields values;
+  Buffer.add_char buffer '}';
   Buffer.contents buffer
 
-let decl_suffix = function
-  | None -> ""
-  | Some { d_rates; d_den; d_bursts } ->
-      Printf.sprintf ",\"rates\":%s,\"rate_den\":%d%s" (ints d_rates) d_den
-        (if Array.length d_bursts = 0 then ""
-         else Printf.sprintf ",\"bursts\":%s" (ints d_bursts))
+let parse_error fmt = Printf.ksprintf (fun m -> raise (Json.Parse_error m)) fmt
 
-let encode = function
-  | Hello { client_version } ->
-      Printf.sprintf "{\"type\":\"hello\",\"version\":%s}"
-        (Json.escape client_version)
-  | Open
-      { session; policy; delta; bounds; n; speed; horizon; queue_limit; decl }
-    ->
-      Printf.sprintf
-        "{\"type\":\"open\",\"session\":%s,\"policy\":%s,\"delta\":%d,\
-         \"bounds\":%s,\"n\":%d,\"speed\":%d,\"horizon\":%d,\
-         \"queue_limit\":%d%s}"
-        (Json.escape session) (Json.escape policy) delta (ints bounds) n speed
-        horizon queue_limit (decl_suffix decl)
-  | Feed { session; colors; counts; decl } ->
-      Printf.sprintf
-        "{\"type\":\"feed\",\"session\":%s,\"colors\":%s,\"counts\":%s%s}"
-        (Json.escape session) (ints colors) (ints counts) (decl_suffix decl)
-  | Step { session; rounds } ->
-      Printf.sprintf "{\"type\":\"step\",\"session\":%s,\"rounds\":%d}"
-        (Json.escape session) rounds
-  | Stats { session } ->
-      Printf.sprintf "{\"type\":\"stats\",\"session\":%s}"
-        (Json.escape session)
-  | Snapshot { session; path } ->
-      Printf.sprintf "{\"type\":\"snapshot\",\"session\":%s%s}"
-        (Json.escape session)
-        (match path with
-        | None -> ""
-        | Some p -> Printf.sprintf ",\"path\":%s" (Json.escape p))
-  | Close { session } ->
-      Printf.sprintf "{\"type\":\"close\",\"session\":%s}"
-        (Json.escape session)
-  | Metrics { slow } ->
-      Printf.sprintf "{\"type\":\"metrics\",\"slow\":%d}" slow
-  | Hello_ok { server_version; server; uptime_s } ->
-      Printf.sprintf
-        "{\"type\":\"hello_ok\",\"version\":%s,\"server\":%s,\"uptime_s\":%d}"
-        (Json.escape server_version) (Json.escape server) uptime_s
-  | Opened { session; round } ->
-      Printf.sprintf "{\"type\":\"opened\",\"session\":%s,\"round\":%d}"
-        (Json.escape session) round
-  | Fed { session; accepted; buffered } ->
-      Printf.sprintf
-        "{\"type\":\"fed\",\"session\":%s,\"accepted\":%d,\"buffered\":%d}"
-        (Json.escape session) accepted buffered
-  | Shed { session; shed; buffered; limit } ->
-      Printf.sprintf
-        "{\"type\":\"shed\",\"session\":%s,\"shed\":%d,\"buffered\":%d,\
-         \"limit\":%d}"
-        (Json.escape session) shed buffered limit
-  | Stepped { session; round; pending; cost; reconfigs; drops; execs } ->
-      Printf.sprintf
-        "{\"type\":\"stepped\",\"session\":%s,\"round\":%d,\"pending\":%d,\
-         \"cost\":%d,\"reconfigs\":%d,\"drops\":%d,\"execs\":%d}"
-        (Json.escape session) round pending cost reconfigs drops execs
-  | Stats_ok
-      { session; round; pending; buffered; fed; accepted; shed; execs; drops;
-        reconfigs; failed; cost; wire; bytes_in; bytes_out } ->
-      Printf.sprintf
-        "{\"type\":\"stats_ok\",\"session\":%s,\"round\":%d,\"pending\":%d,\
-         \"buffered\":%d,\"fed\":%d,\"accepted\":%d,\"shed\":%d,\
-         \"execs\":%d,\"drops\":%d,\"reconfigs\":%d,\"failed\":%d,\
-         \"cost\":%d,\"wire\":%d,\"bytes_in\":%d,\"bytes_out\":%d}"
-        (Json.escape session) round pending buffered fed accepted shed execs
-        drops reconfigs failed cost wire bytes_in bytes_out
-  | Snapshotted { session; path; doc } ->
-      Printf.sprintf "{\"type\":\"snapshotted\",\"session\":%s%s%s}"
-        (Json.escape session)
-        (match path with
-        | None -> ""
-        | Some p -> Printf.sprintf ",\"path\":%s" (Json.escape p))
-        (match doc with
-        | None -> ""
-        | Some d -> Printf.sprintf ",\"doc\":%s" (Json.escape d))
-  | Closed { session; cost } ->
-      Printf.sprintf "{\"type\":\"closed\",\"session\":%s,\"cost\":%d}"
-        (Json.escape session) cost
-  | Metrics_ok { doc; slow } ->
-      Printf.sprintf "{\"type\":\"metrics_ok\",\"doc\":%s,\"slow\":%s}"
-        (Json.escape doc) (Json.escape slow)
-  | Admission_reject { session; color; demand; supply; message } ->
-      Printf.sprintf
-        "{\"type\":\"admission_rejected\",\"session\":%s,\"color\":%d,\
-         \"demand\":%d,\"supply\":%d,\"message\":%s}"
-        (Json.escape session) color demand supply (Json.escape message)
-  | Error_frame { message } ->
-      Printf.sprintf "{\"type\":\"error\",\"message\":%s}"
-        (Json.escape message)
-
-(* ---- rrs-wire/1 decoding ---- *)
-
-let opt_str_field fields key =
-  match List.assoc_opt key fields with
+let opt_str obj key =
+  match List.assoc_opt key obj with
   | None -> None
   | Some (Json.Vstr value) -> Some value
-  | Some _ ->
-      raise (Json.Parse_error (Printf.sprintf "field %S: expected string" key))
+  | Some _ -> parse_error "field %S: expected string" key
 
-let opt_ints_field fields key =
-  match List.assoc_opt key fields with
-  | None -> [||]
-  | Some (Json.Vints values) -> values
-  | Some _ ->
-      raise
-        (Json.Parse_error (Printf.sprintf "field %S: expected int array" key))
-
-(* The declaration is carried by three optional fields keyed on
-   ["rate_den"]; frames without it decode as undeclared. *)
-let decl_of_fields fields =
-  match List.assoc_opt "rate_den" fields with
-  | None -> None
-  | Some (Json.Vint d_den) ->
-      Some
-        {
-          d_rates = Json.ints_field fields "rates";
-          d_den;
-          d_bursts = opt_ints_field fields "bursts";
-        }
-  | Some _ ->
-      raise (Json.Parse_error "field \"rate_den\": expected int")
+(* One lookup per key, with the accessors' own error messages. *)
+let json_field (type a) obj (field : a field) : a =
+  match field with
+  | Int (key, None) -> Json.int_field obj key
+  | Int (key, Some default) -> Json.opt_int_field obj key ~default
+  | Str (key, None) -> Json.str_field obj key
+  | Str (key, Some default) -> Option.value (opt_str obj key) ~default
+  | Ints key -> Json.ints_field obj key
+  | Opt_str key -> opt_str obj key
+  | Decl -> (
+      match List.assoc_opt "rate_den" obj with
+      | None -> None
+      | Some (Json.Vint d_den) ->
+          let d_rates = Json.ints_field obj "rates" in
+          let d_bursts =
+            match List.assoc_opt "bursts" obj with
+            | None -> [||]
+            | Some (Json.Vints bursts) -> bursts
+            | Some _ -> parse_error "field \"bursts\": expected int array"
+          in
+          Some { d_rates; d_den; d_bursts }
+      | Some _ -> parse_error "field \"rate_den\": expected int")
 
 let decode text =
   match Json.parse_fields text with
   | exception Json.Parse_error message -> Error message
-  | fields -> (
+  | obj -> (
       try
-        let session () = Json.str_field fields "session" in
-        match Json.str_field fields "type" with
-        | "hello" ->
-            Ok (Hello { client_version = Json.str_field fields "version" })
-        | "open" ->
-            Ok
-              (Open
-                 {
-                   session = session ();
-                   policy = Json.str_field fields "policy";
-                   delta = Json.int_field fields "delta";
-                   bounds = Json.ints_field fields "bounds";
-                   n = Json.int_field fields "n";
-                   speed = Json.opt_int_field fields "speed" ~default:1;
-                   horizon = Json.opt_int_field fields "horizon" ~default:0;
-                   queue_limit =
-                     Json.opt_int_field fields "queue_limit" ~default:0;
-                   decl = decl_of_fields fields;
-                 })
-        | "feed" ->
-            Ok
-              (Feed
-                 {
-                   session = session ();
-                   colors = Json.ints_field fields "colors";
-                   counts = Json.ints_field fields "counts";
-                   decl = decl_of_fields fields;
-                 })
-        | "step" ->
-            Ok
-              (Step
-                 {
-                   session = session ();
-                   rounds = Json.opt_int_field fields "rounds" ~default:1;
-                 })
-        | "stats" -> Ok (Stats { session = session () })
-        | "snapshot" ->
-            Ok
-              (Snapshot
-                 { session = session (); path = opt_str_field fields "path" })
-        | "close" -> Ok (Close { session = session () })
-        | "metrics" ->
-            Ok (Metrics { slow = Json.opt_int_field fields "slow" ~default:0 })
-        | "hello_ok" ->
-            (* [server]/[uptime_s] are optional so pre-observability
-               transcripts still decode. *)
-            Ok
-              (Hello_ok
-                 {
-                   server_version = Json.str_field fields "version";
-                   server =
-                     Option.value (opt_str_field fields "server") ~default:"";
-                   uptime_s = Json.opt_int_field fields "uptime_s" ~default:0;
-                 })
-        | "opened" ->
-            Ok
-              (Opened
-                 { session = session (); round = Json.int_field fields "round" })
-        | "fed" ->
-            Ok
-              (Fed
-                 {
-                   session = session ();
-                   accepted = Json.int_field fields "accepted";
-                   buffered = Json.int_field fields "buffered";
-                 })
-        | "shed" ->
-            Ok
-              (Shed
-                 {
-                   session = session ();
-                   shed = Json.int_field fields "shed";
-                   buffered = Json.int_field fields "buffered";
-                   limit = Json.int_field fields "limit";
-                 })
-        | "stepped" ->
-            Ok
-              (Stepped
-                 {
-                   session = session ();
-                   round = Json.int_field fields "round";
-                   pending = Json.int_field fields "pending";
-                   cost = Json.int_field fields "cost";
-                   reconfigs = Json.int_field fields "reconfigs";
-                   drops = Json.int_field fields "drops";
-                   execs = Json.int_field fields "execs";
-                 })
-        | "stats_ok" ->
-            Ok
-              (Stats_ok
-                 {
-                   session = session ();
-                   round = Json.int_field fields "round";
-                   pending = Json.int_field fields "pending";
-                   buffered = Json.int_field fields "buffered";
-                   fed = Json.int_field fields "fed";
-                   accepted = Json.int_field fields "accepted";
-                   shed = Json.int_field fields "shed";
-                   execs = Json.int_field fields "execs";
-                   drops = Json.int_field fields "drops";
-                   reconfigs = Json.int_field fields "reconfigs";
-                   failed = Json.int_field fields "failed";
-                   cost = Json.int_field fields "cost";
-                   wire = Json.opt_int_field fields "wire" ~default:0;
-                   bytes_in = Json.opt_int_field fields "bytes_in" ~default:0;
-                   bytes_out =
-                     Json.opt_int_field fields "bytes_out" ~default:0;
-                 })
-        | "snapshotted" ->
-            Ok
-              (Snapshotted
-                 {
-                   session = session ();
-                   path = opt_str_field fields "path";
-                   doc = opt_str_field fields "doc";
-                 })
-        | "closed" ->
-            Ok
-              (Closed
-                 { session = session (); cost = Json.int_field fields "cost" })
-        | "metrics_ok" ->
-            Ok
-              (Metrics_ok
-                 {
-                   doc = Json.str_field fields "doc";
-                   slow =
-                     Option.value (opt_str_field fields "slow") ~default:"";
-                 })
-        | "admission_rejected" ->
-            Ok
-              (Admission_reject
-                 {
-                   session = session ();
-                   color = Json.int_field fields "color";
-                   demand = Json.int_field fields "demand";
-                   supply = Json.int_field fields "supply";
-                   message = Json.str_field fields "message";
-                 })
-        | "error" ->
-            Ok (Error_frame { message = Json.str_field fields "message" })
-        | other -> Error (Printf.sprintf "unknown frame type %S" other)
+        let name = Json.str_field obj "type" in
+        match List.find_opt (fun (Shape s) -> s.name = name) shapes with
+        | None -> Error (Printf.sprintf "unknown frame type %S" name)
+        | Some (Shape shape) ->
+            let read = { read = (fun field -> json_field obj field) } in
+            Ok (shape.make (build read shape.fields))
       with Json.Parse_error message -> Error message)
 
 (* ---- rrs-wire/2: binary framing ----
@@ -393,27 +392,6 @@ let decode text =
 
 let magic0 = '\xF2'
 let magic1 = 'R'
-
-let tag_of_frame = function
-  | Hello _ -> 1
-  | Open _ -> 2
-  | Feed _ -> 3
-  | Step _ -> 4
-  | Stats _ -> 5
-  | Snapshot _ -> 6
-  | Close _ -> 7
-  | Metrics _ -> 8
-  | Hello_ok _ -> 17
-  | Opened _ -> 18
-  | Fed _ -> 19
-  | Shed _ -> 20
-  | Stepped _ -> 21
-  | Stats_ok _ -> 22
-  | Snapshotted _ -> 23
-  | Closed _ -> 24
-  | Error_frame _ -> 25
-  | Metrics_ok _ -> 26
-  | Admission_reject _ -> 27
 
 let add_varint buffer value =
   (* zigzag, so negative ints stay compact and total *)
@@ -435,125 +413,34 @@ let add_ints buffer a =
   add_varint buffer (Array.length a);
   Array.iter (add_varint buffer) a
 
-let add_opt_string buffer = function
-  | None -> Buffer.add_char buffer '\000'
-  | Some s ->
-      Buffer.add_char buffer '\001';
-      add_string buffer s
-
-(* Appended only when declared, so an undeclared frame stays
-   byte-identical to its pre-declaration encoding and old decoders never
-   see trailing bytes. *)
-let add_opt_decl buffer = function
-  | None -> ()
-  | Some { d_rates; d_den; d_bursts } ->
-      Buffer.add_char buffer '\001';
-      add_ints buffer d_rates;
-      add_varint buffer d_den;
-      add_ints buffer d_bursts
-
-let add_payload buffer = function
-  | Hello { client_version } -> add_string buffer client_version
-  | Open
-      { session; policy; delta; bounds; n; speed; horizon; queue_limit; decl }
-    ->
-      add_string buffer session;
-      add_string buffer policy;
-      add_varint buffer delta;
-      add_ints buffer bounds;
-      add_varint buffer n;
-      add_varint buffer speed;
-      add_varint buffer horizon;
-      add_varint buffer queue_limit;
-      add_opt_decl buffer decl
-  | Feed { session; colors; counts; decl } ->
-      add_string buffer session;
-      add_ints buffer colors;
-      add_ints buffer counts;
-      add_opt_decl buffer decl
-  | Step { session; rounds } ->
-      add_string buffer session;
-      add_varint buffer rounds
-  | Stats { session } -> add_string buffer session
-  | Snapshot { session; path } ->
-      add_string buffer session;
-      add_opt_string buffer path
-  | Close { session } -> add_string buffer session
-  | Metrics { slow } -> add_varint buffer slow
-  | Hello_ok { server_version; server; uptime_s } ->
-      add_string buffer server_version;
-      add_string buffer server;
-      add_varint buffer uptime_s
-  | Opened { session; round } ->
-      add_string buffer session;
-      add_varint buffer round
-  | Fed { session; accepted; buffered } ->
-      add_string buffer session;
-      add_varint buffer accepted;
-      add_varint buffer buffered
-  | Shed { session; shed; buffered; limit } ->
-      add_string buffer session;
-      add_varint buffer shed;
-      add_varint buffer buffered;
-      add_varint buffer limit
-  | Stepped { session; round; pending; cost; reconfigs; drops; execs } ->
-      add_string buffer session;
-      add_varint buffer round;
-      add_varint buffer pending;
-      add_varint buffer cost;
-      add_varint buffer reconfigs;
-      add_varint buffer drops;
-      add_varint buffer execs
-  | Stats_ok
-      { session; round; pending; buffered; fed; accepted; shed; execs; drops;
-        reconfigs; failed; cost; wire; bytes_in; bytes_out } ->
-      add_string buffer session;
-      add_varint buffer round;
-      add_varint buffer pending;
-      add_varint buffer buffered;
-      add_varint buffer fed;
-      add_varint buffer accepted;
-      add_varint buffer shed;
-      add_varint buffer execs;
-      add_varint buffer drops;
-      add_varint buffer reconfigs;
-      add_varint buffer failed;
-      add_varint buffer cost;
-      add_varint buffer wire;
-      add_varint buffer bytes_in;
-      add_varint buffer bytes_out
-  | Snapshotted { session; path; doc } ->
-      add_string buffer session;
-      add_opt_string buffer path;
-      add_opt_string buffer doc
-  | Closed { session; cost } ->
-      add_string buffer session;
-      add_varint buffer cost
-  | Metrics_ok { doc; slow } ->
-      add_string buffer doc;
-      add_string buffer slow
-  | Admission_reject { session; color; demand; supply; message } ->
-      add_string buffer session;
-      add_varint buffer color;
-      add_varint buffer demand;
-      add_varint buffer supply;
-      add_string buffer message
-  | Error_frame { message } -> add_string buffer message
+let add_binary_field (type a) buffer (field : a field) (value : a) =
+  match field with
+  | Int _ -> add_varint buffer value
+  | Str _ -> add_string buffer value
+  | Ints _ -> add_ints buffer value
+  | Opt_str _ ->
+      Buffer.add_char buffer (if Option.is_none value then '\000' else '\001');
+      Option.iter (add_string buffer) value
+  | Decl ->
+      Option.iter
+        (fun { d_rates; d_den; d_bursts } ->
+          Buffer.add_char buffer '\001';
+          add_ints buffer d_rates;
+          add_varint buffer d_den;
+          add_ints buffer d_bursts)
+        value
 
 let encode_binary frame =
-  let payload = Buffer.create 64 in
-  add_payload payload frame;
-  let length = Buffer.length payload in
-  let out = Buffer.create (length + 7) in
-  Buffer.add_char out magic0;
-  Buffer.add_char out magic1;
-  Buffer.add_char out (Char.chr ((length lsr 24) land 0xff));
-  Buffer.add_char out (Char.chr ((length lsr 16) land 0xff));
-  Buffer.add_char out (Char.chr ((length lsr 8) land 0xff));
-  Buffer.add_char out (Char.chr (length land 0xff));
-  Buffer.add_char out (Char.chr (tag_of_frame frame));
-  Buffer.add_buffer out payload;
-  Buffer.contents out
+  let (View (shape, values)) = view frame in
+  let buffer = Buffer.create 64 in
+  Buffer.add_char buffer magic0;
+  Buffer.add_char buffer magic1;
+  Buffer.add_string buffer "\000\000\000\000";
+  Buffer.add_char buffer (Char.chr shape.tag);
+  iter { each = (fun f v -> add_binary_field buffer f v) } shape.fields values;
+  let out = Buffer.to_bytes buffer in
+  Bytes.set_int32_be out 2 (Int32.of_int (Bytes.length out - 7));
+  Bytes.unsafe_to_string out
 
 (* Binary payload decoding: a cursor over the payload string; every
    malformation is a [Decode_error], never an exception escape. *)
@@ -570,159 +457,68 @@ let next_byte cursor =
   cursor.at <- cursor.at + 1;
   byte
 
+(* A 63-bit int fits 9 bytes of 7 bits, so a 9th byte that still
+   continues is refused rather than shifted off the top. *)
 let read_varint cursor =
   let rec go shift acc =
-    if shift > 63 then fail "varint too long";
     let byte = next_byte cursor in
     let acc = acc lor ((byte land 0x7f) lsl shift) in
-    if byte land 0x80 = 0 then acc else go (shift + 7) acc
+    if byte land 0x80 = 0 then acc
+    else if shift >= 56 then fail "varint too long"
+    else go (shift + 7) acc
   in
   let z = go 0 0 in
   (z lsr 1) lxor (-(z land 1))
 
-let read_string cursor =
+(* A length can be any varint: compare it with what is left, since
+   [at + length] may overflow. *)
+let read_length cursor what =
   let length = read_varint cursor in
-  if length < 0 || cursor.at + length > String.length cursor.text then
-    fail "bad string length %d" length;
+  if length < 0 || length > String.length cursor.text - cursor.at then
+    fail "bad %s length %d" what length;
+  length
+
+let read_string cursor =
+  let length = read_length cursor "string" in
   let s = String.sub cursor.text cursor.at length in
   cursor.at <- cursor.at + length;
   s
 
 let read_ints cursor =
-  let count = read_varint cursor in
-  if count < 0 || count > String.length cursor.text - cursor.at then
-    fail "bad array length %d" count;
-  Array.init count (fun _ -> read_varint cursor)
+  Array.init (read_length cursor "array") (fun _ -> read_varint cursor)
 
-let read_opt_string cursor =
-  match next_byte cursor with
-  | 0 -> None
-  | 1 -> Some (read_string cursor)
-  | b -> fail "bad option byte %d" b
+let read_binary_field (type a) c (field : a field) : a =
+  match field with
+  | Int _ -> read_varint c
+  | Str _ -> read_string c
+  | Ints _ -> read_ints c
+  | Opt_str _ -> (
+      match next_byte c with
+      | 0 -> None
+      | 1 -> Some (read_string c)
+      | b -> fail "bad option byte %d" b)
+  | Decl -> (
+      (* a pre-declaration frame ends where its fixed fields do *)
+      if c.at >= String.length c.text then None
+      else
+        match next_byte c with
+        | 1 ->
+            let d_rates = read_ints c in
+            let d_den = read_varint c in
+            let d_bursts = read_ints c in
+            Some { d_rates; d_den; d_bursts }
+        | b -> fail "bad declaration marker %d" b)
 
-(* Present only when the sender declared: a pre-declaration frame ends
-   exactly where the fixed fields do, so a cursor at payload end means
-   [None]. This is what keeps the extension optional in /2 without a
-   version bump. *)
-let read_opt_decl c =
-  if c.at >= String.length c.text then None
-  else
-    match next_byte c with
-    | 1 ->
-        let d_rates = read_ints c in
-        let d_den = read_varint c in
-        let d_bursts = read_ints c in
-        Some { d_rates; d_den; d_bursts }
-    | b -> fail "bad declaration marker %d" b
+let by_tag =
+  Array.init 32 (fun tag -> List.find_opt (fun (Shape s) -> s.tag = tag) shapes)
 
 let decode_payload tag payload =
   let c = { text = payload; at = 0 } in
-  let str () = read_string c in
-  let int () = read_varint c in
-  let ints () = read_ints c in
+  let read = { read = (fun field -> read_binary_field c field) } in
   match
-    match tag with
-    | 1 -> Hello { client_version = str () }
-    | 2 ->
-        let session = str () in
-        let policy = str () in
-        let delta = int () in
-        let bounds = ints () in
-        let n = int () in
-        let speed = int () in
-        let horizon = int () in
-        let queue_limit = int () in
-        let decl = read_opt_decl c in
-        Open
-          { session; policy; delta; bounds; n; speed; horizon; queue_limit;
-            decl }
-    | 3 ->
-        let session = str () in
-        let colors = ints () in
-        let counts = ints () in
-        let decl = read_opt_decl c in
-        Feed { session; colors; counts; decl }
-    | 4 ->
-        let session = str () in
-        let rounds = int () in
-        Step { session; rounds }
-    | 5 -> Stats { session = str () }
-    | 6 ->
-        let session = str () in
-        let path = read_opt_string c in
-        Snapshot { session; path }
-    | 7 -> Close { session = str () }
-    | 8 -> Metrics { slow = int () }
-    | 17 ->
-        let server_version = str () in
-        let server = str () in
-        let uptime_s = int () in
-        Hello_ok { server_version; server; uptime_s }
-    | 18 ->
-        let session = str () in
-        let round = int () in
-        Opened { session; round }
-    | 19 ->
-        let session = str () in
-        let accepted = int () in
-        let buffered = int () in
-        Fed { session; accepted; buffered }
-    | 20 ->
-        let session = str () in
-        let shed = int () in
-        let buffered = int () in
-        let limit = int () in
-        Shed { session; shed; buffered; limit }
-    | 21 ->
-        let session = str () in
-        let round = int () in
-        let pending = int () in
-        let cost = int () in
-        let reconfigs = int () in
-        let drops = int () in
-        let execs = int () in
-        Stepped { session; round; pending; cost; reconfigs; drops; execs }
-    | 22 ->
-        let session = str () in
-        let round = int () in
-        let pending = int () in
-        let buffered = int () in
-        let fed = int () in
-        let accepted = int () in
-        let shed = int () in
-        let execs = int () in
-        let drops = int () in
-        let reconfigs = int () in
-        let failed = int () in
-        let cost = int () in
-        let wire = int () in
-        let bytes_in = int () in
-        let bytes_out = int () in
-        Stats_ok
-          { session; round; pending; buffered; fed; accepted; shed; execs;
-            drops; reconfigs; failed; cost; wire; bytes_in; bytes_out }
-    | 23 ->
-        let session = str () in
-        let path = read_opt_string c in
-        let doc = read_opt_string c in
-        Snapshotted { session; path; doc }
-    | 24 ->
-        let session = str () in
-        let cost = int () in
-        Closed { session; cost }
-    | 25 -> Error_frame { message = str () }
-    | 26 ->
-        let doc = str () in
-        let slow = str () in
-        Metrics_ok { doc; slow }
-    | 27 ->
-        let session = str () in
-        let color = int () in
-        let demand = int () in
-        let supply = int () in
-        let message = str () in
-        Admission_reject { session; color; demand; supply; message }
-    | tag -> fail "unknown binary frame tag %d" tag
+    match if tag < Array.length by_tag then by_tag.(tag) else None with
+    | None -> fail "unknown binary frame tag %d" tag
+    | Some (Shape shape) -> shape.make (build read shape.fields)
   with
   | frame ->
       if c.at <> String.length payload then

@@ -24,7 +24,14 @@
     reader.
 
     Every byte a live process reads off a socket — the server's event
-    loop and {!Client} alike — goes through {!Stream}. *)
+    loop and {!Client} alike — goes through {!Stream}.
+
+    Each frame type is described once, in the field schema inside
+    [wire.ml]: its /1 type name, its /2 tag, and its fields in wire
+    order with their JSON keys and /1 defaults. Both framings' encoders
+    and decoders interpret that description, so the schema is the one
+    place where a frame's wire fields are declared, and where a new
+    field goes (besides the {!frame} type itself). *)
 
 val version : string
 (** ["rrs-wire/1"], the default, exchanged in [hello]/[hello_ok]. *)
@@ -174,6 +181,13 @@ val frame_line : string -> string
 
 val to_wire : framing -> frame -> string
 (** The complete wire bytes of one frame under the given framing. *)
+
+val requests : string array
+(** The /1 type names of the request frames, in /2 tag order: the
+    request at index [i] has tag [i + 1]. Replies have higher tags. *)
+
+val tag : frame -> int
+(** The frame's /2 tag. *)
 
 type read_result =
   | Frame of frame

@@ -159,6 +159,7 @@ module Json = struct
   exception Parse_error of string
 
   let escape = escape
+  let escape_into = escape_into
 
   let ints values =
     let buffer = Buffer.create 64 in

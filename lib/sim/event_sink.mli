@@ -126,6 +126,9 @@ module Json : sig
   (** Quote and escape a string as a JSON string literal. *)
   val escape : string -> string
 
+  (** {!escape}, appended to a buffer. *)
+  val escape_into : Buffer.t -> string -> unit
+
   (** Render an int list as a JSON array literal, e.g. [[1,2,3]]. *)
   val ints : int list -> string
 

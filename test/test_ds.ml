@@ -1,8 +1,7 @@
-(* Data-structure substrate tests: binary heap, top-k selection, timing
-   wheel, counter map, ring deque. *)
+(* Data-structure substrate tests: binary heap, timing wheel, counter
+   map, ring deque. *)
 
 module Int_heap = Rrs_ds.Binary_heap.Make (Int)
-module Topk = Rrs_ds.Topk
 module Timing_wheel = Rrs_ds.Timing_wheel
 module Counter_map = Rrs_ds.Counter_map
 module Ring_deque = Rrs_ds.Ring_deque
@@ -92,30 +91,6 @@ let prop_heap_pop_order =
       List.iter (Int_heap.push h) xs;
       let drained = List.init (List.length xs) (fun _ -> Int_heap.pop_min h) in
       drained = sorted && Int_heap.is_empty h)
-
-(* ---- Topk ---- *)
-
-let test_topk_basic () =
-  check_list "3 smallest" [ 1; 2; 3 ]
-    (Topk.select_list ~compare:Int.compare ~k:3 [ 7; 3; 9; 1; 5; 2 ]);
-  check_list "k larger than list" [ 1; 3 ]
-    (Topk.select_list ~compare:Int.compare ~k:10 [ 3; 1 ]);
-  check_list "k zero" [] (Topk.select_list ~compare:Int.compare ~k:0 [ 1; 2 ]);
-  check_list "k negative" [] (Topk.select_list ~compare:Int.compare ~k:(-1) [ 1 ])
-
-let test_topk_reverse_order () =
-  let compare a b = Int.compare b a in
-  check_list "3 largest" [ 9; 7; 5 ]
-    (Topk.select_list ~compare ~k:3 [ 7; 3; 9; 1; 5; 2 ])
-
-let prop_topk_matches_sort =
-  QCheck2.Test.make ~name:"topk: equals sorted prefix" ~count:300
-    QCheck2.Gen.(pair (list (int_bound 500)) (int_bound 12))
-    (fun (xs, k) ->
-      let expected =
-        List.sort Int.compare xs |> List.filteri (fun i _ -> i < k)
-      in
-      Topk.select_list ~compare:Int.compare ~k xs = expected)
 
 (* ---- Dense set ---- *)
 
@@ -394,12 +369,6 @@ let suite =
         quick "capacity hint honoured" test_heap_capacity_hint;
         prop prop_heap_sorts;
         prop prop_heap_pop_order;
-      ] );
-    ( "ds.topk",
-      [
-        quick "basic selection" test_topk_basic;
-        quick "custom order" test_topk_reverse_order;
-        prop prop_topk_matches_sort;
       ] );
     ("ds.dense_set", [ prop prop_dense_set_model ]);
     ("ds.ranked_set", [ prop prop_ranked_set_model ]);

@@ -120,9 +120,18 @@ let test_job_ranking () =
 
 (* ---- Cache layout ---- *)
 
+(* One placement through a fresh layout: [want] in placement order. *)
+let layout ~n ~copies ~current want =
+  let held = List.filter_map Fun.id (Array.to_list current) in
+  let num_colors = 1 + List.fold_left max 0 (want @ held) in
+  let t = Cache_layout.create ~n ~copies ~num_colors in
+  List.iter (Cache_layout.want t) want;
+  Array.copy
+    (Cache_layout.assign t ~current ~order:(fun f -> List.iter f want))
+
 let test_layout_keeps_existing () =
   let current = [| Some 1; Some 2; Some 1; None |] in
-  let target = Cache_layout.place ~n:4 ~copies:2 ~current ~want:[ 1; 3 ] () in
+  let target = layout ~n:4 ~copies:2 ~current [ 1; 3 ] in
   Alcotest.(check (array (option int)))
     "1 keeps both slots; 3 takes the rest"
     [| Some 1; Some 3; Some 1; Some 3 |]
@@ -130,7 +139,7 @@ let test_layout_keeps_existing () =
 
 let test_layout_partial_keep () =
   let current = [| Some 1; None; None; None |] in
-  let target = Cache_layout.place ~n:4 ~copies:2 ~current ~want:[ 1 ] () in
+  let target = layout ~n:4 ~copies:2 ~current [ 1 ] in
   Alcotest.(check (array (option int)))
     "second copy fills first free slot"
     [| Some 1; Some 1; None; None |]
@@ -138,10 +147,10 @@ let test_layout_partial_keep () =
 
 let test_layout_errors () =
   let current = [| None; None |] in
-  (match Cache_layout.place ~n:2 ~copies:2 ~current ~want:[ 1; 2 ] () with
+  (match layout ~n:2 ~copies:2 ~current [ 1; 2 ] with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "over capacity accepted");
-  match Cache_layout.place ~n:2 ~copies:1 ~current ~want:[ 1; 1 ] () with
+  match layout ~n:2 ~copies:1 ~current [ 1; 1 ] with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "duplicate accepted"
 
@@ -156,7 +165,7 @@ let prop_layout_well_formed =
       let* current = array_size (return n) (option (int_bound 40)) in
       return (n, copies, current, want))
     (fun (n, copies, current, want) ->
-      let target = Cache_layout.place ~n ~copies ~current ~want () in
+      let target = layout ~n ~copies ~current want in
       let count color =
         Array.fold_left
           (fun acc cell -> if cell = Some color then acc + 1 else acc)
@@ -178,7 +187,7 @@ let prop_layout_minimizes_moves =
       let* current = array_size (return n) (option (int_bound 6)) in
       return (n, current, want))
     (fun (n, current, want) ->
-      let target = Cache_layout.place ~n ~copies:2 ~current ~want () in
+      let target = layout ~n ~copies:2 ~current want in
       (* Count per-color kept locations: for each wanted color, changed
          locations = copies - (kept existing), i.e. a location holding a
          wanted color may only change if that color already has 2 kept

@@ -64,10 +64,11 @@ let gen_decl : Wire.decl option QCheck2.Gen.t =
        in
        return { Wire.d_rates; d_den; d_bursts }))
 
-let gen_frame : Wire.frame QCheck2.Gen.t =
+(* Every frame type, its int fields drawn from [gen_int]. *)
+let gen_frame_with gen_int : Wire.frame QCheck2.Gen.t =
   QCheck2.Gen.(
     let* session = gen_name in
-    let int = int_range 0 100_000 in
+    let int = gen_int in
     oneof
       [
         (let* v = gen_name in
@@ -125,6 +126,8 @@ let gen_frame : Wire.frame QCheck2.Gen.t =
         (let* message = gen_name in
          return (Wire.Error_frame { message }));
       ])
+
+let gen_frame = gen_frame_with QCheck2.Gen.(int_range 0 100_000)
 
 let prop_wire_roundtrip =
   QCheck2.Test.make ~name:"wire: decode (encode frame) = frame" ~count:500
@@ -954,6 +957,19 @@ let test_wire2_garbage_resync () =
   in
   check_bool "truncated frame is eof" true (next () = Wire.Eof)
 
+(* [payload] behind a /2 header with a matching length. *)
+let binary_frame ~tag payload =
+  let n = String.length payload in
+  let header = Bytes.create 7 in
+  Bytes.set header 0 '\xF2';
+  Bytes.set header 1 'R';
+  Bytes.set header 2 (Char.chr ((n lsr 24) land 0xff));
+  Bytes.set header 3 (Char.chr ((n lsr 16) land 0xff));
+  Bytes.set header 4 (Char.chr ((n lsr 8) land 0xff));
+  Bytes.set header 5 (Char.chr (n land 0xff));
+  Bytes.set header 6 (Char.chr tag);
+  Bytes.to_string header ^ payload
+
 (* ---- forward compatibility, both framings ----
 
    The declaration extension rides on exactly these rules, so pin them:
@@ -1014,17 +1030,8 @@ let test_wire_forward_compat () =
      frame with no extension point... *)
   let with_trailing frame junk =
     let whole = Wire.encode_binary frame in
-    let payload = String.sub whole 7 (String.length whole - 7) ^ junk in
-    let n = String.length payload in
-    let header = Bytes.create 7 in
-    Bytes.set header 0 '\xF2';
-    Bytes.set header 1 'R';
-    Bytes.set header 2 (Char.chr ((n lsr 24) land 0xff));
-    Bytes.set header 3 (Char.chr ((n lsr 16) land 0xff));
-    Bytes.set header 4 (Char.chr ((n lsr 8) land 0xff));
-    Bytes.set header 5 (Char.chr (n land 0xff));
-    Bytes.set header 6 whole.[6];
-    Bytes.to_string header ^ payload
+    binary_frame ~tag:(Char.code whole.[6])
+      (String.sub whole 7 (String.length whole - 7) ^ junk)
   in
   (match Wire.decode_binary (with_trailing stats "\x00") with
   | Error m -> check_bool "trailing named" true (contains ~needle:"trailing" m)
@@ -1059,6 +1066,153 @@ let test_wire2_large_frame () =
   check_bool "reader still synced after it" true
     (next () = Wire.Frame (Wire.Stats { session = "after" }));
   check_bool "eof" true (next () = Wire.Eof)
+
+(* ---- golden bytes: every frame type, both framings ---- *)
+
+let hex_of s =
+  String.concat " "
+    (List.init (String.length s) (fun i ->
+         Printf.sprintf "%02x" (Char.code s.[i])))
+
+(* The round-trip properties would still pass if the bytes changed the
+   same way in both directions; the frozen fixtures would not. *)
+let test_wire_golden_bytes () =
+  List.iter
+    (fun (frame, line, hex) ->
+      check_string "/1 line" (line ^ "\n") (Wire.to_wire Wire.V1 frame);
+      check_string ("/2 bytes of " ^ line) hex
+        (hex_of (Wire.to_wire Wire.V2 frame));
+      check_bool ("/1 decodes " ^ line) true
+        (stream_results Wire.V1 (line ^ "\n") []
+        = [ Wire.Frame frame; Wire.Eof ]);
+      check_bool ("/2 decodes " ^ line) true
+        (Wire.decode_binary (Wire.to_wire Wire.V2 frame) = Ok frame))
+    Wire_fixtures.frames;
+  let tags =
+    List.sort_uniq compare
+      (List.map (fun (_, _, hex) -> String.sub hex 18 2) Wire_fixtures.frames)
+  in
+  check "every frame type has fixtures" 19 (List.length tags);
+  List.iter
+    (fun (json, frame) ->
+      check_bool ("defaults of " ^ json) true (Wire.decode json = Ok frame))
+    Wire_fixtures.defaulted
+
+(* The metrics request kinds come from the schema's request frames; the
+   names and their order are the Prometheus labels, so pin them. *)
+let test_metrics_kinds_follow_schema () =
+  let module Metrics = Rrs_server.Metrics in
+  let module Json = Rrs_sim.Event_sink.Json in
+  check_string "kinds" "hello open feed step stats snapshot close metrics error"
+    (String.concat " " (Array.to_list Metrics.kinds));
+  List.iter
+    (fun (frame, line, _) ->
+      let name = Json.str_field (Json.parse_fields (Wire.encode frame)) "type" in
+      let expected = if Array.mem name Metrics.kinds then name else "error" in
+      check_string line expected (Metrics.kind_name (Metrics.kind_index frame)))
+    Wire_fixtures.frames
+
+(* ---- hostile input: the decoders are total ---- *)
+
+(* A stats frame whose session length is max_int: the sum of cursor and
+   length overflows, so a naive bounds check passes. *)
+let overflowing_stats = binary_frame ~tag:5 "\xFE\xFF\xFF\xFF\xFF\xFF\xFF\xFF\x7F"
+
+(* Arbitrary bytes, and valid frames of either framing with a few bytes
+   overwritten, inserted or cut, or the /2 tag replaced. Most /2 mutants
+   get their length header fixed up, so the damage reaches the payload
+   decoder instead of the header check. Insertions include the 9-byte
+   varints of max_int and min_int and a 10-byte varint. *)
+let gen_hostile =
+  let open QCheck2.Gen in
+  let splices =
+    [ "\xFE\xFF\xFF\xFF\xFF\xFF\xFF\xFF\x7F";
+      "\xFF\xFF\xFF\xFF\xFF\xFF\xFF\xFF\x7F";
+      "\x80\x80\x80\x80\x80\x80\x80\x80\x80\x01"; "\x01"; "\x00" ]
+  in
+  let edit s (kind, pos, piece) =
+    let len = String.length s in
+    let pos = pos mod (len + 1) in
+    match kind with
+    | 0 when pos < len ->
+        String.sub s 0 pos ^ String.make 1 piece.[0]
+        ^ String.sub s (pos + 1) (len - pos - 1)
+    | 1 -> String.sub s 0 pos ^ piece ^ String.sub s pos (len - pos)
+    | 2 -> String.sub s 0 pos
+    | 3 when len > 6 ->
+        String.sub s 0 6 ^ String.make 1 (Char.chr (pos land 31))
+        ^ String.sub s 7 (len - 7)
+    | _ -> s
+  in
+  let mutate s =
+    let* edits =
+      list_size (int_range 1 3)
+        (triple (int_range 0 3)
+           (frequency [ (1, nat); (2, int_range 7 12) ])
+           (frequency
+              [ (1, map (String.make 1) char); (2, oneofl splices) ]))
+    in
+    return (List.fold_left edit s edits)
+  in
+  let fix_length s =
+    if String.length s >= 7 && s.[0] = '\xF2' && s.[1] = 'R' then
+      binary_frame ~tag:(Char.code s.[6])
+        (String.sub s 7 (String.length s - 7))
+    else s
+  in
+  let frame =
+    gen_frame_with
+      (frequency
+         [ (2, int_range (-1000) 1000); (1, oneofl [ min_int; max_int ]);
+           (1, int) ])
+  in
+  frequency
+    [
+      (1, string_size ~gen:char (int_range 0 64));
+      (1, frame >>= fun f -> mutate (Wire.encode f));
+      (1, frame >>= fun f -> mutate (Wire.to_wire Wire.V1 f));
+      ( 4,
+        let* f = frame in
+        let* s = mutate (Wire.encode_binary f) in
+        let* fix = frequency [ (3, return true); (1, return false) ] in
+        return (if fix then fix_length s else s) );
+    ]
+
+let prop_decoders_total =
+  QCheck2.Test.make ~name:"wire: decoders never raise on hostile bytes"
+    ~count:3000 ~print:hex_of gen_hostile (fun s ->
+      ignore (Wire.decode s);
+      ignore (Wire.decode_binary s);
+      ignore (stream_results Wire.V1 s [ 5 ]);
+      ignore (stream_results Wire.V2 s [ 5 ]);
+      true)
+
+(* A 63-bit int takes at most 9 varint bytes; a continuation bit on the
+   9th is refused instead of shifting bits off the top. *)
+let test_wire2_varint_bounds () =
+  let step varint = binary_frame ~tag:4 ("\x04s1" ^ varint) in
+  let refused label data =
+    match Wire.decode_binary data with
+    | Error m ->
+        check_bool (label ^ ": " ^ m) true (contains ~needle:"varint too long" m)
+    | Ok f -> Alcotest.failf "%s decoded as %s" label (Wire.encode f)
+  in
+  refused "10-byte zero" (step "\x80\x80\x80\x80\x80\x80\x80\x80\x80\x01");
+  refused "10-byte one" (step "\x82\x80\x80\x80\x80\x80\x80\x80\x80\x7F");
+  check_bool "9-byte max_int" true
+    (Wire.decode_binary (step "\xFE\xFF\xFF\xFF\xFF\xFF\xFF\xFF\x7F")
+    = Ok (Wire.Step { session = "s1"; rounds = max_int }));
+  List.iter
+    (fun rounds ->
+      let frame = Wire.Step { session = "s1"; rounds } in
+      check_bool "/1 extreme round trip" true
+        (Wire.decode (Wire.encode frame) = Ok frame);
+      check_bool "/2 extreme round trip" true
+        (Wire.decode_binary (Wire.encode_binary frame) = Ok frame))
+    [ min_int; max_int ];
+  match Wire.decode_binary overflowing_stats with
+  | Error m -> check_bool m true (contains ~needle:"bad string length" m)
+  | Ok f -> Alcotest.failf "overflowing length decoded as %s" (Wire.encode f)
 
 (* ---- regression: Session.save must not leave its temp file behind ---- *)
 
@@ -1501,6 +1655,54 @@ let test_server_pinned_to_wire1 () =
       | Wire.Hello_ok _ -> ()
       | f -> Alcotest.failf "unexpected hello reply %s" (Wire.encode f));
       Client.close client)
+
+(* One crafted /2 frame must draw an [error] and leave the server whole:
+   its other connections served, new ones accepted, and [stop] draining
+   the open sessions. *)
+let test_hostile_wire2_frame_live () =
+  let dir = Filename.temp_file "rrs_hostile" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o700;
+  let path = Filename.concat dir "sock" in
+  let address = Server.Unix_socket path in
+  let snap_dir = Filename.concat dir "snaps" in
+  let config =
+    { (Server.default_config address) with domains = 2;
+      snap_dir = Some snap_dir }
+  in
+  (* No [Fun.protect] around [stop]: a wedged event loop holds the lock
+     that [stop] needs, so a failing check leaves the server to the
+     process exit instead of hanging the suite. *)
+  let server = Server.start config in
+  let bystander = Client.connect address in
+  ignore (expect_ok (Client.call bystander (open_frame_for "w")));
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX path);
+  let hostile = Client.connect_fd fd in
+  (match Client.negotiate hostile ~wire:2 with
+  | Ok () -> ()
+  | Error m -> Alcotest.fail m);
+  let sent =
+    Unix.write_substring fd overflowing_stats 0 (String.length overflowing_stats)
+  in
+  check "crafted frame sent" (String.length overflowing_stats) sent;
+  (match Client.read_reply ~deadline_ms:3000 hostile with
+  | Ok (Wire.Error_frame _) -> ()
+  | Ok f -> Alcotest.failf "crafted frame answered %s" (Wire.encode f)
+  | Error m -> Alcotest.failf "crafted frame: %s" m);
+  let stats client =
+    match Client.call ~deadline_ms:3000 client (Wire.Stats { session = "w" }) with
+    | Ok (Wire.Stats_ok _) -> ()
+    | Ok f -> Alcotest.failf "stats answered %s" (Wire.encode f)
+    | Error m -> Alcotest.failf "stats: %s" m
+  in
+  stats bystander;
+  let fresh = Client.connect address in
+  stats fresh;
+  List.iter Client.close [ fresh; hostile; bystander ];
+  check "stop drains the open session" 1 (Server.stop server);
+  check "drained to the snapshot directory" 1
+    (Array.length (Sys.readdir snap_dir))
 
 (* The same script through a /1 and a /2 connection must produce the
    same replies frame for frame (the framing changes the bytes, never
@@ -2352,6 +2554,13 @@ let suite =
           test_wire2_large_frame;
         Alcotest.test_case "forward compatibility, both framings" `Quick
           test_wire_forward_compat;
+        Alcotest.test_case "golden bytes of every frame type" `Quick
+          test_wire_golden_bytes;
+        Alcotest.test_case "metrics kinds follow the schema" `Quick
+          test_metrics_kinds_follow_schema;
+        prop prop_decoders_total;
+        Alcotest.test_case "varint length bound" `Quick
+          test_wire2_varint_bounds;
       ] );
     ( "server.session",
       [
@@ -2410,6 +2619,8 @@ let suite =
           test_server_pinned_to_wire1;
         Alcotest.test_case "/1 and /2 replies are identical" `Quick
           test_wire_equality_across_framings;
+        Alcotest.test_case "crafted /2 frame cannot wedge the server" `Quick
+          test_hostile_wire2_frame_live;
         Alcotest.test_case "oversize inline snapshot answers an error" `Quick
           test_oversize_inline_snapshot_reply;
         Alcotest.test_case "accept survives signal churn" `Quick
