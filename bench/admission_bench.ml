@@ -193,7 +193,7 @@ let run_mode ~mode =
   let address = Server.Unix_socket (Filename.concat dir "sock") in
   let server =
     Server.start
-      { (Server.default_config address) with domains = 2;
+      { (Server.default_config address) with
         admission = Some (deployment ()); admission_mode = mode }
   in
   Fun.protect

@@ -65,7 +65,6 @@ let shard_child args =
     {
       (Server.default_config (Server.Unix_socket !socket)) with
       snap_dir = Some !snap_dir;
-      domains = 2;
       checkpoint_every = !checkpoint_every;
       autosnap = true;
     }

@@ -211,7 +211,7 @@ let run ?json ?(session_counts = [ 1; 2; 4; 8 ]) ?(rounds = 400) () =
                 ones from the same row. *)
              let server =
                Server.start
-                 { (Server.default_config address) with domains = 0;
+                 { (Server.default_config address) with
                    queue_limit = 0 }
              in
              Fun.protect
@@ -333,7 +333,7 @@ let run ?json ?(session_counts = [ 1; 2; 4; 8 ]) ?(rounds = 400) () =
       Rrs_stats.Bench_io.start_experiment b ~id:"E20"
         ~claim:
           "Server-side request latency percentiles (handler + reply write, \
-           traced per frame type across worker domains) track the \
+           traced per frame type on the server's event loop) track the \
            client-observed round-trip percentiles from the same closed-loop \
            window under both framings; the residual gap is client stack + \
            wire transport.";
@@ -438,7 +438,7 @@ let run_churn ?json ?(conns = 2048) ?(sweeps = 4) () =
        (fun wire ->
          let server =
            Server.start
-             { (Server.default_config address) with domains = 0;
+             { (Server.default_config address) with
                queue_limit = 0 }
          in
          Fun.protect

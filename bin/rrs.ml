@@ -681,12 +681,6 @@ let serve_cmd =
       & info [ "trace-dir" ] ~docv:"DIR"
           ~doc:"Stream each session's rrs-events/2 JSONL to $(docv).")
   in
-  let domains =
-    Arg.(
-      value & opt int 0
-      & info [ "domains" ] ~docv:"K"
-          ~doc:"Worker domains (0 = one per recommended core).")
-  in
   let queue_limit =
     Arg.(
       value & opt int 0
@@ -784,7 +778,7 @@ let serve_cmd =
              and declared sessions' feeds are policed against their \
              envelope. warn: violations are admitted and logged.")
   in
-  let run () socket tcp snap_dir trace_dir domains queue_limit no_restore wire
+  let run () socket tcp snap_dir trace_dir queue_limit no_restore wire
       checkpoint_every max_reply metrics slow_us slow_log autosnap admission
       admission_mode log_level =
     let address = or_die (address_of_args socket tcp) in
@@ -810,7 +804,6 @@ let serve_cmd =
         Rrs_server.Server.address;
         snap_dir;
         trace_dir;
-        domains;
         queue_limit;
         max_wire;
         checkpoint_every;
@@ -838,11 +831,11 @@ let serve_cmd =
           --snap-dir continues the sessions where they left off. Speaks \
           rrs-wire/1 (JSON lines) by default and upgrades to rrs-wire/2 \
           (binary) per connection when the client asks for it. With \
-          --metrics, serves the merged cross-domain metrics as \
+          --metrics, serves the server's metrics as \
           Prometheus text on a second listener.")
     Term.(
       const run $ verbose_arg $ socket_arg $ tcp_arg $ snap_dir $ trace_dir
-      $ domains $ queue_limit $ no_restore $ wire $ checkpoint_every
+      $ queue_limit $ no_restore $ wire $ checkpoint_every
       $ max_reply $ metrics $ slow_us $ slow_log $ autosnap $ admission
       $ admission_mode $ log_level_arg)
 
@@ -1399,12 +1392,6 @@ let route_cmd =
              shard's stable ring label, so keep spellings identical \
              across restarts.")
   in
-  let domains =
-    Arg.(
-      value & opt int 0
-      & info [ "domains" ] ~docv:"K"
-          ~doc:"Front worker domains (0 = built-in default, 4).")
-  in
   let wire =
     wire_arg
       ~doc:
@@ -1456,7 +1443,7 @@ let route_cmd =
           ~doc:
             "Ring virtual nodes per shard (0 = built-in default, 128).")
   in
-  let run () socket tcp shards domains wire backend_wire timeout_ms
+  let run () socket tcp shards wire backend_wire timeout_ms
       connect_timeout_ms fail_threshold probe_interval_ms replicas log_level =
     let address = or_die (address_of_args socket tcp) in
     let max_wire = or_die (check_wire ~default:2 wire) in
@@ -1483,8 +1470,7 @@ let route_cmd =
     let config =
       {
         (Rrs_server.Router.default_config ~address ~shards) with
-        Rrs_server.Router.domains;
-        max_wire;
+        Rrs_server.Router.max_wire;
         backend_wire = or_die (check_wire ~default:2 backend_wire);
         timeout_ms = (if timeout_ms > 0 then timeout_ms else 2000);
         connect_timeout_ms =
@@ -1512,7 +1498,7 @@ let route_cmd =
           client), and re-admitted automatically once its hello answers \
           again.")
     Term.(
-      const run $ verbose_arg $ socket_arg $ tcp_arg $ shards $ domains $ wire
+      const run $ verbose_arg $ socket_arg $ tcp_arg $ shards $ wire
       $ backend_wire $ timeout_ms $ connect_timeout_ms $ fail_threshold
       $ probe_interval_ms $ replicas $ log_level_arg)
 

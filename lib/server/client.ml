@@ -19,62 +19,42 @@ let connect_fd fd =
     broken = false;
   }
 
-let address_label = function
-  | Server.Unix_socket path -> path
-  | Server.Tcp (host, port) -> Printf.sprintf "%s:%d" host port
-
 (* Connect with an optional budget: non-blocking connect + poll on
    writability + SO_ERROR, so a black-holed host cannot stall the CLI
    for the kernel's default timeout. *)
-let connect_sockaddr fd sockaddr timeout_ms =
-  match timeout_ms with
-  | None -> Unix.connect fd sockaddr
-  | Some ms -> (
-      Unix.set_nonblock fd;
-      let finish () =
-        let budget = float_of_int (max ms 1) /. 1000. in
-        match Poll.wait_writable ~timeout:budget fd with
-        | `Timeout -> raise (Unix.Unix_error (Unix.ETIMEDOUT, "connect", ""))
-        | `Writable -> (
-            match Unix.getsockopt_error fd with
-            | None -> ()
-            | Some error -> raise (Unix.Unix_error (error, "connect", "")))
-      in
-      (match Unix.connect fd sockaddr with
-      | () -> ()
-      | exception
-          Unix.Unix_error
-            ((Unix.EINPROGRESS | Unix.EWOULDBLOCK | Unix.EAGAIN), _, _) ->
-          finish ());
-      Unix.clear_nonblock fd)
+let connect_within ms address =
+  let fd, in_progress = Net.start_connect address in
+  (try
+     if in_progress then begin
+       let timeout = float_of_int (max ms 1) /. 1000. in
+       match Poll.wait_writable ~timeout fd with
+       | `Timeout -> raise (Unix.Unix_error (Unix.ETIMEDOUT, "connect", ""))
+       | `Writable -> (
+           match Unix.getsockopt_error fd with
+           | None -> ()
+           | Some error -> raise (Unix.Unix_error (error, "connect", "")))
+     end;
+     Unix.clear_nonblock fd
+   with e ->
+     (try Unix.close fd with Unix.Unix_error _ -> ());
+     raise e);
+  connect_fd fd
 
 let connect ?timeout_ms address =
-  match address with
-  | Server.Unix_socket path ->
-      let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      (try connect_sockaddr fd (Unix.ADDR_UNIX path) timeout_ms
+  match timeout_ms with
+  | Some ms -> connect_within ms address
+  | None ->
+      let fd, sockaddr = Net.socket_for address in
+      (try Unix.connect fd sockaddr
        with e ->
          (try Unix.close fd with Unix.Unix_error _ -> ());
          raise e);
       connect_fd fd
-  | Server.Tcp (host, port) -> (
-      match Server.resolve_host host with
-      | Error message -> failwith ("cannot connect: " ^ message)
-      | Ok addr ->
-          let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
-          (try connect_sockaddr fd (Unix.ADDR_INET (addr, port)) timeout_ms
-           with e ->
-             (try Unix.close fd with Unix.Unix_error _ -> ());
-             raise e);
-          connect_fd fd)
 
 let try_connect ?timeout_ms address =
   match connect ?timeout_ms address with
   | t -> Ok t
-  | exception Unix.Unix_error (e, _, _) ->
-      Error
-        (Printf.sprintf "cannot connect: %s: %s" (address_label address)
-           (Unix.error_message e))
+  | exception Unix.Unix_error (e, _, _) -> Error (Net.cannot_connect address e)
   | exception Failure message -> Error message
 
 let wire_version t =
@@ -150,28 +130,34 @@ let call ?deadline_ms t frame =
       t.broken <- true;
       Error ("connection lost: " ^ Unix.error_message e)
 
-let negotiate t ~wire =
-  let want =
-    match wire with
-    | 1 -> Ok Wire.version
-    | 2 -> Ok Wire.version2
-    | v -> Error (Printf.sprintf "unsupported wire version %d (want 1 or 2)" v)
-  in
-  match want with
+let hello ~wire =
+  match wire with
+  | 1 -> Ok (Wire.Hello { client_version = Wire.version })
+  | 2 -> Ok (Wire.Hello { client_version = Wire.version2 })
+  | v -> Error (Printf.sprintf "unsupported wire version %d (want 1 or 2)" v)
+
+let hello_outcome ~wire reply =
+  let wanted = if wire = 2 then Wire.version2 else Wire.version in
+  match reply with
+  | Ok (Wire.Hello_ok { server_version; _ }) when server_version = wanted ->
+      Ok ()
+  | Ok (Wire.Hello_ok { server_version; _ }) ->
+      Error
+        (Printf.sprintf "server negotiated %S instead of %S" server_version
+           wanted)
+  | Ok (Wire.Error_frame { message }) -> Error message
+  | Ok frame -> Error ("unexpected hello reply: " ^ Wire.encode frame)
   | Error _ as e -> e
-  | Ok wanted -> (
-      match call t (Wire.Hello { client_version = wanted }) with
-      | Ok (Wire.Hello_ok { server_version; _ }) when server_version = wanted ->
+
+let negotiate ?deadline_ms t ~wire =
+  match hello ~wire with
+  | Error _ as e -> e
+  | Ok frame -> (
+      match hello_outcome ~wire (call ?deadline_ms t frame) with
+      | Ok () ->
           (* The server switched right after its hello_ok; follow it. *)
           if wire = 2 then Wire.Stream.set_framing t.stream Wire.V2;
           Ok ()
-      | Ok (Wire.Hello_ok { server_version; _ }) ->
-          Error
-            (Printf.sprintf "server negotiated %S instead of %S" server_version
-               wanted)
-      | Ok (Wire.Error_frame { message }) -> Error message
-      | Ok frame ->
-          Error ("unexpected hello reply: " ^ Wire.encode frame)
       | Error _ as e -> e)
 
 let close t = try Unix.close t.fd with Unix.Unix_error _ -> ()

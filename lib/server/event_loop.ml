@@ -1,71 +1,83 @@
 (* The poll(2)-readiness connection core shared by [Server] and
-   [Router].
-
-   One event domain owns every connection fd in non-blocking mode: it
-   accepts, reads, feeds bytes into each connection's [Wire.Stream],
-   and hands COMPLETE frames (never fds) to the worker-domain pool
-   through a dispatch queue. Workers run the protocol handler and queue
-   replies onto per-connection outbound buffers, which the event domain
-   drains on writability (with a direct-write fast path when the buffer
-   is empty, so an idle socket costs no extra wakeup).
+   [Router]: one domain accepts, reads, parses, runs the handler inline
+   and writes. A frame whose handler does a few microseconds of work
+   would spend far more crossing to another domain and back.
 
    Discipline that keeps this simple and correct:
 
-   - One global mutex guards all connection state and the dispatch
-     queue. The loop releases it only while parked in poll; workers
-     hold it only for queue pops and buffer pushes. A self-pipe wakes
-     the parked loop when a worker finishes or queues bytes.
-   - At most ONE parsed-but-unhandled frame per connection. This
-     serializes request handling per connection (replies keep their
-     order), and means the loop never parses ahead of a hello that is
-     about to switch the connection's framing.
+   - Nothing here is shared off the loop except [stopping], the wake
+     pipe and the list of finished off-loop jobs (all atomic), so there
+     is no lock. [wake_loop] is the only entry point safe off the loop;
+     an off-loop job's completion is queued and runs on the loop.
+   - At most ONE frame per connection is in flight: in the handler, or
+     at a leg until its callback runs. This keeps replies in order and
+     means the loop never parses ahead of a hello that is about to
+     switch the connection's framing.
    - Backpressure is "stop polling readable": a connection stops being
      polled for POLLIN while its inbound buffer is full (>= max_in) or
      its outbound buffer is backed up (>= max_out, a slow reader
      pipelining requests), and parsing pauses with it. The kernel
      socket buffer then pushes back on the peer.
-   - Only the event domain opens, closes or polls fds. Workers signal
-     intent (dead/done) and the loop acts on it, so an fd number can
-     never be closed and reused while another domain might touch it. *)
+   - Legs are outbound sockets owned by one front connection and closed
+     with it. They share the front connections' byte plumbing ([io]);
+     only what happens to a parsed result differs: a front frame goes
+     to the handler, a leg reply to the callback of the call waiting
+     on it.
+   - Every callback into other code runs under a handler that charges
+     an escaping exception to the connection it ran for. *)
 
 module Clock = Rrs_obs.Clock
 
-type 'a conn = {
+(* One socket's bytes, in and out. [failed] holds the reason an I/O
+   error (or an exception charged to the connection) ended it. *)
+type io = {
   fd : Unix.file_descr;
   stream : Wire.Stream.t;
-  data : 'a;
-  owner : 'a t;
-  mutable busy : bool; (* a frame of ours is queued or in a handler *)
-  mutable read_eof : bool; (* read(2) saw 0 / peer hung up *)
-  mutable stream_done : bool; (* stream emitted Eof: all input handled *)
-  mutable dead : bool; (* I/O error; close as soon as not busy *)
-  mutable closed : bool;
   out : string Queue.t; (* pending outbound chunks *)
   mutable out_off : int; (* written prefix of the head chunk *)
   mutable out_len : int; (* total unwritten outbound bytes *)
   mutable bytes_out : int; (* total bytes accepted for write *)
-  mutable enq_ns : int64; (* when the pending frame was dispatched *)
+  mutable read_eof : bool; (* read(2) saw 0 / peer hung up *)
+  mutable failed : string option;
+}
+
+type 'a conn = {
+  io : io;
+  data : 'a;
+  owner : 'a t;
+  mutable busy : bool; (* a frame is in the handler or at a leg *)
+  mutable calls : int; (* legs of ours with a call in flight *)
+  mutable own_legs : 'a leg list;
+  mutable stream_done : bool; (* stream emitted Eof: all input handled *)
+  mutable closed : bool;
+}
+
+and 'a leg = {
+  lio : io;
+  front : 'a conn;
+  peer : Net.address;
+  mutable connect_by : int64 option; (* Some deadline while connecting *)
+  mutable waiter : ((Wire.frame, string) result -> unit) option;
+  mutable reply_by : int64; (* the waiter's deadline *)
+  mutable timeout_ms : int; (* the waiter's budget, for its message *)
+  mutable broken : bool;
 }
 
 and 'a t = {
-  mutex : Mutex.t;
-  nonempty : Condition.t;
-  dq : ('a conn * Wire.read_result) Queue.t;
-  mutable dq_closed : bool;
   conns : (Unix.file_descr, 'a conn) Hashtbl.t;
+  legs : (Unix.file_descr, 'a leg) Hashtbl.t;
   mutable listen_fd : Unix.file_descr option;
   stopping : bool Atomic.t;
   wake_r : Unix.file_descr;
   wake_w : Unix.file_descr;
-  mutable woken : bool;
+  woken : bool Atomic.t;
+  finished : (unit -> unit) list Atomic.t; (* off-loop jobs' completions *)
   on_open : unit -> 'a;
   on_close : 'a -> unit;
-  handler : worker:int -> 'a conn -> Wire.read_result -> unit;
+  handler : 'a conn -> Wire.read_result -> unit;
   max_in : int;
   max_out : int;
   mutable accept_paused : bool; (* EMFILE: skip the listener one cycle *)
-  mutable peak : int;
-  mutable opened : int;
   (* poll scratch, reused every iteration: no allocation per wait *)
   mutable p_fds : Unix.file_descr array;
   mutable p_events : int array;
@@ -83,41 +95,49 @@ let create ?(max_in = default_max_in) ?(max_out = default_max_out) ~listen_fd
   Unix.set_nonblock wake_w;
   Unix.set_nonblock listen_fd;
   {
-    mutex = Mutex.create ();
-    nonempty = Condition.create ();
-    dq = Queue.create ();
-    dq_closed = false;
     conns = Hashtbl.create 64;
+    legs = Hashtbl.create 16;
     listen_fd = Some listen_fd;
     stopping;
     wake_r;
     wake_w;
-    woken = false;
+    woken = Atomic.make false;
+    finished = Atomic.make [];
     on_open;
     on_close;
     handler;
     max_in;
     max_out;
     accept_paused = false;
-    peak = 0;
-    opened = 0;
     p_fds = Array.make 64 Unix.stdin;
     p_events = Array.make 64 0;
     p_revents = Array.make 64 0;
     scratch = Bytes.create (64 * 1024);
   }
 
-(* ---- wakeup (mutex held) ---- *)
+let new_io fd =
+  {
+    fd;
+    stream = Wire.Stream.create Wire.V1;
+    out = Queue.create ();
+    out_off = 0;
+    out_len = 0;
+    bytes_out = 0;
+    read_eof = false;
+    failed = None;
+  }
 
-let wake t =
-  if not t.woken then begin
-    t.woken <- true;
+let fail io reason = if io.failed = None then io.failed <- Some reason
+
+(* ---- wakeup ---- *)
+
+let wake_loop t =
+  if not (Atomic.exchange t.woken true) then
     try ignore (Unix.write_substring t.wake_w "!" 0 1)
     with Unix.Unix_error _ -> ()
-  end
 
 let drain_wake t =
-  t.woken <- false;
+  Atomic.set t.woken false;
   let continue = ref true in
   while !continue do
     match Unix.read t.wake_r t.scratch 0 64 with
@@ -129,214 +149,347 @@ let drain_wake t =
     | exception Unix.Unix_error _ -> continue := false
   done
 
-(* ---- outbound writes (mutex held; fd is non-blocking) ---- *)
+(* ---- bytes in and out (fds are non-blocking) ---- *)
 
 (* Write as much of [s] from [off] as the socket accepts; returns the
-   new offset. Fatal errors mark the connection dead (EPIPE and resets
-   are the peer's loss, not ours). *)
-let rec write_some c s off =
-  if off >= String.length s || c.dead then off
+   new offset. Fatal errors fail the io (EPIPE and resets are the
+   peer's loss, not ours). *)
+let rec write_some io s off =
+  if off >= String.length s || io.failed <> None then off
   else
-    match Unix.write_substring c.fd s off (String.length s - off) with
-    | k -> write_some c s (off + k)
+    match Unix.write_substring io.fd s off (String.length s - off) with
+    | k -> write_some io s (off + k)
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> off
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_some c s off
-    | exception Unix.Unix_error _ ->
-        c.dead <- true;
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_some io s off
+    | exception Unix.Unix_error (e, _, _) ->
+        fail io (Unix.error_message e);
         off
 
-let flush_out c =
+let flush_out io =
   let continue = ref true in
-  while !continue && c.out_len > 0 && not c.dead do
-    let head = Queue.peek c.out in
-    let off = write_some c head c.out_off in
-    c.out_len <- c.out_len - (off - c.out_off);
-    c.out_off <- off;
+  while !continue && io.out_len > 0 && io.failed = None do
+    let head = Queue.peek io.out in
+    let off = write_some io head io.out_off in
+    io.out_len <- io.out_len - (off - io.out_off);
+    io.out_off <- off;
     if off >= String.length head then begin
-      ignore (Queue.pop c.out);
-      c.out_off <- 0
+      ignore (Queue.pop io.out);
+      io.out_off <- 0
     end
     else continue := false (* EAGAIN: wait for POLLOUT *)
   done
 
-(* ---- worker-facing API ---- *)
+(* Queue [data]; when nothing is queued ahead of it and [now], write
+   straight to the socket — one syscall, no extra loop pass. *)
+let push_out io data ~now =
+  if io.failed = None then begin
+    let len = String.length data in
+    io.bytes_out <- io.bytes_out + len;
+    let off = if now && io.out_len = 0 then write_some io data 0 else 0 in
+    if off < len && io.failed = None then begin
+      Queue.push data io.out;
+      if io.out_len = 0 then io.out_off <- off;
+      io.out_len <- io.out_len + (len - off)
+    end
+  end
+
+let read_into t io =
+  match Unix.read io.fd t.scratch 0 (Bytes.length t.scratch) with
+  | 0 ->
+      if not io.read_eof then begin
+        io.read_eof <- true;
+        Wire.Stream.feed_eof io.stream
+      end
+  | k -> Wire.Stream.feed io.stream t.scratch 0 k
+  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+  | exception Unix.Unix_error (e, _, _) -> fail io (Unix.error_message e)
+
+let close_fd fd = try Unix.close fd with Unix.Unix_error _ -> ()
+
+(* ---- handler-side connection API ---- *)
 
 let data c = c.data
-let fd c = c.fd
-let framing c = Wire.Stream.framing c.stream
+let framing c = Wire.Stream.framing c.io.stream
+let set_framing c framing = Wire.Stream.set_framing c.io.stream framing
+let bytes_in c = Wire.Stream.fed c.io.stream
+let bytes_out c = c.io.bytes_out
+let send c data = if not c.closed then push_out c.io data ~now:true
 
-let set_framing c framing =
-  Mutex.lock c.owner.mutex;
-  Wire.Stream.set_framing c.stream framing;
-  Mutex.unlock c.owner.mutex
+(* ---- work off the loop ---- *)
 
-let bytes_in c = Wire.Stream.fed c.stream
+let rec push_atomic cell x =
+  let old = Atomic.get cell in
+  if not (Atomic.compare_and_set cell old (x :: old)) then push_atomic cell x
 
-let bytes_out c =
-  Mutex.lock c.owner.mutex;
-  let n = c.bytes_out in
-  Mutex.unlock c.owner.mutex;
-  n
-
-let queued_ns c = c.enq_ns
-
-(* Queue [data] for the peer. The fast path writes straight to the
-   socket when nothing is already queued — one syscall, no event-loop
-   round trip — which is what keeps request/reply latency at parity
-   with the old blocking write. *)
-let send c data =
+(* The job runs on a thread of the loop's domain, which takes the
+   runtime lock from the loop only while the job runs OCaml code; a job
+   blocked in a system call leaves the loop free. Its completion is
+   queued for the loop and runs there. *)
+let off_loop c job k =
   let t = c.owner in
-  Mutex.lock t.mutex;
-  if not (c.closed || c.dead) then begin
-    let len = String.length data in
-    c.bytes_out <- c.bytes_out + len;
-    if c.out_len = 0 then begin
-      let off = write_some c data 0 in
-      if c.dead then wake t
-      else if off < len then begin
-        Queue.push data c.out;
-        c.out_off <- off;
-        c.out_len <- len - off;
-        wake t (* the parked loop must add POLLOUT interest *)
-      end
-    end
-    else begin
-      Queue.push data c.out;
-      c.out_len <- c.out_len + len
-      (* no wake: POLLOUT interest is already active for this conn *)
-    end
-  end;
-  Mutex.unlock t.mutex
-
-(* ---- dispatch: the worker-domain body ---- *)
-
-let dispatch_loop t ~worker =
-  let rec loop () =
-    Mutex.lock t.mutex;
-    while Queue.is_empty t.dq && not t.dq_closed do
-      Condition.wait t.nonempty t.mutex
-    done;
-    if Queue.is_empty t.dq then Mutex.unlock t.mutex (* closed and drained *)
-    else begin
-      let c, result = Queue.pop t.dq in
-      Mutex.unlock t.mutex;
-      (try t.handler ~worker c result
-       with e ->
-         (* handlers do their own per-request error capture; anything
-            that escapes costs this connection, never the worker *)
-         Slog.error ~event:"handler_crashed"
-           [ ("worker", Slog.int worker); ("exn", Printexc.to_string e) ];
-         Mutex.lock t.mutex;
-         c.dead <- true;
-         Mutex.unlock t.mutex);
-      Mutex.lock t.mutex;
-      c.busy <- false;
-      (* Wake the loop only when it has something to do for this conn:
-         re-parse buffered bytes (a pipelining client's next frame is
-         already here and only the loop can dispatch it) or close it
-         (eof/error/drain). A request/reply client leaves nothing
-         buffered, and its next request wakes poll through POLLIN —
-         which stays armed across busy — so the common case costs no
-         wakeup round trip at all. *)
-      if
-        Wire.Stream.buffered c.stream > 0
-        || c.read_eof || c.stream_done || c.dead
-        || Atomic.get t.stopping
-      then wake t;
-      Mutex.unlock t.mutex;
-      loop ()
-    end
+  let run () =
+    let result = match job () with v -> Ok v | exception e -> Error e in
+    push_atomic t.finished (fun () ->
+        c.calls <- c.calls - 1;
+        (if not c.closed then
+           try k result
+           with e ->
+             Slog.error ~event:"off_loop_reply_raised"
+               [ ("exn", Printexc.to_string e) ];
+             fail c.io "off-loop reply raised");
+        if c.calls = 0 then c.busy <- false);
+    wake_loop t
   in
-  loop ()
+  ignore (Thread.create run ());
+  (* the completion runs on this loop, so it cannot overtake this *)
+  c.calls <- c.calls + 1
 
-(* ---- event-domain internals (mutex held) ---- *)
+let run_finished t =
+  if Atomic.get t.finished <> [] then
+    List.iter (fun completion -> completion ())
+      (List.rev (Atomic.exchange t.finished []))
 
-(* Parse at most one frame out of the connection's buffer and dispatch
-   it. Gated on busy (one in flight), outbound backpressure, and
-   stopping (a stopping server finishes in-flight requests but starts
-   no new ones — the old "check stopping before the next read"). *)
-let try_parse t c =
-  if
-    (not c.busy) && (not c.stream_done) && (not c.dead) && (not c.closed)
-    && c.out_len < t.max_out
-    && not (Atomic.get t.stopping)
-  then
-    match Wire.Stream.next c.stream with
-    | None -> ()
-    | Some Wire.Eof -> c.stream_done <- true
-    | Some result ->
-        c.busy <- true;
-        c.enq_ns <- Clock.now_ns ();
-        Queue.push (c, result) t.dq;
-        Condition.signal t.nonempty
+(* ---- legs ---- *)
 
+let now_plus_ms ms =
+  Int64.add (Clock.now_ns ()) (Int64.mul (Int64.of_int ms) 1_000_000L)
+
+let close_leg leg =
+  if not leg.broken then begin
+    leg.broken <- true;
+    let c = leg.front in
+    if leg.waiter <> None then begin
+      leg.waiter <- None;
+      c.calls <- c.calls - 1
+    end;
+    c.own_legs <- List.filter (fun l -> l != leg) c.own_legs;
+    Hashtbl.remove c.owner.legs leg.lio.fd;
+    close_fd leg.lio.fd
+  end
+
+let leg_broken leg = leg.broken
+let set_leg_framing leg framing = Wire.Stream.set_framing leg.lio.stream framing
+
+let dial c peer ~timeout_ms =
+  match Net.start_connect peer with
+  | exception Unix.Unix_error (e, _, _) -> Error (Net.cannot_connect peer e)
+  | exception Failure message -> Error message
+  | fd, in_progress ->
+      let leg =
+        {
+          lio = new_io fd;
+          front = c;
+          peer;
+          connect_by =
+            (if in_progress then Some (now_plus_ms timeout_ms) else None);
+          waiter = None;
+          reply_by = 0L;
+          timeout_ms = 0;
+          broken = false;
+        }
+      in
+      c.own_legs <- leg :: c.own_legs;
+      Hashtbl.replace c.owner.legs fd leg;
+      Ok leg
+
+let call leg frame ~timeout_ms k =
+  if leg.broken || leg.waiter <> None then
+    invalid_arg "Event_loop.call: leg broken or busy";
+  leg.waiter <- Some k;
+  leg.timeout_ms <- timeout_ms;
+  leg.reply_by <- now_plus_ms timeout_ms;
+  leg.front.calls <- leg.front.calls + 1;
+  push_out leg.lio
+    (Wire.to_wire (Wire.Stream.framing leg.lio.stream) frame)
+    ~now:(leg.connect_by = None)
+
+(* Hand the waiting call its outcome. The front connection's frame is
+   done once none of its calls is left in flight; a callback that
+   raises costs the front connection. *)
+let answer leg outcome =
+  match leg.waiter with
+  | None -> ()
+  | Some k ->
+      leg.waiter <- None;
+      let c = leg.front in
+      c.calls <- c.calls - 1;
+      (match outcome with Error _ -> close_leg leg | Ok _ -> ());
+      (try k outcome
+       with e ->
+         Slog.error ~event:"leg_reply_raised" [ ("exn", Printexc.to_string e) ];
+         fail c.io "leg reply raised");
+      if c.calls = 0 then c.busy <- false
+
+(* A reply parsed out of the stream wins over an error behind it, as in
+   {!Client}: the bytes arrived before the failure. *)
+let settle_leg leg =
+  if leg.waiter <> None then
+    match Wire.Stream.next leg.lio.stream with
+    | Some (Wire.Frame frame) -> answer leg (Ok frame)
+    | Some (Wire.Malformed message) ->
+        answer leg (Error ("malformed reply: " ^ message))
+    | Some Wire.Eof -> answer leg (Error "connection closed by server")
+    | None -> (
+        match leg.lio.failed with
+        | Some reason -> answer leg (Error ("connection lost: " ^ reason))
+        | None -> ())
+    | exception e ->
+        answer leg (Error ("malformed reply: " ^ Printexc.to_string e))
+
+let break_leg leg message =
+  if leg.waiter <> None then answer leg (Error message) else close_leg leg
+
+let connected leg =
+  match Unix.getsockopt_error leg.lio.fd with
+  | None ->
+      leg.connect_by <- None;
+      flush_out leg.lio
+  | Some e -> break_leg leg (Net.cannot_connect leg.peer e)
+  | exception Unix.Unix_error (e, _, _) ->
+      break_leg leg (Net.cannot_connect leg.peer e)
+
+let leg_event t leg re =
+  if leg.connect_by <> None then connected leg
+  else begin
+    if re land Poll.pollout <> 0 then flush_out leg.lio;
+    if re land (Poll.pollin lor Poll.pollhup lor Poll.pollerr) <> 0 then
+      read_into t leg.lio
+  end;
+  if not leg.broken then settle_leg leg
+
+(* Answer calls past their deadline (a connect past its budget fails
+   like the kernel's own timeout would) and calls whose leg failed
+   outside a poll event (a write error inside [call]). *)
+let expire_legs t now =
+  let due =
+    Hashtbl.fold
+      (fun _ leg due ->
+        if
+          leg.waiter <> None
+          && (now >= leg.reply_by || leg.lio.failed <> None
+             || match leg.connect_by with Some by -> now >= by | None -> false)
+        then leg :: due
+        else due)
+      t.legs []
+  in
+  List.iter
+    (fun leg ->
+      match leg.connect_by with
+      | Some by when now >= by ->
+          answer leg (Error (Net.cannot_connect leg.peer Unix.ETIMEDOUT))
+      | _ when now >= leg.reply_by ->
+          answer leg
+            (Error
+               (Printf.sprintf "deadline exceeded after %d ms" leg.timeout_ms))
+      | _ -> settle_leg leg)
+    due
+
+(* ms until the earliest leg deadline, capped at [cap]; 0 when a leg
+   already failed and owes its call an answer. *)
+let poll_timeout_ms t cap =
+  let now = Clock.now_ns () in
+  Hashtbl.fold
+    (fun _ leg timeout ->
+      if leg.waiter = None then timeout
+      else if leg.lio.failed <> None then 0
+      else
+        let by =
+          match leg.connect_by with
+          | Some by -> min by leg.reply_by
+          | None -> leg.reply_by
+        in
+        let ms = Int64.to_int (Int64.div (Int64.sub by now) 1_000_000L) + 1 in
+        max 0 (min timeout ms))
+    t.legs cap
+
+(* ---- front connections ---- *)
+
+(* Parse and handle frames until the connection is busy, out of
+   complete frames, backed up or stopping (a stopping server finishes
+   frames in flight but starts no new ones). *)
+let serve_conn t c =
+  let continue = ref true in
+  while !continue do
+    if
+      c.busy || c.stream_done || c.closed || c.io.failed <> None
+      || c.io.out_len >= t.max_out
+      || Atomic.get t.stopping
+    then continue := false
+    else
+      match Wire.Stream.next c.io.stream with
+      | None -> continue := false
+      | Some Wire.Eof -> c.stream_done <- true
+      | Some result ->
+          c.busy <- true;
+          t.handler c result;
+          if c.calls = 0 then c.busy <- false
+  done
+
+let serve_conn_safely t c =
+  try serve_conn t c
+  with e ->
+    Slog.error ~event:"handler_crashed" [ ("exn", Printexc.to_string e) ];
+    fail c.io "handler raised"
+
+(* A failed connection closes at once, dropping any call in flight; a
+   healthy one once its frame is done and its replies are out. *)
 let closeable t c =
-  (not c.busy) && (not c.closed)
-  && (c.dead
-     || (c.stream_done && c.out_len = 0)
-     || (Atomic.get t.stopping && c.out_len = 0))
+  (not c.closed)
+  && (c.io.failed <> None
+     || (not c.busy) && c.io.out_len = 0
+        && (c.stream_done || Atomic.get t.stopping))
 
 let close_conn t c =
   if not c.closed then begin
     c.closed <- true;
-    Hashtbl.remove t.conns c.fd;
-    (try Unix.close c.fd with Unix.Unix_error _ -> ());
+    List.iter close_leg c.own_legs;
+    Hashtbl.remove t.conns c.io.fd;
+    close_fd c.io.fd;
     try t.on_close c.data
     with e ->
       Slog.error ~event:"on_close_raised" [ ("exn", Printexc.to_string e) ]
   end
 
 let interest_of t c =
-  if c.dead || c.closed then 0
+  if c.io.failed <> None || c.closed then 0
   else begin
     let i = ref 0 in
     if
-      (not c.read_eof)
+      (not c.io.read_eof)
       && (not (Atomic.get t.stopping))
-      && Wire.Stream.buffered c.stream < t.max_in
-      && c.out_len < t.max_out
+      && Wire.Stream.buffered c.io.stream < t.max_in
+      && c.io.out_len < t.max_out
     then i := Poll.pollin;
-    if c.out_len > 0 then i := !i lor Poll.pollout;
+    if c.io.out_len > 0 then i := !i lor Poll.pollout;
     !i
   end
 
-let set_read_eof c =
-  if not c.read_eof then begin
-    c.read_eof <- true;
-    Wire.Stream.feed_eof c.stream
-  end
-
-let read_into t c =
-  match Unix.read c.fd t.scratch 0 (Bytes.length t.scratch) with
-  | 0 -> set_read_eof c
-  | k -> Wire.Stream.feed c.stream t.scratch 0 k
-  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
-  | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-  | exception Unix.Unix_error _ -> c.dead <- true
+let leg_interest leg =
+  if leg.broken then 0
+  else if leg.connect_by <> None then Poll.pollout
+  else
+    (if leg.waiter <> None && not leg.lio.read_eof then Poll.pollin else 0)
+    lor if leg.lio.out_len > 0 then Poll.pollout else 0
 
 let add_conn t fd =
-  Unix.set_nonblock fd;
-  let c =
-    {
-      fd;
-      stream = Wire.Stream.create Wire.V1;
-      data = t.on_open ();
-      owner = t;
-      busy = false;
-      read_eof = false;
-      stream_done = false;
-      dead = false;
-      closed = false;
-      out = Queue.create ();
-      out_off = 0;
-      out_len = 0;
-      bytes_out = 0;
-      enq_ns = 0L;
-    }
-  in
-  Hashtbl.replace t.conns fd c;
-  t.opened <- t.opened + 1;
-  if Hashtbl.length t.conns > t.peak then t.peak <- Hashtbl.length t.conns
+  match t.on_open () with
+  | data ->
+      Unix.set_nonblock fd;
+      Hashtbl.replace t.conns fd
+        {
+          io = new_io fd;
+          data;
+          owner = t;
+          busy = false;
+          calls = 0;
+          own_legs = [];
+          stream_done = false;
+          closed = false;
+        }
+  | exception e ->
+      Slog.error ~event:"on_open_raised" [ ("exn", Printexc.to_string e) ];
+      close_fd fd
 
 let accept_batch t =
   match t.listen_fd with
@@ -358,35 +511,20 @@ let accept_batch t =
         | exception Unix.Unix_error _ -> continue := false
       done
 
-let handle_conn_event t c re =
-  if re land (Poll.pollerr lor Poll.pollnval) <> 0 then c.dead <- true
+let conn_event t c re =
+  if re land (Poll.pollerr lor Poll.pollnval) <> 0 then fail c.io "poll error"
   else begin
-    if re land Poll.pollout <> 0 then flush_out c;
-    if re land Poll.pollin <> 0 then read_into t c
-    else if re land Poll.pollhup <> 0 then
+    if re land Poll.pollout <> 0 then flush_out c.io;
+    if re land Poll.pollin <> 0 then read_into t c.io
+    else if re land Poll.pollhup <> 0 && not c.io.read_eof then begin
       (* hangup while we were not reading (backpressure): the peer is
          fully gone, nothing more will arrive *)
-      set_read_eof c
+      c.io.read_eof <- true;
+      Wire.Stream.feed_eof c.io.stream
+    end
   end
 
-let conn_count t =
-  Mutex.lock t.mutex;
-  let n = Hashtbl.length t.conns in
-  Mutex.unlock t.mutex;
-  n
-
-let peak_conns t =
-  Mutex.lock t.mutex;
-  let n = t.peak in
-  Mutex.unlock t.mutex;
-  n
-
-let wake_loop t =
-  Mutex.lock t.mutex;
-  wake t;
-  Mutex.unlock t.mutex
-
-(* ---- the event domain body ---- *)
+(* ---- the loop body ---- *)
 
 let grow_scratch t need =
   if Array.length t.p_fds < need then begin
@@ -399,77 +537,72 @@ let grow_scratch t need =
     t.p_revents <- Array.make !capacity 0
   end
 
+(* One poll, then every ready fd. The 200 ms cap keeps stop and EMFILE
+   recovery from waiting on a quiet poll set. *)
+let wait_and_dispatch t =
+  grow_scratch t (2 + Hashtbl.length t.conns + Hashtbl.length t.legs);
+  let n = ref 0 in
+  let add fd interest =
+    if interest <> 0 then begin
+      t.p_fds.(!n) <- fd;
+      t.p_events.(!n) <- interest;
+      incr n
+    end
+  in
+  add t.wake_r Poll.pollin;
+  (match t.listen_fd with
+  | Some lfd when not t.accept_paused -> add lfd Poll.pollin
+  | _ -> ());
+  t.accept_paused <- false;
+  Hashtbl.iter (fun fd c -> add fd (interest_of t c)) t.conns;
+  Hashtbl.iter (fun fd leg -> add fd (leg_interest leg)) t.legs;
+  let n = !n in
+  let ready =
+    try
+      Poll.poll ~fds:t.p_fds ~events:t.p_events ~revents:t.p_revents ~n
+        ~timeout_ms:(poll_timeout_ms t 200)
+    with Unix.Unix_error (Unix.EINTR, _, _) -> 0
+  in
+  if ready > 0 then
+    for i = 0 to n - 1 do
+      let re = t.p_revents.(i) in
+      if re <> 0 then begin
+        let fd = t.p_fds.(i) in
+        if fd = t.wake_r then drain_wake t
+        else if t.listen_fd = Some fd then accept_batch t
+        else
+          match Hashtbl.find_opt t.conns fd with
+          | Some c -> conn_event t c re
+          | None -> (
+              match Hashtbl.find_opt t.legs fd with
+              | Some leg -> leg_event t leg re
+              | None -> ())
+      end
+    done
+
 let run t =
   let finished = ref false in
   while not !finished do
-    Mutex.lock t.mutex;
-    if Atomic.get t.stopping then begin
-      (* stop accepting; in-flight requests finish, replies flush, and
-         every connection closes as it goes idle *)
-      match t.listen_fd with
-      | Some lfd ->
-          (try Unix.close lfd with Unix.Unix_error _ -> ());
-          t.listen_fd <- None
-      | None -> ()
-    end;
-    (* parse / close pass *)
+    if Atomic.get t.stopping then
+      Option.iter
+        (fun lfd ->
+          (* stop accepting; frames in flight finish, replies flush, and
+             every connection closes as it goes idle *)
+          close_fd lfd;
+          t.listen_fd <- None)
+        t.listen_fd;
+    run_finished t;
+    expire_legs t (Clock.now_ns ());
     let to_close = ref [] in
     Hashtbl.iter
       (fun _ c ->
-        try_parse t c;
+        serve_conn_safely t c;
         if closeable t c then to_close := c :: !to_close)
       t.conns;
     List.iter (close_conn t) !to_close;
-    if Atomic.get t.stopping && Hashtbl.length t.conns = 0 then begin
-      t.dq_closed <- true;
-      Condition.broadcast t.nonempty;
-      Mutex.unlock t.mutex;
+    if Atomic.get t.stopping && Hashtbl.length t.conns = 0 then
       finished := true
-    end
-    else begin
-      grow_scratch t (2 + Hashtbl.length t.conns);
-      let n = ref 0 in
-      let add fd interest =
-        t.p_fds.(!n) <- fd;
-        t.p_events.(!n) <- interest;
-        incr n
-      in
-      add t.wake_r Poll.pollin;
-      (match t.listen_fd with
-      | Some lfd when not t.accept_paused -> add lfd Poll.pollin
-      | _ -> ());
-      t.accept_paused <- false;
-      Hashtbl.iter
-        (fun fd c ->
-          let interest = interest_of t c in
-          if interest <> 0 then add fd interest)
-        t.conns;
-      let n = !n in
-      Mutex.unlock t.mutex;
-      let ready =
-        (* 200ms cap: stop and EMFILE recovery never wait on a quiet
-           poll set *)
-        try
-          Poll.poll ~fds:t.p_fds ~events:t.p_events ~revents:t.p_revents ~n
-            ~timeout_ms:200
-        with Unix.Unix_error (Unix.EINTR, _, _) -> 0
-      in
-      Mutex.lock t.mutex;
-      if ready > 0 then
-        for i = 0 to n - 1 do
-          let re = t.p_revents.(i) in
-          if re <> 0 then begin
-            let fd = t.p_fds.(i) in
-            if fd = t.wake_r then drain_wake t
-            else if t.listen_fd = Some fd then accept_batch t
-            else
-              match Hashtbl.find_opt t.conns fd with
-              | Some c -> handle_conn_event t c re
-              | None -> ()
-          end
-        done;
-      Mutex.unlock t.mutex
-    end
+    else wait_and_dispatch t
   done;
-  (try Unix.close t.wake_r with Unix.Unix_error _ -> ());
-  try Unix.close t.wake_w with Unix.Unix_error _ -> ()
+  close_fd t.wake_r;
+  close_fd t.wake_w

@@ -6,35 +6,43 @@
 
 module Clock = Rrs_obs.Clock
 
+type outcome = Reply of Wire.frame | Pending | Off_loop of (unit -> Wire.frame)
+
 type 'a state = {
   span : Metrics.span;
   on_lock : int -> unit;
   mutable in_mark : int; (* Event_loop.bytes_in at the last frame end *)
+  mutable pending : Wire.frame option; (* the request still owed a reply *)
+  mutable started : int64; (* when its handling began *)
+  handler : 'a t;
   ext : 'a;
 }
 
-(* One reused span and lock-wait closure per connection: the tracing
-   hot path allocates nothing per request. *)
-let state ext =
-  let span = Metrics.span () in
-  {
-    span;
-    on_lock = (fun us -> span.Metrics.s_lock_us <- span.Metrics.s_lock_us + us);
-    in_mark = 0;
-    ext;
-  }
-
-let ext st = st.ext
-let on_lock st = st.on_lock
-
-type 'a t = {
+and 'a t = {
   role : string;
   id : string;
   max_wire : int;
   max_reply : int;
   metrics : Metrics.t;
-  handle : 'a state Event_loop.conn -> Wire.frame -> Wire.frame;
+  handle : 'a state Event_loop.conn -> Wire.frame -> outcome;
 }
+
+(* One reused span and lock-wait closure per connection: the tracing
+   hot path allocates nothing per request. *)
+let state handler ext =
+  let span = Metrics.span () in
+  {
+    span;
+    on_lock = (fun us -> span.Metrics.s_lock_us <- span.Metrics.s_lock_us + us);
+    in_mark = 0;
+    pending = None;
+    started = 0L;
+    handler;
+    ext;
+  }
+
+let ext st = st.ext
+let on_lock st = st.on_lock
 
 (* The hello exchange doubles as framing negotiation: a [hello_ok]
    naming [rrs-wire/2] (when allowed) switches the connection to the
@@ -90,17 +98,53 @@ let send t conn span framing reply handled =
   span.Metrics.s_bytes_out <- String.length data;
   span.Metrics.s_write_us <- us_between handled (Clock.now_ns ())
 
-(* One complete inbound result (frame or malformed report — the loop
-   never dispatches Eof), handled on a worker domain. s_read_us measures
-   dispatch-queue wait: there is no per-frame blocking read to time. *)
-let handle_event t ~worker conn result =
+(* Account for, send and record the reply to [frame]. *)
+let complete st conn frame reply =
+  let t = st.handler and span = st.span in
+  let handled = Clock.now_ns () in
+  span.Metrics.s_handle_us <- us_between st.started handled;
+  (match reply with
+  | Wire.Error_frame _ | Wire.Admission_reject _ -> span.Metrics.s_error <- true
+  | Wire.Stepped _ -> (
+      match frame with
+      | Wire.Step { rounds; _ } -> span.Metrics.s_rounds <- max rounds 1
+      | _ -> ())
+  | Wire.Shed { shed; _ } -> span.Metrics.s_shed <- shed
+  | _ -> ());
+  send t conn span (Event_loop.framing conn) reply handled;
+  (* The hello reply went out in the framing the hello arrived in;
+     only now does the connection switch. *)
+  (match (frame, reply) with
+  | Wire.Hello _, Wire.Hello_ok { server_version; _ } ->
+      Event_loop.set_framing conn
+        (if server_version = Wire.version2 then Wire.V2 else Wire.V1)
+  | _ -> ());
+  Metrics.record t.metrics span
+
+(* A bug in frame handling must cost this request, not the process:
+   fail the frame, keep the connection. *)
+let internal_error t e =
+  Slog.error ~event:"handler_raised"
+    [ ("role", t.role); ("exn", Printexc.to_string e) ];
+  Wire.Error_frame { message = "internal error: " ^ Printexc.to_string e }
+
+let finish conn reply =
   let st = Event_loop.data conn in
-  let span = st.span in
+  match st.pending with
+  | None -> ()
+  | Some frame ->
+      st.pending <- None;
+      complete st conn frame reply
+
+(* One complete inbound result (frame or malformed report — the loop
+   never hands over Eof), handled on the loop that read it. *)
+let handle_event conn result =
+  let st = Event_loop.data conn in
+  let t = st.handler and span = st.span in
   let framing = Event_loop.framing conn in
   Metrics.reset_span span;
   span.Metrics.s_wire <- (match framing with Wire.V1 -> 1 | Wire.V2 -> 2);
-  let started = Clock.now_ns () in
-  span.Metrics.s_read_us <- us_between (Event_loop.queued_ns conn) started;
+  st.started <- Clock.now_ns ();
   let bytes_in_now = Event_loop.bytes_in conn in
   span.Metrics.s_bytes_in <- bytes_in_now - st.in_mark;
   st.in_mark <- bytes_in_now;
@@ -108,8 +152,11 @@ let handle_event t ~worker conn result =
   | Wire.Eof -> ()
   | Wire.Malformed message ->
       send t conn span framing (Wire.Error_frame { message }) (Clock.now_ns ());
-      Metrics.record_malformed t.metrics ~worker span
-  | Wire.Frame frame ->
+      Metrics.record_malformed t.metrics span
+  | Wire.Frame (Wire.Hello { client_version } as frame) ->
+      span.Metrics.s_kind <- Metrics.kind_index frame;
+      complete st conn frame (hello_reply t client_version)
+  | Wire.Frame frame -> (
       span.Metrics.s_kind <- Metrics.kind_index frame;
       (match frame with
       | Wire.Open { session; _ } | Wire.Feed { session; _ }
@@ -117,36 +164,12 @@ let handle_event t ~worker conn result =
       | Wire.Snapshot { session; _ } | Wire.Close { session; _ } ->
           span.Metrics.s_session <- session
       | _ -> ());
-      let reply =
-        match frame with
-        | Wire.Hello { client_version } -> hello_reply t client_version
-        | _ -> (
-            (* A bug in frame handling must cost this request, not the
-               process: fail the frame, keep the connection. *)
-            try t.handle conn frame
-            with e ->
-              Slog.error ~event:"handler_raised"
-                [ ("role", t.role); ("exn", Printexc.to_string e) ];
-              Wire.Error_frame
-                { message = "internal error: " ^ Printexc.to_string e })
-      in
-      let handled = Clock.now_ns () in
-      span.Metrics.s_handle_us <- us_between started handled;
-      (match reply with
-      | Wire.Error_frame _ | Wire.Admission_reject _ ->
-          span.Metrics.s_error <- true
-      | Wire.Stepped _ -> (
-          match frame with
-          | Wire.Step { rounds; _ } -> span.Metrics.s_rounds <- max rounds 1
-          | _ -> ())
-      | Wire.Shed { shed; _ } -> span.Metrics.s_shed <- shed
-      | _ -> ());
-      send t conn span framing reply handled;
-      (* The hello reply went out in the framing the hello arrived in;
-         only now does the connection switch. *)
-      (match (frame, reply) with
-      | Wire.Hello _, Wire.Hello_ok { server_version; _ } ->
-          Event_loop.set_framing conn
-            (if server_version = Wire.version2 then Wire.V2 else Wire.V1)
-      | _ -> ());
-      Metrics.record t.metrics ~worker span
+      st.pending <- Some frame;
+      match t.handle conn frame with
+      | Reply reply -> finish conn reply
+      | Pending -> ()
+      | Off_loop job ->
+          Event_loop.off_loop conn job (function
+            | Ok reply -> finish conn reply
+            | Error e -> finish conn (internal_error t e))
+      | exception e -> finish conn (internal_error t e))

@@ -9,8 +9,8 @@
 
    All timing flows through explicit [now_ms] arguments, so tests drive
    the machine with a synthetic clock. The struct is mutex-protected:
-   router workers report outcomes from many domains while the prober
-   domain polls [probe_due]. *)
+   the router's event loop reports outcomes while the prober domain
+   polls [probe_due]. *)
 
 type state = Up | Down
 

@@ -29,10 +29,10 @@ let bytes_buckets =
   [| 0; 16; 32; 64; 128; 256; 512; 1024; 4096; 16384; 65536; 262144; 1048576;
      4194304 |]
 
-(* One slot per worker domain: a private registry plus typed handles, so
-   the hot path records without locks at the Probe one-branch cost. A
-   reader folds every slot with [Probe.merge] on demand. *)
-type slot = {
+(* The event loop's registry plus typed handles, so the hot path
+   records without locks at the Probe one-branch cost. A reader folds
+   it into a fresh registry with [Probe.merge] on demand. *)
+type series = {
   registry : Probe.registry;
   requests_total : Probe.counter;
   requests_by : Probe.counter array; (* requests_<kind> *)
@@ -48,7 +48,7 @@ type slot = {
   bytes_out_h : Probe.histogram; (* bytes_out *)
 }
 
-let make_slot () =
+let make_series () =
   let registry = Probe.create_registry () in
   {
     registry;
@@ -79,8 +79,6 @@ type span = {
   mutable s_kind : int;
   mutable s_session : string;
   mutable s_wire : int;
-  mutable s_read_us : int;
-      (* blocking read + decode; includes client think time *)
   mutable s_lock_us : int; (* waiting on the session mutex *)
   mutable s_handle_us : int; (* handler, lock wait included *)
   mutable s_write_us : int; (* encode + write + flush *)
@@ -96,7 +94,6 @@ let span () =
     s_kind = error_kind;
     s_session = "";
     s_wire = 1;
-    s_read_us = 0;
     s_lock_us = 0;
     s_handle_us = 0;
     s_write_us = 0;
@@ -110,7 +107,6 @@ let span () =
 let reset_span s =
   s.s_kind <- error_kind;
   s.s_session <- "";
-  s.s_read_us <- 0;
   s.s_lock_us <- 0;
   s.s_handle_us <- 0;
   s.s_write_us <- 0;
@@ -121,9 +117,7 @@ let reset_span s =
   s.s_error <- false
 
 (* Request latency as the client could observe it server-side: handler
-   (lock wait included) + reply write. The blocking read is excluded —
-   it is dominated by the peer's think time — but kept in the span for
-   the slow log. *)
+   (lock wait included) + reply write. *)
 let span_latency_us s = s.s_handle_us + s.s_write_us
 
 type slow_entry = {
@@ -132,7 +126,6 @@ type slow_entry = {
   e_session : string;
   e_wire : int;
   e_latency_us : int;
-  e_read_us : int;
   e_lock_us : int;
   e_handle_us : int;
   e_write_us : int;
@@ -142,7 +135,7 @@ type slow_entry = {
 }
 
 type t = {
-  slots : slot array;
+  series : series;
   started_ns : int64;
   slow_threshold_us : int;
   (* The slow log is the one shared structure, and its mutex is taken
@@ -156,8 +149,7 @@ type t = {
 let default_slow_threshold_us = 10_000
 let default_slow_capacity = 64
 
-let create ?(workers = 1) ?(slow_threshold_us = 0) ?(slow_capacity = 0) () =
-  let workers = max 1 workers in
+let create ?(slow_threshold_us = 0) ?(slow_capacity = 0) () =
   let slow_threshold_us =
     if slow_threshold_us > 0 then slow_threshold_us
     else default_slow_threshold_us
@@ -166,7 +158,7 @@ let create ?(workers = 1) ?(slow_threshold_us = 0) ?(slow_capacity = 0) () =
     if slow_capacity > 0 then slow_capacity else default_slow_capacity
   in
   {
-    slots = Array.init workers (fun _ -> make_slot ());
+    series = make_series ();
     started_ns = Clock.now_ns ();
     slow_threshold_us;
     slow_mutex = Mutex.create ();
@@ -174,7 +166,6 @@ let create ?(workers = 1) ?(slow_threshold_us = 0) ?(slow_capacity = 0) () =
     slow_pushed = 0;
   }
 
-let workers t = Array.length t.slots
 let slow_threshold_us t = t.slow_threshold_us
 
 let uptime_ns t = Int64.sub (Clock.now_ns ()) t.started_ns
@@ -186,21 +177,21 @@ let push_slow t entry =
   t.slow_pushed <- t.slow_pushed + 1;
   Mutex.unlock t.slow_mutex
 
-let record t ~worker s =
-  let slot = t.slots.(worker mod Array.length t.slots) in
+let record t s =
+  let series = t.series in
   let latency = span_latency_us s in
-  Probe.incr slot.requests_total;
-  Probe.incr slot.requests_by.(s.s_kind);
-  if s.s_error then Probe.incr slot.errors_total;
-  Probe.observe slot.req_latency.(s.s_kind) latency;
-  Probe.observe slot.lock_wait s.s_lock_us;
-  if s.s_kind = step_kind then Probe.observe slot.step_time s.s_handle_us;
-  Probe.observe slot.bytes_in_h s.s_bytes_in;
-  Probe.observe slot.bytes_out_h s.s_bytes_out;
-  if s.s_rounds > 0 then Probe.add slot.rounds_total s.s_rounds;
-  if s.s_shed > 0 then Probe.add slot.shed_jobs_total s.s_shed;
+  Probe.incr series.requests_total;
+  Probe.incr series.requests_by.(s.s_kind);
+  if s.s_error then Probe.incr series.errors_total;
+  Probe.observe series.req_latency.(s.s_kind) latency;
+  Probe.observe series.lock_wait s.s_lock_us;
+  if s.s_kind = step_kind then Probe.observe series.step_time s.s_handle_us;
+  Probe.observe series.bytes_in_h s.s_bytes_in;
+  Probe.observe series.bytes_out_h s.s_bytes_out;
+  if s.s_rounds > 0 then Probe.add series.rounds_total s.s_rounds;
+  if s.s_shed > 0 then Probe.add series.shed_jobs_total s.s_shed;
   if latency >= t.slow_threshold_us then begin
-    Probe.incr slot.slow_total;
+    Probe.incr series.slow_total;
     push_slow t
       {
         e_at_us = Int64.to_int (Int64.div (uptime_ns t) 1000L);
@@ -208,7 +199,6 @@ let record t ~worker s =
         e_session = s.s_session;
         e_wire = s.s_wire;
         e_latency_us = latency;
-        e_read_us = s.s_read_us;
         e_lock_us = s.s_lock_us;
         e_handle_us = s.s_handle_us;
         e_write_us = s.s_write_us;
@@ -218,12 +208,11 @@ let record t ~worker s =
       }
   end
 
-let record_malformed t ~worker s =
-  let slot = t.slots.(worker mod Array.length t.slots) in
-  Probe.incr slot.malformed_total;
+let record_malformed t s =
+  Probe.incr t.series.malformed_total;
   s.s_kind <- error_kind;
   s.s_error <- true;
-  record t ~worker s
+  record t s
 
 (* Newest first, at most [max] entries. *)
 let slow_log ?max t =
@@ -243,15 +232,14 @@ let slow_log ?max t =
 let slow_to_json e =
   Printf.sprintf
     "{\"at_us\":%d,\"type\":%s,\"session\":%s,\"wire\":%d,\
-     \"latency_us\":%d,\"read_us\":%d,\"lock_us\":%d,\"handle_us\":%d,\
+     \"latency_us\":%d,\"lock_us\":%d,\"handle_us\":%d,\
      \"write_us\":%d,\"bytes_in\":%d,\"bytes_out\":%d,\"error\":%d}"
     e.e_at_us (Json.escape e.e_kind) (Json.escape e.e_session) e.e_wire
-    e.e_latency_us e.e_read_us e.e_lock_us e.e_handle_us e.e_write_us
+    e.e_latency_us e.e_lock_us e.e_handle_us e.e_write_us
     e.e_bytes_in e.e_bytes_out
     (if e.e_error then 1 else 0)
 
-let registries t = Array.to_list (Array.map (fun s -> s.registry) t.slots)
-let merged t = Probe.merged (registries t)
+let merged t = Probe.merged [ t.series.registry ]
 
 (* A registry snapshot as one flat JSON object (name -> int), the
    [metrics_ok.doc] payload — parseable by [Json.parse_fields]. Shared

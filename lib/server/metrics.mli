@@ -1,14 +1,14 @@
-(** Serving-layer metrics: per-worker probe registries, request spans
-    and a bounded slow-request log.
+(** Serving-layer metrics: the event loop's probe registry, request
+    spans and a bounded slow-request log.
 
-    Each worker domain owns one {!Rrs_obs.Probe.registry} (a {e slot}),
-    so the per-frame hot path records at the Probe cost — one branch
-    when disabled, no locks, no allocation — and a reader folds every
-    slot with {!Rrs_obs.Probe.merge} on demand ({!merged}). The only
-    shared structure is the slow-request ring, whose mutex is taken
-    only for requests over the threshold.
+    Only the process's event loop records, into one
+    {!Rrs_obs.Probe.registry}, so the per-frame hot path costs what a
+    Probe costs — one branch when disabled, no locks, no allocation —
+    and a reader takes a fresh copy with {!Rrs_obs.Probe.merge}
+    ({!merged}). The slow-request ring's mutex is taken only for
+    requests over the threshold.
 
-    {b Series} (all per worker, merged on read):
+    {b Series}:
     counters [requests_total], [requests_<kind>], [errors_total],
     [malformed_total], [rounds_total], [shed_jobs_total], [slow_total];
     histograms [req_latency_us_<kind>] (µs), [lock_wait_us], [step_us],
@@ -34,8 +34,6 @@ type span = {
   mutable s_kind : int;
   mutable s_session : string;
   mutable s_wire : int;  (** negotiated wire version *)
-  mutable s_read_us : int;
-      (** blocking read + decode; includes client think time *)
   mutable s_lock_us : int;  (** waiting on the session mutex *)
   mutable s_handle_us : int;  (** handler, lock wait included *)
   mutable s_write_us : int;  (** encode + write + flush *)
@@ -50,8 +48,7 @@ val span : unit -> span
 val reset_span : span -> unit
 
 (** Server-side request latency: handler (lock wait included) + reply
-    write; the blocking read is excluded as it is dominated by peer
-    think time. *)
+    write. *)
 val span_latency_us : span -> int
 
 (** {1 The metrics plane} *)
@@ -64,23 +61,21 @@ val default_slow_threshold_us : int
 val default_slow_capacity : int
 (** 64 entries. *)
 
-(** [create ~workers ()] makes one slot per worker domain. 0 (or
-    absent) [slow_threshold_us]/[slow_capacity] mean the defaults. *)
-val create :
-  ?workers:int -> ?slow_threshold_us:int -> ?slow_capacity:int -> unit -> t
+(** 0 (or absent) [slow_threshold_us]/[slow_capacity] mean the
+    defaults. *)
+val create : ?slow_threshold_us:int -> ?slow_capacity:int -> unit -> t
 
-val workers : t -> int
 val slow_threshold_us : t -> int
 val uptime_s : t -> int
 
-(** [record t ~worker span] folds one finished span into worker
-    [worker]'s slot (lock-free) and, when its latency reaches the slow
-    threshold, into the shared slow ring (one short lock). *)
-val record : t -> worker:int -> span -> unit
+(** [record t span] folds one finished span into the registry
+    (lock-free) and, when its latency reaches the slow threshold, into
+    the slow ring (one short lock). *)
+val record : t -> span -> unit
 
 (** Count a frame that failed to decode: bumps [malformed_total] and
     records the span under the [error] kind. *)
-val record_malformed : t -> worker:int -> span -> unit
+val record_malformed : t -> span -> unit
 
 (** {1 Reading} *)
 
@@ -91,7 +86,6 @@ type slow_entry = {
   e_session : string;
   e_wire : int;
   e_latency_us : int;
-  e_read_us : int;
   e_lock_us : int;
   e_handle_us : int;
   e_write_us : int;
@@ -107,11 +101,8 @@ val slow_log : ?max:int -> t -> slow_entry list
     {!Rrs_sim.Event_sink.Json.parse_fields}. *)
 val slow_to_json : slow_entry -> string
 
-(** Every worker slot's registry, for {!Rrs_obs.Probe.merged_snapshot}
-    or direct inspection. *)
-val registries : t -> Rrs_obs.Probe.registry list
-
-(** A fresh registry folding every slot (see {!Rrs_obs.Probe.merge}). *)
+(** A fresh copy of the registry (see {!Rrs_obs.Probe.merge}), for a
+    reader to add its own gauges to. *)
 val merged : t -> Rrs_obs.Probe.registry
 
 (** A registry snapshot as one flat JSON object (name -> int), the

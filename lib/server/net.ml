@@ -67,3 +67,36 @@ let port_of fd =
 let address_label = function
   | Unix_socket path -> "unix:" ^ path
   | Tcp (host, port) -> Printf.sprintf "tcp:%s:%d" host port
+
+let peer_label = function
+  | Unix_socket path -> path
+  | Tcp (host, port) -> Printf.sprintf "%s:%d" host port
+
+let cannot_connect address error =
+  Printf.sprintf "cannot connect: %s: %s" (peer_label address)
+    (Unix.error_message error)
+
+let socket_for address =
+  let domain, sockaddr =
+    match address with
+    | Unix_socket path -> (Unix.PF_UNIX, Unix.ADDR_UNIX path)
+    | Tcp (host, port) -> (
+        match resolve_host host with
+        | Ok addr -> (Unix.PF_INET, Unix.ADDR_INET (addr, port))
+        | Error message -> failwith ("cannot connect: " ^ message))
+  in
+  (Unix.socket ~cloexec:true domain Unix.SOCK_STREAM 0, sockaddr)
+
+(* Only a TCP connect can be in progress: a Unix socket connects at once
+   or fails (EAGAIN when the listener's backlog is full). *)
+let start_connect address =
+  let fd, sockaddr = socket_for address in
+  match
+    Unix.set_nonblock fd;
+    Unix.connect fd sockaddr
+  with
+  | () -> (fd, false)
+  | exception Unix.Unix_error (Unix.EINPROGRESS, _, _) -> (fd, true)
+  | exception e ->
+      (try Unix.close fd with Unix.Unix_error _ -> ());
+      raise e

@@ -22,3 +22,19 @@ val port_of : Unix.file_descr -> int option
     port 0). *)
 
 val address_label : address -> string
+
+val socket_for : address -> Unix.file_descr * Unix.sockaddr
+(** A fresh close-on-exec stream socket for [address], and the address
+    to connect it to.
+    @raise Failure on an unresolvable TCP host (message naming it). *)
+
+val start_connect : address -> Unix.file_descr * bool
+(** A {!socket_for} [address], made non-blocking, with its connect
+    started; [true] when the connect is still in progress (wait for
+    writability, then read [SO_ERROR]).
+    @raise Unix.Unix_error when the connect fails at once.
+    @raise Failure on an unresolvable TCP host. *)
+
+val cannot_connect : address -> Unix.error -> string
+(** The one-line ["cannot connect: <peer>: <reason>"] message every
+    failed outbound connect reports. *)

@@ -82,7 +82,6 @@ type shard_spec = { shard_label : string; shard_address : Net.address }
 type config = {
   address : Net.address; (* front listener *)
   shards : shard_spec list;
-  domains : int; (* front worker domains; 0 = default *)
   max_wire : int; (* front framings negotiable; 1 pins /1 *)
   backend_wire : int; (* framing spoken to shards (default 2) *)
   timeout_ms : int; (* per-backend-call deadline *)
@@ -98,7 +97,6 @@ let default_config ~address ~shards =
   {
     address;
     shards;
-    domains = 0;
     max_wire = 2;
     backend_wire = 2;
     timeout_ms = 2_000;
@@ -130,15 +128,16 @@ type t = {
   stopping : bool Atomic.t;
   (* Assigned right after construction (the loop handler needs [t]);
      always Some once [start] returns. *)
-  mutable loop : backends Handler.state Event_loop.t option;
-  mutable event_domain : unit Domain.t option;
-  mutable worker_domains : unit Domain.t list;
+  mutable loop : legs Handler.state Event_loop.t option;
+  mutable loop_domain : unit Domain.t option;
   mutable prober_domain : unit Domain.t option;
 }
 
-(* This connection's cached backend legs (one per shard, connected
-   lazily): the router's part of the per-connection handler state. *)
-and backends = Client.t option array
+(* This connection's cached shard legs (one per shard, dialled lazily
+   and closed by the loop with the connection): the router's part of
+   the per-connection handler state. *)
+and legs = { by_shard : legs Handler.state Event_loop.leg option array }
+[@@unboxed]
 
 let now_ms () = Int64.to_int (Int64.div (Clock.now_ns ()) 1_000_000L)
 
@@ -152,9 +151,9 @@ let session_of_frame = function
       Some session
   | _ -> None
 
-(* The router's own metrics view: front-side spans merged across
-   workers plus routing/health gauges — shards_total/up, per-shard
-   failures and re-admissions folded into totals. *)
+(* The router's own metrics view: front-side spans plus routing/health
+   gauges — shards_total/up, per-shard failures and re-admissions
+   folded into totals. *)
 let metrics_registry t =
   let merged = Metrics.merged t.metrics in
   Probe.merge ~into:merged t.probes;
@@ -177,7 +176,6 @@ let metrics_registry t =
   set "shard_trips_total" trips;
   set "shard_readmits_total" readmits;
   set "uptime_s" (Metrics.uptime_s t.metrics);
-  set "workers" (Metrics.workers t.metrics);
   merged
 
 let handle_metrics t ~slow =
@@ -186,56 +184,30 @@ let handle_metrics t ~slow =
   Wire.Metrics_ok
     { doc; slow = String.concat "\n" (List.map Metrics.slow_to_json entries) }
 
-(* One backend leg: the cached per-connection client when it is still
-   trusted, else a fresh connect (bounded) + negotiation. *)
-let backend_conn t backends i =
-  let shard = t.shards.(i) in
-  (match backends.(i) with
-  | Some c when Client.is_broken c ->
-      Client.close c;
-      backends.(i) <- None
-  | _ -> ());
-  match backends.(i) with
-  | Some c -> Ok c
-  | None -> (
-      match
-        Client.try_connect ~timeout_ms:t.cfg.connect_timeout_ms shard.address
-      with
-      | Error _ as e -> e
-      | Ok c ->
-          if t.cfg.backend_wire = 1 then begin
-            backends.(i) <- Some c;
-            Ok c
-          end
-          else (
-            match Client.negotiate c ~wire:t.cfg.backend_wire with
-            | Ok () ->
-                backends.(i) <- Some c;
-                Ok c
-            | Error message ->
-                Client.close c;
-                Error message))
-
-(* Forward one session frame to its owning shard. Down shards are
-   refused immediately with a clean error — the router never blocks a
-   client on a dead backend — and every leg (connect, call) is
-   deadline-bounded, so the reply always comes back in bounded time. *)
-let forward t backends frame session =
+(* Forward one session frame to its owning shard, on the loop. Down
+   shards are refused immediately with a clean error — the router never
+   blocks a client on a dead backend. Otherwise the frame goes out on
+   this connection's leg to the shard (dialled and, for /2, negotiated
+   first when there is none), and the leg's callback finishes the
+   front frame. Every step (connect, hello, call) has a deadline, so
+   the reply always comes back in bounded time. *)
+let forward t conn frame session =
   let i = Ring.index t.ring session in
   let shard = t.shards.(i) in
   if not (Health.is_up shard.health) then begin
     Probe.incr t.shed_down;
-    Wire.Error_frame
-      {
-        message =
-          Printf.sprintf "shard %s down (%s); session %S unavailable until it \
-                          recovers"
-            shard.label
-            (match Health.last_error shard.health with
-            | "" -> "unreachable"
-            | reason -> reason)
-            session;
-      }
+    Handler.Reply
+      (Wire.Error_frame
+         {
+           message =
+             Printf.sprintf "shard %s down (%s); session %S unavailable until \
+                             it recovers"
+               shard.label
+               (match Health.last_error shard.health with
+               | "" -> "unreachable"
+               | reason -> reason)
+               session;
+         })
   end
   else begin
     Probe.incr shard.routed;
@@ -251,37 +223,62 @@ let forward t backends frame session =
             Printf.sprintf "shard %s unavailable: %s" shard.label reason;
         }
     in
-    match backend_conn t backends i with
-    | Error message -> fail message
-    | Ok c -> (
-        match Client.call ~deadline_ms:t.cfg.timeout_ms c frame with
+    let timeout_ms = t.cfg.timeout_ms in
+    let send leg =
+      Event_loop.call leg frame ~timeout_ms (function
         | Ok reply ->
             Health.ok shard.health;
-            reply
-        | Error message ->
-            Client.close c;
-            backends.(i) <- None;
-            fail message)
+            Handler.finish conn reply
+        | Error message -> Handler.finish conn (fail message))
+    in
+    let legs = (Handler.ext (Event_loop.data conn)).by_shard in
+    match legs.(i) with
+    | Some leg when not (Event_loop.leg_broken leg) ->
+        send leg;
+        Handler.Pending
+    | _ -> (
+        legs.(i) <- None;
+        match
+          Event_loop.dial conn shard.address
+            ~timeout_ms:t.cfg.connect_timeout_ms
+        with
+        | Error message -> Handler.Reply (fail message)
+        | Ok leg when t.cfg.backend_wire = 1 ->
+            legs.(i) <- Some leg;
+            send leg;
+            Handler.Pending
+        | Ok leg -> (
+            let wire = t.cfg.backend_wire in
+            match Client.hello ~wire with
+            | Error message ->
+                Event_loop.close_leg leg;
+                Handler.Reply (fail message)
+            | Ok hello ->
+                (* The hello shares the call's deadline: a shard that
+                   accepts and never answers costs [timeout_ms]. *)
+                Event_loop.call leg hello ~timeout_ms (fun reply ->
+                    match Client.hello_outcome ~wire reply with
+                    | Ok () ->
+                        Event_loop.set_leg_framing leg Wire.V2;
+                        legs.(i) <- Some leg;
+                        send leg
+                    | Error message ->
+                        Event_loop.close_leg leg;
+                        Handler.finish conn (fail message));
+                Handler.Pending))
   end
 
 (* The router's [Handler.handle]: [metrics] is answered locally (the
    router's own view), every session frame is forwarded to its owner. *)
 let handle t conn frame =
   match frame with
-  | Wire.Metrics { slow } -> handle_metrics t ~slow
+  | Wire.Metrics { slow } -> Handler.Reply (handle_metrics t ~slow)
   | _ -> (
       match session_of_frame frame with
-      | Some session -> forward t (Handler.ext (Event_loop.data conn)) frame session
+      | Some session -> forward t conn frame session
       | None ->
-          Wire.Error_frame { message = "reply frames are not requests" })
-
-let conn_close_backends st =
-  let backends = Handler.ext st in
-  Array.iteri
-    (fun i c ->
-      Option.iter Client.close c;
-      backends.(i) <- None)
-    backends
+          Handler.Reply
+            (Wire.Error_frame { message = "reply frames are not requests" }))
 
 (* Re-admission probe: bounded connect + hello. Success re-admits the
    shard (the supervisor restarted it and restore-at-boot brought its
@@ -293,7 +290,9 @@ let probe_shard t shard =
   with
   | Error message -> Health.probe_failed shard.health ~now_ms:(now_ms ()) ~reason:message
   | Ok c ->
-      (match Client.negotiate c ~wire:1 with
+      (match
+         Client.negotiate ~deadline_ms:t.cfg.connect_timeout_ms c ~wire:1
+       with
       | Ok () ->
           Health.ok shard.health;
           Slog.info ~event:"shard_readmitted" [ ("shard", shard.label) ]
@@ -351,10 +350,9 @@ let start (config : config) =
       ?replicas:(if config.replicas > 0 then Some config.replicas else None)
       labels
   in
-  let workers = if config.domains > 0 then config.domains else 4 in
   let listen_fd, cleanup_socket = Net.listen_socket config.address in
   let stopping = Atomic.make false in
-  let metrics = Metrics.create ~workers () in
+  let metrics = Metrics.create () in
   let shed_down = Probe.counter probes "routed_shard_down_total" in
   let t =
     {
@@ -368,8 +366,7 @@ let start (config : config) =
       cleanup_socket;
       stopping;
       loop = None;
-      event_domain = None;
-      worker_domains = [];
+      loop_domain = None;
       prober_domain = None;
     }
   in
@@ -385,22 +382,18 @@ let start (config : config) =
   in
   let loop =
     Event_loop.create ~listen_fd ~stopping
-      ~on_open:(fun () -> Handler.state (Array.make (Array.length shards) None))
-      ~on_close:conn_close_backends
-      ~handler:(Handler.handle_event handler)
-      ()
+      ~on_open:(fun () ->
+        Handler.state handler
+          { by_shard = Array.make (Array.length shards) None })
+      ~handler:Handler.handle_event ()
   in
   t.loop <- Some loop;
-  t.event_domain <- Some (Domain.spawn (fun () -> Event_loop.run loop));
-  t.worker_domains <-
-    List.init workers (fun worker ->
-        Domain.spawn (fun () -> Event_loop.dispatch_loop loop ~worker));
+  t.loop_domain <- Some (Domain.spawn (fun () -> Event_loop.run loop));
   t.prober_domain <- Some (Domain.spawn (fun () -> prober_loop t));
   Slog.info ~event:"routing"
     [
       ("address", Net.address_label config.address);
       ("shards", Slog.int (Array.length shards));
-      ("workers", Slog.int workers);
     ];
   t
 
@@ -408,13 +401,12 @@ let bound_port t = Net.port_of t.listen_fd
 
 let stop t =
   Atomic.set t.stopping true;
-  (* The event loop owns the listen fd and every front-connection fd:
-     waking it closes the listener, finishes in-flight requests,
-     flushes replies and closes all connections (backend legs included,
-     via on_close) before [run] returns. *)
+  (* The event loop owns the listen fd and every connection fd: waking
+     it closes the listener, finishes frames in flight (a leg within its
+     deadline), flushes replies and closes all connections, shard legs
+     included, before [run] returns. *)
   Option.iter Event_loop.wake_loop t.loop;
-  Option.iter Domain.join t.event_domain;
-  List.iter Domain.join t.worker_domains;
+  Option.iter Domain.join t.loop_domain;
   Option.iter Domain.join t.prober_domain;
   Option.iter
     (fun path -> try Sys.remove path with Sys_error _ -> ())

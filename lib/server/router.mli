@@ -2,6 +2,14 @@
     on the front, multiplexing session traffic to N shard servers on
     the back.
 
+    {b One loop}: a single {!Event_loop} domain serves every front
+    connection and polls its shard legs too. A front connection keeps
+    one leg per shard, dialled by the loop (non-blocking connect, [/2]
+    hello, then the forwarded frames), and is busy while its frame is
+    at a shard; a stalled shard therefore holds only the connections
+    waiting on it, each for at most [timeout_ms]. The poll timeout
+    honours the earliest leg deadline.
+
     {b Ownership} is consistent hashing on session name over ALL
     configured shards (see {!Ring}): stable under restarts, minimal
     remapping under topology change. A crashed shard keeps its keys —
@@ -12,7 +20,8 @@
     per-shard {!Health} machine; a down shard's requests are refused
     immediately with a clean [error] frame (the router never hangs a
     client on a dead backend), and a prober domain re-admits the shard
-    after a successful hello.
+    after a successful hello (connect and hello each bounded by
+    [connect_timeout_ms]).
 
     {b Locally handled}: [hello] (per-connection framing negotiation,
     router identity) and [metrics] (the router's own merged view:
@@ -57,10 +66,10 @@ type shard_spec = { shard_label : string; shard_address : Net.address }
 type config = {
   address : Net.address;  (** front listener *)
   shards : shard_spec list;
-  domains : int;  (** front worker domains; 0 = default (4) *)
   max_wire : int;  (** front framings negotiable; [1] pins [rrs-wire/1] *)
   backend_wire : int;  (** framing spoken to shards (default 2, binary) *)
-  timeout_ms : int;  (** per-backend-call deadline *)
+  timeout_ms : int;
+      (** per-backend-call deadline; a new leg's hello gets its own *)
   connect_timeout_ms : int;  (** backend connect budget *)
   fail_threshold : int;  (** consecutive failures tripping a shard down *)
   probe_interval_ms : int;  (** first re-admission probe delay *)
@@ -73,7 +82,7 @@ val default_config : address:Net.address -> shards:shard_spec list -> config
 
 type t
 
-(** Bind the front listener, spawn accept/worker/prober domains, return
+(** Bind the front listener, spawn the loop and prober domains, return
     immediately.
     @raise Failure on an empty or duplicate-labeled shard set, or an
     unresolvable listen host. *)

@@ -7,7 +7,6 @@ type config = {
   address : address;
   snap_dir : string option;
   trace_dir : string option;
-  domains : int; (* worker domains; 0 = Sweep.default_domains () *)
   queue_limit : int; (* per-session default; 0 = Session default *)
   max_wire : int; (* highest wire version negotiable; 0 = both (2) *)
   checkpoint_every : int; (* checkpoint interval; 0 = Session default *)
@@ -27,7 +26,7 @@ type config = {
 }
 
 let default_config address =
-  { address; snap_dir = None; trace_dir = None; domains = 0; queue_limit = 0;
+  { address; snap_dir = None; trace_dir = None; queue_limit = 0;
     max_wire = 2; checkpoint_every = 0; max_reply = 0;
     metrics = None; slow_threshold_us = 0; slow_log = 0; server_id = "rrs";
     autosnap = false; admission = None; admission_mode = Admission.Off }
@@ -189,8 +188,8 @@ let handle_open m ~session ~policy ~delta ~bounds ~n ~speed ~horizon
             end)
   end
 
-(* The merged metrics view: every worker slot folded into one fresh
-   registry, plus scrape-time series derived from the live sessions.
+(* The metrics view: a fresh copy of the loop's registry, plus
+   scrape-time series derived from the live sessions.
    The session list is grabbed under the manager mutex; per-session
    stats are read after releasing it (each [Session.stats] takes its
    own lock), so the two lock domains never nest. *)
@@ -220,7 +219,6 @@ let metrics_registry m =
   set "sessions_rounds" !rounds;
   set "uptime_s" (Metrics.uptime_s m.m_metrics);
   set "slow_threshold_us" (Metrics.slow_threshold_us m.m_metrics);
-  set "workers" (Metrics.workers m.m_metrics);
   (match m.m_admission with
   | None -> ()
   | Some gate ->
@@ -247,8 +245,8 @@ let handle_metrics m ~slow =
   in
   Wire.Metrics_ok { doc; slow }
 
-(* The server's [Handler.handle]: one request frame on connection
-   [conn], whose span observes session-mutex wait through [on_lock]. *)
+(* One request frame on connection [conn], whose span observes
+   session-mutex wait through [on_lock]. *)
 let handle_frame m conn frame =
   let on_lock = Handler.on_lock (Event_loop.data conn) in
   match frame with
@@ -432,8 +430,7 @@ type t = {
   listen_fd : Unix.file_descr;
   stopping : bool Atomic.t;
   loop : unit Handler.state Event_loop.t;
-  event_domain : unit Domain.t;
-  worker_domains : unit Domain.t list;
+  loop_domain : unit Domain.t;
   cleanup_socket : string option; (* unix socket path to unlink on stop *)
   metrics_fd : Unix.file_descr option;
   metrics_domain : unit Domain.t option;
@@ -615,10 +612,6 @@ let start ?(restore = true) config =
          config.slow_threshold_us);
   if config.slow_log < 0 then
     failwith (Printf.sprintf "negative slow-log capacity %d" config.slow_log);
-  let workers =
-    if config.domains > 0 then config.domains
-    else max 2 (Rrs_sim.Sweep.default_domains ())
-  in
   let admission_gate =
     match (config.admission, config.admission_mode) with
     | None, _ | _, Admission.Off -> None
@@ -656,7 +649,7 @@ let start ?(restore = true) config =
         (if config.checkpoint_every > 0 then Some config.checkpoint_every
          else None);
       m_metrics =
-        Metrics.create ~workers ~slow_threshold_us:config.slow_threshold_us
+        Metrics.create ~slow_threshold_us:config.slow_threshold_us
           ~slow_capacity:config.slow_log ();
       m_autosnap = config.autosnap && config.snap_dir <> None;
       m_admission = admission_gate;
@@ -689,19 +682,23 @@ let start ?(restore = true) config =
         (if config.max_reply > 0 then min config.max_reply Wire.max_frame
          else Wire.max_frame);
       metrics = manager.m_metrics;
-      handle = handle_frame manager;
+      handle =
+        (fun conn frame ->
+          match frame with
+          (* With a trace directory an open creates the session's trace
+             file, and an open(2) can block for good (a FIFO with no
+             reader): not on the loop. *)
+          | Wire.Open _ when manager.m_trace_dir <> None ->
+              Handler.Off_loop (fun () -> handle_frame manager conn frame)
+          | _ -> Handler.Reply (handle_frame manager conn frame));
     }
   in
   let loop =
-    Event_loop.create ~listen_fd ~stopping ~on_open:Handler.state
-      ~handler:(Handler.handle_event handler)
-      ()
+    Event_loop.create ~listen_fd ~stopping
+      ~on_open:(fun () -> Handler.state handler ())
+      ~handler:Handler.handle_event ()
   in
-  let event_domain = Domain.spawn (fun () -> Event_loop.run loop) in
-  let worker_domains =
-    List.init workers (fun worker ->
-        Domain.spawn (fun () -> Event_loop.dispatch_loop loop ~worker))
-  in
+  let loop_domain = Domain.spawn (fun () -> Event_loop.run loop) in
   let metrics_domain =
     Option.map
       (fun fd ->
@@ -709,8 +706,7 @@ let start ?(restore = true) config =
       metrics_fd
   in
   Slog.info ~event:"serving"
-    ([ ("address", address_label config.address);
-       ("workers", Slog.int workers) ]
+    ([ ("address", address_label config.address) ]
     @
     match config.metrics with
     | None -> []
@@ -720,8 +716,7 @@ let start ?(restore = true) config =
     listen_fd;
     stopping;
     loop;
-    event_domain;
-    worker_domains;
+    loop_domain;
     cleanup_socket;
     metrics_fd;
     metrics_domain;
@@ -767,8 +762,7 @@ let stop ?(drain = true) t =
       (try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
       try Unix.close fd with Unix.Unix_error _ -> ())
     t.metrics_fd;
-  Domain.join t.event_domain;
-  List.iter Domain.join t.worker_domains;
+  Domain.join t.loop_domain;
   Option.iter Domain.join t.metrics_domain;
   let drained = if drain then drain_sessions t else 0 in
   with_manager t.manager (fun () -> Hashtbl.reset t.manager.m_sessions);

@@ -1,10 +1,12 @@
 (** The rrs session server ([rrs-wire/1] JSON by default, [rrs-wire/2]
     binary by negotiation).
 
-    One {!Event_loop} domain owns every connection and hands complete
-    frames to a pool of worker domains, which answer them through the
-    shared {!Handler} against a shared session manager (many named
-    {!Session}s). Malformed input is answered with an [error] frame and
+    One {!Event_loop} domain owns every connection and answers each
+    complete frame inline, through the shared {!Handler}, against the
+    session manager (many named {!Session}s). One loop per process: a
+    long [step] batch or an autosnap write delays the process's other
+    connections, and multi-core serving is one process per shard
+    ([rrs shard-set]). Malformed input is answered with an [error] frame and
     the connection — and every session — survives; a frame-handler
     exception costs that one frame, never the server. A connection
     starts in /1 framing; a [hello] naming ["rrs-wire/2"] (unless
@@ -32,7 +34,6 @@ type config = {
   address : address;
   snap_dir : string option;  (** drain/restore directory *)
   trace_dir : string option;  (** per-session [rrs-events/2] streams *)
-  domains : int;  (** worker domains; 0 = {!Rrs_sim.Sweep.default_domains} *)
   queue_limit : int;  (** per-session admission bound; 0 = default *)
   max_wire : int;
       (** highest wire version the server will negotiate: [1] pins every
@@ -96,8 +97,8 @@ val resolve_host : string -> (Unix.inet_addr, string) result
 
 type t
 
-(** Bind, restore snapshots (unless [restore:false]), spawn the accept
-    loop and worker domains, return immediately.
+(** Bind, restore snapshots (unless [restore:false]), spawn the event
+    loop's domain, return immediately.
     @raise Failure on an unresolvable TCP host (clean message naming the
     host). *)
 val start : ?restore:bool -> config -> t

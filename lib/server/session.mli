@@ -1,9 +1,9 @@
 (** One named scheduler session: a {!Rrs_sim.Stepper} plus admission
     control and a mutex.
 
-    Every operation locks the session, so concurrent worker domains can
-    serve frames for the same session safely (operations serialize; the
-    stepper itself is single-threaded state). The optional
+    Every operation locks the session, so concurrent callers (the event
+    loop, a metrics scrape, a drain) touch it safely (operations
+    serialize; the stepper itself is single-threaded state). The optional
     [on_lock_wait_us] callback on each operation observes how long this
     caller spent blocked on the session mutex, in µs — the serving
     layer's [lock_wait_us] series; omitted, the lock is taken bare.

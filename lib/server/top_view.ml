@@ -19,9 +19,9 @@ let rate ~previous sample name =
   match previous with
   | Some prev when sample.at > prev.at && not (restarted ~previous:prev sample)
     ->
-      (* Per-counter clamp: even within one server life a merged
-         multi-worker read is not a snapshot, so tiny negative deltas
-         are possible; a rate is never negative. *)
+      (* Per-counter clamp: even within one server life a metrics
+         read is not a snapshot, so tiny negative deltas are possible;
+         a rate is never negative. *)
       let delta = max 0 (field sample name - field prev name) in
       Printf.sprintf "%7.1f/s" (float_of_int delta /. (sample.at -. prev.at))
   | _ -> "      -/s"
@@ -42,8 +42,8 @@ let render ~previous sample ~slow =
     | Some prev when restarted ~previous:prev sample -> "  [server restarted]"
     | _ -> ""
   in
-  line "rrs top  uptime %ds  workers %d  sessions %d (rounds %d, shed %d)%s"
-    (g "uptime_s") (g "workers") (g "sessions_open") (g "sessions_rounds")
+  line "rrs top  uptime %ds  sessions %d (rounds %d, shed %d)%s"
+    (g "uptime_s") (g "sessions_open") (g "sessions_rounds")
     (g "sessions_shed_jobs") restart_note;
   line "requests %d %s  errors %d  malformed %d  slow %d (>= %dus)"
     (g "requests_total") (rate "requests_total") (g "errors_total")
@@ -83,13 +83,13 @@ let render ~previous sample ~slow =
         | fields ->
             let f name = Json.opt_int_field fields name ~default:0 in
             line
-              "  +%6dms %-8s %-12s wire%d %6dus (read %d lock %d handle %d \
-               write %d) %dB>%dB%s"
+              "  +%6dms %-8s %-12s wire%d %6dus (lock %d handle %d write %d) \
+               %dB>%dB%s"
               (f "at_us" / 1000)
               (try Json.str_field fields "type" with Json.Parse_error _ -> "?")
               (try Json.str_field fields "session"
                with Json.Parse_error _ -> "")
-              (f "wire") (f "latency_us") (f "read_us") (f "lock_us")
+              (f "wire") (f "latency_us") (f "lock_us")
               (f "handle_us") (f "write_us") (f "bytes_in") (f "bytes_out")
               (if f "error" = 1 then " ERROR" else "")
         | exception Json.Parse_error _ -> line "  %s" entry)

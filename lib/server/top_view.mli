@@ -11,9 +11,9 @@
       rates render as ["-/s"] (no baseline) and the header carries a
       [[server restarted]] marker. The next poll pair is consistent
       again and rates resume.
-    - {b skew}: merged multi-worker counters are not read atomically,
-      so deltas within one server life can be slightly negative; they
-      clamp to zero. *)
+    - {b skew}: counters are not read atomically (the loop records
+      while the reply is built), so deltas within one server life can
+      be slightly negative; they clamp to zero. *)
 
 type sample = {
   at : float;  (** client-side poll time, seconds *)

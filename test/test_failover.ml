@@ -340,7 +340,7 @@ let test_drain_survives_one_failing_snapshot () =
   let address = Server.Unix_socket (Filename.concat dir "sock") in
   let server =
     Server.start
-      { (Server.default_config address) with domains = 2;
+      { (Server.default_config address) with
         snap_dir = Some snap_dir }
   in
   let client = Client.connect address in
@@ -382,7 +382,7 @@ let test_router_failover_live () =
   let shard_config i =
     Unix.mkdir (shard_snaps i) 0o700;
     { (Server.default_config (Server.Unix_socket (shard_sock i))) with
-      domains = 2; snap_dir = Some (shard_snaps i); autosnap = true;
+      snap_dir = Some (shard_snaps i); autosnap = true;
       checkpoint_every = 1 }
   in
   let config0 = shard_config 0 and config1 = shard_config 1 in
@@ -399,7 +399,7 @@ let test_router_failover_live () =
                  shard_address = Server.Unix_socket (shard_sock 1) } ])
         with
         Router.timeout_ms = 500; connect_timeout_ms = 300; fail_threshold = 1;
-        probe_interval_ms = 25; domains = 2 }
+        probe_interval_ms = 25 }
   in
   Fun.protect
     ~finally:(fun () ->
@@ -487,6 +487,169 @@ let test_router_failover_live () =
       check "both shards admitted again" 2 (Router.shards_up router);
       Client.close client)
 
+(* ---- a stalled shard: bounded waits, and only its own sessions ---- *)
+
+(* [f ()] must return within [seconds]; it runs on a domain of its own
+   so a hang fails the test instead of wedging the suite. *)
+let within ~what seconds f =
+  let finished = Atomic.make false in
+  let runner = Domain.spawn (fun () -> f (); Atomic.set finished true) in
+  let deadline = Unix.gettimeofday () +. seconds in
+  while (not (Atomic.get finished)) && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.01
+  done;
+  if Atomic.get finished then Domain.join runner
+  else Alcotest.failf "%s did not return within %.1fs" what seconds
+
+let contains ~needle haystack =
+  let n = String.length needle in
+  let rec go i =
+    i + n <= String.length haystack
+    && (String.sub haystack i n = needle || go (i + 1))
+  in
+  go 0
+
+let temp_dir prefix =
+  let dir = Filename.temp_file prefix "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o700;
+  dir
+
+(* A shard that accepts and never answers: its hello must be bounded
+   like any call. The front gets [unavailable] within about
+   [timeout_ms], the prober's hello returns (it is bounded by
+   [connect_timeout_ms]; [stop] joins the prober), and [stop] returns. *)
+let test_router_stalled_shard_bounded () =
+  with_stalled_listener (fun stalled ->
+      let dir = temp_dir "rrs_stall_route" in
+      let front = Server.Unix_socket (Filename.concat dir "front.sock") in
+      let router =
+        Router.start
+          { (Router.default_config ~address:front
+               ~shards:[ { Router.shard_label = "s0"; shard_address = stalled } ])
+            with
+            Router.timeout_ms = 300; connect_timeout_ms = 300;
+            fail_threshold = 1; probe_interval_ms = 10 }
+      in
+      let stopped = ref false in
+      let stop () =
+        if not !stopped then begin
+          stopped := true;
+          within ~what:"Router.stop" 3. (fun () -> Router.stop router)
+        end
+      in
+      Fun.protect
+        ~finally:(fun () -> try stop () with _ -> ())
+        (fun () ->
+          let client = Client.connect front in
+          let t0 = Unix.gettimeofday () in
+          (match Client.call ~deadline_ms:3_000 client (Wire.Stats { session = "s" }) with
+          | Ok (Wire.Error_frame { message }) ->
+              check_bool
+                (Printf.sprintf "unavailable error (%s)" message)
+                true
+                (contains ~needle:"shard s0 unavailable" message)
+          | Ok frame -> Alcotest.failf "stalled shard answered: %s" (Wire.encode frame)
+          | Error message -> Alcotest.failf "no reply from the router: %s" message);
+          let elapsed = Unix.gettimeofday () -. t0 in
+          check_bool
+            (Printf.sprintf "error came near timeout_ms (%.3fs)" elapsed)
+            true
+            (elapsed >= 0.25 && elapsed < 1.5);
+          (* The shard is down now, so the prober dials it and sends
+             its hello into the stall: give it time to be mid-probe. *)
+          check "shard tripped" 0 (Router.shards_up router);
+          Unix.sleepf 0.1;
+          Client.close client;
+          stop ());
+      Unix.rmdir dir)
+
+(* Two shards, one stalled. While front connection A waits on the
+   stalled shard, front connection B's frames to the healthy shard are
+   answered at once; and a front connection that hangs up mid-call
+   costs no fd once its call has run out. *)
+let test_router_stall_isolated () =
+  with_stalled_listener (fun stalled ->
+      let dir = temp_dir "rrs_isolate" in
+      let healthy_address = Server.Unix_socket (Filename.concat dir "s1.sock") in
+      let healthy = Server.start (Server.default_config healthy_address) in
+      let front = Server.Unix_socket (Filename.concat dir "front.sock") in
+      let timeout_ms = 1_000 in
+      let router =
+        Router.start
+          { (Router.default_config ~address:front
+               ~shards:
+                 [ { Router.shard_label = "s0"; shard_address = stalled };
+                   { Router.shard_label = "s1"; shard_address = healthy_address } ])
+            with
+            Router.timeout_ms; fail_threshold = 100 }
+      in
+      Fun.protect
+        ~finally:(fun () ->
+          Router.stop router;
+          ignore (Server.stop ~drain:false healthy);
+          Unix.rmdir dir)
+        (fun () ->
+          let session_on label =
+            let rec go i =
+              let name = Printf.sprintf "iso-%d" i in
+              if Router.shard_of_session router name = label then name
+              else go (i + 1)
+            in
+            go 0
+          in
+          let stuck = session_on "s0" and fine = session_on "s1" in
+          let a = Client.connect front and b = Client.connect front in
+          let t0 = Unix.gettimeofday () in
+          Client.send a (Wire.Stats { session = stuck });
+          let frames =
+            [ Wire.Open
+                { session = fine; policy = "dlru"; delta = 2; bounds = [| 2; 3 |];
+                  n = 3; speed = 1; horizon = 0; queue_limit = 0; decl = None };
+              Wire.Feed { session = fine; colors = [| 0 |]; counts = [| 1 |]; decl = None };
+              Wire.Step { session = fine; rounds = 1 };
+              Wire.Stats { session = fine } ]
+          in
+          List.iter
+            (fun frame ->
+              match Client.call ~deadline_ms:3_000 b frame with
+              | Ok (Wire.Error_frame { message }) ->
+                  Alcotest.failf "healthy shard refused: %s" message
+              | Ok _ -> ()
+              | Error message -> Alcotest.failf "healthy shard: %s" message)
+            frames;
+          let served_in = Unix.gettimeofday () -. t0 in
+          check_bool
+            (Printf.sprintf "B served while A waits (%.3fs)" served_in)
+            true
+            (served_in < 0.3 *. float_of_int timeout_ms /. 1000.);
+          (match Client.read_reply ~deadline_ms:3_000 a with
+          | Ok (Wire.Error_frame { message }) ->
+              check_bool
+                (Printf.sprintf "A gets the unavailable error (%s)" message)
+                true (contains ~needle:"unavailable" message)
+          | Ok frame -> Alcotest.failf "stalled shard answered: %s" (Wire.encode frame)
+          | Error message -> Alcotest.failf "A got no reply: %s" message);
+          Client.close a;
+          Client.close b;
+          if Sys.file_exists "/proc/self/fd" then begin
+            let fds () = Array.length (Sys.readdir "/proc/self/fd") in
+            (* Let the router close A's and B's ends before counting. *)
+            Unix.sleepf 0.1;
+            let before = fds () in
+            let c = Client.connect front in
+            Client.send c (Wire.Stats { session = stuck });
+            Unix.sleepf 0.05;
+            Client.close c;
+            let deadline =
+              Unix.gettimeofday () +. (2. *. float_of_int timeout_ms /. 1000.) +. 1.
+            in
+            while fds () <> before && Unix.gettimeofday () < deadline do
+              Unix.sleepf 0.02
+            done;
+            check "fd table back after a mid-call hang-up" before (fds ())
+          end))
+
 let suite =
   [
     ( "failover.ring",
@@ -529,5 +692,9 @@ let suite =
       [
         Alcotest.test_case "crash -> clean errors -> re-admission" `Quick
           test_router_failover_live;
+        Alcotest.test_case "stalled shard: bounded hello, probe and stop"
+          `Quick test_router_stalled_shard_bounded;
+        Alcotest.test_case "stalled shard costs only its own sessions" `Quick
+          test_router_stall_isolated;
       ] );
   ]

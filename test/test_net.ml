@@ -1,7 +1,8 @@
 (* Connection-core regression tests for the poll-based serving layer:
    socket-steal refusal (a second server must not silently unlink a
    live server's Unix socket), fd hygiene in the event loop (a raising
-   handler costs its connection, never the worker or an fd),
+   handler, leg callback or [on_close] costs its connection, never the
+   loop or an fd),
    close-on-exec across [Shard]'s create_process children
    (an inherited socket would keep dead clients from ever seeing EOF),
    and the FD_SETSIZE-cliff churn test: >= 1024 concurrent connections
@@ -64,7 +65,7 @@ let test_live_socket_path_refused () =
 let test_second_server_refused () =
   let dir = temp_dir "rrs_steal2" in
   let address = Server.Unix_socket (Filename.concat dir "sock") in
-  let config = { (Server.default_config address) with Server.domains = 2 } in
+  let config = (Server.default_config address) in
   let server = Server.start config in
   Fun.protect
     ~finally:(fun () -> ignore (Server.stop ~drain:false server))
@@ -83,15 +84,18 @@ let test_second_server_refused () =
       | Error message -> Alcotest.failf "first server broken: %s" message);
       Client.close client)
 
-(* ---- Event_loop: a raising handler costs its connection only ---- *)
+(* ---- Event_loop: an exception costs its connection only ---- *)
 
 let fd_table_size () = Array.length (Sys.readdir "/proc/self/fd")
 
-(* One worker domain, a handler that raises on the frame for session
-   "boom": that connection is closed (the peer sees EOF, [on_close]
-   runs), the same worker then serves a second connection, and after
-   shutdown the fd table is back where it started. *)
-let test_dispatch_survives_raising_handler () =
+let reply_ok = Wire.to_wire Wire.V1 (Wire.Closed { session = "ok"; cost = 0 })
+
+(* Run a loop with [handler] on its own domain: [f] gets its address
+   and the count of [on_close] calls. After shutdown the fd table must
+   be back where it started; returns the final [on_close] count.
+   [on_close] itself raises every time, which must cost nothing
+   either. *)
+let with_loop ~handler f =
   let has_proc = Sys.file_exists "/proc/self/fd" in
   let fds_before = if has_proc then fd_table_size () else 0 in
   let dir = temp_dir "rrs_raise" in
@@ -102,23 +106,28 @@ let test_dispatch_survives_raising_handler () =
   let loop =
     Event_loop.create ~listen_fd ~stopping
       ~on_open:(fun () -> ())
-      ~on_close:(fun () -> Atomic.incr closed)
-      ~handler:(fun ~worker:_ conn result ->
-        match result with
-        | Wire.Frame (Wire.Stats { session = "boom" }) ->
-            failwith "handler bug"
-        | _ ->
-            Event_loop.send conn
-              (Wire.to_wire Wire.V1 (Wire.Closed { session = "ok"; cost = 0 })))
-      ()
+      ~on_close:(fun () ->
+        Atomic.incr closed;
+        failwith "on_close bug")
+      ~handler ()
   in
-  let event_domain = Domain.spawn (fun () -> Event_loop.run loop) in
-  let worker = Domain.spawn (fun () -> Event_loop.dispatch_loop loop ~worker:0) in
-  let address = Server.Unix_socket path in
+  let loop_domain = Domain.spawn (fun () -> Event_loop.run loop) in
+  f (Server.Unix_socket path) closed;
+  Atomic.set stopping true;
+  Event_loop.wake_loop loop;
+  Domain.join loop_domain;
+  Sys.remove path;
+  Unix.rmdir dir;
+  if has_proc then check "fd table back to its start" fds_before (fd_table_size ());
+  Atomic.get closed
+
+(* The failing connection is closed (its peer sees EOF, [on_close]
+   runs); the loop then serves a second connection. *)
+let expect_eof_then_served ~frame address closed =
   let first = Client.connect address in
-  (match Client.call ~deadline_ms:5_000 first (Wire.Stats { session = "boom" }) with
+  (match Client.call ~deadline_ms:5_000 first frame with
   | Error "connection closed by server" -> ()
-  | Ok frame -> Alcotest.failf "raising handler answered: %s" (Wire.encode frame)
+  | Ok reply -> Alcotest.failf "failing frame answered: %s" (Wire.encode reply)
   | Error message -> Alcotest.failf "peer did not see EOF: %s" message);
   Client.close first;
   let deadline = Unix.gettimeofday () +. 5. in
@@ -129,17 +138,46 @@ let test_dispatch_survives_raising_handler () =
   let second = Client.connect address in
   (match Client.call ~deadline_ms:5_000 second (Wire.Stats { session = "ok" }) with
   | Ok (Wire.Closed { session = "ok"; _ }) -> ()
-  | Ok frame -> Alcotest.failf "unexpected reply: %s" (Wire.encode frame)
-  | Error message -> Alcotest.failf "worker did not survive: %s" message);
-  Client.close second;
-  Atomic.set stopping true;
-  Event_loop.wake_loop loop;
-  Domain.join event_domain;
-  Domain.join worker;
-  check "on_close ran for both connections" 2 (Atomic.get closed);
-  Sys.remove path;
-  Unix.rmdir dir;
-  if has_proc then check "fd table back to its start" fds_before (fd_table_size ())
+  | Ok reply -> Alcotest.failf "unexpected reply: %s" (Wire.encode reply)
+  | Error message -> Alcotest.failf "loop did not survive: %s" message);
+  Client.close second
+
+let test_raising_handler_costs_its_connection () =
+  check "on_close ran for both connections" 2
+    (with_loop
+       ~handler:(fun conn result ->
+         match result with
+         | Wire.Frame (Wire.Stats { session = "boom" }) ->
+             failwith "handler bug"
+         | _ -> Event_loop.send conn reply_ok)
+       (expect_eof_then_served ~frame:(Wire.Stats { session = "boom" })))
+
+(* The exception is raised on the leg-reply path: the handler forwards
+   the frame to a backend server on a leg, and the callback that
+   receives the backend's reply raises. *)
+let test_raising_leg_callback_costs_its_connection () =
+  let dir = temp_dir "rrs_leg" in
+  let backend_address = Server.Unix_socket (Filename.concat dir "backend") in
+  let backend = Server.start (Server.default_config backend_address) in
+  Fun.protect
+    ~finally:(fun () ->
+      ignore (Server.stop ~drain:false backend);
+      Unix.rmdir dir)
+    (fun () ->
+      check "on_close ran for both connections" 2
+      @@ with_loop
+        ~handler:(fun conn result ->
+          match result with
+          | Wire.Frame (Wire.Stats { session = "boom" } as frame) -> (
+              match Event_loop.dial conn backend_address ~timeout_ms:1_000 with
+              | Error message -> failwith message
+              | Ok leg ->
+                  Event_loop.call leg frame ~timeout_ms:5_000 (function
+                    | Ok (Wire.Error_frame _) -> failwith "leg reply bug"
+                    | Ok reply -> failwith ("unexpected: " ^ Wire.encode reply)
+                    | Error message -> failwith message))
+          | _ -> Event_loop.send conn reply_ok)
+        (expect_eof_then_served ~frame:(Wire.Stats { session = "boom" })))
 
 (* ---- close-on-exec across Shard children ---- *)
 
@@ -165,7 +203,7 @@ let test_shard_children_inherit_no_sockets () =
     let dir = temp_dir "rrs_cloexec" in
     let address = Server.Unix_socket (Filename.concat dir "sock") in
     let server =
-      Server.start { (Server.default_config address) with Server.domains = 2 }
+      Server.start (Server.default_config address)
     in
     let client = Client.connect address in
     (* One round trip so the server side of the connection exists before
@@ -228,7 +266,7 @@ let test_churn_beyond_fd_setsize () =
     let dir = temp_dir "rrs_churn" in
     let address = Server.Unix_socket (Filename.concat dir "sock") in
     let server =
-      Server.start { (Server.default_config address) with Server.domains = 2 }
+      Server.start (Server.default_config address)
     in
     let call client frame =
       match Client.call ~deadline_ms:10_000 client frame with
@@ -306,7 +344,9 @@ let suite =
     ( "net.event_loop",
       [
         Alcotest.test_case "raising handler costs only its connection" `Quick
-          test_dispatch_survives_raising_handler;
+          test_raising_handler_costs_its_connection;
+        Alcotest.test_case "raising leg callback costs only its connection"
+          `Quick test_raising_leg_callback_costs_its_connection;
       ] );
     ( "net.cloexec",
       [

@@ -692,7 +692,7 @@ let with_server f =
   let address = Server.Unix_socket (Filename.concat dir "sock") in
   let snap_dir = Filename.concat dir "snaps" in
   let config =
-    { (Server.default_config address) with domains = 2;
+    { (Server.default_config address) with
       snap_dir = Some snap_dir }
   in
   let server = Server.start config in
@@ -837,7 +837,6 @@ let test_server_drain_restore () =
   let address = Server.Unix_socket (Filename.concat dir "sock") in
   let config =
     { (Server.default_config address) with
-      domains = 2;
       snap_dir = Some (Filename.concat dir "snaps") }
   in
   (* Uninterrupted reference: same feeds against one server lifetime. *)
@@ -1279,7 +1278,7 @@ let test_restore_validates_names () =
   Session.release good;
   let address = Server.Unix_socket (Filename.concat dir "sock") in
   let config =
-    { (Server.default_config address) with domains = 2;
+    { (Server.default_config address) with
       snap_dir = Some snaps }
   in
   let server = Server.start config in
@@ -1533,7 +1532,7 @@ let test_open_constructs_outside_lock () =
   let sock = Filename.concat dir "sock" in
   let address = Server.Unix_socket sock in
   let config =
-    { (Server.default_config address) with domains = 2;
+    { (Server.default_config address) with
       trace_dir = Some traces }
   in
   let server = Server.start config in
@@ -1634,7 +1633,7 @@ let test_server_pinned_to_wire1 () =
   Unix.mkdir dir 0o700;
   let address = Server.Unix_socket (Filename.concat dir "sock") in
   let config =
-    { (Server.default_config address) with domains = 2; max_wire = 1 }
+    { (Server.default_config address) with max_wire = 1 }
   in
   let server = Server.start config in
   Fun.protect
@@ -1667,7 +1666,7 @@ let test_hostile_wire2_frame_live () =
   let address = Server.Unix_socket path in
   let snap_dir = Filename.concat dir "snaps" in
   let config =
-    { (Server.default_config address) with domains = 2;
+    { (Server.default_config address) with
       snap_dir = Some snap_dir }
   in
   (* No [Fun.protect] around [stop]: a wedged event loop holds the lock
@@ -1805,7 +1804,7 @@ let test_oversize_inline_snapshot_reply () =
   let address = Server.Unix_socket (Filename.concat dir "sock") in
   let snaps = Filename.concat dir "snaps" in
   let config =
-    { (Server.default_config address) with domains = 2; max_reply = 2048;
+    { (Server.default_config address) with max_reply = 2048;
       snap_dir = Some snaps }
   in
   let server = Server.start config in
@@ -1994,7 +1993,7 @@ let test_metrics_slow_log () =
   Unix.mkdir dir 0o700;
   let address = Server.Unix_socket (Filename.concat dir "sock") in
   let config =
-    { (Server.default_config address) with domains = 2;
+    { (Server.default_config address) with
       slow_threshold_us = 1; slow_log = 4 }
   in
   let server = Server.start config in
@@ -2042,23 +2041,23 @@ let test_metrics_slow_log () =
       Client.close client)
 
 (* The Prometheus rendering, off a hand-fed metrics plane: labeled
-   families, cumulative le-buckets, merged across worker slots. *)
+   families, cumulative le-buckets. *)
 let test_exposition_render () =
-  let m = Metrics.create ~workers:2 () in
+  let m = Metrics.create () in
   let span = Metrics.span () in
-  let record ~worker kind =
+  let record kind =
     Metrics.reset_span span;
     span.Metrics.s_kind <- kind;
     span.Metrics.s_handle_us <- 5;
     span.Metrics.s_write_us <- 2;
     span.Metrics.s_bytes_in <- 10;
     span.Metrics.s_bytes_out <- 20;
-    Metrics.record m ~worker span
+    Metrics.record m span
   in
-  (* feed on both workers, step on one: the render must merge slots. *)
-  record ~worker:0 2;
-  record ~worker:1 2;
-  record ~worker:1 3;
+  (* two feeds and a step, each counted once in its family *)
+  record 2;
+  record 2;
+  record 3;
   let text = Exposition.render (Metrics.merged m) in
   let expect needle =
     check_bool (Printf.sprintf "exposition contains %S" needle) true
@@ -2086,7 +2085,7 @@ let test_metrics_http_endpoint () =
   Unix.mkdir dir 0o700;
   let address = Server.Unix_socket (Filename.concat dir "sock") in
   let config =
-    { (Server.default_config address) with domains = 2;
+    { (Server.default_config address) with
       metrics = Some (Server.Tcp ("127.0.0.1", 0)) }
   in
   let server = Server.start config in
@@ -2135,7 +2134,7 @@ let test_metrics_http_idle_peer () =
   Unix.mkdir dir 0o700;
   let address = Server.Unix_socket (Filename.concat dir "sock") in
   let config =
-    { (Server.default_config address) with domains = 2;
+    { (Server.default_config address) with
       metrics = Some (Server.Tcp ("127.0.0.1", 0)) }
   in
   let server = Server.start config in
@@ -2209,7 +2208,7 @@ let with_admission_server ~mode f =
   Unix.mkdir dir 0o700;
   let address = Server.Unix_socket (Filename.concat dir "sock") in
   let config =
-    { (Server.default_config address) with domains = 2;
+    { (Server.default_config address) with
       snap_dir = Some (Filename.concat dir "snaps");
       admission = Some (admission_spec ()); admission_mode = mode }
   in
@@ -2295,10 +2294,8 @@ let test_router_counts_admission_reject () =
       let front = Server.Unix_socket (Filename.concat dir "front.sock") in
       let router =
         Router.start
-          { (Router.default_config ~address:front
-               ~shards:[ { Router.shard_label = "s0"; shard_address = address } ])
-            with
-            Router.domains = 2 }
+          (Router.default_config ~address:front
+             ~shards:[ { Router.shard_label = "s0"; shard_address = address } ])
       in
       Fun.protect
         ~finally:(fun () -> Router.stop router)
@@ -2397,7 +2394,7 @@ let test_admission_survives_restart () =
   Unix.mkdir dir 0o700;
   let address = Server.Unix_socket (Filename.concat dir "sock") in
   let config =
-    { (Server.default_config address) with domains = 2;
+    { (Server.default_config address) with
       snap_dir = Some (Filename.concat dir "snaps");
       admission = Some (admission_spec ());
       admission_mode = Rrs_server.Admission.Enforce }
