@@ -272,7 +272,6 @@ let run ?json ?(session_counts = [ 1; 2; 4; 8 ]) ?(rounds = 400) () =
                  ("srv_feed_p99_us", srv "req_latency_us_feed_p99");
                  ("srv_step_p50_us", srv "req_latency_us_step_p50");
                  ("srv_step_p99_us", srv "req_latency_us_step_p99");
-                 ("srv_lock_wait_p99_us", srv "lock_wait_us_p99");
                  ("srv_requests_total", srv "requests_total");
                ]
              in

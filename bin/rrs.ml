@@ -1374,8 +1374,8 @@ let top_cmd =
     (Cmd.info "top"
        ~doc:
          "Live view of an rrs serve instance: rounds/s and requests/s, \
-          per-frame-type latency percentiles (server-side), lock-wait and \
-          step timings, shed counts and the slow-request log — polled over \
+          per-frame-type latency percentiles (server-side), step \
+          timings, shed counts and the slow-request log — polled over \
           the 'metrics' wire request.")
     Term.(
       const run $ verbose_arg $ socket_arg $ tcp_arg $ interval $ count $ slow

@@ -100,7 +100,6 @@ let check_session ~session ~delta ~bounds ~n ~speed decl =
 type t = {
   gate_mode : mode;
   supply : int; (* mjpr *)
-  mutex : Mutex.t;
   demands : (string, int) Hashtbl.t; (* session -> admitted mjpr *)
   mutable demand : int; (* sum of [demands] *)
   mutable rejected_opens : int;
@@ -112,7 +111,6 @@ let create ~mode ~supply_mjpr =
   {
     gate_mode = mode;
     supply = supply_mjpr;
-    mutex = Mutex.create ();
     demands = Hashtbl.create 64;
     demand = 0;
     rejected_opens = 0;
@@ -120,62 +118,46 @@ let create ~mode ~supply_mjpr =
     policed_jobs = 0;
   }
 
-let locked t f =
-  Mutex.lock t.mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
-
 let mode t = t.gate_mode
 let supply_mjpr t = t.supply
-let demand_mjpr t = locked t (fun () -> t.demand)
-let sessions t = locked t (fun () -> Hashtbl.length t.demands)
+let demand_mjpr t = t.demand
+let sessions t = Hashtbl.length t.demands
 
-let set_unlocked t ~session ~mjpr =
+let force_admit t ~session ~mjpr =
   let previous = Option.value (Hashtbl.find_opt t.demands session) ~default:0 in
   Hashtbl.replace t.demands session mjpr;
   t.demand <- t.demand - previous + mjpr
 
 let try_admit t ~session ~mjpr =
-  locked t (fun () ->
-      let previous =
-        Option.value (Hashtbl.find_opt t.demands session) ~default:0
-      in
-      let next = t.demand - previous + mjpr in
-      if next > t.supply then
-        Error
-          {
-            r_color = -1;
-            r_demand = next;
-            r_supply = t.supply;
-            r_message =
-              Printf.sprintf
-                "aggregate: admitting %d mjobs/round for session %S would \
-                 raise deployment demand to %d against a supply of %d \
-                 mjobs/round"
-                mjpr session next t.supply;
-          }
-      else begin
-        set_unlocked t ~session ~mjpr;
-        Ok ()
-      end)
-
-let force_admit t ~session ~mjpr = locked t (fun () -> set_unlocked t ~session ~mjpr)
+  let previous = Option.value (Hashtbl.find_opt t.demands session) ~default:0 in
+  let next = t.demand - previous + mjpr in
+  if next > t.supply then
+    Error
+      {
+        r_color = -1;
+        r_demand = next;
+        r_supply = t.supply;
+        r_message =
+          Printf.sprintf
+            "aggregate: admitting %d mjobs/round for session %S would raise \
+             deployment demand to %d against a supply of %d mjobs/round"
+            mjpr session next t.supply;
+      }
+  else Ok (force_admit t ~session ~mjpr)
 
 let release t ~session =
-  locked t (fun () ->
-      match Hashtbl.find_opt t.demands session with
-      | None -> ()
-      | Some mjpr ->
-          Hashtbl.remove t.demands session;
-          t.demand <- t.demand - mjpr)
+  match Hashtbl.find_opt t.demands session with
+  | None -> ()
+  | Some mjpr ->
+      Hashtbl.remove t.demands session;
+      t.demand <- t.demand - mjpr
 
-let note_rejected_open t =
-  locked t (fun () -> t.rejected_opens <- t.rejected_opens + 1)
+let note_rejected_open t = t.rejected_opens <- t.rejected_opens + 1
 
 let note_policed t ~jobs =
-  locked t (fun () ->
-      t.policed_feeds <- t.policed_feeds + 1;
-      t.policed_jobs <- t.policed_jobs + jobs)
+  t.policed_feeds <- t.policed_feeds + 1;
+  t.policed_jobs <- t.policed_jobs + jobs
 
-let rejected_opens t = locked t (fun () -> t.rejected_opens)
-let policed_feeds t = locked t (fun () -> t.policed_feeds)
-let policed_jobs t = locked t (fun () -> t.policed_jobs)
+let rejected_opens t = t.rejected_opens
+let policed_feeds t = t.policed_feeds
+let policed_jobs t = t.policed_jobs

@@ -56,7 +56,8 @@ val check_session :
   session:string -> delta:int -> bounds:int array -> n:int -> speed:int ->
   Wire.decl -> (unit, reject) result
 
-(** The aggregate gate. Thread-safe; one per server. *)
+(** The aggregate gate, one per server. It has no lock: like the
+    sessions it prices, it is owned by the server's {!Event_loop}. *)
 type t
 
 val create : mode:mode -> supply_mjpr:int -> t
@@ -77,7 +78,7 @@ val try_admit : t -> session:string -> mjpr:int -> (unit, reject) result
     re-admission of already-running sessions). *)
 val force_admit : t -> session:string -> mjpr:int -> unit
 
-(** Release a session's reservation (close, or a lost open race). *)
+(** Release a session's reservation (close, or a failed open). *)
 val release : t -> session:string -> unit
 
 (** {2 Gate counters} (for the metrics plane) *)

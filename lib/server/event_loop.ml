@@ -6,9 +6,9 @@
    Discipline that keeps this simple and correct:
 
    - Nothing here is shared off the loop except [stopping], the wake
-     pipe and the list of finished off-loop jobs (all atomic), so there
-     is no lock. [wake_loop] is the only entry point safe off the loop;
-     an off-loop job's completion is queued and runs on the loop.
+     pipe and the queue of posted closures (all atomic), so there is no
+     lock. [wake_loop] and [post] are the only entry points safe off the
+     loop; an off-loop job's completion is posted and runs on the loop.
    - At most ONE frame per connection is in flight: in the handler, or
      at a leg until its callback runs. This keeps replies in order and
      means the loop never parses ahead of a hello that is about to
@@ -71,7 +71,8 @@ and 'a t = {
   wake_r : Unix.file_descr;
   wake_w : Unix.file_descr;
   woken : bool Atomic.t;
-  finished : (unit -> unit) list Atomic.t; (* off-loop jobs' completions *)
+  posted : (unit -> unit) list Atomic.t; (* closures to run on the loop *)
+  mutable jobs : int; (* off-loop jobs not yet completed *)
   on_open : unit -> 'a;
   on_close : 'a -> unit;
   handler : 'a conn -> Wire.read_result -> unit;
@@ -102,7 +103,8 @@ let create ?(max_in = default_max_in) ?(max_out = default_max_out) ~listen_fd
     wake_r;
     wake_w;
     woken = Atomic.make false;
-    finished = Atomic.make [];
+    posted = Atomic.make [];
+    jobs = 0;
     on_open;
     on_close;
     handler;
@@ -222,33 +224,44 @@ let rec push_atomic cell x =
   let old = Atomic.get cell in
   if not (Atomic.compare_and_set cell old (x :: old)) then push_atomic cell x
 
+let post t f =
+  push_atomic t.posted f;
+  wake_loop t
+
+(* A posted closure that raises is logged; it has no connection to
+   charge. *)
+let run_posted t =
+  if Atomic.get t.posted <> [] then
+    List.iter
+      (fun f ->
+        try f ()
+        with e ->
+          Slog.error ~event:"posted_raised" [ ("exn", Printexc.to_string e) ])
+      (List.rev (Atomic.exchange t.posted []))
+
 (* The job runs on a thread of the loop's domain, which takes the
    runtime lock from the loop only while the job runs OCaml code; a job
    blocked in a system call leaves the loop free. Its completion is
-   queued for the loop and runs there. *)
+   posted and runs on the loop, also after the connection closed:
+   whatever the job started must be settled there. *)
 let off_loop c job k =
   let t = c.owner in
   let run () =
     let result = match job () with v -> Ok v | exception e -> Error e in
-    push_atomic t.finished (fun () ->
+    post t (fun () ->
+        t.jobs <- t.jobs - 1;
         c.calls <- c.calls - 1;
-        (if not c.closed then
-           try k result
-           with e ->
-             Slog.error ~event:"off_loop_reply_raised"
-               [ ("exn", Printexc.to_string e) ];
-             fail c.io "off-loop reply raised");
-        if c.calls = 0 then c.busy <- false);
-    wake_loop t
+        (try k result
+         with e ->
+           Slog.error ~event:"off_loop_reply_raised"
+             [ ("exn", Printexc.to_string e) ];
+           fail c.io "off-loop reply raised");
+        if c.calls = 0 then c.busy <- false)
   in
   ignore (Thread.create run ());
   (* the completion runs on this loop, so it cannot overtake this *)
+  t.jobs <- t.jobs + 1;
   c.calls <- c.calls + 1
-
-let run_finished t =
-  if Atomic.get t.finished <> [] then
-    List.iter (fun completion -> completion ())
-      (List.rev (Atomic.exchange t.finished []))
 
 (* ---- legs ---- *)
 
@@ -583,7 +596,10 @@ let wait_and_dispatch t =
 let run t =
   let finished = ref false in
   while not !finished do
-    if Atomic.get t.stopping then
+    (* Read once: a stop that lands mid-iteration must not end the loop
+       before the listener is closed. *)
+    let stopping = Atomic.get t.stopping in
+    if stopping then
       Option.iter
         (fun lfd ->
           (* stop accepting; frames in flight finish, replies flush, and
@@ -591,7 +607,7 @@ let run t =
           close_fd lfd;
           t.listen_fd <- None)
         t.listen_fd;
-    run_finished t;
+    run_posted t;
     expire_legs t (Clock.now_ns ());
     let to_close = ref [] in
     Hashtbl.iter
@@ -600,7 +616,7 @@ let run t =
         if closeable t c then to_close := c :: !to_close)
       t.conns;
     List.iter (close_conn t) !to_close;
-    if Atomic.get t.stopping && Hashtbl.length t.conns = 0 then
+    if stopping && Hashtbl.length t.conns = 0 && t.jobs = 0 then
       finished := true
     else wait_and_dispatch t
   done;

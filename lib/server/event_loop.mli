@@ -14,6 +14,12 @@
     one process per shard ([rrs shard-set]). Only work that may block
     for good in a system call goes {!off_loop}.
 
+    The loop also owns what its handler serves (a server's sessions,
+    admission gate and metrics plane), so none of that needs a lock.
+    Two entry points are safe from another domain: {!wake_loop} and
+    {!post}, which runs a closure on the loop. A domain that wants to
+    read loop-owned state posts a closure that reads it there.
+
     A handler that needs another server's answer (the router's shard
     legs) {!dial}s a {e leg}: an outbound connection owned by the front
     connection and polled by the same loop, with the same stream,
@@ -71,12 +77,19 @@ val create :
     returns. *)
 
 val run : 'a t -> unit
-(** The loop body. Returns once stopping is set and every connection
-    has closed. *)
+(** The loop body. Returns once stopping is set, every connection has
+    closed and every {!off_loop} job has completed. *)
 
 val wake_loop : 'a t -> unit
 (** Wake a loop parked in poll (used with [stopping] to shut down);
     safe from any domain. *)
+
+val post : 'a t -> (unit -> unit) -> unit
+(** [post t f] runs [f] on the loop at its next iteration and wakes it;
+    safe from any domain. Closures run in the order they were posted;
+    one that raises is logged and the loop carries on. A closure posted
+    after [run] has returned never runs, so a poster waiting for its
+    result must also give up on a deadline or on [stopping]. *)
 
 (** {1 Handler-side connection API} *)
 
@@ -104,8 +117,10 @@ val off_loop :
 (** [off_loop conn job k] runs [job] on a thread of its own, for work
     that may block in a system call for an unbounded time (opening a
     file that turns out to be a FIFO), and then [k] with its result on
-    the loop. The connection parses no further frame meanwhile; the
-    loop serves the others. [k] is skipped if the connection closed. *)
+    the loop. [job] must touch nothing the loop owns. The connection
+    parses no further frame meanwhile; the loop serves the others. [k]
+    runs even if the connection closed meanwhile ({!send} then drops
+    its reply), so it can settle what [job] started. *)
 
 (** {1 Legs} *)
 

@@ -6,11 +6,13 @@
 
 module Clock = Rrs_obs.Clock
 
-type outcome = Reply of Wire.frame | Pending | Off_loop of (unit -> Wire.frame)
+type outcome =
+  | Reply of Wire.frame
+  | Pending
+  | Off_loop of (unit -> unit -> Wire.frame)
 
 type 'a state = {
   span : Metrics.span;
-  on_lock : int -> unit;
   mutable in_mark : int; (* Event_loop.bytes_in at the last frame end *)
   mutable pending : Wire.frame option; (* the request still owed a reply *)
   mutable started : int64; (* when its handling began *)
@@ -27,13 +29,11 @@ and 'a t = {
   handle : 'a state Event_loop.conn -> Wire.frame -> outcome;
 }
 
-(* One reused span and lock-wait closure per connection: the tracing
-   hot path allocates nothing per request. *)
+(* One reused span per connection: the tracing hot path allocates
+   nothing per request. *)
 let state handler ext =
-  let span = Metrics.span () in
   {
-    span;
-    on_lock = (fun us -> span.Metrics.s_lock_us <- span.Metrics.s_lock_us + us);
+    span = Metrics.span ();
     in_mark = 0;
     pending = None;
     started = 0L;
@@ -42,7 +42,6 @@ let state handler ext =
   }
 
 let ext st = st.ext
-let on_lock st = st.on_lock
 
 (* The hello exchange doubles as framing negotiation: a [hello_ok]
    naming [rrs-wire/2] (when allowed) switches the connection to the
@@ -169,7 +168,9 @@ let handle_event conn result =
       | Reply reply -> finish conn reply
       | Pending -> ()
       | Off_loop job ->
-          Event_loop.off_loop conn job (function
-            | Ok reply -> finish conn reply
-            | Error e -> finish conn (internal_error t e))
+          Event_loop.off_loop conn job (fun result ->
+              finish conn
+                (match result with
+                | Ok resume -> ( try resume () with e -> internal_error t e)
+                | Error e -> internal_error t e))
       | exception e -> finish conn (internal_error t e))

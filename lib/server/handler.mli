@@ -14,15 +14,19 @@ type outcome =
       (** the reply comes later: the handle has started work on the
           loop (a shard leg's {!Event_loop.call}) whose callback will
           {!finish} the frame *)
-  | Off_loop of (unit -> Wire.frame)
-      (** the reply, computed by a job that may block in a system call,
-          so it runs off the loop ({!Event_loop.off_loop}) *)
+  | Off_loop of (unit -> unit -> Wire.frame)
+      (** work that may block in a system call, so it runs off the loop
+          ({!Event_loop.off_loop}). The job must touch nothing the loop
+          owns; it returns a continuation that runs back on the loop —
+          also when the connection closed meanwhile, its reply then
+          dropped — and makes the reply. The loop's state changes there,
+          never off it *)
 
 type 'a state
 (** Per-connection handler state — the {!Event_loop} connection data:
-    one reused {!Metrics.span} and lock-wait closure (so the hot path
-    allocates nothing per request), the bytes-in watermark, the request
-    still owed a reply, and the caller's own ['a]. *)
+    one reused {!Metrics.span} (so the hot path allocates nothing per
+    request), the bytes-in watermark, the request still owed a reply,
+    and the caller's own ['a]. *)
 
 type 'a t = {
   role : string;
@@ -42,9 +46,6 @@ val state : 'a t -> 'a -> 'a state
 
 val ext : 'a state -> 'a
 (** The caller's part. *)
-
-val on_lock : 'a state -> int -> unit
-(** Adds µs of session-lock wait to the frame now being handled. *)
 
 val reply_bytes : max_reply:int -> Wire.framing -> Wire.frame -> string
 (** The wire bytes of a reply, or — when they exceed [max_reply] — of an

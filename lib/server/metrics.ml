@@ -30,8 +30,8 @@ let bytes_buckets =
      4194304 |]
 
 (* The event loop's registry plus typed handles, so the hot path
-   records without locks at the Probe one-branch cost. A reader folds
-   it into a fresh registry with [Probe.merge] on demand. *)
+   records at the Probe one-branch cost. A reader on the loop folds it
+   into a fresh registry with [Probe.merge] on demand. *)
 type series = {
   registry : Probe.registry;
   requests_total : Probe.counter;
@@ -42,7 +42,7 @@ type series = {
   shed_jobs_total : Probe.counter; (* jobs refused by admission control *)
   slow_total : Probe.counter; (* spans over the slow threshold *)
   req_latency : Probe.histogram array; (* req_latency_us_<kind> *)
-  lock_wait : Probe.histogram; (* lock_wait_us *)
+  lock_wait : Probe.histogram; (* lock_wait_us: always 0, see metrics.mli *)
   step_time : Probe.histogram; (* step_us *)
   bytes_in_h : Probe.histogram; (* bytes_in *)
   bytes_out_h : Probe.histogram; (* bytes_out *)
@@ -79,8 +79,7 @@ type span = {
   mutable s_kind : int;
   mutable s_session : string;
   mutable s_wire : int;
-  mutable s_lock_us : int; (* waiting on the session mutex *)
-  mutable s_handle_us : int; (* handler, lock wait included *)
+  mutable s_handle_us : int; (* handler *)
   mutable s_write_us : int; (* encode + write + flush *)
   mutable s_bytes_in : int;
   mutable s_bytes_out : int;
@@ -94,7 +93,6 @@ let span () =
     s_kind = error_kind;
     s_session = "";
     s_wire = 1;
-    s_lock_us = 0;
     s_handle_us = 0;
     s_write_us = 0;
     s_bytes_in = 0;
@@ -107,7 +105,6 @@ let span () =
 let reset_span s =
   s.s_kind <- error_kind;
   s.s_session <- "";
-  s.s_lock_us <- 0;
   s.s_handle_us <- 0;
   s.s_write_us <- 0;
   s.s_bytes_in <- 0;
@@ -117,7 +114,7 @@ let reset_span s =
   s.s_error <- false
 
 (* Request latency as the client could observe it server-side: handler
-   (lock wait included) + reply write. *)
+   + reply write. *)
 let span_latency_us s = s.s_handle_us + s.s_write_us
 
 type slow_entry = {
@@ -126,7 +123,6 @@ type slow_entry = {
   e_session : string;
   e_wire : int;
   e_latency_us : int;
-  e_lock_us : int;
   e_handle_us : int;
   e_write_us : int;
   e_bytes_in : int;
@@ -138,10 +134,6 @@ type t = {
   series : series;
   started_ns : int64;
   slow_threshold_us : int;
-  (* The slow log is the one shared structure, and its mutex is taken
-     only for requests over the threshold — the per-frame hot path
-     stays lock-free. *)
-  slow_mutex : Mutex.t;
   slow : slow_entry option array; (* ring, [slow_pushed mod capacity] *)
   mutable slow_pushed : int;
 }
@@ -161,7 +153,6 @@ let create ?(slow_threshold_us = 0) ?(slow_capacity = 0) () =
     series = make_series ();
     started_ns = Clock.now_ns ();
     slow_threshold_us;
-    slow_mutex = Mutex.create ();
     slow = Array.make slow_capacity None;
     slow_pushed = 0;
   }
@@ -172,10 +163,8 @@ let uptime_ns t = Int64.sub (Clock.now_ns ()) t.started_ns
 let uptime_s t = Int64.to_int (Int64.div (uptime_ns t) 1_000_000_000L)
 
 let push_slow t entry =
-  Mutex.lock t.slow_mutex;
   t.slow.(t.slow_pushed mod Array.length t.slow) <- Some entry;
-  t.slow_pushed <- t.slow_pushed + 1;
-  Mutex.unlock t.slow_mutex
+  t.slow_pushed <- t.slow_pushed + 1
 
 let record t s =
   let series = t.series in
@@ -184,7 +173,7 @@ let record t s =
   Probe.incr series.requests_by.(s.s_kind);
   if s.s_error then Probe.incr series.errors_total;
   Probe.observe series.req_latency.(s.s_kind) latency;
-  Probe.observe series.lock_wait s.s_lock_us;
+  Probe.observe series.lock_wait 0;
   if s.s_kind = step_kind then Probe.observe series.step_time s.s_handle_us;
   Probe.observe series.bytes_in_h s.s_bytes_in;
   Probe.observe series.bytes_out_h s.s_bytes_out;
@@ -199,7 +188,6 @@ let record t s =
         e_session = s.s_session;
         e_wire = s.s_wire;
         e_latency_us = latency;
-        e_lock_us = s.s_lock_us;
         e_handle_us = s.s_handle_us;
         e_write_us = s.s_write_us;
         e_bytes_in = s.s_bytes_in;
@@ -216,7 +204,6 @@ let record_malformed t s =
 
 (* Newest first, at most [max] entries. *)
 let slow_log ?max t =
-  Mutex.lock t.slow_mutex;
   let capacity = Array.length t.slow in
   let available = min t.slow_pushed capacity in
   let wanted =
@@ -226,16 +213,15 @@ let slow_log ?max t =
     List.init wanted (fun i ->
         t.slow.((t.slow_pushed - 1 - i + (capacity * 2)) mod capacity))
   in
-  Mutex.unlock t.slow_mutex;
   List.filter_map Fun.id entries
 
 let slow_to_json e =
   Printf.sprintf
     "{\"at_us\":%d,\"type\":%s,\"session\":%s,\"wire\":%d,\
-     \"latency_us\":%d,\"lock_us\":%d,\"handle_us\":%d,\
-     \"write_us\":%d,\"bytes_in\":%d,\"bytes_out\":%d,\"error\":%d}"
+     \"latency_us\":%d,\"handle_us\":%d,\"write_us\":%d,\
+     \"bytes_in\":%d,\"bytes_out\":%d,\"error\":%d}"
     e.e_at_us (Json.escape e.e_kind) (Json.escape e.e_session) e.e_wire
-    e.e_latency_us e.e_lock_us e.e_handle_us e.e_write_us
+    e.e_latency_us e.e_handle_us e.e_write_us
     e.e_bytes_in e.e_bytes_out
     (if e.e_error then 1 else 0)
 

@@ -1,18 +1,25 @@
 (** Serving-layer metrics: the event loop's probe registry, request
     spans and a bounded slow-request log.
 
-    Only the process's event loop records, into one
-    {!Rrs_obs.Probe.registry}, so the per-frame hot path costs what a
-    Probe costs — one branch when disabled, no locks, no allocation —
-    and a reader takes a fresh copy with {!Rrs_obs.Probe.merge}
-    ({!merged}). The slow-request ring's mutex is taken only for
-    requests over the threshold.
+    A metrics plane is owned by the process's event loop: only the loop
+    records into its {!Rrs_obs.Probe.registry} and slow-request ring,
+    and only the loop reads them ({!merged}, {!slow_log}), so there is
+    no lock and the per-frame hot path costs what a Probe costs — one
+    branch when disabled, no allocation. A reader on another domain
+    (the OpenMetrics responder) asks the loop for a fresh copy
+    ({!Event_loop.post}).
 
     {b Series}:
     counters [requests_total], [requests_<kind>], [errors_total],
     [malformed_total], [rounds_total], [shed_jobs_total], [slow_total];
     histograms [req_latency_us_<kind>] (µs), [lock_wait_us], [step_us],
-    [bytes_in], [bytes_out] — where [<kind>] ranges over {!kinds}. *)
+    [bytes_in], [bytes_out] — where [<kind>] ranges over {!kinds}.
+
+    [lock_wait_us] records 0 for every request: sessions have no lock
+    since the event loop owns them. It stays registered because
+    existing readers require it (the perfbench traced run reads
+    [lock_wait_us_p99], the CI observability smoke checks
+    [rrs_lock_wait_us_count]); its count still counts requests. *)
 
 (** {1 Request kinds} *)
 
@@ -34,8 +41,7 @@ type span = {
   mutable s_kind : int;
   mutable s_session : string;
   mutable s_wire : int;  (** negotiated wire version *)
-  mutable s_lock_us : int;  (** waiting on the session mutex *)
-  mutable s_handle_us : int;  (** handler, lock wait included *)
+  mutable s_handle_us : int;  (** handler *)
   mutable s_write_us : int;  (** encode + write + flush *)
   mutable s_bytes_in : int;
   mutable s_bytes_out : int;
@@ -47,8 +53,7 @@ type span = {
 val span : unit -> span
 val reset_span : span -> unit
 
-(** Server-side request latency: handler (lock wait included) + reply
-    write. *)
+(** Server-side request latency: handler + reply write. *)
 val span_latency_us : span -> int
 
 (** {1 The metrics plane} *)
@@ -68,9 +73,8 @@ val create : ?slow_threshold_us:int -> ?slow_capacity:int -> unit -> t
 val slow_threshold_us : t -> int
 val uptime_s : t -> int
 
-(** [record t span] folds one finished span into the registry
-    (lock-free) and, when its latency reaches the slow threshold, into
-    the slow ring (one short lock). *)
+(** [record t span] folds one finished span into the registry and,
+    when its latency reaches the slow threshold, into the slow ring. *)
 val record : t -> span -> unit
 
 (** Count a frame that failed to decode: bumps [malformed_total] and
@@ -86,7 +90,6 @@ type slow_entry = {
   e_session : string;
   e_wire : int;
   e_latency_us : int;
-  e_lock_us : int;
   e_handle_us : int;
   e_write_us : int;
   e_bytes_in : int;

@@ -31,11 +31,17 @@ let default_config address =
     metrics = None; slow_threshold_us = 0; slow_log = 0; server_id = "rrs";
     autosnap = false; admission = None; admission_mode = Admission.Off }
 
-(* ---- session manager ---- *)
+(* ---- session manager ----
+
+   Owned by the event loop, like the sessions in it: every frame, every
+   off-loop open's continuation and every metrics read runs there, and
+   restore/drain run while no loop does. Hence no lock. *)
 
 type manager = {
-  m_mutex : Mutex.t;
   m_sessions : (string, Session.t) Hashtbl.t;
+  m_opening : (string, unit) Hashtbl.t;
+      (* names whose [Session.create] runs off the loop: reserved, so a
+         second open of the name is refused at once *)
   m_queue_limit : int;
   m_trace_dir : string option;
   m_snap_dir : string option;
@@ -45,23 +51,16 @@ type manager = {
   m_admission : Admission.t option; (* None = gate off *)
 }
 
-let with_manager m f =
-  Mutex.lock m.m_mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock m.m_mutex) f
-
-let find_session m name = with_manager m (fun () -> Hashtbl.find_opt m.m_sessions name)
-
 let session_names m =
-  with_manager m (fun () ->
-      Hashtbl.fold (fun name _ acc -> name :: acc) m.m_sessions []
-      |> List.sort String.compare)
+  Hashtbl.fold (fun name _ acc -> name :: acc) m.m_sessions []
+  |> List.sort String.compare
 
 (* ---- frame handling ---- *)
 
 let err format = Printf.ksprintf (fun message -> Wire.Error_frame { message }) format
 
 let with_session m session f =
-  match find_session m session with
+  match Hashtbl.find_opt m.m_sessions session with
   | None -> err "no such session %S" session
   | Some s -> f s
 
@@ -90,8 +89,7 @@ let valid_session_name name =
    to send instead; the caller sends it and creates nothing. Warn mode
    admits violations anyway (force-reserving, so the demand gauge tells
    the truth) and logs the constraint it would have enforced. The
-   reservation taken here must be released on any later failure of the
-   open (lost insert race, create error). *)
+   reservation taken here must be released if the open then fails. *)
 let admit m ~session ~(config : Rrs_sim.Stepper.config) decl =
   match m.m_admission with
   | None -> Ok false (* no gate: the declaration is recorded, not priced *)
@@ -127,21 +125,18 @@ let admit m ~session ~(config : Rrs_sim.Stepper.config) decl =
 let release_admission m ~session =
   Option.iter (fun gate -> Admission.release gate ~session) m.m_admission
 
-(* Undo a failed open's reservation. Reservations key on the session
-   name, so if a concurrent open of the same name won the insert race
-   and is itself declared, the standing reservation is the winner's —
-   leave it alone. *)
-let release_failed_open m ~session =
-  match find_session m session with
-  | Some winner when Session.declaration winner <> None -> ()
-  | _ -> release_admission m ~session
-
+(* An open runs on the loop up to [Session.create]. That runs off the
+   loop when a trace directory is set (the trace file's open(2) can
+   block for good), with the name reserved meanwhile; the result is
+   settled back on the loop. *)
 let handle_open m ~session ~policy ~delta ~bounds ~n ~speed ~horizon
     ~queue_limit ~decl =
   if not (valid_session_name session) then
-    err "invalid session name %S (want [A-Za-z0-9._-]+, not dot-led)" session
-  else if with_manager m (fun () -> Hashtbl.mem m.m_sessions session) then
-    err "session %S already open" session
+    Handler.Reply
+      (err "invalid session name %S (want [A-Za-z0-9._-]+, not dot-led)"
+         session)
+  else if Hashtbl.mem m.m_sessions session || Hashtbl.mem m.m_opening session
+  then Handler.Reply (err "session %S already open" session)
   else begin
     let queue_limit = if queue_limit > 0 then queue_limit else m.m_queue_limit in
     let config =
@@ -157,61 +152,59 @@ let handle_open m ~session ~policy ~delta ~bounds ~n ~speed ~horizon
           | Ok () -> admit m ~session ~config d)
     in
     match admitted with
-    | Error reply -> reply (* an enforce-mode reject leaves no state *)
+    | Error reply ->
+        Handler.Reply reply (* an enforce-mode reject leaves no state *)
     | Ok police -> (
-        (* Construct OUTSIDE the manager mutex: trace-file opens and stepper
-           construction must cost this connection's frame, not stall every
-           other connection's. Insert with a double-check on the name; the
-           losing racer tears its session down again. *)
-        match
-          Session.create ~name:session ~policy ~queue_limit ?checkpoint_every:m.m_checkpoint_every ?trace_dir:m.m_trace_dir
+        let create () =
+          Session.create ~name:session ~policy ~queue_limit
+            ?checkpoint_every:m.m_checkpoint_every ?trace_dir:m.m_trace_dir
             config
-        with
-        | Error message ->
-            if decl <> None then release_failed_open m ~session;
-            Wire.Error_frame { message }
-        | Ok s ->
-            Option.iter (fun d -> Session.declare s ~decl:d ~police) decl;
-            let won =
-              with_manager m (fun () ->
-                  if Hashtbl.mem m.m_sessions session then false
-                  else begin
-                    Hashtbl.add m.m_sessions session s;
-                    true
-                  end)
-            in
-            if won then Wire.Opened { session; round = 0 }
-            else begin
-              if decl <> None then release_failed_open m ~session;
-              Session.release s;
-              err "session %S already open" session
-            end)
+        in
+        let settle created =
+          Hashtbl.remove m.m_opening session;
+          match created () with
+          | Ok s ->
+              Option.iter (fun d -> Session.declare s ~decl:d ~police) decl;
+              Hashtbl.replace m.m_sessions session s;
+              Wire.Opened { session; round = 0 }
+          | Error message ->
+              if decl <> None then release_admission m ~session;
+              Wire.Error_frame { message }
+          | exception e ->
+              if decl <> None then release_admission m ~session;
+              raise e
+        in
+        match m.m_trace_dir with
+        | None -> Handler.Reply (settle create)
+        | Some _ ->
+            Hashtbl.replace m.m_opening session ();
+            Handler.Off_loop
+              (fun () ->
+                let created =
+                  match create () with
+                  | result -> fun () -> result
+                  | exception e -> fun () -> raise e
+                in
+                fun () -> settle created))
   end
 
-(* The metrics view: a fresh copy of the loop's registry, plus
-   scrape-time series derived from the live sessions.
-   The session list is grabbed under the manager mutex; per-session
-   stats are read after releasing it (each [Session.stats] takes its
-   own lock), so the two lock domains never nest. *)
+(* The metrics view, built on the loop: a fresh copy of the loop's
+   registry, plus series derived from the live sessions. *)
 let metrics_registry m =
   let merged = Metrics.merged m.m_metrics in
-  let sessions =
-    with_manager m (fun () ->
-        Hashtbl.fold (fun _ s acc -> s :: acc) m.m_sessions [])
-  in
   let buffered = ref 0 and pending = ref 0 in
   let shed = ref 0 and fed = ref 0 and rounds = ref 0 in
-  List.iter
-    (fun s ->
+  Hashtbl.iter
+    (fun _ s ->
       let st = Session.stats s in
       buffered := !buffered + st.Session.st_buffered;
       pending := !pending + st.Session.st_pending;
       shed := !shed + st.Session.st_shed;
       fed := !fed + st.Session.st_fed;
       rounds := !rounds + st.Session.st_round)
-    sessions;
+    m.m_sessions;
   let set name value = Probe.set_gauge (Probe.gauge merged name) value in
-  set "sessions_open" (List.length sessions);
+  set "sessions_open" (Hashtbl.length m.m_sessions);
   set "sessions_buffered_jobs" !buffered;
   set "sessions_pending_jobs" !pending;
   set "sessions_shed_jobs" !shed;
@@ -245,17 +238,11 @@ let handle_metrics m ~slow =
   in
   Wire.Metrics_ok { doc; slow }
 
-(* One request frame on connection [conn], whose span observes
-   session-mutex wait through [on_lock]. *)
-let handle_frame m conn frame =
-  let on_lock = Handler.on_lock (Event_loop.data conn) in
+(* The reply to one request frame on connection [conn], other than an
+   open (see [handle_frame]). *)
+let reply_to m conn frame =
   match frame with
-  | Wire.Hello _ -> assert false (* answered by Handler, never dispatched *)
-  | Wire.Open
-      { session; policy; delta; bounds; n; speed; horizon; queue_limit; decl }
-    ->
-      handle_open m ~session ~policy ~delta ~bounds ~n ~speed ~horizon
-        ~queue_limit ~decl
+  | Wire.Hello _ | Wire.Open _ -> assert false (* see [handle_frame] *)
   | Wire.Feed { session; colors; counts; decl } ->
       with_session m session (fun s ->
           (* A feed may re-declare: the new envelope passes the same
@@ -274,14 +261,13 @@ let handle_frame m conn frame =
                     match admit m ~session ~config:(Session.config s) d with
                     | Error reply -> Error reply
                     | Ok police ->
-                        Session.declare ~on_lock_wait_us:on_lock s ~decl:d
-                          ~police;
+                        Session.declare s ~decl:d ~police;
                         Ok ()))
           in
           match redeclared with
           | Error reply -> reply
           | Ok () -> (
-              match Session.feed ~on_lock_wait_us:on_lock s ~colors ~counts with
+              match Session.feed s ~colors ~counts with
               | Ok (Session.Accepted { accepted; buffered }) ->
                   Wire.Fed { session; accepted; buffered }
               | Ok (Session.Shed_reply { shed; buffered; limit }) ->
@@ -303,7 +289,7 @@ let handle_frame m conn frame =
               | Error message -> Wire.Error_frame { message }))
   | Wire.Step { session; rounds } ->
       with_session m session (fun s ->
-          match Session.step ~on_lock_wait_us:on_lock s ~rounds with
+          match Session.step s ~rounds with
           | Ok r ->
               (* Crash durability: persist the snapshot when this step
                  crossed a checkpoint boundary. Autosave failure must
@@ -316,7 +302,7 @@ let handle_frame m conn frame =
                      let path =
                        Filename.concat dir (snapshot_filename session)
                      in
-                     match Session.autosave ~on_lock_wait_us:on_lock s ~path with
+                     match Session.autosave s ~path with
                      | true ->
                          Slog.debug ~event:"autosnap"
                            [
@@ -343,7 +329,7 @@ let handle_frame m conn frame =
           | Error message -> Wire.Error_frame { message })
   | Wire.Stats { session } ->
       with_session m session (fun s ->
-          let st = Session.stats ~on_lock_wait_us:on_lock s in
+          let st = Session.stats s in
           Wire.Stats_ok
             {
               session;
@@ -383,7 +369,7 @@ let handle_frame m conn frame =
                          directory (--snap-dir)"
                 | Some dir -> (
                     let path = Filename.concat dir file in
-                    match Session.save ~on_lock_wait_us:on_lock s ~path with
+                    match Session.save s ~path with
                     | () ->
                         Wire.Snapshotted { session; path = Some path; doc = None }
                     | exception Sys_error message ->
@@ -391,21 +377,12 @@ let handle_frame m conn frame =
           | None ->
               Wire.Snapshotted
                 { session; path = None;
-                  doc = Some (Session.snapshot ~on_lock_wait_us:on_lock s) }))
+                  doc = Some (Session.snapshot s) }))
   | Wire.Close { session } -> (
-      (* Atomic take: of two racing [close] frames exactly one gets the
-         session; the other answers "no such session". *)
-      let taken =
-        with_manager m (fun () ->
-            match Hashtbl.find_opt m.m_sessions session with
-            | None -> None
-            | Some s ->
-                Hashtbl.remove m.m_sessions session;
-                Some s)
-      in
-      match taken with
+      match Hashtbl.find_opt m.m_sessions session with
       | None -> err "no such session %S" session
       | Some s ->
+          Hashtbl.remove m.m_sessions session;
           release_admission m ~session;
           (* A closed session must not resurrect from a stale drain
              snapshot at the next restart. *)
@@ -414,7 +391,7 @@ let handle_frame m conn frame =
               let path = Filename.concat dir (snapshot_filename session) in
               try Sys.remove path with Sys_error _ -> ())
             m.m_snap_dir;
-          (match Session.close ~on_lock_wait_us:on_lock s with
+          (match Session.close s with
           | Ok cost -> Wire.Closed { session; cost }
           | Error message -> Wire.Error_frame { message }))
   | Wire.Metrics { slow } -> handle_metrics m ~slow
@@ -422,6 +399,15 @@ let handle_frame m conn frame =
   | Wire.Stepped _ | Wire.Stats_ok _ | Wire.Snapshotted _ | Wire.Closed _
   | Wire.Metrics_ok _ | Wire.Error_frame _ | Wire.Admission_reject _ ->
       err "reply frames are not requests"
+
+let handle_frame m conn frame =
+  match frame with
+  | Wire.Open
+      { session; policy; delta; bounds; n; speed; horizon; queue_limit; decl }
+    ->
+      handle_open m ~session ~policy ~delta ~bounds ~n ~speed ~horizon
+        ~queue_limit ~decl
+  | frame -> Handler.Reply (reply_to m conn frame)
 
 (* ---- server handle ---- *)
 
@@ -450,8 +436,10 @@ let address_label = Net.address_label
    Scrapes are rare (seconds apart) and the registry fold is cheap, so
    one responder is plenty. The head is read straight off the fd within
    a fixed deadline and size, so a silent or endless peer costs at most
-   [http_head_timeout_s] — never every later scrape, nor [stop]. Every
-   wait is a short poll, so [stop] can join the domain. *)
+   [http_head_timeout_s] — never every later scrape, nor [stop]. The
+   view itself is built on the event loop, which owns what it reads.
+   Every wait is short and gives up once [stopping] is set, so [stop]
+   can join the domain. *)
 
 let http_head_timeout_s = 1.0
 let http_head_max = 8 * 1024
@@ -488,16 +476,33 @@ let read_http_head stopping fd =
   in
   go 0
 
-let serve_metrics_http manager stopping fd =
+(* Run [read] on the loop and wait for its result: None past the head
+   deadline or once the server is stopping. *)
+let ask_loop loop stopping read =
+  let result = Atomic.make None in
+  Event_loop.post loop (fun () -> Atomic.set result (Some (read ())));
+  let deadline = Unix.gettimeofday () +. http_head_timeout_s in
+  let rec wait () =
+    match Atomic.get result with
+    | Some _ as answer -> answer
+    | None when Atomic.get stopping || Unix.gettimeofday () > deadline -> None
+    | None ->
+        Unix.sleepf 0.001;
+        wait ()
+  in
+  wait ()
+
+let serve_metrics_http manager loop stopping fd =
   let answer client =
-    if read_http_head stopping client then begin
-      let response =
-        Exposition.http_response (Exposition.render (metrics_registry manager))
-      in
-      (* a peer that stops reading cannot hold the responder either *)
-      Unix.setsockopt_float client Unix.SO_SNDTIMEO http_head_timeout_s;
-      ignore (Unix.write_substring client response 0 (String.length response))
-    end
+    if read_http_head stopping client then
+      match ask_loop loop stopping (fun () -> metrics_registry manager) with
+      | None -> ()
+      | Some registry ->
+          let response = Exposition.http_response (Exposition.render registry) in
+          (* a peer that stops reading cannot hold the responder either *)
+          Unix.setsockopt_float client Unix.SO_SNDTIMEO http_head_timeout_s;
+          ignore
+            (Unix.write_substring client response 0 (String.length response))
   in
   let rec loop () =
     if Atomic.get stopping then ()
@@ -545,47 +550,38 @@ let restore_sessions manager =
                   Session.release session;
                   restored
                 end
+                else if not (Hashtbl.mem manager.m_sessions name) then begin
+                  Hashtbl.add manager.m_sessions name session;
+                  (* Snapshots persist the declaration but not the
+                     policing flag (that is server policy, not session
+                     state): re-arm it for this server's mode and put
+                     the restored demand back on the gate's books —
+                     unconditionally, since refusing an already-running
+                     session is not an option. *)
+                  (match Session.declaration session with
+                  | None -> ()
+                  | Some decl ->
+                      let police =
+                        match manager.m_admission with
+                        | Some gate ->
+                            Admission.mode gate = Admission.Enforce
+                        | None -> false
+                      in
+                      Session.declare session ~decl ~police;
+                      Option.iter
+                        (fun gate ->
+                          Admission.force_admit gate ~session:name
+                            ~mjpr:(Admission.decl_mjpr decl))
+                        manager.m_admission);
+                  Slog.info ~event:"restored"
+                    [ ("session", name); ("path", path) ];
+                  restored + 1
+                end
                 else begin
-                  let added =
-                    with_manager manager (fun () ->
-                        if Hashtbl.mem manager.m_sessions name then false
-                        else begin
-                          Hashtbl.add manager.m_sessions name session;
-                          true
-                        end)
-                  in
-                  if added then begin
-                    (* Snapshots persist the declaration but not the
-                       policing flag (that is server policy, not session
-                       state): re-arm it for this server's mode and put
-                       the restored demand back on the gate's books —
-                       unconditionally, since refusing an already-running
-                       session is not an option. *)
-                    (match Session.declaration session with
-                    | None -> ()
-                    | Some decl ->
-                        let police =
-                          match manager.m_admission with
-                          | Some gate ->
-                              Admission.mode gate = Admission.Enforce
-                          | None -> false
-                        in
-                        Session.declare session ~decl ~police;
-                        Option.iter
-                          (fun gate ->
-                            Admission.force_admit gate ~session:name
-                              ~mjpr:(Admission.decl_mjpr decl))
-                          manager.m_admission);
-                    Slog.info ~event:"restored"
-                      [ ("session", name); ("path", path) ];
-                    restored + 1
-                  end
-                  else begin
-                    Slog.error ~event:"restore_collision"
-                      [ ("path", path); ("session", name) ];
-                    Session.release session;
-                    restored
-                  end
+                  Slog.error ~event:"restore_collision"
+                    [ ("path", path); ("session", name) ];
+                  Session.release session;
+                  restored
                 end
             | Error message ->
                 Slog.error ~event:"restore_failed"
@@ -640,8 +636,8 @@ let start ?(restore = true) config =
   in
   let manager =
     {
-      m_mutex = Mutex.create ();
       m_sessions = Hashtbl.create 16;
+      m_opening = Hashtbl.create 4;
       m_queue_limit = config.queue_limit;
       m_trace_dir = config.trace_dir;
       m_snap_dir = config.snap_dir;
@@ -682,15 +678,7 @@ let start ?(restore = true) config =
         (if config.max_reply > 0 then min config.max_reply Wire.max_frame
          else Wire.max_frame);
       metrics = manager.m_metrics;
-      handle =
-        (fun conn frame ->
-          match frame with
-          (* With a trace directory an open creates the session's trace
-             file, and an open(2) can block for good (a FIFO with no
-             reader): not on the loop. *)
-          | Wire.Open _ when manager.m_trace_dir <> None ->
-              Handler.Off_loop (fun () -> handle_frame manager conn frame)
-          | _ -> Handler.Reply (handle_frame manager conn frame));
+      handle = handle_frame manager;
     }
   in
   let loop =
@@ -702,7 +690,7 @@ let start ?(restore = true) config =
   let metrics_domain =
     Option.map
       (fun fd ->
-        Domain.spawn (fun () -> serve_metrics_http manager stopping fd))
+        Domain.spawn (fun () -> serve_metrics_http manager loop stopping fd))
       metrics_fd
   in
   Slog.info ~event:"serving"
@@ -723,33 +711,29 @@ let start ?(restore = true) config =
     metrics_cleanup;
   }
 
+(* After the loop domain is joined: the sessions are this domain's. *)
 let drain_sessions t =
-  match t.manager.m_snap_dir with
-  | None ->
-      List.iter
-        (fun name ->
-          Option.iter Session.release (find_session t.manager name))
-        (session_names t.manager);
-      0
-  | Some dir ->
-      List.fold_left
-        (fun saved name ->
-          match find_session t.manager name with
-          | None -> saved
-          | Some session -> (
-              let path = Filename.concat dir (snapshot_filename name) in
-              match Session.save session ~path with
-              | () ->
-                  Session.release session;
-                  Slog.info ~event:"drained"
-                    [ ("session", name); ("path", path) ];
-                  saved + 1
-              | exception e ->
-                  Slog.error ~event:"drain_failed"
-                    [ ("session", name); ("exn", Printexc.to_string e) ];
-                  Session.release session;
-                  saved))
-        0 (session_names t.manager)
+  let m = t.manager in
+  List.fold_left
+    (fun saved name ->
+      let session = Hashtbl.find m.m_sessions name in
+      let drained =
+        match m.m_snap_dir with
+        | None -> false
+        | Some dir -> (
+            let path = Filename.concat dir (snapshot_filename name) in
+            match Session.save session ~path with
+            | () ->
+                Slog.info ~event:"drained" [ ("session", name); ("path", path) ];
+                true
+            | exception e ->
+                Slog.error ~event:"drain_failed"
+                  [ ("session", name); ("exn", Printexc.to_string e) ];
+                false)
+      in
+      Session.release session;
+      if drained then saved + 1 else saved)
+    0 (session_names m)
 
 let stop ?(drain = true) t =
   Atomic.set t.stopping true;
@@ -765,7 +749,7 @@ let stop ?(drain = true) t =
   Domain.join t.loop_domain;
   Option.iter Domain.join t.metrics_domain;
   let drained = if drain then drain_sessions t else 0 in
-  with_manager t.manager (fun () -> Hashtbl.reset t.manager.m_sessions);
+  Hashtbl.reset t.manager.m_sessions;
   Option.iter (fun path -> try Sys.remove path with Sys_error _ -> ())
     t.cleanup_socket;
   Option.iter (fun path -> try Sys.remove path with Sys_error _ -> ())

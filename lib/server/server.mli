@@ -3,7 +3,12 @@
 
     One {!Event_loop} domain owns every connection and answers each
     complete frame inline, through the shared {!Handler}, against the
-    session manager (many named {!Session}s). One loop per process: a
+    session manager (many named {!Session}s). The loop also owns the
+    manager, every session, the admission gate and the metrics plane,
+    so none of them has a lock; an [open] under [trace_dir] runs only
+    its session's construction off the loop, with the name reserved
+    meanwhile (a second [open] of it is answered "already open" at
+    once). One loop per process: a
     long [step] batch or an autosnap write delays the process's other
     connections, and multi-core serving is one process per shard
     ([rrs shard-set]). Malformed input is answered with an [error] frame and
@@ -54,10 +59,14 @@ type config = {
       (** when set, a separate listener serving the merged metrics as
           Prometheus/OpenMetrics text over one-shot HTTP/1.1 exchanges
           (see {!Exposition}). Metrics are always collected; this only
-          adds the exposition endpoint. One responder serves scrapes in
-          turn, reading each request head within a fixed 1 s deadline
-          and 8 KiB, so an idle or endless peer cannot stall later
-          scrapes or [stop] *)
+          adds the exposition endpoint. One responder domain serves
+          scrapes in turn, reading each request head within a fixed 1 s
+          deadline and 8 KiB, so an idle or endless peer cannot stall
+          later scrapes or [stop]. It does the HTTP I/O only: it asks
+          the event loop for its view ({!Event_loop.post}) and waits for
+          the answer within the same deadline, giving up (no response)
+          once the server is stopping, so a scrape never holds up
+          [stop] *)
   slow_threshold_us : int;
       (** slow-request log threshold in µs;
           [0] = {!Metrics.default_slow_threshold_us} *)

@@ -10,7 +10,6 @@ type t = {
   name : string;
   policy_key : string;
   queue_limit : int;
-  mutex : Mutex.t;
   stepper : Stepper.t;
   probes : Probe.registry;
   shed_jobs : Probe.counter;
@@ -35,19 +34,6 @@ type t = {
          one unsnapshotted window *)
 }
 
-(* [on_lock_wait_us], when given, observes the time this caller spent
-   blocked on the session mutex (µs) — the serving layer's lock_wait_us
-   series. The no-callback path stays a bare lock. *)
-let locked ?on_lock_wait_us t f =
-  (match on_lock_wait_us with
-  | None -> Mutex.lock t.mutex
-  | Some record ->
-      let started = Rrs_obs.Clock.now_ns () in
-      Mutex.lock t.mutex;
-      let waited = Int64.sub (Rrs_obs.Clock.now_ns ()) started in
-      record (Int64.to_int (Int64.div waited 1000L)));
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
-
 let resolve_policy key =
   match Rrs_core.Policies.find key with
   | Some policy -> Ok policy
@@ -64,7 +50,6 @@ let make ~name ~policy_key ~queue_limit ~trace stepper probes =
     name;
     policy_key;
     queue_limit;
-    mutex = Mutex.create ();
     stepper;
     probes;
     shed_jobs = Probe.counter probes "shed_jobs";
@@ -106,17 +91,19 @@ let create ~name ~policy:policy_key ?(queue_limit = 0)
     match resolve_policy policy_key with
     | Error _ as e -> e
     | Ok policy -> (
-        let trace, sink = open_trace trace_dir name in
-        let probes = Probe.create_registry () in
-        match
-          Stepper.create ?sink ~probes ~checkpoint_every
-            ~label:("session " ^ name) ~policy config
-        with
-        | stepper ->
-            Ok (make ~name ~policy_key ~queue_limit ~trace stepper probes)
-        | exception Invalid_argument message ->
-            Option.iter close_out trace;
-            Error message)
+        match open_trace trace_dir name with
+        | exception Sys_error message -> Error message
+        | trace, sink -> (
+            let probes = Probe.create_registry () in
+            match
+              Stepper.create ?sink ~probes ~checkpoint_every
+                ~label:("session " ^ name) ~policy config
+            with
+            | stepper ->
+                Ok (make ~name ~policy_key ~queue_limit ~trace stepper probes)
+            | exception Invalid_argument message ->
+                Option.iter close_out trace;
+                Error message))
 
 let name t = t.name
 let policy_key t = t.policy_key
@@ -129,15 +116,14 @@ let config t = Stepper.config t.stepper
    (server) validates the declaration's shape against the session's
    color count first. The envelope cursor survives re-declarations: the
    new rates apply to the cumulative history, not from a reset. *)
-let declare ?on_lock_wait_us t ~decl ~police =
-  locked ?on_lock_wait_us t (fun () ->
-      t.declared <- Some decl;
-      t.police <- police;
-      if Array.length t.admitted_by_color <> num_colors t then
-        t.admitted_by_color <- Array.make (num_colors t) 0)
+let declare t ~decl ~police =
+  t.declared <- Some decl;
+  t.police <- police;
+  if Array.length t.admitted_by_color <> num_colors t then
+    t.admitted_by_color <- Array.make (num_colors t) 0
 
-let declaration t = locked t (fun () -> t.declared)
-let policed t = locked t (fun () -> t.policed)
+let declaration t = t.declared
+let policed t = t.policed
 
 type feed_result =
   | Accepted of { accepted : int; buffered : int }
@@ -187,7 +173,7 @@ let envelope_violation t request =
         None request
   | _ -> None
 
-let feed ?on_lock_wait_us t ~colors ~counts =
+let feed t ~colors ~counts =
   if Array.length colors <> Array.length counts then
     Error "feed: colors and counts differ in length"
   else
@@ -195,49 +181,48 @@ let feed ?on_lock_wait_us t ~colors ~counts =
       Array.to_list (Array.map2 (fun c k -> (c, k)) colors counts)
     in
     let jobs = Rrs_sim.Types.request_size request in
-    locked ?on_lock_wait_us t (fun () ->
-        (* Validate before admission: an invalid request is rejected
-           outright and never counts as fed or shed. *)
-        match validate_request t request with
-        | Error _ as e -> e
-        | Ok () -> (
-            match envelope_violation t request with
-            | Some (color, offered, allowance) ->
-                (* Over the admitted envelope: refused whole, like a
-                   queue-limit shed (fed/shed keep their conservation
-                   law), but answered with the typed admission error. *)
-                t.fed <- t.fed + jobs;
-                t.shed <- t.shed + jobs;
-                t.policed <- t.policed + jobs;
-                Probe.add t.shed_jobs jobs;
-                Ok (Policed { color; offered; allowance })
-            | None -> (
-                let buffered = Stepper.buffered_jobs t.stepper in
-                t.fed <- t.fed + jobs;
-                if buffered + jobs > t.queue_limit then begin
-                  (* All-or-nothing shed: a partially admitted request
-                     would make the stream depend on admission timing. *)
-                  t.shed <- t.shed + jobs;
-                  Probe.add t.shed_jobs jobs;
+    (* Validate before admission: an invalid request is rejected
+       outright and never counts as fed or shed. *)
+    match validate_request t request with
+    | Error _ as e -> e
+    | Ok () -> (
+        match envelope_violation t request with
+        | Some (color, offered, allowance) ->
+            (* Over the admitted envelope: refused whole, like a
+               queue-limit shed (fed/shed keep their conservation
+               law), but answered with the typed admission error. *)
+            t.fed <- t.fed + jobs;
+            t.shed <- t.shed + jobs;
+            t.policed <- t.policed + jobs;
+            Probe.add t.shed_jobs jobs;
+            Ok (Policed { color; offered; allowance })
+        | None -> (
+            let buffered = Stepper.buffered_jobs t.stepper in
+            t.fed <- t.fed + jobs;
+            if buffered + jobs > t.queue_limit then begin
+              (* All-or-nothing shed: a partially admitted request
+                 would make the stream depend on admission timing. *)
+              t.shed <- t.shed + jobs;
+              Probe.add t.shed_jobs jobs;
+              Ok
+                (Shed_reply
+                   { shed = jobs; buffered; limit = t.queue_limit })
+            end
+            else
+              match Stepper.feed t.stepper request with
+              | () ->
+                  if Array.length t.admitted_by_color > 0 then
+                    List.iter
+                      (fun (color, count) ->
+                        t.admitted_by_color.(color) <-
+                          t.admitted_by_color.(color) + count)
+                      request;
                   Ok
-                    (Shed_reply
-                       { shed = jobs; buffered; limit = t.queue_limit })
-                end
-                else
-                  match Stepper.feed t.stepper request with
-                  | () ->
-                      if Array.length t.admitted_by_color > 0 then
-                        List.iter
-                          (fun (color, count) ->
-                            t.admitted_by_color.(color) <-
-                              t.admitted_by_color.(color) + count)
-                          request;
-                      Ok
-                        (Accepted
-                           { accepted = jobs; buffered = buffered + jobs })
-                  | exception Invalid_argument message ->
-                      t.fed <- t.fed - jobs;
-                      Error message)))
+                    (Accepted
+                       { accepted = jobs; buffered = buffered + jobs })
+              | exception Invalid_argument message ->
+                  t.fed <- t.fed - jobs;
+                  Error message))
 
 type step_result = {
   sr_round : int;
@@ -259,17 +244,16 @@ let step_summary t =
     sr_execs = Rrs_sim.Ledger.exec_count ledger;
   }
 
-let step ?on_lock_wait_us t ~rounds =
+let step t ~rounds =
   if rounds < 1 then Error "step: rounds must be >= 1"
   else
-    locked ?on_lock_wait_us t (fun () ->
-        match
-          for _ = 1 to rounds do
-            Stepper.step t.stepper
-          done
-        with
-        | () -> Ok (step_summary t)
-        | exception Invalid_argument message -> Error message)
+    match
+      for _ = 1 to rounds do
+        Stepper.step t.stepper
+      done
+    with
+    | () -> Ok (step_summary t)
+    | exception Invalid_argument message -> Error message
 
 type stats = {
   st_round : int;
@@ -285,22 +269,21 @@ type stats = {
   st_cost : int;
 }
 
-let stats ?on_lock_wait_us t =
-  locked ?on_lock_wait_us t (fun () ->
-      let ledger = Stepper.ledger t.stepper in
-      {
-        st_round = Stepper.round t.stepper;
-        st_pending = Stepper.pool_pending t.stepper;
-        st_buffered = Stepper.buffered_jobs t.stepper;
-        st_fed = t.fed;
-        st_accepted = Stepper.accepted_jobs t.stepper;
-        st_shed = t.shed;
-        st_execs = Rrs_sim.Ledger.exec_count ledger;
-        st_drops = Rrs_sim.Ledger.drop_count ledger;
-        st_reconfigs = Rrs_sim.Ledger.reconfig_count ledger;
-        st_failed = Rrs_sim.Ledger.failed_reconfig_count ledger;
-        st_cost = Rrs_sim.Ledger.total_cost ledger;
-      })
+let stats t =
+  let ledger = Stepper.ledger t.stepper in
+  {
+    st_round = Stepper.round t.stepper;
+    st_pending = Stepper.pool_pending t.stepper;
+    st_buffered = Stepper.buffered_jobs t.stepper;
+    st_fed = t.fed;
+    st_accepted = Stepper.accepted_jobs t.stepper;
+    st_shed = t.shed;
+    st_execs = Rrs_sim.Ledger.exec_count ledger;
+    st_drops = Rrs_sim.Ledger.drop_count ledger;
+    st_reconfigs = Rrs_sim.Ledger.reconfig_count ledger;
+    st_failed = Rrs_sim.Ledger.failed_reconfig_count ledger;
+    st_cost = Rrs_sim.Ledger.total_cost ledger;
+  }
 
 (* ---- snapshot: one rrs-sess/1 header line + the embedded rrs-snap/2
    stepper document. The header declares the body's version
@@ -331,64 +314,48 @@ let header_line t =
     (Json.escape snapshot_schema) (Json.escape t.name)
     (Json.escape t.policy_key) t.queue_limit t.fed t.shed decl_suffix
 
-let document t = header_line t ^ "\n" ^ Stepper.snapshot t.stepper
+let snapshot t = header_line t ^ "\n" ^ Stepper.snapshot t.stepper
 
-let snapshot ?on_lock_wait_us t =
-  locked ?on_lock_wait_us t (fun () -> document t)
-
-let save ?on_lock_wait_us t ~path =
-  Rrs_sim.Atomic_file.write ~path (snapshot ?on_lock_wait_us t)
+let save t ~path = Rrs_sim.Atomic_file.write ~path (snapshot t)
 
 (* Checkpoint-boundary autosave: write the snapshot to [path] once per
    checkpoint epoch (round / checkpoint_every), so a crashed process
    (kill -9, no drain) loses at most the current unsnapshotted window.
-   The document is built under the session lock; file I/O runs outside
-   it. Returns true when a document was written. No-op for sessions
-   without checkpoints ([checkpoint_every = 0]). *)
-let autosave ?on_lock_wait_us t ~path =
-  let doc =
-    locked ?on_lock_wait_us t (fun () ->
-        let k = Stepper.checkpoint_every t.stepper in
-        if k <= 0 then None
-        else
-          let epoch = Stepper.round t.stepper / k in
-          if epoch = t.saved_epoch then None
-          else begin
-            t.saved_epoch <- epoch;
-            Some (document t)
-          end)
-  in
-  match doc with
-  | None -> false
-  | Some doc -> (
-      match Rrs_sim.Atomic_file.write ~path doc with
-      | () -> true
-      | exception e ->
-          (* Retry at the next boundary instead of skipping the epoch. *)
-          locked t (fun () -> t.saved_epoch <- -1);
-          raise e)
+   Returns true when a document was written. No-op for sessions without
+   checkpoints ([checkpoint_every = 0]). *)
+let autosave t ~path =
+  let k = Stepper.checkpoint_every t.stepper in
+  let epoch = if k <= 0 then t.saved_epoch else Stepper.round t.stepper / k in
+  if epoch = t.saved_epoch then false
+  else
+    match save t ~path with
+    | () ->
+        t.saved_epoch <- epoch;
+        true
+    | exception e ->
+        (* Retry at the next boundary instead of skipping the epoch. *)
+        t.saved_epoch <- -1;
+        raise e
 
 let close_trace t =
   Option.iter close_out t.trace;
   t.trace <- None
 
-let close ?on_lock_wait_us t =
-  locked ?on_lock_wait_us t (fun () ->
-      match Stepper.finish t.stepper with
-      | result ->
-          close_trace t;
-          Ok (Rrs_sim.Ledger.total_cost result.Stepper.ledger)
-      | exception Invalid_argument message ->
-          close_trace t;
-          Error message)
+let close t =
+  match Stepper.finish t.stepper with
+  | result ->
+      close_trace t;
+      Ok (Rrs_sim.Ledger.total_cost result.Stepper.ledger)
+  | exception Invalid_argument message ->
+      close_trace t;
+      Error message
 
 (* Release resources without writing a summary (connectionless teardown,
    e.g. server stop without drain). *)
 let release t =
-  locked t (fun () ->
-      if not (Stepper.finished t.stepper) then
-        Stepper.abort t.stepper ~reason:"session released";
-      close_trace t)
+  if not (Stepper.finished t.stepper) then
+    Stepper.abort t.stepper ~reason:"session released";
+  close_trace t
 
 (* The schema string the embedded stepper document actually carries (its
    first line), when one is readable — the version cross-check below;

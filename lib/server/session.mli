@@ -1,12 +1,13 @@
 (** One named scheduler session: a {!Rrs_sim.Stepper} plus admission
-    control and a mutex.
+    control.
 
-    Every operation locks the session, so concurrent callers (the event
-    loop, a metrics scrape, a drain) touch it safely (operations
-    serialize; the stepper itself is single-threaded state). The optional
-    [on_lock_wait_us] callback on each operation observes how long this
-    caller spent blocked on the session mutex, in µs — the serving
-    layer's [lock_wait_us] series; omitted, the lock is taken bare.
+    {b Ownership}: a session has one owner and no lock. In a running
+    server that owner is the {!Event_loop}: every operation on a live
+    session runs on the loop (a frame's handler, an on-loop
+    continuation, a closure posted by the metrics responder). Restore
+    runs before the loop starts and drain after it has been joined, so
+    they never overlap it. Only {!create} may run elsewhere (a trace-file
+    [open(2)] can block), and it touches no shared state.
 
     {b Admission control}: [feed] is bounded by [queue_limit] jobs of
     fed-but-unstepped backlog. A feed that would exceed it is {e shed} —
@@ -48,7 +49,8 @@ type t
     [<trace_dir>/<name>.events.jsonl]. [checkpoint_every] (default
     {!default_checkpoint_every}; 0 = never) is the stepper's checkpoint
     interval. Errors (unknown policy, invalid config, a negative
-    interval) are returned, never raised. *)
+    interval, a trace file that cannot be opened) are returned, never
+    raised. *)
 val create :
   name:string ->
   policy:string ->
@@ -89,7 +91,7 @@ val checkpoint_every : t -> int
 (** Install or replace the declared envelope. The caller validates the
     declaration's shape ({!Admission.validate_decl}) first. *)
 val declare :
-  ?on_lock_wait_us:(int -> unit) -> t -> decl:Wire.decl -> police:bool -> unit
+  t -> decl:Wire.decl -> police:bool -> unit
 
 val declaration : t -> Wire.decl option
 
@@ -109,7 +111,6 @@ type feed_result =
     request was rejected outright (mismatched arrays, unknown color,
     negative count) and does not count as fed. *)
 val feed :
-  ?on_lock_wait_us:(int -> unit) ->
   t ->
   colors:int array ->
   counts:int array ->
@@ -124,9 +125,7 @@ type step_result = {
   sr_execs : int;
 }
 
-val step :
-  ?on_lock_wait_us:(int -> unit) -> t -> rounds:int ->
-  (step_result, string) result
+val step : t -> rounds:int -> (step_result, string) result
 
 type stats = {
   st_round : int;
@@ -142,27 +141,26 @@ type stats = {
   st_cost : int;
 }
 
-val stats : ?on_lock_wait_us:(int -> unit) -> t -> stats
+val stats : t -> stats
 
 (** The session as an [rrs-sess/1] document embedding [rrs-snap/2]. *)
-val snapshot : ?on_lock_wait_us:(int -> unit) -> t -> string
+val snapshot : t -> string
 
 (** Write {!snapshot} through {!Rrs_sim.Atomic_file.write}; on failure
     the temp file is unlinked before the exception propagates. *)
-val save : ?on_lock_wait_us:(int -> unit) -> t -> path:string -> unit
+val save : t -> path:string -> unit
 
 (** Checkpoint-boundary autosave: {!save} to [path] at most once per
     checkpoint epoch ([round / checkpoint_every]), so a crashed process
     loses at most the unsnapshotted window. True when a document was
-    written; always false for sessions with [checkpoint_every = 0]. The
-    document is built under the session lock and written outside it;
-    concurrent writers of one [path] never tear it. A failed
+    written; always false for sessions with [checkpoint_every = 0].
+    Concurrent writers of one [path] never tear it. A failed
     write re-arms the epoch so the next boundary retries. *)
-val autosave : ?on_lock_wait_us:(int -> unit) -> t -> path:string -> bool
+val autosave : t -> path:string -> bool
 
 (** Finish the stepper (writes the stream summary), close the trace,
     return the final total cost. *)
-val close : ?on_lock_wait_us:(int -> unit) -> t -> (int, string) result
+val close : t -> (int, string) result
 
 (** Tear down without a summary (the trace ends with an [aborted]
     record): used when the server stops without drain. *)

@@ -51,9 +51,7 @@ let render ~previous sample ~slow =
   line "rounds   %d %s  shed jobs %d  bytes in p50 %d  out p50 %d"
     (g "rounds_total") (rate "rounds_total") (g "shed_jobs_total")
     (g "bytes_in_p50") (g "bytes_out_p50");
-  line "lock wait p50 %dus p99 %dus  step p50 %dus p99 %dus"
-    (g "lock_wait_us_p50") (g "lock_wait_us_p99") (g "step_us_p50")
-    (g "step_us_p99");
+  line "step p50 %dus p99 %dus" (g "step_us_p50") (g "step_us_p99");
   (* The admission gauges exist only when the server runs a gate. *)
   if List.mem_assoc "admission_supply_mjpr" sample.fields then
     line
@@ -83,14 +81,13 @@ let render ~previous sample ~slow =
         | fields ->
             let f name = Json.opt_int_field fields name ~default:0 in
             line
-              "  +%6dms %-8s %-12s wire%d %6dus (lock %d handle %d write %d) \
-               %dB>%dB%s"
+              "  +%6dms %-8s %-12s wire%d %6dus (handle %d write %d) %dB>%dB%s"
               (f "at_us" / 1000)
               (try Json.str_field fields "type" with Json.Parse_error _ -> "?")
               (try Json.str_field fields "session"
                with Json.Parse_error _ -> "")
-              (f "wire") (f "latency_us") (f "lock_us")
-              (f "handle_us") (f "write_us") (f "bytes_in") (f "bytes_out")
+              (f "wire") (f "latency_us") (f "handle_us") (f "write_us")
+              (f "bytes_in") (f "bytes_out")
               (if f "error" = 1 then " ERROR" else "")
         | exception Json.Parse_error _ -> line "  %s" entry)
       slow

@@ -2189,6 +2189,124 @@ let test_metrics_http_idle_peer () =
     (Printf.sprintf "stop returned within 3 s with a peer idle (%.2f s)" stop_s)
     true returned
 
+(* Scrapes under load: a second domain scrapes /metrics in a loop
+   while a client runs feed/step pairs. Every scrape is answered 200,
+   the session-rounds gauge never goes back and reaches the client's
+   round, and [stop] returns promptly while scrapes keep arriving. *)
+let test_metrics_http_under_load () =
+  let dir = Filename.temp_file "rrs_http_load" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o700;
+  let address = Server.Unix_socket (Filename.concat dir "sock") in
+  let config =
+    { (Server.default_config address) with
+      metrics = Some (Server.Tcp ("127.0.0.1", 0)) }
+  in
+  let server = Server.start config in
+  let port =
+    match Server.bound_metrics_port server with
+    | Some port -> port
+    | None -> Alcotest.fail "no bound metrics port"
+  in
+  let rounds_of response =
+    let prefix = "rrs_sessions_rounds " in
+    List.find_map
+      (fun line ->
+        if String.starts_with ~prefix line then
+          int_of_string_opt
+            (String.sub line (String.length prefix)
+               (String.length line - String.length prefix))
+        else None)
+      (String.split_on_char '\n' response)
+  in
+  (* One scrape: the response, or "" when the connection failed. *)
+  let scrape () =
+    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+    Fun.protect
+      ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+      (fun () ->
+        try
+          Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
+          Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+          let request = "GET /metrics HTTP/1.1\r\nHost: test\r\n\r\n" in
+          ignore (Unix.write_substring fd request 0 (String.length request));
+          In_channel.input_all (Unix.in_channel_of_descr fd)
+        with Unix.Unix_error _ | Sys_error _ | Sys_blocked_io -> "")
+  in
+  let stop_called = Atomic.make false in
+  let quit = Atomic.make false in
+  let done_scrapes = Atomic.make 0 in
+  (* Scrapes that began and ended before [stop] was called. *)
+  let scraper =
+    Domain.spawn (fun () ->
+        let before_stop = ref [] in
+        while not (Atomic.get quit) do
+          let began_running = not (Atomic.get stop_called) in
+          let response = scrape () in
+          if began_running && not (Atomic.get stop_called) then begin
+            before_stop := response :: !before_stop;
+            Atomic.incr done_scrapes
+          end
+          else Unix.sleepf 0.001
+        done;
+        List.rev !before_stop)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set quit true;
+      if not (Atomic.get stop_called) then
+        ignore (Server.stop ~drain:false server))
+    (fun () ->
+      let client = Client.connect address in
+      ignore (expect_ok (Client.call client (open_frame_for "load")));
+      for _ = 1 to 200 do
+        feed_step client "load" [| 0 |] [| 1 |]
+      done;
+      (* at least one whole scrape after the last step *)
+      let seen = Atomic.get done_scrapes in
+      let deadline = Unix.gettimeofday () +. 10. in
+      while
+        Atomic.get done_scrapes < seen + 2 && Unix.gettimeofday () < deadline
+      do
+        Unix.sleepf 0.005
+      done;
+      Client.close client;
+      let stopped = Atomic.make false in
+      let t0 = Unix.gettimeofday () in
+      Atomic.set stop_called true;
+      let stopper =
+        Domain.spawn (fun () ->
+            ignore (Server.stop ~drain:false server);
+            Atomic.set stopped true)
+      in
+      while (not (Atomic.get stopped)) && Unix.gettimeofday () -. t0 < 3.0 do
+        Unix.sleepf 0.01
+      done;
+      let stop_s = Unix.gettimeofday () -. t0 in
+      let returned = Atomic.get stopped in
+      check_bool
+        (Printf.sprintf "stop returned within 3 s under scrapes (%.2f s)" stop_s)
+        true returned;
+      Domain.join stopper);
+  let responses = Domain.join scraper in
+  check_bool "scrapes ran during the load" true (List.length responses >= 2);
+  let last =
+    List.fold_left
+      (fun previous response ->
+        check_bool "every scrape answered 200" true
+          (contains ~needle:"HTTP/1.1 200 OK" response);
+        match rounds_of response with
+        | None -> Alcotest.fail "scrape without rrs_sessions_rounds"
+        | Some rounds ->
+            check_bool
+              (Printf.sprintf "rounds never decrease (%d after %d)" rounds
+                 previous)
+              true (rounds >= previous);
+            rounds)
+      0 responses
+  in
+  check "rounds end at the client's round" 200 last
+
 (* ---- admission gate, live ---- *)
 
 (* 2 colors at 1/2 job/round: sized n = 2, supply 2000 mj/r. *)
@@ -2230,6 +2348,73 @@ let admission_gauge client name =
   | Wire.Metrics_ok { doc; _ } ->
       Json.opt_int_field (Json.parse_fields doc) name ~default:(-1)
   | f -> Alcotest.failf "metrics reply %s" (Wire.encode f)
+
+(* A name whose open waits off the loop is reserved on the loop. The
+   trace file of session "slow" is a FIFO with no reader, so A's open
+   blocks in open(2) until the test attaches one; B's open of the same
+   name must be refused at once, not queued behind the same FIFO, and
+   the gate must hold exactly one reservation once A's open lands. *)
+let test_second_open_of_opening_name () =
+  let dir = Filename.temp_file "rrs_opening" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o700;
+  let traces = Filename.concat dir "traces" in
+  Unix.mkdir traces 0o700;
+  let fifo = Filename.concat traces "slow.events.jsonl" in
+  Unix.mkfifo fifo 0o600;
+  let address = Server.Unix_socket (Filename.concat dir "sock") in
+  let config =
+    { (Server.default_config address) with
+      trace_dir = Some traces;
+      admission = Some (admission_spec ());
+      admission_mode = Rrs_server.Admission.Enforce }
+  in
+  let server = Server.start config in
+  let fifo_reader = ref None in
+  let attach_reader () =
+    if !fifo_reader = None then
+      fifo_reader :=
+        Some (Unix.openfile fifo [ Unix.O_RDONLY; Unix.O_NONBLOCK ] 0)
+  in
+  let declared = decl [| 1; 1 |] 4 in
+  Fun.protect
+    ~finally:(fun () ->
+      (* a reader first, or [stop] would wait on the blocked open *)
+      (try attach_reader () with Unix.Unix_error _ -> ());
+      ignore (Server.stop ~drain:false server);
+      Option.iter
+        (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+        !fifo_reader)
+    (fun () ->
+      let a = Client.connect address in
+      Client.send a (declared_open "slow" declared);
+      (* Let A's open reach the blocking trace-file open. *)
+      Unix.sleepf 0.2;
+      let b = Client.connect address in
+      let t0 = Unix.gettimeofday () in
+      (match Client.call ~deadline_ms:1000 b (declared_open "slow" declared) with
+      | Ok (Wire.Error_frame { message }) ->
+          check_bool
+            (Printf.sprintf "second open refused as already open (%s)" message)
+            true
+            (contains ~needle:"session \"slow\" already open" message)
+      | Ok f -> Alcotest.failf "second open answered %s" (Wire.encode f)
+      | Error m -> Alcotest.failf "second open of an opening name: %s" m);
+      let refused_s = Unix.gettimeofday () -. t0 in
+      check_bool (Printf.sprintf "refused within 1 s (%.2f s)" refused_s) true
+        (refused_s < 1.0);
+      attach_reader ();
+      (match Client.read_reply ~deadline_ms:5000 a with
+      | Ok (Wire.Opened { session = "slow"; _ }) -> ()
+      | Ok f -> Alcotest.failf "first open answered %s" (Wire.encode f)
+      | Error m -> Alcotest.failf "first open: %s" m);
+      check "one session holds a reservation" 1
+        (admission_gauge b "admission_sessions");
+      check "demand is one reservation"
+        (Rrs_server.Admission.decl_mjpr declared)
+        (admission_gauge b "admission_demand_mjpr");
+      Client.close a;
+      Client.close b)
 
 let test_admission_enforce () =
   with_admission_server ~mode:Rrs_server.Admission.Enforce (fun ~address ->
@@ -2610,6 +2795,8 @@ let suite =
           test_unknown_host;
         Alcotest.test_case "open constructs outside the manager lock" `Quick
           test_open_constructs_outside_lock;
+        Alcotest.test_case "a second open of an opening name is refused at once"
+          `Quick test_second_open_of_opening_name;
         Alcotest.test_case "/2 negotiation + garbage resync" `Quick
           test_wire2_live_negotiation;
         Alcotest.test_case "max_wire=1 pins the server to /1" `Quick
@@ -2657,5 +2844,7 @@ let suite =
           test_metrics_http_endpoint;
         Alcotest.test_case "an idle metrics peer stalls neither scrape nor stop"
           `Quick test_metrics_http_idle_peer;
+        Alcotest.test_case "http scrapes under load: all 200, monotone, prompt stop"
+          `Quick test_metrics_http_under_load;
       ] );
   ]
