@@ -711,16 +711,18 @@ let start ?(restore = true) config =
     metrics_cleanup;
   }
 
-(* After the loop domain is joined: the sessions are this domain's. *)
-let drain_sessions t =
+(* After the loop domain is joined: the sessions are this domain's.
+   Under [drain] each is saved to the snap dir; every one is then
+   released: its trace ends with an [aborted] record and is closed.
+   Returns the number saved. *)
+let close_sessions ~drain t =
   let m = t.manager in
   List.fold_left
     (fun saved name ->
       let session = Hashtbl.find m.m_sessions name in
       let drained =
         match m.m_snap_dir with
-        | None -> false
-        | Some dir -> (
+        | Some dir when drain -> (
             let path = Filename.concat dir (snapshot_filename name) in
             match Session.save session ~path with
             | () ->
@@ -730,6 +732,7 @@ let drain_sessions t =
                 Slog.error ~event:"drain_failed"
                   [ ("session", name); ("exn", Printexc.to_string e) ];
                 false)
+        | _ -> false
       in
       Session.release session;
       if drained then saved + 1 else saved)
@@ -748,7 +751,7 @@ let stop ?(drain = true) t =
     t.metrics_fd;
   Domain.join t.loop_domain;
   Option.iter Domain.join t.metrics_domain;
-  let drained = if drain then drain_sessions t else 0 in
+  let drained = close_sessions ~drain t in
   Hashtbl.reset t.manager.m_sessions;
   Option.iter (fun path -> try Sys.remove path with Sys_error _ -> ())
     t.cleanup_socket;

@@ -119,9 +119,10 @@ val bound_port : t -> int option
 val bound_metrics_port : t -> int option
 
 (** Stop accepting, shut down live connections, join all domains. With
-    [drain] (default) every open session is snapshotted to [snap_dir]
-    (released without a snapshot when [snap_dir] is absent). Returns the
-    number of sessions drained to disk. *)
+    [drain] (default) every open session is first snapshotted to
+    [snap_dir] (when one is set). Every open session is then released:
+    its trace ends with an [aborted] record and is flushed and closed.
+    Returns the number of sessions drained to disk. *)
 val stop : ?drain:bool -> t -> int
 
 (** [start] + block until SIGTERM/SIGINT + [stop ~drain:true]. Returns

@@ -6,6 +6,11 @@ type t = {
   horizon : int;
 }
 
+(* Colors with a positive count are the ones a request carries once
+   normalized; only those are checked against [bounds]. *)
+let unknown_color num_colors (color, count) =
+  count > 0 && (color < 0 || color >= num_colors)
+
 let make ?(name = "instance") ?horizon ~delta ~bounds ~arrivals () =
   if delta < 1 then invalid_arg "Instance.make: delta must be >= 1";
   if Array.length bounds = 0 then invalid_arg "Instance.make: no colors";
@@ -15,18 +20,35 @@ let make ?(name = "instance") ?horizon ~delta ~bounds ~arrivals () =
         invalid_arg (Printf.sprintf "Instance.make: bound of color %d is %d" c d))
     bounds;
   let num_colors = Array.length bounds in
-  let arrivals =
-    List.map (fun (round, request) -> (round, Types.normalize_request request)) arrivals
-  in
+  (* A negative count anywhere is reported first, in the words of
+     [Types.normalize_request]. [wraps] records whether the job total
+     passes [max_int]: only then can one round's sum of a color wrap, see
+     below. *)
+  let total = ref 0 and wraps = ref false in
+  List.iter
+    (fun (_, request) ->
+      List.iter
+        (fun (_, count) ->
+          if count < 0 then invalid_arg "Types.normalize_request: negative count";
+          let sum = !total + count in
+          if sum < !total then wraps := true;
+          total := sum)
+        request)
+    arrivals;
   let max_deadline = ref 0 in
   List.iter
     (fun (round, request) ->
       if round < 0 then invalid_arg "Instance.make: negative round";
+      (* Report the least unknown color: the first a sorted request meets. *)
+      (match List.filter (unknown_color num_colors) request with
+      | [] -> ()
+      | unknown ->
+          invalid_arg
+            (Printf.sprintf "Instance.make: unknown color %d"
+               (List.fold_left (fun least (color, _) -> min least color) max_int unknown)));
       List.iter
-        (fun (color, _count) ->
-          if color < 0 || color >= num_colors then
-            invalid_arg (Printf.sprintf "Instance.make: unknown color %d" color);
-          max_deadline := max !max_deadline (round + bounds.(color)))
+        (fun (color, count) ->
+          if count > 0 then max_deadline := max !max_deadline (round + bounds.(color)))
         request)
     arrivals;
   let horizon =
@@ -40,10 +62,33 @@ let make ?(name = "instance") ?horizon ~delta ~bounds ~arrivals () =
         h
   in
   let requests = Array.make horizon [] in
-  List.iter
-    (fun (round, request) ->
-      requests.(round) <- Types.normalize_request (requests.(round) @ request))
-    arrivals;
+  if !wraps then
+    (* Merging arrival by arrival is what defines a wrapped sum: it keeps
+       the wrapped count, or rejects it as negative once a later arrival
+       of the round merges with it. *)
+    List.iter
+      (fun (round, request) ->
+        requests.(round) <-
+          Types.normalize_request (requests.(round) @ Types.normalize_request request))
+      arrivals
+  else begin
+    (* Bucket each round's entries, last first, then normalize each round
+       once. Each round's list and its pairs are fresh and allocated in
+       round order, so the engine reads one round's arrivals from
+       adjacent memory, not from pairs spread over the whole arrival
+       list. *)
+    List.iter
+      (fun (round, request) ->
+        requests.(round) <- List.rev_append request requests.(round))
+      arrivals;
+    Array.iteri
+      (fun round reversed ->
+        if reversed <> [] then
+          requests.(round) <-
+            Types.normalize_request
+              (List.rev_map (fun (color, count) -> (color, count)) reversed))
+      requests
+  end;
   { name; delta; bounds; requests; horizon }
 
 let num_colors t = Array.length t.bounds

@@ -14,12 +14,22 @@ type t = private {
 }
 
 (** [make ~delta ~bounds ~arrivals ()] builds an instance from sparse
-    arrivals [(round, request)]. Requests are normalized; the horizon is
+    arrivals [(round, request)], in any order. All arrivals of one round
+    are merged into one normalized request; the horizon is
     [max (round + D_color) + 1] over all arriving jobs (at least 1), or
     the explicit [horizon] if given (it must cover every deadline).
 
-    @raise Invalid_argument on: [delta < 1], an empty [bounds] array, a
-    bound [< 1], a negative round, a color outside [0, #colors), or a
+    Cost: one pass buckets the arrivals by round, then each non-empty
+    round is normalized once — [O(A log k)] for [A] arrival entries and
+    at most [k] entries in one round, plus [O(horizon)]. A round whose
+    entries arrive in ascending color order (as the generators' are) is
+    not sorted: it costs a bucket cell and a fresh cell and pair per
+    entry.
+
+    @raise Invalid_argument on, in this order: [delta < 1], an empty
+    [bounds] array, a bound [< 1]; a negative count in any arrival; then,
+    at the first arrival with one, a negative round or a color outside
+    [0, #colors) (the least such color, among positive counts); then a
     horizon that truncates deadlines. *)
 val make :
   ?name:string ->

@@ -234,14 +234,6 @@ let buffered_request t =
   | [] -> t.first_chunk
   | chunks -> List.concat (t.first_chunk :: List.rev chunks)
 
-(* Already-normalized requests (strictly ascending colors, positive
-   counts — everything [Instance.make] produces) are consumed as-is, so
-   the [Engine.run] fast path pays one short list scan and no allocation. *)
-let rec is_normalized prev = function
-  | [] -> true
-  | (color, count) :: rest ->
-      count > 0 && color > prev && is_normalized color rest
-
 let idle_mark = { Profile.mark_s = 0.0; mark_minor = 0.0 }
 let mark t = if t.profile then Profile.start () else idle_mark
 let tick t index m = if t.profile then Profile.stop t.prof index m
@@ -343,12 +335,10 @@ let step t =
   tick t 0 m0;
   (* Arrival phase: consume the fed buffer. *)
   let m1 = mark t in
-  let request =
-    match buffered_request t with
-    | [] -> []
-    | request when is_normalized (-1) request -> request
-    | request -> Types.normalize_request request
-  in
+  (* An already-normalized request (everything [Instance.make] produces)
+     is consumed as is: the [Engine.run] fast path pays one short list
+     scan ([Types.is_normalized]) and no allocation. *)
+  let request = Types.normalize_request (buffered_request t) in
   t.first_chunk <- [];
   t.buffered <- [];
   t.buffered_jobs <- 0;

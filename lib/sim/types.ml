@@ -15,17 +15,32 @@ let phase_to_string = function
   | Reconfiguration -> "reconfiguration"
   | Execution -> "execution"
 
+(* Strictly ascending colors with positive counts: exactly the requests
+   [normalize_request] returns unchanged. *)
+let rec is_normalized = function
+  | [] -> true
+  | [ (_, count) ] -> count > 0
+  | (color, count) :: ((next, _) :: _ as rest) ->
+      count > 0 && color < next && is_normalized rest
+
+(* Over positive counts sorted by color: sum each color's run. *)
+let rec merge_runs = function
+  | [] -> []
+  | (color, count) :: rest -> add_run color count rest
+
+and add_run color total = function
+  | (c, count) :: rest when c = color -> add_run color (total + count) rest
+  | rest -> (color, total) :: merge_runs rest
+
 let normalize_request request =
-  let table = Hashtbl.create 8 in
-  List.iter
-    (fun (color, count) ->
-      if count < 0 then invalid_arg "Types.normalize_request: negative count";
-      if count > 0 then
-        let current = try Hashtbl.find table color with Not_found -> 0 in
-        Hashtbl.replace table color (current + count))
-    request;
-  Hashtbl.fold (fun color count acc -> (color, count) :: acc) table []
-  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+  if is_normalized request then request
+  else begin
+    if List.exists (fun (_, count) -> count < 0) request then
+      invalid_arg "Types.normalize_request: negative count";
+    List.filter (fun (_, count) -> count > 0) request
+    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+    |> merge_runs
+  end
 
 let request_size request =
   List.fold_left (fun acc (_, count) -> acc + count) 0 request

@@ -26,8 +26,15 @@ type phase = Drop | Arrival | Reconfiguration | Execution
 
 val phase_to_string : phase -> string
 
+(** [is_normalized r] holds when [r]'s colors are strictly ascending and
+    every count is positive: exactly when [normalize_request r] returns
+    [r] itself. One list scan, no allocation. *)
+val is_normalized : request -> bool
+
 (** Normalize a request: merge duplicate colors, drop zero counts, sort by
-    color. @raise Invalid_argument on a negative count. *)
+    color. An already-normalized request is returned as is (one scan, no
+    allocation); any other costs one sort, [O(k log k)] for [k] entries.
+    @raise Invalid_argument on a negative count. *)
 val normalize_request : request -> request
 
 (** Total number of jobs in a request. *)

@@ -1,10 +1,10 @@
-(* Data-structure substrate tests: binary heap, timing wheel, counter
-   map, ring deque. *)
+(* Data-structure substrate tests: dense and ranked sets, timing wheel,
+   counter map, and the binary heap the reference policies' top-k
+   selection is built on. *)
 
-module Int_heap = Rrs_ds.Binary_heap.Make (Int)
+module Int_heap = Reference_policies.Binary_heap.Make (Int)
 module Timing_wheel = Rrs_ds.Timing_wheel
 module Counter_map = Rrs_ds.Counter_map
-module Ring_deque = Rrs_ds.Ring_deque
 
 let check = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -290,69 +290,6 @@ let prop_counter_map_total =
       Counter_map.total m = List.fold_left (fun acc (_, c) -> acc + c) 0 pairs
       && List.for_all (fun (_, c) -> c > 0) (Counter_map.to_list m))
 
-(* ---- Ring deque ---- *)
-
-let test_deque_fifo () =
-  let q = Ring_deque.create () in
-  List.iter (Ring_deque.push_back q) [ 1; 2; 3 ];
-  check "pop front" 1 (Ring_deque.pop_front q);
-  check "pop front" 2 (Ring_deque.pop_front q);
-  Ring_deque.push_back q 4;
-  check_list "to_list" [ 3; 4 ] (Ring_deque.to_list q)
-
-let test_deque_both_ends () =
-  let q = Ring_deque.create ~capacity:2 () in
-  Ring_deque.push_front q 2;
-  Ring_deque.push_front q 1;
-  Ring_deque.push_back q 3;
-  check_list "order" [ 1; 2; 3 ] (Ring_deque.to_list q);
-  check "pop back" 3 (Ring_deque.pop_back q);
-  check "peek front" 1 (Ring_deque.peek_front q);
-  check "peek back" 2 (Ring_deque.peek_back q)
-
-let test_deque_wraparound_growth () =
-  let q = Ring_deque.create ~capacity:2 () in
-  for i = 1 to 50 do
-    Ring_deque.push_back q i;
-    if i mod 3 = 0 then ignore (Ring_deque.pop_front q)
-  done;
-  check "length" (50 - 16) (Ring_deque.length q);
-  check "front" 17 (Ring_deque.peek_front q)
-
-let test_deque_empty_errors () =
-  let q = Ring_deque.create () in
-  Alcotest.check_raises "pop_front" Not_found (fun () ->
-      ignore (Ring_deque.pop_front q));
-  Alcotest.(check (option int)) "opt" None (Ring_deque.pop_back_opt q)
-
-let prop_deque_mirrors_list =
-  QCheck2.Test.make ~name:"deque: mirrors a model list under random ops" ~count:200
-    QCheck2.Gen.(list (pair (int_bound 3) (int_bound 100)))
-    (fun ops ->
-      let q = Ring_deque.create ~capacity:1 () in
-      let model = ref [] in
-      List.iter
-        (fun (op, x) ->
-          match op with
-          | 0 ->
-              Ring_deque.push_back q x;
-              model := !model @ [ x ]
-          | 1 ->
-              Ring_deque.push_front q x;
-              model := x :: !model
-          | 2 -> (
-              match (Ring_deque.pop_front_opt q, !model) with
-              | Some y, z :: rest when y = z -> model := rest
-              | None, [] -> ()
-              | _ -> failwith "mismatch")
-          | _ -> (
-              match (Ring_deque.pop_back_opt q, List.rev !model) with
-              | Some y, z :: rest when y = z -> model := List.rev rest
-              | None, [] -> ()
-              | _ -> failwith "mismatch"))
-        ops;
-      Ring_deque.to_list q = !model)
-
 let quick name f = Alcotest.test_case name `Quick f
 let prop p = QCheck_alcotest.to_alcotest p
 
@@ -388,13 +325,5 @@ let suite =
         quick "remove_min" test_counter_map_remove_min;
         quick "error cases" test_counter_map_errors;
         prop prop_counter_map_total;
-      ] );
-    ( "ds.ring_deque",
-      [
-        quick "fifo" test_deque_fifo;
-        quick "both ends" test_deque_both_ends;
-        quick "wraparound growth" test_deque_wraparound_growth;
-        quick "empty errors" test_deque_empty_errors;
-        prop prop_deque_mirrors_list;
       ] );
   ]

@@ -347,6 +347,37 @@ let test_allocation_budget () =
         true (per_round <= limit))
     Rrs_core.Policies.all
 
+(* [Instance.make] on the benchmark sweep's 256-color arrivals in the
+   generators' shape: color-major, one color per arrival (41,104
+   arrivals over 4,000 rounds, up to 256 of them per round). Building
+   within 64 minor words per arrival means each round is merged once
+   (27 words per arrival with OCaml 5.1.1: a bucket cell, the final cell
+   and pair, and the passes' closures). Re-normalizing a round at each
+   of its arrivals allocated 1,481 words per arrival here. *)
+let test_instance_build_allocation () =
+  let reference =
+    Rrs_workload.Random_workloads.zipf ~seed:2 ~colors:256 ~delta:8
+      ~bound_log_range:(2, 6) ~horizon:4_000 ~load:0.2 ~s:1.1 ~rate_limited:true ()
+  in
+  let by_color = Array.make (Instance.num_colors reference) [] in
+  for round = reference.horizon - 1 downto 0 do
+    List.iter
+      (fun (color, count) -> by_color.(color) <- (round, [ (color, count) ]) :: by_color.(color))
+      reference.requests.(round)
+  done;
+  let arrivals = List.concat (Array.to_list by_color) in
+  let count = List.length arrivals in
+  let before = Gc.minor_words () in
+  let built =
+    Instance.make ~delta:reference.delta ~bounds:reference.bounds ~arrivals ()
+  in
+  let per_arrival = (Gc.minor_words () -. before) /. float_of_int count in
+  check_bool "same instance" true
+    (built.requests = reference.requests && built.horizon = reference.horizon);
+  check_bool
+    (Printf.sprintf "%.1f minor words per arrival (%d arrivals) <= 64" per_arrival count)
+    true (per_arrival <= 64.)
+
 let prop p = QCheck_alcotest.to_alcotest p
 
 let suite =
@@ -385,7 +416,11 @@ let suite =
         quick "appendix B shape" test_edf_killer_shape;
         quick "dlru-edf survives both adversaries" test_lru_edf_handles_both_adversaries;
       ] );
-    ("core.allocation", [ quick "batch path within its budget" test_allocation_budget ]);
+    ( "core.allocation",
+      [
+        quick "batch path within its budget" test_allocation_budget;
+        quick "instance build merges each round once" test_instance_build_allocation;
+      ] );
     ( "core.par_edf",
       [
         quick "drop optimality on overload" test_par_edf_optimal_drops;

@@ -1589,6 +1589,47 @@ let open_frame_for session =
     { session; policy = "dlru-edf"; delta = 3; bounds = [| 2; 3; 4 |]; n = 4;
       speed = 1; horizon = 0; queue_limit = 6; decl = None }
 
+(* A stop without drain releases every session: its trace is flushed,
+   ends with an [aborted] record and is closed. Before, the session
+   table was reset without a release and the trace file stayed empty. *)
+let test_stop_without_drain_ends_traces () =
+  let dir = Filename.temp_file "rrs_nodrain" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o700;
+  let traces = Filename.concat dir "traces" in
+  Unix.mkdir traces 0o700;
+  let address = Server.Unix_socket (Filename.concat dir "sock") in
+  let server =
+    Server.start { (Server.default_config address) with trace_dir = Some traces }
+  in
+  let stopped = ref false in
+  Fun.protect
+    ~finally:(fun () -> if not !stopped then ignore (Server.stop ~drain:false server))
+    (fun () ->
+      let client = Client.connect address in
+      ignore (expect_ok (Client.call client (open_frame_for "t")));
+      ignore
+        (expect_ok
+           (Client.call client
+              (Wire.Feed { session = "t"; colors = [| 0; 2 |]; counts = [| 2; 1 |]; decl = None })));
+      (match expect_ok (Client.call client (Wire.Step { session = "t"; rounds = 3 })) with
+      | Wire.Stepped _ -> ()
+      | f -> Alcotest.failf "unexpected step reply %s" (Wire.encode f));
+      Client.close client;
+      stopped := true;
+      check "nothing drained" 0 (Server.stop ~drain:false server));
+  let lines =
+    read_file (Filename.concat traces "t.events.jsonl")
+    |> String.split_on_char '\n'
+    |> List.filter (fun line -> line <> "")
+  in
+  check_bool "trace is not empty" true (lines <> []);
+  let last = List.nth lines (List.length lines - 1) in
+  check_bool
+    (Printf.sprintf "trace ends with an aborted record: %s" last)
+    true
+    (contains ~needle:{|"type":"aborted"|} last)
+
 let test_wire2_live_negotiation () =
   with_server (fun ~address ~snap_dir:_ ->
       let client = Client.connect address in
@@ -2797,6 +2838,8 @@ let suite =
           test_open_constructs_outside_lock;
         Alcotest.test_case "a second open of an opening name is refused at once"
           `Quick test_second_open_of_opening_name;
+        Alcotest.test_case "stop without drain ends every trace" `Quick
+          test_stop_without_drain_ends_traces;
         Alcotest.test_case "/2 negotiation + garbage resync" `Quick
           test_wire2_live_negotiation;
         Alcotest.test_case "max_wire=1 pins the server to /1" `Quick

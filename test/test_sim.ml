@@ -68,6 +68,77 @@ let test_instance_validation_errors () =
       Instance.make ~delta:1 ~horizon:1 ~bounds:[| 4 |]
         ~arrivals:[ (0, [ (0, 1) ]) ] ())
 
+(* ---- Instance.make against its per-arrival reference ---- *)
+
+(* Arrival lists in the shapes [Instance.make] must treat exactly as the
+   per-arrival merge of {!Reference_instance} did: unsorted arrivals,
+   duplicate colors within one arrival and across arrivals of one round,
+   zero counts, multi-color requests, explicit horizons (truncating ones
+   included). A third of the cases also draw counts large enough that a
+   round's sum of a color wraps past [max_int]; another third draw
+   invalid input: negative counts and rounds, unknown colors, bad deltas
+   and bounds, empty requests past the horizon. *)
+let gen_make_input =
+  let open QCheck2.Gen in
+  let* mode = oneofl [ `Clean; `Wrapping; `Invalid ] in
+  let* num_colors = int_range 1 4 in
+  let pick clean bad =
+    if mode = `Invalid then frequency [ (10, clean); (1, bad) ] else clean
+  in
+  let* delta = pick (int_range 1 4) (int_range (-1) 0) in
+  let* bounds = array_size (return num_colors) (pick (int_range 1 6) (int_range (-1) 0)) in
+  let color =
+    pick (int_range 0 (num_colors - 1))
+      (oneof [ int_range (-2) (-1); int_range num_colors (num_colors + 2) ])
+  in
+  let count =
+    let small = frequency [ (4, int_range 1 5); (1, return 0) ] in
+    match mode with
+    | `Wrapping -> frequency [ (2, small); (1, int_range (max_int / 3) (max_int / 2)) ]
+    | `Clean | `Invalid -> pick small (int_range (-3) (-1))
+  in
+  let round = pick (int_range 0 8) (oneof [ int_range (-2) (-1); int_range 9 40 ]) in
+  let* arrivals = list_size (int_range 0 12) (pair round (list_size (int_range 0 4) (pair color count))) in
+  let* horizon = frequency [ (3, return None); (2, map Option.some (int_range (-1) 24)) ] in
+  return (delta, bounds, arrivals, horizon)
+
+let print_make_input (delta, bounds, arrivals, horizon) =
+  Printf.sprintf "delta=%d bounds=[%s] horizon=%s arrivals=%s" delta
+    (String.concat ";" (Array.to_list (Array.map string_of_int bounds)))
+    (match horizon with None -> "-" | Some h -> string_of_int h)
+    (String.concat " "
+       (List.map
+          (fun (round, request) -> Format.asprintf "%d:%a" round Types.pp_request request)
+          arrivals))
+
+let outcome f = match f () with v -> Ok v | exception Invalid_argument m -> Error m
+
+let prop_make_matches_reference =
+  QCheck2.Test.make ~name:"instance: make equals the per-arrival reference"
+    ~count:3000 ~print:print_make_input gen_make_input
+    (fun (delta, bounds, arrivals, horizon) ->
+      let expected =
+        outcome (fun () -> Reference_instance.make ?horizon ~delta ~bounds ~arrivals ())
+      in
+      let got =
+        outcome (fun () ->
+            let i = Instance.make ?horizon ~delta ~bounds ~arrivals () in
+            (i.Instance.requests, i.Instance.horizon))
+      in
+      expected = got)
+
+let prop_normalize_matches_reference =
+  QCheck2.Test.make ~name:"types: normalize_request equals the Hashtbl reference"
+    ~count:1000
+    QCheck2.Gen.(
+      list_size (int_range 0 8)
+        (pair (int_range (-1) 6)
+           (frequency
+              [ (8, int_range 0 4); (1, return (-1)); (1, int_range (max_int / 3) max_int) ])))
+    (fun request ->
+      outcome (fun () -> Reference_instance.normalize_request request)
+      = outcome (fun () -> Types.normalize_request request))
+
 let test_iter_jobs () =
   let i = tiny [ (0, [ (0, 2); (1, 1) ]) ] in
   let jobs = ref [] in
@@ -568,6 +639,8 @@ let suite =
         quick "classification" test_instance_classification;
         quick "validation errors" test_instance_validation_errors;
         quick "iter_jobs" test_iter_jobs;
+        prop prop_normalize_matches_reference;
+        prop prop_make_matches_reference;
       ] );
     ( "sim.job_pool",
       [
