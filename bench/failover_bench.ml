@@ -234,25 +234,14 @@ let run ?json ?(sessions = 8) ?(rounds = 240) ?(checkpoint_every = 8)
     Domain.spawn (fun () ->
         Shard.run supervisor ~stop:(fun () -> Atomic.get stop_supervising))
   in
-  (* Wait for every shard to answer before opening the front door. *)
-  List.iteri
-    (fun i _ ->
-      let deadline = Unix.gettimeofday () +. 10. in
-      let rec wait () =
-        match
-          Client.try_connect ~timeout_ms:200 (Server.Unix_socket (shard_sock i))
-        with
-        | Ok probe -> Client.close probe
-        | Error message ->
-            if Unix.gettimeofday () >= deadline then
-              fail "shard %d never came up: %s" i message
-            else begin
-              Unix.sleepf 0.05;
-              wait ()
-            end
-      in
-      wait ())
-    specs;
+  (* Wait for every shard to listen before opening the front door. *)
+  (match
+     Client.await_listening ~deadline_ms:10_000
+       (List.init shard_count (fun i -> Server.Unix_socket (shard_sock i)))
+   with
+  | Ok () -> ()
+  | Error refused ->
+      fail "shards never came up: %s" (String.concat "; " (List.map snd refused)));
   let front = Server.Unix_socket (Filename.concat dir "front.sock") in
   let router_shards =
     List.init shard_count (fun i ->

@@ -1601,26 +1601,24 @@ let shard_set_cmd =
       Rrs_server.Shard.start ~base_backoff_ms ~on_spawn:write_pidfile
         (List.map (fun (_, _, spec) -> spec) shard_specs)
     in
-    (* Give the shards a moment to bind before the router opens the
-       front door, so the first requests don't trip healthy shards. *)
-    let await_ready (label, sock, _spec) =
-      let deadline = Unix.gettimeofday () +. 5.0 in
-      let rec wait () =
-        match
-          Rrs_server.Client.try_connect ~timeout_ms:200
-            (Rrs_server.Server.Unix_socket sock)
-        with
-        | Ok probe -> Rrs_server.Client.close probe
-        | Error _ when Unix.gettimeofday () < deadline ->
-            Rrs_server.Shard.poll supervisor;
-            Unix.sleepf 0.05;
-            wait ()
-        | Error message ->
-            Format.eprintf "error: shard %s not ready: %s@." label message
-      in
-      wait ()
-    in
-    List.iter await_ready shard_specs;
+    (* Wait for the shards to listen before the router opens the front
+       door, so the first requests don't trip healthy shards. A shard
+       that crashes meanwhile is restarted on its backoff. *)
+    (match
+       Rrs_server.Client.await_listening
+         ~between:(fun () -> Rrs_server.Shard.poll supervisor)
+         (List.map
+            (fun (_, sock, _) -> Rrs_server.Server.Unix_socket sock)
+            shard_specs)
+     with
+    | Ok () -> ()
+    | Error refused ->
+        List.iter
+          (fun (label, sock, _) ->
+            Option.iter
+              (Format.eprintf "error: shard %s not ready: %s@." label)
+              (List.assoc_opt (Rrs_server.Server.Unix_socket sock) refused))
+          shard_specs);
     let router_shards =
       List.map
         (fun (label, sock, _spec) ->

@@ -162,6 +162,33 @@ let negotiate ?deadline_ms t ~wire =
 
 let close t = try Unix.close t.fd with Unix.Unix_error _ -> ()
 
+(* Probe every address still refusing, then sleep a step that starts at
+   0.25 ms and doubles up to 50 ms: a listener that binds a few ms in is
+   seen within about that long again, and one that never binds costs a
+   hundred connects over five seconds, not thousands. *)
+let await_listening ?(deadline_ms = 5_000) ?(between = ignore) addresses =
+  let until = Unix.gettimeofday () +. (float_of_int deadline_ms /. 1000.) in
+  let probe address =
+    match try_connect ~timeout_ms:200 address with
+    | Ok t ->
+        close t;
+        None
+    | Error message -> Some (address, message)
+  in
+  let rec wait step addresses =
+    match List.filter_map probe addresses with
+    | [] -> Ok ()
+    | refused ->
+        let remaining = until -. Unix.gettimeofday () in
+        if remaining <= 0. then Error refused
+        else begin
+          between ();
+          Unix.sleepf (Float.min step remaining);
+          wait (Float.min (2. *. step) 0.05) (List.map fst refused)
+        end
+  in
+  wait 0.00025 addresses
+
 (* ---- retry policy ---- *)
 
 (* Retries are safe for requests whose replay cannot change server

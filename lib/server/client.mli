@@ -25,6 +25,19 @@ val try_connect : ?timeout_ms:int -> Server.address -> (t, string) result
 (** Like {!connect} but never raises: all failures become a one-line
     ["cannot connect: ..."] message naming the address. *)
 
+val await_listening :
+  ?deadline_ms:int ->
+  ?between:(unit -> unit) ->
+  Server.address list ->
+  (unit, (Server.address * string) list) result
+(** Wait until every address accepts a connection (each probe is closed
+    at once). All addresses are probed together; between rounds the
+    wait runs [between] (a supervisor polls its children there), then
+    sleeps a backoff that starts at 0.25 ms and doubles up to 50 ms.
+    [Ok] as soon as the last one accepts; [Error] once [deadline_ms]
+    (default 5000) has passed, never before, with each address still
+    refusing and its {!try_connect} message. *)
+
 (** Wrap an already-connected socket. *)
 val connect_fd : Unix.file_descr -> t
 

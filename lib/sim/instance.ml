@@ -11,6 +11,28 @@ type t = {
 let unknown_color num_colors (color, count) =
   count > 0 && (color < 0 || color >= num_colors)
 
+(* One round's entries merged as [Types.normalize_request] merges them
+   (ascending colors, positive counts), except that a color whose counts
+   sum past [max_int] is refused instead of wrapped. *)
+let merge_round round entries =
+  if Types.is_normalized entries then entries
+  else
+    let rec merge = function
+      | [] -> []
+      | (color, count) :: rest -> add color count rest
+    and add color total = function
+      | (c, count) :: rest when c = color ->
+          if total > max_int - count then
+            invalid_arg
+              (Printf.sprintf "Instance.make: job count overflow (color %d, round %d)"
+                 color round);
+          add color (total + count) rest
+      | rest -> (color, total) :: merge rest
+    in
+    List.filter (fun (_, count) -> count > 0) entries
+    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+    |> merge
+
 let make ?(name = "instance") ?horizon ~delta ~bounds ~arrivals () =
   if delta < 1 then invalid_arg "Instance.make: delta must be >= 1";
   if Array.length bounds = 0 then invalid_arg "Instance.make: no colors";
@@ -21,18 +43,12 @@ let make ?(name = "instance") ?horizon ~delta ~bounds ~arrivals () =
     bounds;
   let num_colors = Array.length bounds in
   (* A negative count anywhere is reported first, in the words of
-     [Types.normalize_request]. [wraps] records whether the job total
-     passes [max_int]: only then can one round's sum of a color wrap, see
-     below. *)
-  let total = ref 0 and wraps = ref false in
+     [Types.normalize_request]. *)
   List.iter
     (fun (_, request) ->
       List.iter
         (fun (_, count) ->
-          if count < 0 then invalid_arg "Types.normalize_request: negative count";
-          let sum = !total + count in
-          if sum < !total then wraps := true;
-          total := sum)
+          if count < 0 then invalid_arg "Types.normalize_request: negative count")
         request)
     arrivals;
   let max_deadline = ref 0 in
@@ -62,33 +78,23 @@ let make ?(name = "instance") ?horizon ~delta ~bounds ~arrivals () =
         h
   in
   let requests = Array.make horizon [] in
-  if !wraps then
-    (* Merging arrival by arrival is what defines a wrapped sum: it keeps
-       the wrapped count, or rejects it as negative once a later arrival
-       of the round merges with it. *)
-    List.iter
-      (fun (round, request) ->
-        requests.(round) <-
-          Types.normalize_request (requests.(round) @ Types.normalize_request request))
-      arrivals
-  else begin
-    (* Bucket each round's entries, last first, then normalize each round
-       once. Each round's list and its pairs are fresh and allocated in
-       round order, so the engine reads one round's arrivals from
-       adjacent memory, not from pairs spread over the whole arrival
-       list. *)
-    List.iter
-      (fun (round, request) ->
+  (* Bucket each round's entries, last first, then merge each round once.
+     Each round's list and its pairs are fresh and allocated in round
+     order, so the engine reads one round's arrivals from adjacent memory,
+     not from pairs spread over the whole arrival list. An arrival at or
+     past the horizon carries no job (the horizon covers every deadline),
+     so it has nothing to bucket. *)
+  List.iter
+    (fun (round, request) ->
+      if round < horizon then
         requests.(round) <- List.rev_append request requests.(round))
-      arrivals;
-    Array.iteri
-      (fun round reversed ->
-        if reversed <> [] then
-          requests.(round) <-
-            Types.normalize_request
-              (List.rev_map (fun (color, count) -> (color, count)) reversed))
-      requests
-  end;
+    arrivals;
+  Array.iteri
+    (fun round reversed ->
+      if reversed <> [] then
+        requests.(round) <-
+          merge_round round (List.rev_map (fun (color, count) -> (color, count)) reversed))
+    requests;
   { name; delta; bounds; requests; horizon }
 
 let num_colors t = Array.length t.bounds

@@ -30,7 +30,11 @@ type t = private {
     [bounds] array, a bound [< 1]; a negative count in any arrival; then,
     at the first arrival with one, a negative round or a color outside
     [0, #colors) (the least such color, among positive counts); then a
-    horizon that truncates deadlines. *)
+    horizon that truncates deadlines; then, at the first round with one,
+    a color whose counts in that round sum past [max_int] (["job count
+    overflow"], naming the least such color). An arrival that carries no
+    job (an empty or all-zero request) is ignored wherever it falls,
+    past the horizon too; only a negative round is refused. *)
 val make :
   ?name:string ->
   ?horizon:int ->

@@ -650,6 +650,77 @@ let test_router_stall_isolated () =
             check "fd table back after a mid-call hang-up" before (fds ())
           end))
 
+(* ---- waiting for listeners ---- *)
+
+let fresh_socket_path prefix =
+  let path = Filename.temp_file prefix ".sock" in
+  Sys.remove path;
+  path
+
+(* A listener bound about 2 ms into the wait is seen within 25 ms of its
+   bind, in the median of 5 trials (one trial descheduled on a 1-CPU host
+   does not decide it). A wait that slept 50 ms between probes would
+   see it about 48 ms after the bind. *)
+let test_await_listening_sees_a_late_bind () =
+  let lag_after_bind () =
+    let path = fresh_socket_path "rrs_await" in
+    let bind_at = Atomic.make 0. in
+    let binder =
+      Domain.spawn (fun () ->
+          Unix.sleepf 0.002;
+          Atomic.set bind_at (Unix.gettimeofday ());
+          fst (Rrs_server.Net.listen_socket (Server.Unix_socket path)))
+    in
+    let result = Client.await_listening [ Server.Unix_socket path ] in
+    let returned_at = Unix.gettimeofday () in
+    Unix.close (Domain.join binder);
+    Sys.remove path;
+    (match result with
+    | Ok () -> ()
+    | Error _ -> Alcotest.fail "the listener was never seen");
+    returned_at -. Atomic.get bind_at
+  in
+  let lags = List.sort compare (List.init 5 (fun _ -> lag_after_bind ())) in
+  let median = List.nth lags 2 in
+  check_bool
+    (Printf.sprintf "median lag after the bind %.2f ms <= 25 ms" (median *. 1e3))
+    true (median <= 0.025)
+
+(* Nothing ever listens: [Error] naming the address, once the deadline
+   has passed and not before, after a backoff that keeps the probes few
+   (a 0.5 ms poll would make some 600 over 300 ms). *)
+let test_await_listening_deadline () =
+  let path = fresh_socket_path "rrs_await_none" in
+  let address = Server.Unix_socket path in
+  let rounds = ref 0 in
+  let started = Unix.gettimeofday () in
+  let result =
+    Client.await_listening ~deadline_ms:300 ~between:(fun () -> incr rounds)
+      [ address ]
+  in
+  let elapsed = Unix.gettimeofday () -. started in
+  match result with
+  | Ok () -> Alcotest.fail "nothing listens, yet the wait succeeded"
+  | Error refused ->
+      check_bool
+        (Printf.sprintf "returned after the deadline (%.3f s)" elapsed)
+        true (elapsed >= 0.3);
+      check_bool
+        (Printf.sprintf "returned soon after the deadline (%.3f s)" elapsed)
+        true (elapsed < 1.3);
+      check_bool
+        (Printf.sprintf "few probes (%d rounds)" !rounds)
+        true
+        (!rounds > 0 && !rounds < 30);
+      (match refused with
+      | [ (a, message) ] ->
+          check_bool "the refused address" true (a = address);
+          check_bool
+            (Printf.sprintf "message names the address (%s)" message)
+            true
+            (contains ~needle:path message)
+      | _ -> Alcotest.fail "expected exactly the one address")
+
 let suite =
   [
     ( "failover.ring",
@@ -682,6 +753,10 @@ let suite =
           test_connect_refused_retries_any_frame;
         Alcotest.test_case "try_connect fails with clean messages" `Quick
           test_try_connect_clean_errors;
+        Alcotest.test_case "await_listening sees a late bind at once" `Quick
+          test_await_listening_sees_a_late_bind;
+        Alcotest.test_case "await_listening refuses at its deadline" `Quick
+          test_await_listening_deadline;
       ] );
     ( "failover.server",
       [

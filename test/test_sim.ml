@@ -66,18 +66,42 @@ let test_instance_validation_errors () =
       Instance.make ~delta:1 ~bounds:[| 1 |] ~arrivals:[ (0, [ (7, 1) ]) ] ());
   expect_invalid "short horizon" (fun () ->
       Instance.make ~delta:1 ~horizon:1 ~bounds:[| 4 |]
-        ~arrivals:[ (0, [ (0, 1) ]) ] ())
+        ~arrivals:[ (0, [ (0, 1) ]) ] ());
+  (* One round's count of a color past max_int is refused, not wrapped;
+     a sum of exactly max_int is kept. *)
+  let big = (max_int / 2) + 1 in
+  Alcotest.check_raises "job count overflow"
+    (Invalid_argument "Instance.make: job count overflow (color 1, round 2)")
+    (fun () -> ignore (tiny [ (2, [ (1, big); (0, 1) ]); (2, [ (1, big) ]) ]));
+  Alcotest.(check (list (pair int int)))
+    "sum of max_int" [ (1, max_int) ]
+    (tiny [ (2, [ (1, big) ]); (2, [ (1, max_int - big) ]) ]).requests.(2)
+
+let test_instance_no_job_past_horizon () =
+  (* Neither arrival carries a job, so neither bears on the horizon or
+     the requests, wherever it falls. *)
+  let i =
+    Instance.make ~delta:1 ~horizon:3 ~bounds:[| 2 |]
+      ~arrivals:[ (0, [ (0, 1) ]); (3, []); (7, [ (0, 0) ]) ] ()
+  in
+  check "explicit horizon kept" 3 i.horizon;
+  Alcotest.(check (array (list (pair int int))))
+    "requests" [| [ (0, 1) ]; []; [] |] i.requests;
+  let i = tiny [ (9, [ (1, 0); (0, 0) ]); (0, [ (0, 2) ]) ] in
+  check "derived horizon" 3 i.horizon;
+  check "total jobs" 2 (Instance.total_jobs i)
 
 (* ---- Instance.make against its per-arrival reference ---- *)
 
-(* Arrival lists in the shapes [Instance.make] must treat exactly as the
-   per-arrival merge of {!Reference_instance} did: unsorted arrivals,
+(* Arrival lists in the shapes [Instance.make] must treat as the
+   per-arrival merge of {!Reference_instance} did, apart from the two
+   faults [expected_make] mends: unsorted arrivals,
    duplicate colors within one arrival and across arrivals of one round,
    zero counts, multi-color requests, explicit horizons (truncating ones
    included). A third of the cases also draw counts large enough that a
-   round's sum of a color wraps past [max_int]; another third draw
-   invalid input: negative counts and rounds, unknown colors, bad deltas
-   and bounds, empty requests past the horizon. *)
+   round's sum of a color passes [max_int]; another third draw invalid
+   input: negative counts and rounds, unknown colors, bad deltas and
+   bounds, and empty requests past the horizon (which carry no job). *)
 let gen_make_input =
   let open QCheck2.Gen in
   let* mode = oneofl [ `Clean; `Wrapping; `Invalid ] in
@@ -113,13 +137,67 @@ let print_make_input (delta, bounds, arrivals, horizon) =
 
 let outcome f = match f () with v -> Ok v | exception Invalid_argument m -> Error m
 
+(* The least [(round, color)] whose positive counts sum past [max_int]. *)
+let first_overflow arrivals =
+  let sums = Hashtbl.create 16 in
+  List.iter
+    (fun (round, request) ->
+      List.iter
+        (fun (color, count) ->
+          let key = (round, color) in
+          match Hashtbl.find_opt sums key with
+          | Some None -> ()
+          | Some (Some sum) ->
+              Hashtbl.replace sums key
+                (if sum > max_int - count then None else Some (sum + count))
+          | None -> Hashtbl.replace sums key (Some count))
+        request)
+    arrivals;
+  Hashtbl.fold
+    (fun key sum least ->
+      match (sum, least) with
+      | None, None -> Some key
+      | None, Some least -> Some (min key least)
+      | Some _, _ -> least)
+    sums None
+
+(* What [Instance.make] returns: the reference's outcome with two of its
+   faults mended. An arrival that carries no job is ignored, where the
+   reference raised "index out of bounds" for one past the horizon; the
+   reference runs without them. A color whose counts in one round sum
+   past [max_int] is refused as a job count overflow, where the reference
+   kept the wrapped count (or called it negative once a later arrival
+   merged with it); that is checked once the input is otherwise valid,
+   i.e. once the reference accepts it with every positive count cut to 1. *)
+let expected_make ?horizon ~delta ~bounds ~arrivals () =
+  let arrivals =
+    List.filter
+      (fun (round, request) ->
+        round < 0 || List.exists (fun (_, count) -> count <> 0) request)
+      arrivals
+  in
+  let reference arrivals =
+    outcome (fun () -> Reference_instance.make ?horizon ~delta ~bounds ~arrivals ())
+  in
+  let ones =
+    List.map
+      (fun (round, request) ->
+        (round, List.map (fun (color, count) -> (color, min count 1)) request))
+      arrivals
+  in
+  match (reference ones, first_overflow arrivals) with
+  | (Error _ as error), _ -> error
+  | Ok _, Some (round, color) ->
+      Error
+        (Printf.sprintf "Instance.make: job count overflow (color %d, round %d)"
+           color round)
+  | Ok _, None -> reference arrivals
+
 let prop_make_matches_reference =
   QCheck2.Test.make ~name:"instance: make equals the per-arrival reference"
     ~count:3000 ~print:print_make_input gen_make_input
     (fun (delta, bounds, arrivals, horizon) ->
-      let expected =
-        outcome (fun () -> Reference_instance.make ?horizon ~delta ~bounds ~arrivals ())
-      in
+      let expected = expected_make ?horizon ~delta ~bounds ~arrivals () in
       let got =
         outcome (fun () ->
             let i = Instance.make ?horizon ~delta ~bounds ~arrivals () in
@@ -638,6 +716,7 @@ let suite =
         quick "horizon computation" test_instance_horizon;
         quick "classification" test_instance_classification;
         quick "validation errors" test_instance_validation_errors;
+        quick "arrival with no job past the horizon" test_instance_no_job_past_horizon;
         quick "iter_jobs" test_iter_jobs;
         prop prop_normalize_matches_reference;
         prop prop_make_matches_reference;
