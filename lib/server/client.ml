@@ -149,11 +149,11 @@ let hello_outcome ~wire reply =
   | Ok frame -> Error ("unexpected hello reply: " ^ Wire.encode frame)
   | Error _ as e -> e
 
-let negotiate ?deadline_ms t ~wire =
+let negotiate t ~wire =
   match hello ~wire with
   | Error _ as e -> e
   | Ok frame -> (
-      match hello_outcome ~wire (call ?deadline_ms t frame) with
+      match hello_outcome ~wire (call t frame) with
       | Ok () ->
           (* The server switched right after its hello_ok; follow it. *)
           if wire = 2 then Wire.Stream.set_framing t.stream Wire.V2;

@@ -1,7 +1,8 @@
 (** Blocking wire client: one connection, synchronous request/reply.
     Starts in [rrs-wire/1]; {!negotiate} can upgrade the connection to
-    the /2 binary framing. Used by [rrs client], the router's shard
-    prober, the E18/E21 load harnesses and the protocol tests.
+    the /2 binary framing. Used by [rrs client], [rrs shard-set]'s
+    readiness wait, the E18/E21 load harnesses and the protocol
+    tests.
 
     Resilience: {!connect} takes an optional connect budget, every
     {!call} takes an optional per-call deadline (poll-based — the
@@ -43,10 +44,8 @@ val connect_fd : Unix.file_descr -> t
 
 (** [negotiate t ~wire] performs the [hello] exchange for wire version
     [1] or [2]; on a successful /2 negotiation the connection switches
-    to the binary framing. [deadline_ms] bounds the exchange like
-    {!call}'s: a peer that accepts and never answers costs at most that
-    long. *)
-val negotiate : ?deadline_ms:int -> t -> wire:int -> (unit, string) result
+    to the binary framing. *)
+val negotiate : t -> wire:int -> (unit, string) result
 
 val hello : wire:int -> (Wire.frame, string) result
 (** The [hello] request {!negotiate} sends for wire version [wire]
@@ -56,8 +55,8 @@ val hello_outcome :
   wire:int -> (Wire.frame, string) result -> (unit, string) result
 (** Whether a [hello] reply (or the transport error in its place)
     completes the negotiation of [wire]; the [Error] says why not.
-    Callers that run the exchange themselves, like the router's
-    loop-owned shard legs, share {!negotiate}'s verdicts and wording. *)
+    Callers that run the exchange themselves, like the router's shard
+    legs and health probes, share {!negotiate}'s verdicts and wording. *)
 
 (** The wire version currently in effect (1 until a /2 negotiation
     succeeds). *)

@@ -6,9 +6,9 @@
    Discipline that keeps this simple and correct:
 
    - Nothing here is shared off the loop except [stopping], the wake
-     pipe and the queue of posted closures (all atomic), so there is no
-     lock. [wake_loop] and [post] are the only entry points safe off the
-     loop; an off-loop job's completion is posted and runs on the loop.
+     pipe and the off-loop jobs' completion queue (all atomic), so there
+     is no lock. [wake_loop] is the only entry point safe off the loop;
+     an off-loop job's completion is queued and runs on the loop.
    - At most ONE frame per connection is in flight: in the handler, or
      at a leg until its callback runs. This keeps replies in order and
      means the loop never parses ahead of a hello that is about to
@@ -19,10 +19,14 @@
      pipelining requests), and parsing pauses with it. The kernel
      socket buffer then pushes back on the peer.
    - Legs are outbound sockets owned by one front connection and closed
-     with it. They share the front connections' byte plumbing ([io]);
-     only what happens to a parsed result differs: a front frame goes
-     to the handler, a leg reply to the callback of the call waiting
-     on it.
+     with it, or by the loop itself (a router's health probe) and
+     closed at stop. They share the front connections' byte plumbing
+     ([io]); only what happens to a parsed result differs: a front
+     frame goes to the handler, a leg reply to the callback of the call
+     waiting on it.
+   - A connection from the HTTP listener carries one metrics exchange
+     through the same plumbing: a request head, [http_reply ()], close,
+     all within a deadline.
    - Every callback into other code runs under a handler that charges
      an escaping exception to the connection it ran for. *)
 
@@ -50,11 +54,13 @@ type 'a conn = {
   mutable own_legs : 'a leg list;
   mutable stream_done : bool; (* stream emitted Eof: all input handled *)
   mutable closed : bool;
+  exchange_by : int64 option; (* HTTP: the exchange's deadline *)
 }
 
 and 'a leg = {
   lio : io;
-  front : 'a conn;
+  loop : 'a t;
+  front : 'a conn option; (* None: the loop's own, closed at stop *)
   peer : Net.address;
   mutable connect_by : int64 option; (* Some deadline while connecting *)
   mutable waiter : ((Wire.frame, string) result -> unit) option;
@@ -66,16 +72,18 @@ and 'a leg = {
 and 'a t = {
   conns : (Unix.file_descr, 'a conn) Hashtbl.t;
   legs : (Unix.file_descr, 'a leg) Hashtbl.t;
-  mutable listen_fd : Unix.file_descr option;
+  mutable listeners : (Unix.file_descr * bool) list; (* fd, speaks HTTP *)
   stopping : bool Atomic.t;
   wake_r : Unix.file_descr;
   wake_w : Unix.file_descr;
   woken : bool Atomic.t;
-  posted : (unit -> unit) list Atomic.t; (* closures to run on the loop *)
+  completed : (unit -> unit) list Atomic.t; (* off-loop completions *)
   mutable jobs : int; (* off-loop jobs not yet completed *)
   on_open : unit -> 'a;
   on_close : 'a -> unit;
   handler : 'a conn -> Wire.read_result -> unit;
+  http_reply : unit -> string;
+  timer : 'a t -> int;
   max_in : int;
   max_out : int;
   mutable accept_paused : bool; (* EMFILE: skip the listener one cycle *)
@@ -89,25 +97,36 @@ and 'a t = {
 let default_max_in = 64 * 1024
 let default_max_out = 8 * 1024 * 1024
 
+(* A silent or non-reading HTTP peer is closed this long after accept. *)
+let http_exchange_ms = 1_000
+
 let create ?(max_in = default_max_in) ?(max_out = default_max_out) ~listen_fd
-    ~stopping ~on_open ?(on_close = fun _ -> ()) ~handler () =
+    ?http ?(timer = fun _ -> max_int) ~stopping ~on_open
+    ?(on_close = fun _ -> ()) ~handler () =
   let wake_r, wake_w = Unix.pipe ~cloexec:true () in
   Unix.set_nonblock wake_r;
   Unix.set_nonblock wake_w;
-  Unix.set_nonblock listen_fd;
+  let listeners, http_reply =
+    match http with
+    | None -> ([ (listen_fd, false) ], fun () -> "")
+    | Some (http_fd, reply) -> ([ (listen_fd, false); (http_fd, true) ], reply)
+  in
+  List.iter (fun (fd, _) -> Unix.set_nonblock fd) listeners;
   {
     conns = Hashtbl.create 64;
     legs = Hashtbl.create 16;
-    listen_fd = Some listen_fd;
+    listeners;
     stopping;
     wake_r;
     wake_w;
     woken = Atomic.make false;
-    posted = Atomic.make [];
+    completed = Atomic.make [];
     jobs = 0;
     on_open;
     on_close;
     handler;
+    http_reply;
+    timer;
     max_in;
     max_out;
     accept_paused = false;
@@ -117,10 +136,10 @@ let create ?(max_in = default_max_in) ?(max_out = default_max_out) ~listen_fd
     scratch = Bytes.create (64 * 1024);
   }
 
-let new_io fd =
+let new_io fd stream =
   {
     fd;
-    stream = Wire.Stream.create Wire.V1;
+    stream;
     out = Queue.create ();
     out_off = 0;
     out_len = 0;
@@ -224,31 +243,21 @@ let rec push_atomic cell x =
   let old = Atomic.get cell in
   if not (Atomic.compare_and_set cell old (x :: old)) then push_atomic cell x
 
-let post t f =
-  push_atomic t.posted f;
-  wake_loop t
-
-(* A posted closure that raises is logged; it has no connection to
-   charge. *)
-let run_posted t =
-  if Atomic.get t.posted <> [] then
-    List.iter
-      (fun f ->
-        try f ()
-        with e ->
-          Slog.error ~event:"posted_raised" [ ("exn", Printexc.to_string e) ])
-      (List.rev (Atomic.exchange t.posted []))
+(* Completions run in the order they were queued. *)
+let run_completed t =
+  if Atomic.get t.completed <> [] then
+    List.iter (fun f -> f ()) (List.rev (Atomic.exchange t.completed []))
 
 (* The job runs on a thread of the loop's domain, which takes the
    runtime lock from the loop only while the job runs OCaml code; a job
    blocked in a system call leaves the loop free. Its completion is
-   posted and runs on the loop, also after the connection closed:
+   queued and runs on the loop, also after the connection closed:
    whatever the job started must be settled there. *)
 let off_loop c job k =
   let t = c.owner in
   let run () =
     let result = match job () with v -> Ok v | exception e -> Error e in
-    post t (fun () ->
+    push_atomic t.completed (fun () ->
         t.jobs <- t.jobs - 1;
         c.calls <- c.calls - 1;
         (try k result
@@ -271,28 +280,29 @@ let now_plus_ms ms =
 let close_leg leg =
   if not leg.broken then begin
     leg.broken <- true;
-    let c = leg.front in
-    if leg.waiter <> None then begin
-      leg.waiter <- None;
-      c.calls <- c.calls - 1
-    end;
-    c.own_legs <- List.filter (fun l -> l != leg) c.own_legs;
-    Hashtbl.remove c.owner.legs leg.lio.fd;
+    (match leg.front with
+    | Some c ->
+        if leg.waiter <> None then c.calls <- c.calls - 1;
+        c.own_legs <- List.filter (fun l -> l != leg) c.own_legs
+    | None -> ());
+    leg.waiter <- None;
+    Hashtbl.remove leg.loop.legs leg.lio.fd;
     close_fd leg.lio.fd
   end
 
 let leg_broken leg = leg.broken
 let set_leg_framing leg framing = Wire.Stream.set_framing leg.lio.stream framing
 
-let dial c peer ~timeout_ms =
+let dial_for t front peer ~timeout_ms =
   match Net.start_connect peer with
   | exception Unix.Unix_error (e, _, _) -> Error (Net.cannot_connect peer e)
   | exception Failure message -> Error message
   | fd, in_progress ->
       let leg =
         {
-          lio = new_io fd;
-          front = c;
+          lio = new_io fd (Wire.Stream.create Wire.V1);
+          loop = t;
+          front;
           peer;
           connect_by =
             (if in_progress then Some (now_plus_ms timeout_ms) else None);
@@ -302,9 +312,12 @@ let dial c peer ~timeout_ms =
           broken = false;
         }
       in
-      c.own_legs <- leg :: c.own_legs;
-      Hashtbl.replace c.owner.legs fd leg;
+      Option.iter (fun c -> c.own_legs <- leg :: c.own_legs) front;
+      Hashtbl.replace t.legs fd leg;
       Ok leg
+
+let dial c = dial_for c.owner (Some c)
+let dial_own t = dial_for t None
 
 let call leg frame ~timeout_ms k =
   if leg.broken || leg.waiter <> None then
@@ -312,27 +325,27 @@ let call leg frame ~timeout_ms k =
   leg.waiter <- Some k;
   leg.timeout_ms <- timeout_ms;
   leg.reply_by <- now_plus_ms timeout_ms;
-  leg.front.calls <- leg.front.calls + 1;
+  Option.iter (fun c -> c.calls <- c.calls + 1) leg.front;
   push_out leg.lio
     (Wire.to_wire (Wire.Stream.framing leg.lio.stream) frame)
     ~now:(leg.connect_by = None)
 
 (* Hand the waiting call its outcome. The front connection's frame is
    done once none of its calls is left in flight; a callback that
-   raises costs the front connection. *)
+   raises costs the front connection (the loop's own legs have none to
+   charge). *)
 let answer leg outcome =
   match leg.waiter with
   | None -> ()
   | Some k ->
       leg.waiter <- None;
-      let c = leg.front in
-      c.calls <- c.calls - 1;
+      Option.iter (fun c -> c.calls <- c.calls - 1) leg.front;
       (match outcome with Error _ -> close_leg leg | Ok _ -> ());
       (try k outcome
        with e ->
          Slog.error ~event:"leg_reply_raised" [ ("exn", Printexc.to_string e) ];
-         fail c.io "leg reply raised");
-      if c.calls = 0 then c.busy <- false
+         Option.iter (fun c -> fail c.io "leg reply raised") leg.front);
+      Option.iter (fun c -> if c.calls = 0 then c.busy <- false) leg.front
 
 (* A reply parsed out of the stream wins over an error behind it, as in
    {!Client}: the bytes arrived before the failure. *)
@@ -398,6 +411,10 @@ let expire_legs t now =
       | _ -> settle_leg leg)
     due
 
+(* ms from [now] until the deadline [by], rounded up *)
+let ms_until now by =
+  max 0 (Int64.to_int (Int64.div (Int64.sub by now) 1_000_000L) + 1)
+
 (* ms until the earliest leg deadline, capped at [cap]; 0 when a leg
    already failed and owes its call an answer. *)
 let poll_timeout_ms t cap =
@@ -412,8 +429,7 @@ let poll_timeout_ms t cap =
           | Some by -> min by leg.reply_by
           | None -> leg.reply_by
         in
-        let ms = Int64.to_int (Int64.div (Int64.sub by now) 1_000_000L) + 1 in
-        max 0 (min timeout ms))
+        min timeout (ms_until now by))
     t.legs cap
 
 (* ---- front connections ---- *)
@@ -433,6 +449,12 @@ let serve_conn t c =
       match Wire.Stream.next c.io.stream with
       | None -> continue := false
       | Some Wire.Eof -> c.stream_done <- true
+      | Some (Wire.Frame _) when Option.is_some c.exchange_by ->
+          (* HTTP: one request head per connection, answered inline *)
+          c.stream_done <- true;
+          push_out c.io (t.http_reply ()) ~now:true
+      | Some (Wire.Malformed _) when Option.is_some c.exchange_by ->
+          fail c.io "bad request head"
       | Some result ->
           c.busy <- true;
           t.handler c result;
@@ -485,13 +507,18 @@ let leg_interest leg =
     (if leg.waiter <> None && not leg.lio.read_eof then Poll.pollin else 0)
     lor if leg.lio.out_len > 0 then Poll.pollout else 0
 
-let add_conn t fd =
+(* A connection from the HTTP listener gets the HTTP stream and the
+   exchange's deadline. *)
+let add_conn t fd http =
   match t.on_open () with
   | data ->
       Unix.set_nonblock fd;
       Hashtbl.replace t.conns fd
         {
-          io = new_io fd;
+          io =
+            new_io fd
+              (if http then Wire.Stream.create_http ()
+               else Wire.Stream.create Wire.V1);
           data;
           owner = t;
           busy = false;
@@ -499,30 +526,28 @@ let add_conn t fd =
           own_legs = [];
           stream_done = false;
           closed = false;
+          exchange_by =
+            (if http then Some (now_plus_ms http_exchange_ms) else None);
         }
   | exception e ->
       Slog.error ~event:"on_open_raised" [ ("exn", Printexc.to_string e) ];
       close_fd fd
 
-let accept_batch t =
-  match t.listen_fd with
-  | None -> ()
-  | Some lfd ->
-      let continue = ref true in
-      while !continue do
-        match Unix.accept ~cloexec:true lfd with
-        | fd, _addr -> add_conn t fd
-        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
-          ->
-            continue := false
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-        | exception Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _) ->
-            (* out of fds: stop polling the listener for one cycle so a
-               full table cannot spin the loop; closes free fds soon *)
-            t.accept_paused <- true;
-            continue := false
-        | exception Unix.Unix_error _ -> continue := false
-      done
+let accept_batch t lfd http =
+  let continue = ref true in
+  while !continue do
+    match Unix.accept ~cloexec:true lfd with
+    | fd, _addr -> add_conn t fd http
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+        continue := false
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+    | exception Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _) ->
+        (* out of fds: stop polling the listeners for one cycle so a
+           full table cannot spin the loop; closes free fds soon *)
+        t.accept_paused <- true;
+        continue := false
+    | exception Unix.Unix_error _ -> continue := false
+  done
 
 let conn_event t c re =
   if re land (Poll.pollerr lor Poll.pollnval) <> 0 then fail c.io "poll error"
@@ -550,10 +575,9 @@ let grow_scratch t need =
     t.p_revents <- Array.make !capacity 0
   end
 
-(* One poll, then every ready fd. The 200 ms cap keeps stop and EMFILE
-   recovery from waiting on a quiet poll set. *)
-let wait_and_dispatch t =
-  grow_scratch t (2 + Hashtbl.length t.conns + Hashtbl.length t.legs);
+(* One poll, then every ready fd; [cap] bounds the wait. *)
+let wait_and_dispatch t cap =
+  grow_scratch t (3 + Hashtbl.length t.conns + Hashtbl.length t.legs);
   let n = ref 0 in
   let add fd interest =
     if interest <> 0 then begin
@@ -563,9 +587,8 @@ let wait_and_dispatch t =
     end
   in
   add t.wake_r Poll.pollin;
-  (match t.listen_fd with
-  | Some lfd when not t.accept_paused -> add lfd Poll.pollin
-  | _ -> ());
+  if not t.accept_paused then
+    List.iter (fun (lfd, _) -> add lfd Poll.pollin) t.listeners;
   t.accept_paused <- false;
   Hashtbl.iter (fun fd c -> add fd (interest_of t c)) t.conns;
   Hashtbl.iter (fun fd leg -> add fd (leg_interest leg)) t.legs;
@@ -573,7 +596,7 @@ let wait_and_dispatch t =
   let ready =
     try
       Poll.poll ~fds:t.p_fds ~events:t.p_events ~revents:t.p_revents ~n
-        ~timeout_ms:(poll_timeout_ms t 200)
+        ~timeout_ms:(poll_timeout_ms t cap)
     with Unix.Unix_error (Unix.EINTR, _, _) -> 0
   in
   if ready > 0 then
@@ -582,14 +605,15 @@ let wait_and_dispatch t =
       if re <> 0 then begin
         let fd = t.p_fds.(i) in
         if fd = t.wake_r then drain_wake t
-        else if t.listen_fd = Some fd then accept_batch t
         else
           match Hashtbl.find_opt t.conns fd with
           | Some c -> conn_event t c re
           | None -> (
               match Hashtbl.find_opt t.legs fd with
               | Some leg -> leg_event t leg re
-              | None -> ())
+              | None ->
+                  Option.iter (accept_batch t fd)
+                    (List.assoc_opt fd t.listeners))
       end
     done
 
@@ -599,26 +623,38 @@ let run t =
     (* Read once: a stop that lands mid-iteration must not end the loop
        before the listener is closed. *)
     let stopping = Atomic.get t.stopping in
-    if stopping then
-      Option.iter
-        (fun lfd ->
-          (* stop accepting; frames in flight finish, replies flush, and
-             every connection closes as it goes idle *)
-          close_fd lfd;
-          t.listen_fd <- None)
-        t.listen_fd;
-    run_posted t;
-    expire_legs t (Clock.now_ns ());
-    let to_close = ref [] in
+    if stopping then begin
+      (* stop accepting and probing (the loop's own legs close, a call
+         in flight or not); frames in flight finish, replies flush, and
+         every connection closes as it goes idle *)
+      List.iter (fun (lfd, _) -> close_fd lfd) t.listeners;
+      t.listeners <- [];
+      Hashtbl.fold
+        (fun _ l own -> if Option.is_none l.front then l :: own else own)
+        t.legs []
+      |> List.iter close_leg
+    end;
+    run_completed t;
+    let now = Clock.now_ns () in
+    expire_legs t now;
+    (* The 200 ms cap keeps stop and EMFILE recovery from waiting on a
+       quiet poll set; HTTP deadlines and the timer may wake it sooner. *)
+    let cap = ref 200 and to_close = ref [] in
     Hashtbl.iter
       (fun _ c ->
         serve_conn_safely t c;
+        (match c.exchange_by with
+        | Some by when now >= by -> fail c.io "exchange deadline passed"
+        | Some by -> cap := min !cap (ms_until now by)
+        | None -> ());
         if closeable t c then to_close := c :: !to_close)
       t.conns;
     List.iter (close_conn t) !to_close;
     if stopping && Hashtbl.length t.conns = 0 && t.jobs = 0 then
       finished := true
-    else wait_and_dispatch t
+    else
+      wait_and_dispatch t
+        (if stopping then !cap else min !cap (max 0 (t.timer t)))
   done;
   close_fd t.wake_r;
   close_fd t.wake_w

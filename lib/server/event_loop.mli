@@ -15,17 +15,18 @@
     for good in a system call goes {!off_loop}.
 
     The loop also owns what its handler serves (a server's sessions,
-    admission gate and metrics plane), so none of that needs a lock.
-    Two entry points are safe from another domain: {!wake_loop} and
-    {!post}, which runs a closure on the loop. A domain that wants to
-    read loop-owned state posts a closure that reads it there.
+    admission gate and metrics plane, a router's shard health), so none
+    of that needs a lock. The one entry point safe from another domain
+    is {!wake_loop}.
 
     A handler that needs another server's answer (the router's shard
     legs) {!dial}s a {e leg}: an outbound connection owned by the front
     connection and polled by the same loop, with the same stream,
     outbound buffer and backpressure. {!call} sends one frame on it and
     the loop runs the callback when the reply, an error or the deadline
-    arrives; the poll timeout honours the earliest leg deadline.
+    arrives; the poll timeout honours the earliest leg deadline. Work
+    no connection asked for (the router's health probes) runs on legs
+    the loop owns ({!dial_own}), started from the [timer].
 
     Invariants:
     - at most one frame per connection is in flight (in the handler or
@@ -48,12 +49,14 @@ type 'a conn
 (** One live front connection, as seen by the handler. *)
 
 type 'a leg
-(** An outbound connection dialled by a front connection's handler. *)
+(** An outbound connection, dialled for a front connection or the loop. *)
 
 val create :
   ?max_in:int ->
   ?max_out:int ->
   listen_fd:Unix.file_descr ->
+  ?http:Unix.file_descr * (unit -> string) ->
+  ?timer:('a t -> int) ->
   stopping:bool Atomic.t ->
   on_open:(unit -> 'a) ->
   ?on_close:('a -> unit) ->
@@ -71,10 +74,21 @@ val create :
     bounds queued outbound bytes — beyond either, the connection stops
     being polled readable.
 
+    [http] is a second listener and its responder. Its connections go
+    through the same accept, read, backpressure and write path, but
+    carry one exchange each, never seen by [handler]: a request head
+    ({!Wire.Stream.create_http}) is answered on the loop with the
+    responder's bytes (a whole HTTP response), then the connection
+    closes. A head over 8 KiB closes it unanswered, and so does a 1 s
+    deadline on the whole exchange.
+
+    [timer] runs on the loop before every wait until stopping, and
+    returns the ms until it wants to run again ([max_int]: never).
+
     Setting [stopping] and calling {!wake_loop} shuts down: the
-    listener closes, frames in flight finish (legs within their
-    deadlines), replies flush, every connection closes, then [run]
-    returns. *)
+    listeners close, the loop's own legs close (a call in flight is
+    dropped), frames in flight finish (legs within their deadlines),
+    replies flush, every connection closes, then [run] returns. *)
 
 val run : 'a t -> unit
 (** The loop body. Returns once stopping is set, every connection has
@@ -83,13 +97,6 @@ val run : 'a t -> unit
 val wake_loop : 'a t -> unit
 (** Wake a loop parked in poll (used with [stopping] to shut down);
     safe from any domain. *)
-
-val post : 'a t -> (unit -> unit) -> unit
-(** [post t f] runs [f] on the loop at its next iteration and wakes it;
-    safe from any domain. Closures run in the order they were posted;
-    one that raises is logged and the loop carries on. A closure posted
-    after [run] has returned never runs, so a poster waiting for its
-    result must also give up on a deadline or on [stopping]. *)
 
 (** {1 Handler-side connection API} *)
 
@@ -130,6 +137,11 @@ val dial : 'a conn -> Net.address -> timeout_ms:int -> ('a leg, string) result
     [rrs-wire/1] until {!set_leg_framing}, and is closed with its
     connection. [Error] (worded by {!Net.cannot_connect}) when the
     connect fails at once. *)
+
+val dial_own : 'a t -> Net.address -> timeout_ms:int -> ('a leg, string) result
+(** {!dial} for the loop itself: no connection owns the leg or waits on
+    its calls, a callback that raises is only logged, and the leg is
+    closed (its call dropped) when the loop stops. *)
 
 val call :
   'a leg ->

@@ -8,14 +8,13 @@
    is not hammered but a restarted one is noticed quickly.
 
    All timing flows through explicit [now_ms] arguments, so tests drive
-   the machine with a synthetic clock. The struct is mutex-protected:
-   the router's event loop reports outcomes while the prober domain
-   polls [probe_due]. *)
+   the machine with a synthetic clock. The router's event loop owns
+   every shard's machine (requests, probes and the metrics view all run
+   there), so it has no lock. *)
 
 type state = Up | Down
 
 type t = {
-  mutex : Mutex.t;
   fail_threshold : int;
   probe_interval_ms : int;
   probe_max_ms : int;
@@ -35,7 +34,6 @@ let create ?(fail_threshold = 3) ?(probe_interval_ms = 200)
   if probe_interval_ms < 1 then
     invalid_arg "Health.create: probe_interval_ms < 1";
   {
-    mutex = Mutex.create ();
     fail_threshold;
     probe_interval_ms;
     probe_max_ms = max probe_max_ms probe_interval_ms;
@@ -49,49 +47,40 @@ let create ?(fail_threshold = 3) ?(probe_interval_ms = 200)
     readmits_total = 0;
   }
 
-let locked t f =
-  Mutex.lock t.mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
-
-let state t = locked t (fun () -> t.state)
-let is_up t = state t = Up
-let last_error t = locked t (fun () -> t.last_error)
-
-let counters t =
-  locked t (fun () -> (t.failures_total, t.trips_total, t.readmits_total))
+let state t = t.state
+let is_up t = t.state = Up
+let last_error t = t.last_error
+let counters t = (t.failures_total, t.trips_total, t.readmits_total)
 
 let ok t =
-  locked t (fun () ->
-      t.consecutive_failures <- 0;
-      if t.state = Down then begin
-        t.state <- Up;
-        t.readmits_total <- t.readmits_total + 1;
-        t.probe_backoff_ms <- t.probe_interval_ms
-      end)
+  t.consecutive_failures <- 0;
+  if t.state = Down then begin
+    t.state <- Up;
+    t.readmits_total <- t.readmits_total + 1;
+    t.probe_backoff_ms <- t.probe_interval_ms
+  end
 
 let fail t ~now_ms ~reason =
-  locked t (fun () ->
-      t.failures_total <- t.failures_total + 1;
-      t.last_error <- reason;
-      t.consecutive_failures <- t.consecutive_failures + 1;
-      if t.state = Up && t.consecutive_failures >= t.fail_threshold then begin
-        t.state <- Down;
-        t.trips_total <- t.trips_total + 1;
-        t.probe_backoff_ms <- t.probe_interval_ms;
-        t.next_probe_ms <- now_ms + t.probe_interval_ms
-      end)
+  t.failures_total <- t.failures_total + 1;
+  t.last_error <- reason;
+  t.consecutive_failures <- t.consecutive_failures + 1;
+  if t.state = Up && t.consecutive_failures >= t.fail_threshold then begin
+    t.state <- Down;
+    t.trips_total <- t.trips_total + 1;
+    t.probe_backoff_ms <- t.probe_interval_ms;
+    t.next_probe_ms <- now_ms + t.probe_interval_ms
+  end
 
 (* While down, a failure reported from a probe pushes the next probe
    out on the backoff schedule. [fail] alone leaves [next_probe_ms]
    untouched so concurrent request failures cannot starve probing. *)
 let probe_failed t ~now_ms ~reason =
-  locked t (fun () ->
-      t.failures_total <- t.failures_total + 1;
-      t.last_error <- reason;
-      if t.state = Down then begin
-        t.probe_backoff_ms <- min (t.probe_backoff_ms * 2) t.probe_max_ms;
-        t.next_probe_ms <- now_ms + t.probe_backoff_ms
-      end)
+  t.failures_total <- t.failures_total + 1;
+  t.last_error <- reason;
+  if t.state = Down then begin
+    t.probe_backoff_ms <- min (t.probe_backoff_ms * 2) t.probe_max_ms;
+    t.next_probe_ms <- now_ms + t.probe_backoff_ms
+  end
 
-let probe_due t ~now_ms =
-  locked t (fun () -> t.state = Down && now_ms >= t.next_probe_ms)
+let next_probe_ms t = if t.state = Down then Some t.next_probe_ms else None
+let probe_due t ~now_ms = t.state = Down && now_ms >= t.next_probe_ms

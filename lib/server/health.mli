@@ -5,8 +5,9 @@
     follows an exponential backoff schedule ([probe_interval_ms]
     doubling to [probe_max_ms]) reset on every re-admit.
 
-    Thread-safe; all timing is via explicit [now_ms] arguments so tests
-    can drive a synthetic clock. *)
+    Not thread-safe: the router's event loop owns every shard's
+    machine. All timing is via explicit [now_ms] arguments so tests can
+    drive a synthetic clock. *)
 
 type state = Up | Down
 type t
@@ -36,6 +37,9 @@ val probe_failed : t -> now_ms:int -> reason:string -> unit
 
 val probe_due : t -> now_ms:int -> bool
 (** True when the shard is [Down] and its next probe time has come. *)
+
+val next_probe_ms : t -> int option
+(** When the next probe is due, while the shard is [Down]. *)
 
 val last_error : t -> string
 

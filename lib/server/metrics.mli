@@ -5,9 +5,9 @@
     records into its {!Rrs_obs.Probe.registry} and slow-request ring,
     and only the loop reads them ({!merged}, {!slow_log}), so there is
     no lock and the per-frame hot path costs what a Probe costs — one
-    branch when disabled, no allocation. A reader on another domain
-    (the OpenMetrics responder) asks the loop for a fresh copy
-    ({!Event_loop.post}).
+    branch when disabled, no allocation. The OpenMetrics listener is a
+    second listener on the same loop, so its scrapes read them there
+    too.
 
     {b Series}:
     counters [requests_total], [requests_<kind>], [errors_total],

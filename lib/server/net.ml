@@ -34,15 +34,22 @@ let unix_socket_live path =
 
 (* Every listener is close-on-exec: the [Shard] supervisor forks
    children with [Unix.create_process], and an inherited listen or
-   connection fd would keep dead clients from ever seeing EOF. *)
+   connection fd would keep dead clients from ever seeing EOF. Only a
+   stale socket is removed from the path: a file or directory there is
+   someone's data, not ours to delete. *)
 let listen_socket = function
   | Unix_socket path ->
-      if Sys.file_exists path then
-        if unix_socket_live path then
+      (match (Unix.lstat path).st_kind with
+      | Unix.S_SOCK when unix_socket_live path ->
           failwith
             (Printf.sprintf
                "cannot listen on %s: address in use by a live server" path)
-        else Sys.remove path;
+      | Unix.S_SOCK -> Sys.remove path
+      | _ ->
+          failwith
+            (Printf.sprintf "cannot listen on %s: exists and is not a socket"
+               path)
+      | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ());
       let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
       Unix.bind fd (Unix.ADDR_UNIX path);
       Unix.listen fd 64;

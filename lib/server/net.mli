@@ -14,8 +14,10 @@ val listen_socket : address -> Unix.file_descr * string option
     probe-connected first: a stale file (crashed server) is cleaned and
     reused, but a path a live server is still accepting on is refused —
     starting a second server must not silently steal the first one's
-    socket.
-    @raise Failure on an unresolvable TCP host or a live socket path. *)
+    socket. Anything else at the path (a file, a directory) is left
+    alone and refused.
+    @raise Failure on an unresolvable TCP host, a live socket path or a
+    path that exists and is not a socket. *)
 
 val port_of : Unix.file_descr -> int option
 (** The bound port, for [Tcp] listeners (the kernel's pick under

@@ -114,6 +114,7 @@ type shard = {
   health : Health.t;
   routed : Probe.counter; (* requests forwarded to this shard *)
   errors : Probe.counter; (* backend failures charged to this shard *)
+  mutable probing : bool; (* a re-admission probe is in flight *)
 }
 
 type t = {
@@ -126,11 +127,11 @@ type t = {
   listen_fd : Unix.file_descr;
   cleanup_socket : string option;
   stopping : bool Atomic.t;
+  up : int Atomic.t; (* shards Up, for readers off the loop *)
   (* Assigned right after construction (the loop handler needs [t]);
      always Some once [start] returns. *)
   mutable loop : legs Handler.state Event_loop.t option;
   mutable loop_domain : unit Domain.t option;
-  mutable prober_domain : unit Domain.t option;
 }
 
 (* This connection's cached shard legs (one per shard, dialled lazily
@@ -140,6 +141,13 @@ and legs = { by_shard : legs Handler.state Event_loop.leg option array }
 [@@unboxed]
 
 let now_ms () = Int64.to_int (Int64.div (Clock.now_ns ()) 1_000_000L)
+
+(* Called after every health change, all of which happen on the loop. *)
+let publish_up t =
+  Atomic.set t.up
+    (Array.fold_left
+       (fun up s -> if Health.is_up s.health then up + 1 else up)
+       0 t.shards)
 
 let session_of_frame = function
   | Wire.Open { session; _ }
@@ -157,11 +165,6 @@ let session_of_frame = function
 let metrics_registry t =
   let merged = Metrics.merged t.metrics in
   Probe.merge ~into:merged t.probes;
-  let up =
-    Array.fold_left
-      (fun up s -> if Health.is_up s.health then up + 1 else up)
-      0 t.shards
-  in
   let failures, trips, readmits =
     Array.fold_left
       (fun (f, tr, re) s ->
@@ -171,7 +174,7 @@ let metrics_registry t =
   in
   let set name value = Probe.set_gauge (Probe.gauge merged name) value in
   set "shards_total" (Array.length t.shards);
-  set "shards_up" up;
+  set "shards_up" (Atomic.get t.up);
   set "shard_failures_total" failures;
   set "shard_trips_total" trips;
   set "shard_readmits_total" readmits;
@@ -214,6 +217,7 @@ let forward t conn frame session =
     let fail reason =
       Probe.incr shard.errors;
       Health.fail shard.health ~now_ms:(now_ms ()) ~reason;
+      publish_up t;
       if not (Health.is_up shard.health) then
         Slog.warn ~event:"shard_down"
           [ ("shard", shard.label); ("reason", reason) ];
@@ -228,6 +232,7 @@ let forward t conn frame session =
       Event_loop.call leg frame ~timeout_ms (function
         | Ok reply ->
             Health.ok shard.health;
+            publish_up t;
             Handler.finish conn reply
         | Error message -> Handler.finish conn (fail message))
     in
@@ -280,42 +285,50 @@ let handle t conn frame =
           Handler.Reply
             (Wire.Error_frame { message = "reply frames are not requests" }))
 
-(* Re-admission probe: bounded connect + hello. Success re-admits the
+(* Re-admission probe, on a leg of the loop's own: a connect and a /1
+   hello, together within [connect_timeout_ms]. Success re-admits the
    shard (the supervisor restarted it and restore-at-boot brought its
    sessions back); failure pushes the next probe out on the backoff
    schedule. *)
-let probe_shard t shard =
-  match
-    Client.try_connect ~timeout_ms:t.cfg.connect_timeout_ms shard.address
-  with
-  | Error message -> Health.probe_failed shard.health ~now_ms:(now_ms ()) ~reason:message
-  | Ok c ->
-      (match
-         Client.negotiate ~deadline_ms:t.cfg.connect_timeout_ms c ~wire:1
-       with
-      | Ok () ->
-          Health.ok shard.health;
-          Slog.info ~event:"shard_readmitted" [ ("shard", shard.label) ]
-      | Error message ->
-          Health.probe_failed shard.health ~now_ms:(now_ms ()) ~reason:message);
-      Client.close c
+let probe t loop shard =
+  let budget = t.cfg.connect_timeout_ms in
+  let failed reason =
+    Health.probe_failed shard.health ~now_ms:(now_ms ()) ~reason
+  in
+  match Event_loop.dial_own loop shard.address ~timeout_ms:budget with
+  | Error message -> failed message
+  | Ok leg ->
+      shard.probing <- true;
+      Event_loop.call leg
+        (Wire.Hello { client_version = Wire.version })
+        ~timeout_ms:budget
+        (fun reply ->
+          shard.probing <- false;
+          Event_loop.close_leg leg;
+          match Client.hello_outcome ~wire:1 reply with
+          | Ok () ->
+              Health.ok shard.health;
+              publish_up t;
+              Slog.info ~event:"shard_readmitted" [ ("shard", shard.label) ]
+          | Error message -> failed message)
 
-let prober_loop t =
-  while not (Atomic.get t.stopping) do
-    Array.iter
-      (fun shard ->
-        if
-          (not (Atomic.get t.stopping))
-          && Health.probe_due shard.health ~now_ms:(now_ms ())
-        then probe_shard t shard)
-      t.shards;
-    Unix.sleepf 0.02
-  done
+(* The loop's timer: start every probe that is due; wake for the next.
+   A probe in flight wakes the loop through its leg's deadline, and
+   with every shard up there is nothing to wait for. *)
+let probe_timer t loop =
+  if Atomic.get t.up = Array.length t.shards then max_int
+  else
+    let now = now_ms () in
+    Array.fold_left
+      (fun wait shard ->
+        if (not shard.probing) && Health.probe_due shard.health ~now_ms:now
+        then probe t loop shard;
+        match Health.next_probe_ms shard.health with
+        | Some at when not shard.probing -> min wait (at - now)
+        | _ -> wait)
+      max_int t.shards
 
-let shards_up t =
-  Array.fold_left
-    (fun up s -> if Health.is_up s.health then up + 1 else up)
-    0 t.shards
+let shards_up t = Atomic.get t.up
 
 let shard_of_session t session = (Ring.shard t.ring) session
 
@@ -342,6 +355,7 @@ let start (config : config) =
                  ~probe_max_ms:config.probe_max_ms ();
              routed = Probe.counter probes ("routed_" ^ spec.shard_label);
              errors = Probe.counter probes ("errors_" ^ spec.shard_label);
+             probing = false;
            })
          config.shards)
   in
@@ -365,9 +379,9 @@ let start (config : config) =
       listen_fd;
       cleanup_socket;
       stopping;
+      up = Atomic.make (Array.length shards);
       loop = None;
       loop_domain = None;
-      prober_domain = None;
     }
   in
   let handler =
@@ -381,7 +395,7 @@ let start (config : config) =
     }
   in
   let loop =
-    Event_loop.create ~listen_fd ~stopping
+    Event_loop.create ~listen_fd ~timer:(probe_timer t) ~stopping
       ~on_open:(fun () ->
         Handler.state handler
           { by_shard = Array.make (Array.length shards) None })
@@ -389,7 +403,6 @@ let start (config : config) =
   in
   t.loop <- Some loop;
   t.loop_domain <- Some (Domain.spawn (fun () -> Event_loop.run loop));
-  t.prober_domain <- Some (Domain.spawn (fun () -> prober_loop t));
   Slog.info ~event:"routing"
     [
       ("address", Net.address_label config.address);
@@ -402,12 +415,11 @@ let bound_port t = Net.port_of t.listen_fd
 let stop t =
   Atomic.set t.stopping true;
   (* The event loop owns the listen fd and every connection fd: waking
-     it closes the listener, finishes frames in flight (a leg within its
-     deadline), flushes replies and closes all connections, shard legs
-     included, before [run] returns. *)
+     it closes the listener and any probe in flight, finishes frames in
+     flight (a leg within its deadline), flushes replies and closes all
+     connections, shard legs included, before [run] returns. *)
   Option.iter Event_loop.wake_loop t.loop;
   Option.iter Domain.join t.loop_domain;
-  Option.iter Domain.join t.prober_domain;
   Option.iter
     (fun path -> try Sys.remove path with Sys_error _ -> ())
     t.cleanup_socket

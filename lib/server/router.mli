@@ -3,12 +3,12 @@
     the back.
 
     {b One loop}: a single {!Event_loop} domain serves every front
-    connection and polls its shard legs too. A front connection keeps
-    one leg per shard, dialled by the loop (non-blocking connect, [/2]
-    hello, then the forwarded frames), and is busy while its frame is
-    at a shard; a stalled shard therefore holds only the connections
-    waiting on it, each for at most [timeout_ms]. The poll timeout
-    honours the earliest leg deadline.
+    connection and polls its shard legs and health probes too. A front
+    connection keeps one leg per shard, dialled by the loop
+    (non-blocking connect, [/2] hello, then the forwarded frames), and
+    is busy while its frame is at a shard; a stalled shard therefore
+    holds only the connections waiting on it, each for at most
+    [timeout_ms]. The poll timeout honours the earliest leg deadline.
 
     {b Ownership} is consistent hashing on session name over ALL
     configured shards (see {!Ring}): stable under restarts, minimal
@@ -19,9 +19,12 @@
     {b Health}: connect failures and per-call deadlines feed a
     per-shard {!Health} machine; a down shard's requests are refused
     immediately with a clean [error] frame (the router never hangs a
-    client on a dead backend), and a prober domain re-admits the shard
-    after a successful hello (connect and hello each bounded by
-    [connect_timeout_ms]).
+    client on a dead backend). While a shard is down the loop probes it
+    on the backoff schedule, on a leg of its own (connect and [/1]
+    hello within [connect_timeout_ms]), and re-admits it after a
+    successful hello; the poll timeout honours the next due probe. The
+    loop owns the health state; {!shards_up} is published for other
+    domains.
 
     {b Locally handled}: [hello] (per-connection framing negotiation,
     router identity) and [metrics] (the router's own merged view:
@@ -82,7 +85,7 @@ val default_config : address:Net.address -> shards:shard_spec list -> config
 
 type t
 
-(** Bind the front listener, spawn the loop and prober domains, return
+(** Bind the front listener, spawn the loop's domain, return
     immediately.
     @raise Failure on an empty or duplicate-labeled shard set, or an
     unresolvable listen host. *)
@@ -92,7 +95,7 @@ val start : config -> t
 val bound_port : t -> int option
 
 val shards_up : t -> int
-(** Shards currently admitted (health [Up]). *)
+(** Shards currently admitted (health [Up]); safe from any domain. *)
 
 val shard_of_session : t -> string -> string
 (** The owning shard's label for a session name (ring lookup). *)

@@ -418,8 +418,7 @@ type t = {
   loop : unit Handler.state Event_loop.t;
   loop_domain : unit Domain.t;
   cleanup_socket : string option; (* unix socket path to unlink on stop *)
-  metrics_fd : Unix.file_descr option;
-  metrics_domain : unit Domain.t option;
+  metrics_fd : Unix.file_descr option; (* the HTTP listener, loop-owned *)
   metrics_cleanup : string option;
 }
 
@@ -428,100 +427,6 @@ let listen_socket = Net.listen_socket
 let bound_port t = Net.port_of t.listen_fd
 let bound_metrics_port t = Option.bind t.metrics_fd Net.port_of
 let address_label = Net.address_label
-
-(* ---- the OpenMetrics exposition listener ----
-
-   A single domain serving one tiny HTTP/1.1 exchange per connection:
-   read and discard the request head, write the full exposition, close.
-   Scrapes are rare (seconds apart) and the registry fold is cheap, so
-   one responder is plenty. The head is read straight off the fd within
-   a fixed deadline and size, so a silent or endless peer costs at most
-   [http_head_timeout_s] — never every later scrape, nor [stop]. The
-   view itself is built on the event loop, which owns what it reads.
-   Every wait is short and gives up once [stopping] is set, so [stop]
-   can join the domain. *)
-
-let http_head_timeout_s = 1.0
-let http_head_max = 8 * 1024
-
-(* Does [buf] up to [len] hold a blank line, the end of a request head? *)
-let http_head_complete buf len =
-  let blank_at i =
-    (i < len && Bytes.get buf i = '\n')
-    || (i + 1 < len && Bytes.get buf i = '\r' && Bytes.get buf (i + 1) = '\n')
-  in
-  let rec scan i =
-    i < len && ((Bytes.get buf i = '\n' && blank_at (i + 1)) || scan (i + 1))
-  in
-  blank_at 0 || scan 0
-
-(* Read the request head; false when the peer stalls past the deadline,
-   sends more than [http_head_max] without ending it, or the server is
-   stopping. EOF ends the head: answer what was asked. *)
-let read_http_head stopping fd =
-  let buf = Bytes.create http_head_max in
-  let deadline = Unix.gettimeofday () +. http_head_timeout_s in
-  let rec go len =
-    let remaining = deadline -. Unix.gettimeofday () in
-    if remaining <= 0. || len >= http_head_max || Atomic.get stopping then
-      false
-    else
-      match Poll.wait_readable ~timeout:(Float.min remaining 0.2) fd with
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go len
-      | `Timeout -> go len
-      | `Readable -> (
-          match Unix.read fd buf len (http_head_max - len) with
-          | 0 -> true
-          | k -> http_head_complete buf (len + k) || go (len + k))
-  in
-  go 0
-
-(* Run [read] on the loop and wait for its result: None past the head
-   deadline or once the server is stopping. *)
-let ask_loop loop stopping read =
-  let result = Atomic.make None in
-  Event_loop.post loop (fun () -> Atomic.set result (Some (read ())));
-  let deadline = Unix.gettimeofday () +. http_head_timeout_s in
-  let rec wait () =
-    match Atomic.get result with
-    | Some _ as answer -> answer
-    | None when Atomic.get stopping || Unix.gettimeofday () > deadline -> None
-    | None ->
-        Unix.sleepf 0.001;
-        wait ()
-  in
-  wait ()
-
-let serve_metrics_http manager loop stopping fd =
-  let answer client =
-    if read_http_head stopping client then
-      match ask_loop loop stopping (fun () -> metrics_registry manager) with
-      | None -> ()
-      | Some registry ->
-          let response = Exposition.http_response (Exposition.render registry) in
-          (* a peer that stops reading cannot hold the responder either *)
-          Unix.setsockopt_float client Unix.SO_SNDTIMEO http_head_timeout_s;
-          ignore
-            (Unix.write_substring client response 0 (String.length response))
-  in
-  let rec loop () =
-    if Atomic.get stopping then ()
-    else
-      match Poll.wait_readable ~timeout:0.2 fd with
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
-      | exception Unix.Unix_error _ -> ()
-      | `Timeout -> loop ()
-      | `Readable -> (
-          match Unix.accept ~cloexec:true fd with
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
-          | exception Unix.Unix_error _ ->
-              if Atomic.get stopping then () else loop ()
-          | client, _ ->
-              (try answer client with Unix.Unix_error _ -> ());
-              (try Unix.close client with Unix.Unix_error _ -> ());
-              loop ())
-  in
-  loop ()
 
 let restore_sessions manager =
   match manager.m_snap_dir with
@@ -594,8 +499,8 @@ let restore_sessions manager =
 let start ?(restore = true) config =
   (* A client that disconnects before its reply is written must cost
      that connection, not the process: with SIGPIPE ignored, writes to
-     a dead peer raise Unix_error (EPIPE), which the event loop and the
-     metrics responder absorb. Unavailable on some platforms, hence the
+     a dead peer raise Unix_error (EPIPE), which the event loop
+     absorbs. Unavailable on some platforms, hence the
      try. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ -> ());
@@ -681,18 +586,19 @@ let start ?(restore = true) config =
       handle = handle_frame manager;
     }
   in
+  (* A scrape's view is built on the loop, which owns what it reads;
+     scrapes are not request frames and stay out of the spans. *)
+  let scrape () =
+    Exposition.http_response (Exposition.render (metrics_registry manager))
+  in
   let loop =
-    Event_loop.create ~listen_fd ~stopping
+    Event_loop.create ~listen_fd
+      ?http:(Option.map (fun fd -> (fd, scrape)) metrics_fd)
+      ~stopping
       ~on_open:(fun () -> Handler.state handler ())
       ~handler:Handler.handle_event ()
   in
   let loop_domain = Domain.spawn (fun () -> Event_loop.run loop) in
-  let metrics_domain =
-    Option.map
-      (fun fd ->
-        Domain.spawn (fun () -> serve_metrics_http manager loop stopping fd))
-      metrics_fd
-  in
   Slog.info ~event:"serving"
     ([ ("address", address_label config.address) ]
     @
@@ -707,7 +613,6 @@ let start ?(restore = true) config =
     loop_domain;
     cleanup_socket;
     metrics_fd;
-    metrics_domain;
     metrics_cleanup;
   }
 
@@ -740,17 +645,11 @@ let close_sessions ~drain t =
 
 let stop ?(drain = true) t =
   Atomic.set t.stopping true;
-  (* The event loop owns the listen fd and every connection fd: waking
-     it closes the listener, finishes in-flight requests, flushes
+  (* The event loop owns the listen fds and every connection fd: waking
+     it closes the listeners, finishes in-flight requests, flushes
      replies and closes all connections before [run] returns. *)
   Event_loop.wake_loop t.loop;
-  Option.iter
-    (fun fd ->
-      (try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
-      try Unix.close fd with Unix.Unix_error _ -> ())
-    t.metrics_fd;
   Domain.join t.loop_domain;
-  Option.iter Domain.join t.metrics_domain;
   let drained = close_sessions ~drain t in
   Hashtbl.reset t.manager.m_sessions;
   Option.iter (fun path -> try Sys.remove path with Sys_error _ -> ())

@@ -19,8 +19,8 @@
     switches the connection to the binary framing.
 
     {b Lifecycle}: [start] returns a handle for in-process use (tests,
-    benches); [stop ~drain:true] closes the listener, shuts down every
-    live connection, joins the domains and snapshots every open session
+    benches); [stop ~drain:true] closes the listeners, shuts down every
+    live connection, joins the loop's domain and snapshots every open session
     into [snap_dir] (files named [<session>.sess.jsonl]). [serve] is the
     CLI entry: start, wait for SIGTERM/SIGINT, graceful drain. A
     restarted server with [restore] (default) reloads every snapshot in
@@ -56,17 +56,14 @@ type config = {
           never receive the frame anyway; snapshot-to-file is the
           unbounded path *)
   metrics : address option;
-      (** when set, a separate listener serving the merged metrics as
-          Prometheus/OpenMetrics text over one-shot HTTP/1.1 exchanges
-          (see {!Exposition}). Metrics are always collected; this only
-          adds the exposition endpoint. One responder domain serves
-          scrapes in turn, reading each request head within a fixed 1 s
-          deadline and 8 KiB, so an idle or endless peer cannot stall
-          later scrapes or [stop]. It does the HTTP I/O only: it asks
-          the event loop for its view ({!Event_loop.post}) and waits for
-          the answer within the same deadline, giving up (no response)
-          once the server is stopping, so a scrape never holds up
-          [stop] *)
+      (** when set, a second listener on the event loop serving the
+          merged metrics as Prometheus/OpenMetrics text over one-shot
+          HTTP/1.1 exchanges (see {!Exposition}). Metrics are always
+          collected; this only adds the exposition endpoint. A request
+          head is capped at 8 KiB and the whole exchange at 1 s, so an
+          idle or endless peer stalls neither other scrapes nor [stop].
+          Scrapes are not requests: they leave the request spans and
+          counters alone *)
   slow_threshold_us : int;
       (** slow-request log threshold in µs;
           [0] = {!Metrics.default_slow_threshold_us} *)
@@ -118,7 +115,7 @@ val bound_port : t -> int option
 (** The metrics listener's port, when [config.metrics] is [Tcp]. *)
 val bound_metrics_port : t -> int option
 
-(** Stop accepting, shut down live connections, join all domains. With
+(** Stop accepting, shut down live connections, join the loop. With
     [drain] (default) every open session is first snapshotted to
     [snap_dir] (when one is set). Every open session is then released:
     its trace ends with an [aborted] record and is flushed and closed.

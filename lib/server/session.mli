@@ -4,7 +4,7 @@
     {b Ownership}: a session has one owner and no lock. In a running
     server that owner is the {!Event_loop}: every operation on a live
     session runs on the loop (a frame's handler, an on-loop
-    continuation, a closure posted by the metrics responder). Restore
+    continuation, a metrics scrape). Restore
     runs before the loop starts and drain after it has been joined, so
     they never overlap it. Only {!create} may run elsewhere (a trace-file
     [open(2)] can block), and it touches no shared state.

@@ -614,6 +614,7 @@ module Stream = struct
     | V2_payload of int * int  (* tag, remaining payload length *)
 
   type t = {
+    http : bool; (* HTTP request heads, not frames *)
     mutable framing : framing;
     mutable buf : Bytes.t;
     mutable start : int;  (* first unconsumed byte *)
@@ -626,6 +627,7 @@ module Stream = struct
 
   let create framing =
     {
+      http = false;
       framing;
       buf = Bytes.create 4096;
       start = 0;
@@ -636,6 +638,7 @@ module Stream = struct
       fed = 0;
     }
 
+  let create_http () = { (create V1) with http = true }
   let framing t = t.framing
 
   (* Framing switches happen between frames (the hello exchange), so any
@@ -849,5 +852,33 @@ module Stream = struct
           end
         end
 
-  let next t = match t.framing with V1 -> next_v1 t | V2 -> next_v2 t
+  let http_head_max = 8 * 1024
+
+  (* An HTTP request head ends at its first empty line, or where EOF
+     cuts it short; [scanned] is where its current line starts. The
+     metrics exposition is all an HTTP connection serves, so every head
+     reads as a [Metrics] request. *)
+  let rec next_http t =
+    let line = t.start + t.scanned in
+    let request () =
+      consume t (buffered t);
+      t.scanned <- 0;
+      Some (Frame (Metrics { slow = 0 }))
+    in
+    match find_newline t.buf line (min t.stop (t.start + http_head_max)) with
+    | -1 when buffered t >= http_head_max ->
+        consume t (buffered t);
+        t.scanned <- 0;
+        Some (Malformed "request head over 8 KiB")
+    | -1 when not t.eof -> None
+    | -1 -> if buffered t = 0 then Some Eof else request ()
+    | nl when nl = line || (nl = line + 1 && Bytes.get t.buf line = '\r') ->
+        request ()
+    | nl ->
+        t.scanned <- nl + 1 - t.start;
+        next_http t
+
+  let next t =
+    if t.http then next_http t
+    else match t.framing with V1 -> next_v1 t | V2 -> next_v2 t
 end

@@ -209,6 +209,13 @@ module Stream : sig
 
   val create : framing -> t
 
+  val create_http : unit -> t
+  (** A stream of HTTP/1.1 request heads, the framing of the metrics
+      listener: a head (up to its first blank line, or cut short by
+      EOF) is a [Frame (Metrics { slow = 0 })], and one that runs past
+      8 KiB without ending is [Malformed]. Framing switches do not
+      apply. *)
+
   val framing : t -> framing
 
   val set_framing : t -> framing -> unit

@@ -465,7 +465,7 @@ let test_router_failover_live () =
       | other ->
           Alcotest.failf "down shard step: %s"
             (match other with Ok f -> Wire.encode f | Error e -> e));
-      (* Restart the shard on the same state; the prober re-admits it
+      (* Restart the shard on the same state; a probe re-admits it
          and the session resumes from its checkpoint. *)
       shard0 := Server.start config0;
       let deadline = Unix.gettimeofday () +. 10. in
@@ -517,8 +517,8 @@ let temp_dir prefix =
 
 (* A shard that accepts and never answers: its hello must be bounded
    like any call. The front gets [unavailable] within about
-   [timeout_ms], the prober's hello returns (it is bounded by
-   [connect_timeout_ms]; [stop] joins the prober), and [stop] returns. *)
+   [timeout_ms], the probe's hello is bounded by [connect_timeout_ms],
+   and [stop] returns, closing a probe in flight. *)
 let test_router_stalled_shard_bounded () =
   with_stalled_listener (fun stalled ->
       let dir = temp_dir "rrs_stall_route" in
@@ -556,7 +556,7 @@ let test_router_stalled_shard_bounded () =
             (Printf.sprintf "error came near timeout_ms (%.3fs)" elapsed)
             true
             (elapsed >= 0.25 && elapsed < 1.5);
-          (* The shard is down now, so the prober dials it and sends
+          (* The shard is down now, so the loop dials it and sends
              its hello into the stall: give it time to be mid-probe. *)
           check "shard tripped" 0 (Router.shards_up router);
           Unix.sleepf 0.1;
@@ -649,6 +649,104 @@ let test_router_stall_isolated () =
             done;
             check "fd table back after a mid-call hang-up" before (fds ())
           end))
+
+(* Probes run on the router's loop: while every probe of a tripped,
+   stalled shard hangs for [connect_timeout_ms], frames to the healthy
+   shard on another front connection are still answered at once, the
+   up-count reads right from another domain, and [stop] closes the
+   probe in flight instead of waiting it out. *)
+let test_router_probe_holds_nothing_up () =
+  with_stalled_listener (fun stalled ->
+      let dir = temp_dir "rrs_probe_loop" in
+      let healthy_address = Server.Unix_socket (Filename.concat dir "s1.sock") in
+      let healthy = Server.start (Server.default_config healthy_address) in
+      let front = Server.Unix_socket (Filename.concat dir "front.sock") in
+      let timeout_ms = 1_000 in
+      let router =
+        Router.start
+          { (Router.default_config ~address:front
+               ~shards:
+                 [ { Router.shard_label = "s0"; shard_address = stalled };
+                   { Router.shard_label = "s1"; shard_address = healthy_address } ])
+            with
+            Router.timeout_ms; connect_timeout_ms = 300; fail_threshold = 1;
+            probe_interval_ms = 10 }
+      in
+      let stopped = ref false in
+      let stop () =
+        if not !stopped then begin
+          stopped := true;
+          within ~what:"Router.stop" 3. (fun () -> Router.stop router)
+        end
+      in
+      Fun.protect
+        ~finally:(fun () ->
+          (try stop () with _ -> ());
+          ignore (Server.stop ~drain:false healthy);
+          Unix.rmdir dir)
+        (fun () ->
+          let session_on label =
+            let rec go i =
+              let name = Printf.sprintf "probe-%d" i in
+              if Router.shard_of_session router name = label then name
+              else go (i + 1)
+            in
+            go 0
+          in
+          let stuck = session_on "s0" and fine = session_on "s1" in
+          let a = Client.connect front and b = Client.connect front in
+          let call client frame =
+            match Client.call ~deadline_ms:3_000 client frame with
+            | Ok reply -> reply
+            | Error message -> Alcotest.failf "no reply from the router: %s" message
+          in
+          (* Trip s0: its hello runs into the stall until [timeout_ms]. *)
+          (match call a (Wire.Stats { session = stuck }) with
+          | Wire.Error_frame _ -> ()
+          | frame -> Alcotest.failf "stalled shard answered: %s" (Wire.encode frame));
+          check "s0 tripped, as read from another domain" 1
+            (Router.shards_up router);
+          (match
+             call b
+               (Wire.Open
+                  { session = fine; policy = "dlru"; delta = 2; bounds = [| 2; 3 |];
+                    n = 3; speed = 1; horizon = 0; queue_limit = 0; decl = None })
+           with
+          | Wire.Opened _ -> ()
+          | frame -> Alcotest.failf "open on s1: %s" (Wire.encode frame));
+          (* Over two probe budgets, s0's probes hang in the stall; every
+             step to s1 meanwhile is answered at once. *)
+          let worst = ref 0. in
+          let until = Unix.gettimeofday () +. 0.7 in
+          while Unix.gettimeofday () < until do
+            let t0 = Unix.gettimeofday () in
+            (match call b (Wire.Step { session = fine; rounds = 1 }) with
+            | Wire.Stepped _ -> ()
+            | frame -> Alcotest.failf "step on s1: %s" (Wire.encode frame));
+            worst := Float.max !worst (Unix.gettimeofday () -. t0);
+            Unix.sleepf 0.005
+          done;
+          check_bool
+            (Printf.sprintf "s1 answered within 0.3 x timeout_ms (worst %.3fs)"
+               !worst)
+            true
+            (!worst < 0.3 *. float_of_int timeout_ms /. 1000.);
+          (* The trip and at least one probe that ran out in the stall. *)
+          (match call b (Wire.Metrics { slow = 0 }) with
+          | Wire.Metrics_ok { doc; _ } ->
+              let failures =
+                Rrs_sim.Event_sink.Json.opt_int_field
+                  (Rrs_sim.Event_sink.Json.parse_fields doc)
+                  "shard_failures_total" ~default:0
+              in
+              check_bool
+                (Printf.sprintf "probes ran into the stall (%d failures)" failures)
+                true (failures >= 2)
+          | frame -> Alcotest.failf "metrics: %s" (Wire.encode frame));
+          check "s0 still down, s1 up" 1 (Router.shards_up router);
+          Client.close a;
+          Client.close b;
+          stop ()))
 
 (* ---- waiting for listeners ---- *)
 
@@ -771,5 +869,7 @@ let suite =
           `Quick test_router_stalled_shard_bounded;
         Alcotest.test_case "stalled shard costs only its own sessions" `Quick
           test_router_stall_isolated;
+        Alcotest.test_case "a probe on the loop holds nothing else up" `Quick
+          test_router_probe_holds_nothing_up;
       ] );
   ]

@@ -62,6 +62,41 @@ let test_live_socket_path_refused () =
   Unix.close fd3;
   Sys.remove path
 
+(* Only a stale socket is cleaned away: a regular file or a directory at
+   the path is refused with a named error and left as it was. *)
+let test_non_socket_path_refused () =
+  let dir = temp_dir "rrs_notsock" in
+  let refused path =
+    match Net.listen_socket (Net.Unix_socket path) with
+    | fd, _ ->
+        Unix.close fd;
+        Alcotest.failf "listened on %s" path
+    | exception Failure message ->
+        let expected =
+          Printf.sprintf "cannot listen on %s: exists and is not a socket" path
+        in
+        Alcotest.(check string) "named error" expected message
+  in
+  let file = Filename.concat dir "data.txt" in
+  Out_channel.with_open_text file (fun oc -> output_string oc "keep me");
+  refused file;
+  Alcotest.(check string)
+    "the file survived" "keep me"
+    (In_channel.with_open_text file In_channel.input_all);
+  let sub = Filename.concat dir "sub" in
+  Unix.mkdir sub 0o700;
+  refused sub;
+  check_bool "the directory survived" true (Sys.is_directory sub);
+  (* a stale socket is still replaced *)
+  let stale = Filename.concat dir "sock" in
+  let fd, _ = Net.listen_socket (Net.Unix_socket stale) in
+  Unix.close fd;
+  let fd, _ = Net.listen_socket (Net.Unix_socket stale) in
+  Unix.close fd;
+  List.iter Sys.remove [ file; stale ];
+  Unix.rmdir sub;
+  Unix.rmdir dir
+
 let test_second_server_refused () =
   let dir = temp_dir "rrs_steal2" in
   let address = Server.Unix_socket (Filename.concat dir "sock") in
@@ -340,6 +375,8 @@ let suite =
           test_live_socket_path_refused;
         Alcotest.test_case "second server cannot steal the socket" `Quick
           test_second_server_refused;
+        Alcotest.test_case "a file or directory at the path is refused, kept"
+          `Quick test_non_socket_path_refused;
       ] );
     ( "net.event_loop",
       [

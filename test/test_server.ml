@@ -2348,6 +2348,107 @@ let test_metrics_http_under_load () =
   in
   check "rounds end at the client's round" 200 last
 
+(* The HTTP listener's bounds on outside input: a peer that sends half
+   a head and idles is closed by the 1 s exchange deadline, a head that
+   runs past 8 KiB is closed unanswered, and a scrape is not a request,
+   so two scrapes in a row report the same [rrs_requests_total]. *)
+let test_metrics_http_bounds () =
+  let dir = Filename.temp_file "rrs_http_bounds" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o700;
+  let address = Server.Unix_socket (Filename.concat dir "sock") in
+  let config =
+    { (Server.default_config address) with
+      metrics = Some (Server.Tcp ("127.0.0.1", 0)) }
+  in
+  let server = Server.start config in
+  Fun.protect
+    ~finally:(fun () -> ignore (Server.stop ~drain:false server))
+    (fun () ->
+      let port =
+        match Server.bound_metrics_port server with
+        | Some port -> port
+        | None -> Alcotest.fail "no bound metrics port"
+      in
+      let connect () =
+        let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+        Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+        Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
+        fd
+      in
+      let send fd data =
+        ignore (Unix.write_substring fd data 0 (String.length data))
+      in
+      (* What the server sent before it closed, and how long that took;
+         None when it was still open after the 5 s receive timeout. *)
+      let until_closed fd =
+        let t0 = Unix.gettimeofday () in
+        let buf = Buffer.create 4096 and chunk = Bytes.create 4096 in
+        let rec go () =
+          match Unix.read fd chunk 0 (Bytes.length chunk) with
+          | 0 -> Some (Buffer.contents buf, Unix.gettimeofday () -. t0)
+          | k ->
+              Buffer.add_subbytes buf chunk 0 k;
+              go ()
+          | exception Unix.Unix_error (Unix.ECONNRESET, _, _) ->
+              Some (Buffer.contents buf, Unix.gettimeofday () -. t0)
+          | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
+            ->
+              None
+        in
+        let result = go () in
+        Unix.close fd;
+        result
+      in
+      let half = connect () in
+      send half "GET /metrics HTTP/1.1\r\nHost: te";
+      (match until_closed half with
+      | Some (response, elapsed) ->
+          check_bool "half a head draws no response" false
+            (contains ~needle:"200" response);
+          check_bool
+            (Printf.sprintf "an idle half head is closed within 2 s (%.2f s)"
+               elapsed)
+            true (elapsed < 2.0)
+      | None -> Alcotest.fail "an idle half head was never closed");
+      let long = connect () in
+      send long ("GET /" ^ String.make (9 * 1024) 'a');
+      (match until_closed long with
+      | Some (response, _) ->
+          check_bool "a head over 8 KiB draws no 200" false
+            (contains ~needle:"200" response)
+      | None -> Alcotest.fail "a head over 8 KiB was never closed");
+      let client = Client.connect address in
+      ignore (expect_ok (Client.call client (open_frame_for "bounds")));
+      feed_step client "bounds" [| 0 |] [| 1 |];
+      ignore (expect_ok (Client.call client (Wire.Metrics { slow = 0 })));
+      let requests_total () =
+        let fd = connect () in
+        send fd "GET /metrics HTTP/1.1\r\nHost: test\r\n\r\n";
+        let response =
+          match until_closed fd with
+          | Some (response, _) -> response
+          | None -> Alcotest.fail "scrape never completed"
+        in
+        let prefix = "rrs_requests_total " in
+        match
+          List.find_map
+            (fun line ->
+              if String.starts_with ~prefix line then
+                int_of_string_opt
+                  (String.sub line (String.length prefix)
+                     (String.length line - String.length prefix))
+              else None)
+            (String.split_on_char '\n' response)
+        with
+        | Some total -> total
+        | None -> Alcotest.fail "scrape without rrs_requests_total"
+      in
+      let first = requests_total () in
+      check "the wire requests are counted" 4 first;
+      check "a scrape is not a request" first (requests_total ());
+      Client.close client)
+
 (* ---- admission gate, live ---- *)
 
 (* 2 colors at 1/2 job/round: sized n = 2, supply 2000 mj/r. *)
@@ -2889,5 +2990,7 @@ let suite =
           `Quick test_metrics_http_idle_peer;
         Alcotest.test_case "http scrapes under load: all 200, monotone, prompt stop"
           `Quick test_metrics_http_under_load;
+        Alcotest.test_case "http bounds: idle half head, 8 KiB head, scrapes uncounted"
+          `Quick test_metrics_http_bounds;
       ] );
   ]

@@ -162,6 +162,38 @@ let test_byte_at_a_time () =
            (List.init (String.length data) (fun _ -> 1))))
     [ Wire.V1; Wire.V2 ]
 
+(* The HTTP stream: a request head is one [Metrics] request, however
+   it is split, and not before its empty line; EOF answers a cut head;
+   a head past 8 KiB is refused. *)
+let test_http_heads () =
+  let results data ~eof =
+    let s = Wire.Stream.create_http () in
+    let out = ref [] in
+    String.iter
+      (fun c ->
+        Wire.Stream.feed_string s (String.make 1 c);
+        Option.iter (fun r -> out := r :: !out) (Wire.Stream.next s))
+      data;
+    if eof then begin
+      Wire.Stream.feed_eof s;
+      Option.iter (fun r -> out := r :: !out) (Wire.Stream.next s)
+    end;
+    List.rev_map show_result !out |> String.concat " | "
+  in
+  let request = show_result (Wire.Frame (Wire.Metrics { slow = 0 })) in
+  let check name expected data ~eof =
+    Alcotest.(check string) name expected (results data ~eof)
+  in
+  check "crlf head" request "GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n" ~eof:false;
+  check "bare lf head" request "GET / HTTP/1.0\n\n" ~eof:false;
+  check "no empty line yet" "" "GET / HTTP/1.1\r\nHost: x\r\n" ~eof:false;
+  check "eof answers a cut head" request "GET / HTTP/1.1\r\nHo" ~eof:true;
+  check "eof alone" (show_result Wire.Eof) "" ~eof:true;
+  check "over 8 KiB"
+    (show_result (Wire.Malformed "request head over 8 KiB"))
+    ("GET /" ^ String.make (8 * 1024) 'a')
+    ~eof:false
+
 let prop = QCheck_alcotest.to_alcotest
 
 let suite =
@@ -180,5 +212,6 @@ let suite =
           test_framing_switch;
         Alcotest.test_case "byte-at-a-time conversation" `Quick
           test_byte_at_a_time;
+        Alcotest.test_case "http request heads" `Quick test_http_heads;
       ] );
   ]
