@@ -25,13 +25,30 @@ val create : n:int -> copies:int -> num_colors:int -> t
     colors would need more than [n] locations. *)
 val want : t -> Rrs_sim.Types.color -> unit
 
+(** [rewant t] wants again exactly the colors of the previous {!assign}
+    (none before the first), in one call instead of one {!want} each:
+    for a policy that knows its cached set did not change.
+    @raise Invalid_argument if a color is already wanted, or the
+    previous [assign] raised. *)
+val rewant : t -> unit
+
 (** [assign t ~current ~order] is the target assignment (length [n]): every
     wanted color occupies exactly [copies] locations and all other
     locations are inactive ([None]). [order f] must call [f] on every
     wanted color, in placement order; it is called only when some copy is
     missing. The wanted set is emptied. The returned array is [t]'s own
     buffer, overwritten by the next call; the engine never retains it
-    across mini-rounds.
+    across mini-rounds, and no caller may write to it.
+
+    Reuse rule: when the wanted set equals the one of the previous
+    [assign] and, for every wanted color, the locations the previous
+    target gave it are still its lowest-index locations in [current]
+    (every location that target activated holds its color, and no other
+    location below a color's highest target location holds that color),
+    placement would reproduce the previous target exactly, so it is
+    returned as it is after one pass over [current]. A crash, a failed
+    or skipped reconfiguration, or a change to the wanted set fails the
+    check and the target is recomputed.
     @raise Invalid_argument if [order] skips a wanted color that has a
     missing copy. *)
 val assign :

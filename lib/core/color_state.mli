@@ -17,13 +17,27 @@
     strictly before the most recent multiple of [D_l] in which a counter
     wrapping event of [l] occurred, and 0 if there is none.
 
-    State follows events. Each color's rank keys — its ΔLRU timestamp,
-    its LRU-2 timestamp and its deadline — are stored and refreshed only
-    at that color's boundaries and wraps, the only events that move
-    them. The eligible colors are kept sorted in each rank order
-    ({!ranked}), updated where eligibility or a key changes (a wrap, a
-    boundary, a reset, a restore), so a policy reads the [k] best colors
-    as [k] array reads and nothing is ranked per round.
+    State follows events. Every color of one bound shares every
+    boundary, so the colors are kept in {e bound groups}: a group stores
+    the deadline [dd] of all its colors once, and its eligible colors in
+    ascending id. A boundary of a group moves that one key and re-sorts
+    the [G] groups ([G] = distinct bounds), then visits only the colors
+    that wrapped since the group's previous boundary — no other color's
+    timestamp can have moved — in ascending id, groups in ascending
+    bound (the order timestamp-update events are reported in). After
+    {!deserialize_fields}, which does not know those colors, every color
+    with a wrap or a nonzero reported timestamp is visited at its next
+    boundary. An epoch reset visits
+    only the group's eligible colors. So a boundary costs [O(G)] plus
+    the colors that wrapped or reset, not the colors of the group.
+
+    The orders: the recency orders are kept sorted
+    ({!Rrs_ds.Ranked_set}), re-ranked only where a color's keys or
+    eligibility change; the deadline orders are the groups sorted by
+    [(dd, bound)], each listing its eligible (or all) colors in
+    ascending id. A policy reads a recency order by index ({!ranked})
+    and walks a deadline order ({!iter_ranked}); nothing is ranked per
+    round.
 
     The module also instruments the quantities used by the analysis:
     epochs (Section 3.2), counter wraps, timestamp update events
@@ -47,8 +61,10 @@ type order = Recency | Recency2 | Deadline | Deadline_all
     chronological order, as the event happens — the incremental
     alternative to [record_timestamp_events] for consumers (super-epoch
     tracking) that must not hold the whole event log. [orders] are the
-    rank orders the state keeps sorted (default: all three); each costs
-    its upkeep at every event, so a policy asks only for those it reads. *)
+    rank orders the state keeps (default: all three); each recency order
+    costs its upkeep at every event, so a policy asks only for those it
+    reads. The deadline orders cost nothing to keep and are always
+    available. *)
 val create :
   ?record_timestamp_events:bool ->
   ?on_timestamp:(round:int -> color:int -> unit) ->
@@ -98,11 +114,31 @@ val timestamp2 : t -> Rrs_sim.Types.color -> round:int -> int
 (** Number of currently eligible colors. *)
 val eligible_count : t -> int
 
-(** [ranked t order i], [0 <= i < eligible_count t] ([num_colors t] for
-    [Deadline_all]): the color of rank [i] (0 = best) under [order]. The recency orders are as of the
-    round of the latest {!on_arrival} or {!sync_keys}.
-    @raise Invalid_argument if [order] was not requested at {!create}. *)
+(** [ranked t order i], [0 <= i < eligible_count t], for a recency
+    [order]: the color of rank [i] (0 = best), as of the round of the
+    latest {!on_arrival} or {!sync_keys}.
+    @raise Invalid_argument for a deadline order, or a recency order
+    not requested at {!create}. *)
 val ranked : t -> order -> int -> Rrs_sim.Types.color
+
+(** [iter_ranked t order f], for a deadline [order], calls [f] on its
+    colors, best first, until [f] returns [false] or the order ends: the
+    eligible colors for [Deadline], every color for [Deadline_all]. [f]
+    must not change [t].
+    @raise Invalid_argument for a recency order. *)
+val iter_ranked : t -> order -> (Rrs_sim.Types.color -> bool) -> unit
+
+(** [iter_ranked_after t order color f] is {!iter_ranked} from the color
+    ranked right after [color], which must be in [order]. *)
+val iter_ranked_after :
+  t -> order -> Rrs_sim.Types.color -> (Rrs_sim.Types.color -> bool) -> unit
+
+(** [version t order] is a counter that moves whenever [order] may have
+    changed (a key, a member, the whole order); the two recency orders
+    share one counter, and so do the two deadline orders. A policy whose
+    choice reads only an order and [eligible_count] recomputes it only
+    when these moved. *)
+val version : t -> order -> int
 
 (** [sync_keys t ~round] makes the recency orders current for [round].
     [on_arrival] keeps them current for its round — re-ranking only the
@@ -129,6 +165,8 @@ val serialize_fields : t -> string
 
 (** Applies fields written by {!serialize_fields} to a freshly created
     state with the same [delta]/[bounds].
-    @raise Rrs_sim.Event_sink.Json.Parse_error on missing fields or
-    per-color arrays whose length disagrees with [num_colors]. *)
+    @raise Rrs_sim.Event_sink.Json.Parse_error on missing fields,
+    per-color arrays whose length disagrees with [num_colors], or a
+    ["cs_dd"] whose values differ within one bound group (the message
+    names the color and the group's bound). *)
 val deserialize_fields : t -> (string * Rrs_sim.Event_sink.Json.value) list -> unit

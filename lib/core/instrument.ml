@@ -20,45 +20,80 @@ let wraps stats = stat stats "wraps"
     moment at least [watermark] distinct colors have updated their
     timestamps since it started; the trailing partial super-epoch counts
     when nonempty. For Theorem 1 the watermark is [2m = n/4]. Fed one
-    event at a time, the state is O(watermark) regardless of how many
-    events have been tracked — unlike the full event log. *)
+    event at a time, the state does not grow with the events tracked —
+    unlike the full event log. *)
 type tracker = {
   watermark : int;
-  seen : (int, unit) Hashtbl.t;
+  (* The colors seen in the current super-epoch: a dense set over the
+     colors tracked so far, grown when a larger color arrives, so a
+     tracked event costs no hashing and no allocation. *)
+  mutable member : bool array;
+  mutable seen : int array; (* [0 .. count - 1], in arrival order *)
+  mutable count : int;
   mutable complete : int;
 }
 
-let tracker ~watermark =
+let make ~watermark ~universe =
   if watermark < 1 then invalid_arg "Instrument.tracker: watermark < 1";
-  { watermark; seen = Hashtbl.create 16; complete = 0 }
+  {
+    watermark;
+    member = Array.make universe false;
+    seen = Array.make universe 0;
+    count = 0;
+    complete = 0;
+  }
 
-let track t ~color =
-  if not (Hashtbl.mem t.seen color) then begin
-    Hashtbl.replace t.seen color ();
-    if Hashtbl.length t.seen >= t.watermark then begin
-      t.complete <- t.complete + 1;
-      Hashtbl.reset t.seen
-    end
+let tracker ~watermark = make ~watermark ~universe:0
+
+let grow t color =
+  if color < 0 then invalid_arg (Printf.sprintf "Instrument.tracker: color %d < 0" color);
+  let size = max (color + 1) (2 * Array.length t.member) in
+  let member = Array.make size false and seen = Array.make size 0 in
+  Array.blit t.member 0 member 0 (Array.length t.member);
+  Array.blit t.seen 0 seen 0 t.count;
+  t.member <- member;
+  t.seen <- seen
+
+let reset t =
+  for i = 0 to t.count - 1 do
+    t.member.(t.seen.(i)) <- false
+  done;
+  t.count <- 0
+
+let add t color =
+  if color < 0 || color >= Array.length t.member then grow t color;
+  if not t.member.(color) then begin
+    t.member.(color) <- true;
+    t.seen.(t.count) <- color;
+    t.count <- t.count + 1
   end
 
-let tracker_count t = t.complete + (if Hashtbl.length t.seen > 0 then 1 else 0)
+let track t ~color =
+  let before = t.count in
+  add t color;
+  if t.count > before && t.count >= t.watermark then begin
+    t.complete <- t.complete + 1;
+    reset t
+  end
+
+let tracker_count t = t.complete + (if t.count > 0 then 1 else 0)
 
 (* State accessors for policy serialization. *)
 let tracker_complete t = t.complete
 
-let tracker_seen t =
-  Hashtbl.fold (fun color () acc -> color :: acc) t.seen [] |> List.sort Int.compare
+let tracker_seen t = List.sort Int.compare (List.init t.count (fun i -> t.seen.(i)))
 
 let tracker_restore t ~complete ~seen =
   t.complete <- complete;
-  Hashtbl.reset t.seen;
-  List.iter (fun color -> Hashtbl.replace t.seen color ()) seen
+  reset t;
+  List.iter (add t) seen
 
 (** Count super-epochs from a full chronological event log (the batch
     form of {!tracker}). *)
 let super_epochs ~watermark events =
   if watermark < 1 then invalid_arg "Instrument.super_epochs: watermark < 1";
-  let t = tracker ~watermark in
+  let universe = List.fold_left (fun top (_round, color) -> max top (color + 1)) 0 events in
+  let t = make ~watermark ~universe in
   List.iter (fun (_round, color) -> track t ~color) events;
   tracker_count t
 

@@ -17,15 +17,17 @@ val wraps : (string * int) list -> int
     the moment at least [watermark] distinct colors have updated their
     timestamps since it started; a trailing partial super-epoch counts
     when nonempty. For Theorem 1 the watermark is [2m = n/4]. The state
-    is O(watermark) no matter how many events are tracked, so policies
-    can maintain super-epoch counts without retaining the event log. *)
+    is a dense set over the colors tracked (grown when a larger color
+    first arrives), not the event log, and a tracked event neither
+    hashes nor allocates. *)
 type tracker
 
 (** @raise Invalid_argument if [watermark < 1]. *)
 val tracker : watermark:int -> tracker
 
 (** Feed one timestamp-update event. Events must arrive in chronological
-    order (as {!Color_state}'s [on_timestamp] hook delivers them). *)
+    order (as {!Color_state}'s [on_timestamp] hook delivers them).
+    @raise Invalid_argument on a negative color. *)
 val track : tracker -> color:int -> unit
 
 (** Super-epochs so far, counting a nonempty trailing partial one. *)

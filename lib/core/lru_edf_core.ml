@@ -1,5 +1,4 @@
 module Types = Rrs_sim.Types
-module Job_pool = Rrs_sim.Job_pool
 module Dense_set = Rrs_ds.Dense_set
 
 module Make (Config : sig
@@ -8,14 +7,19 @@ module Make (Config : sig
 end) : Rrs_sim.Policy.POLICY = struct
   type t = {
     lru_slots : int; (* distinct colors in the LRU set *)
-    edf_slots : int; (* distinct colors in the EDF set *)
     state : Color_state.t;
     se : Instrument.tracker; (* super-epochs, fed incrementally *)
     lru_half : Dense_set.t;
     edf_half : Sticky_set.t;
+    admission : Ranking.admission; (* of non-LRU colors into [edf_half] *)
     layout : Cache_layout.t;
     in_cache : Types.color -> bool;
     order : (Types.color -> unit) -> unit;
+    (* The LRU set is a prefix of the recency order: it is rebuilt only
+       when the order or the eligible count moved since [lru_version],
+       [lru_eligible]. *)
+    mutable lru_version : int;
+    mutable lru_eligible : int;
     mutable evictions : int;
     mutable lru_promotions : int;
   }
@@ -30,7 +34,6 @@ end) : Rrs_sim.Policy.POLICY = struct
     let lru_slots =
       int_of_float (Float.round (Config.lru_share *. float_of_int distinct))
     in
-    let edf_slots = distinct - lru_slots in
     (* Super-epochs (Section 3.4) with the Theorem 1 watermark 2m = n/4
        (at least 1 so the count is defined for tiny n), maintained
        incrementally so no per-round event log accumulates. *)
@@ -44,11 +47,15 @@ end) : Rrs_sim.Policy.POLICY = struct
     let edf_half = Sticky_set.create ~num_colors in
     {
       lru_slots;
-      edf_slots;
       state;
       se;
       lru_half;
       edf_half;
+      (* EDF set: sticky admission of the best-ranked nonidle non-LRU
+         colors, evicting the worst-ranked member when full. *)
+      admission =
+        Ranking.admission state Deadline edf_half ~capacity:(distinct - lru_slots)
+          ~bounds ~skip:(Dense_set.mem lru_half);
       layout = Cache_layout.create ~n ~copies:2 ~num_colors;
       in_cache =
         (fun color -> Dense_set.mem lru_half color || Sticky_set.mem edf_half color);
@@ -60,6 +67,8 @@ end) : Rrs_sim.Policy.POLICY = struct
             f (Color_state.ranked state Recency i)
           done;
           Sticky_set.iter_placement_order edf_half f);
+      lru_version = -1;
+      lru_eligible = -1;
       evictions = 0;
       lru_promotions = 0;
     }
@@ -67,46 +76,41 @@ end) : Rrs_sim.Policy.POLICY = struct
   let on_drop t ~round ~dropped =
     Color_state.on_drop t.state ~round ~dropped ~in_cache:t.in_cache
 
-  let on_arrival t ~round ~request = Color_state.on_arrival t.state ~round ~request
+  let on_arrival t ~round ~request =
+    (match request with [] -> () | _ :: _ -> Ranking.invalidate t.admission);
+    Color_state.on_arrival t.state ~round ~request
 
   let reconfigure t (view : Rrs_sim.Policy.view) =
     let state = t.state in
     Color_state.sync_keys state ~round:view.round;
     (* LRU set: the most recently stamped eligible colors. *)
-    Dense_set.clear t.lru_half;
-    for i = 0 to min t.lru_slots (Color_state.eligible_count state) - 1 do
-      let color = Color_state.ranked state Recency i in
-      Dense_set.add t.lru_half color;
-      if Sticky_set.mem t.edf_half color then begin
-        Sticky_set.remove t.edf_half color;
-        t.lru_promotions <- t.lru_promotions + 1
-      end
-    done;
-    (* EDF set: sticky admission of the best-ranked nonidle non-LRU
-       colors, evicting the worst-ranked member when full. Idle colors
-       rank after nonidle ones and are never admitted, so the candidates
-       are the first [edf_slots] nonidle non-LRU colors in deadline
-       order. *)
-    let taken = ref 0 and i = ref 0 in
-    while !taken < t.edf_slots && !i < Color_state.eligible_count state do
-      let color = Color_state.ranked state Deadline !i in
-      incr i;
-      if Job_pool.nonidle view.pool color && not (Dense_set.mem t.lru_half color)
-      then begin
-        incr taken;
-        if
-          (not (Sticky_set.mem t.edf_half color))
-          && Ranking.edf_admit state view.pool ~bounds:view.bounds t.edf_half
-               ~capacity:t.edf_slots color
-        then t.evictions <- t.evictions + 1
-      end
-    done;
-    for i = 0 to Dense_set.cardinal t.lru_half - 1 do
-      Cache_layout.want t.layout (Dense_set.nth t.lru_half i)
-    done;
-    for i = 0 to Sticky_set.cardinal t.edf_half - 1 do
-      Cache_layout.want t.layout (Sticky_set.nth t.edf_half i)
-    done;
+    let version = Color_state.version state Recency
+    and eligible = Color_state.eligible_count state in
+    let rebuild = version <> t.lru_version || eligible <> t.lru_eligible in
+    if rebuild then begin
+      t.lru_version <- version;
+      t.lru_eligible <- eligible;
+      Dense_set.clear t.lru_half;
+      for i = 0 to min t.lru_slots eligible - 1 do
+        let color = Color_state.ranked state Recency i in
+        Dense_set.add t.lru_half color;
+        if Sticky_set.mem t.edf_half color then begin
+          Sticky_set.remove t.edf_half color;
+          t.lru_promotions <- t.lru_promotions + 1
+        end
+      done;
+      Ranking.invalidate t.admission
+    end;
+    t.evictions <- t.evictions + Ranking.admit t.admission view.pool;
+    if rebuild || Ranking.admitted t.admission > 0 then begin
+      for i = 0 to Dense_set.cardinal t.lru_half - 1 do
+        Cache_layout.want t.layout (Dense_set.nth t.lru_half i)
+      done;
+      for i = 0 to Sticky_set.cardinal t.edf_half - 1 do
+        Cache_layout.want t.layout (Sticky_set.nth t.edf_half i)
+      done
+    end
+    else Cache_layout.rewant t.layout;
     Cache_layout.assign t.layout ~current:view.assignment ~order:t.order
 
   let stats t =
@@ -139,6 +143,8 @@ end) : Rrs_sim.Policy.POLICY = struct
       ~seen:(Array.to_list (Json.ints_field fields "se_seen"));
     Dense_set.clear t.lru_half;
     Array.iter (Dense_set.add t.lru_half) (Json.ints_field fields "lru");
+    t.lru_version <- -1;
+    Ranking.invalidate t.admission;
     Sticky_set.restore t.edf_half (Json.ints_field fields "edf")
 end
 

@@ -8,13 +8,10 @@
     B adversary exploits to force thrashing. *)
 
 module Types = Rrs_sim.Types
-module Job_pool = Rrs_sim.Job_pool
 
-(* The sticky EDF cache, shared with {!Seq_edf}. Only nonidle colors are
-   ever admitted, and nonidle colors rank before idle ones, so the
-   admissions of a round are the first [slots] nonidle candidates in
-   deadline order, which [Color_state] keeps sorted: the eligible colors
-   when gated, every color when not. *)
+(* The sticky EDF cache, shared with {!Seq_edf}: {!Ranking.admission}
+   over the deadline order of the eligible colors when gated, of every
+   color when not. *)
 module Make (S : sig
   val name : string
   val slots : n:int -> int (* distinct cached colors *)
@@ -24,11 +21,12 @@ end) =
 struct
   type t = {
     state : Color_state.t;
-    capacity : int;
     cached : Sticky_set.t;
+    admission : Ranking.admission;
     layout : Cache_layout.t;
     in_cache : Types.color -> bool;
     order : (Types.color -> unit) -> unit;
+    mutable restored : bool; (* [cached] was replaced since the last round *)
     mutable evictions : int;
   }
 
@@ -38,13 +36,17 @@ struct
   let create ~n ~delta ~bounds =
     let num_colors = Array.length bounds in
     let cached = Sticky_set.create ~num_colors in
+    let state = Color_state.create ~orders:[ candidates ] ~delta ~bounds () in
     {
-      state = Color_state.create ~orders:[ candidates ] ~delta ~bounds ();
-      capacity = S.slots ~n;
+      state;
       cached;
+      admission =
+        Ranking.admission state candidates cached ~capacity:(S.slots ~n) ~bounds
+          ~skip:(fun _ -> false);
       layout = Cache_layout.create ~n ~copies:S.copies ~num_colors;
       in_cache = Sticky_set.mem cached;
       order = Sticky_set.iter_placement_order cached;
+      restored = false;
       evictions = 0;
     }
 
@@ -52,29 +54,18 @@ struct
     Color_state.on_drop t.state ~round ~dropped ~in_cache:t.in_cache
 
   let on_arrival t ~round ~request =
+    (match request with [] -> () | _ :: _ -> Ranking.invalidate t.admission);
     Color_state.on_arrival t.state ~round ~request
 
   let reconfigure t (view : Rrs_sim.Policy.view) =
-    let state = t.state in
-    let count =
-      if S.gated then Color_state.eligible_count state else Color_state.num_colors state
-    in
-    let taken = ref 0 and i = ref 0 in
-    while !taken < t.capacity && !i < count do
-      let color = Color_state.ranked state candidates !i in
-      incr i;
-      if Job_pool.nonidle view.pool color then begin
-        incr taken;
-        if
-          (not (Sticky_set.mem t.cached color))
-          && Ranking.edf_admit state view.pool ~bounds:view.bounds t.cached
-               ~capacity:t.capacity color
-        then t.evictions <- t.evictions + 1
-      end
-    done;
-    for i = 0 to Sticky_set.cardinal t.cached - 1 do
-      Cache_layout.want t.layout (Sticky_set.nth t.cached i)
-    done;
+    t.evictions <- t.evictions + Ranking.admit t.admission view.pool;
+    if t.restored || Ranking.admitted t.admission > 0 then begin
+      t.restored <- false;
+      for i = 0 to Sticky_set.cardinal t.cached - 1 do
+        Cache_layout.want t.layout (Sticky_set.nth t.cached i)
+      done
+    end
+    else Cache_layout.rewant t.layout;
     Cache_layout.assign t.layout ~current:view.assignment ~order:t.order
 
   let stats t =
@@ -94,7 +85,9 @@ struct
     let fields = Json.parse_fields blob in
     Color_state.deserialize_fields t.state fields;
     t.evictions <- Json.int_field fields "evictions";
-    Sticky_set.restore t.cached (Json.ints_field fields "cached")
+    Sticky_set.restore t.cached (Json.ints_field fields "cached");
+    t.restored <- true;
+    Ranking.invalidate t.admission
 end
 
 include Make (struct

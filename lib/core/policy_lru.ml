@@ -25,6 +25,11 @@ struct
     layout : Cache_layout.t;
     in_cache : Types.color -> bool;
     order : (Types.color -> unit) -> unit; (* placement order: rank order *)
+    (* The cached set is a prefix of the rank order: it is recomputed
+       only when the order or the eligible count moved since [version],
+       [eligible]. *)
+    mutable version : int;
+    mutable eligible : int;
   }
 
   let name = R.name
@@ -45,6 +50,8 @@ struct
           for i = 0 to min capacity (Color_state.eligible_count state) - 1 do
             f (Color_state.ranked state R.order i)
           done);
+      version = -1;
+      eligible = -1;
     }
 
   let on_drop t ~round ~dropped =
@@ -54,13 +61,21 @@ struct
     Color_state.on_arrival t.state ~round ~request
 
   let reconfigure t (view : Rrs_sim.Policy.view) =
-    Color_state.sync_keys t.state ~round:view.round;
-    Dense_set.clear t.cached;
-    for i = 0 to min t.capacity (Color_state.eligible_count t.state) - 1 do
-      let color = Color_state.ranked t.state R.order i in
-      Dense_set.add t.cached color;
-      Cache_layout.want t.layout color
-    done;
+    let state = t.state in
+    Color_state.sync_keys state ~round:view.round;
+    let version = Color_state.version state R.order
+    and eligible = Color_state.eligible_count state in
+    if version <> t.version || eligible <> t.eligible then begin
+      t.version <- version;
+      t.eligible <- eligible;
+      Dense_set.clear t.cached;
+      for i = 0 to min t.capacity eligible - 1 do
+        let color = Color_state.ranked state R.order i in
+        Dense_set.add t.cached color;
+        Cache_layout.want t.layout color
+      done
+    end
+    else Cache_layout.rewant t.layout;
     Cache_layout.assign t.layout ~current:view.assignment ~order:t.order
 
   let stats t = ("cached", Dense_set.cardinal t.cached) :: Color_state.stats t.state
@@ -76,7 +91,8 @@ struct
     let fields = Json.parse_fields blob in
     Color_state.deserialize_fields t.state fields;
     Dense_set.clear t.cached;
-    Array.iter (Dense_set.add t.cached) (Json.ints_field fields "cached")
+    Array.iter (Dense_set.add t.cached) (Json.ints_field fields "cached");
+    t.version <- -1
 end
 
 include Recency (struct

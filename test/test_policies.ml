@@ -208,6 +208,289 @@ let prop_layout_minimizes_moves =
           !kept >= min 2 existing)
         want)
 
+(* ---- Color_state against its reference model ---- *)
+
+module Ref_state = Reference_policies.Color_state
+
+(* One round of the model test: the round number, the drops and the
+   cache membership of its drop phase, and its arrivals. *)
+type model_round = {
+  round : int;
+  dropped : (int * int) list;
+  cached : bool array;
+  request : (int * int) list;
+}
+
+let gen_model_case =
+  let open QCheck2.Gen in
+  let* colors = int_range 1 10 in
+  let* bounds = array_size (return colors) (oneofl [ 1; 2; 3; 4; 6; 8 ]) in
+  let* delta = int_range 1 4 in
+  let* length = int_range 1 40 in
+  (* Mostly consecutive rounds, some skipped (round 0, then round 4). *)
+  let* gaps = list_size (return length) (frequency [ (4, return 1); (1, int_range 2 6) ]) in
+  let per_color gen = list_size (int_bound 3) (pair (int_bound (colors - 1)) gen) in
+  let* bodies =
+    list_size (return length)
+      (triple (per_color (int_range 1 3)) (array_size (return colors) bool)
+         (per_color (int_range 1 5)))
+  in
+  let rounds =
+    List.rev
+      (snd
+         (List.fold_left2
+            (fun (round, acc) gap (dropped, cached, request) ->
+              (round + gap, { round; dropped; cached; request } :: acc))
+            (0, []) gaps bodies))
+  in
+  let* cut = int_bound length in
+  return (bounds, delta, rounds, cut)
+
+let print_model_case (bounds, delta, rounds, cut) =
+  let pairs l = String.concat ";" (List.map (fun (c, k) -> Printf.sprintf "%d:%d" c k) l) in
+  Printf.sprintf "bounds=[%s] delta=%d cut=%d rounds=%s"
+    (String.concat "," (Array.to_list (Array.map string_of_int bounds)))
+    delta cut
+    (String.concat " "
+       (List.map
+          (fun r -> Printf.sprintf "%d(drop %s | arrive %s)" r.round (pairs r.dropped) (pairs r.request))
+          rounds))
+
+let ranked state (order : Color_state.order) =
+  match order with
+  | Recency | Recency2 ->
+      List.init (Color_state.eligible_count state) (Color_state.ranked state order)
+  | Deadline | Deadline_all ->
+      let acc = ref [] in
+      Color_state.iter_ranked state order (fun color ->
+          acc := color :: !acc;
+          true);
+      List.rev !acc
+
+(* Drives production [Color_state] and the reference model through the
+   same calls (a restore from [serialize_fields] halfway) and compares
+   them after every call: deadlines, eligibility, stats, the event log
+   and the hook's events, the blob, and every rank order (and each walk
+   resumed after a color) against the reference's colors sorted by its
+   keys. An order whose [version] did not move must not have changed. *)
+let prop_color_state_matches_reference =
+  QCheck2.Test.make ~count:300 ~print:print_model_case
+    ~name:"color_state: grouped state = reference model (orders, blobs, events)"
+    gen_model_case
+    (fun (bounds, delta, rounds, cut) ->
+      let colors = Array.length bounds in
+      let hooked = ref [] and ref_hooked = ref [] in
+      let fresh () =
+        ( Color_state.create ~record_timestamp_events:true
+            ~on_timestamp:(fun ~round ~color -> hooked := (round, color) :: !hooked)
+            ~orders:[ Recency; Recency2; Deadline; Deadline_all ] ~delta ~bounds (),
+          Ref_state.create ~record_timestamp_events:true
+            ~on_timestamp:(fun ~round ~color -> ref_hooked := (round, color) :: !ref_hooked)
+            ~delta ~bounds () )
+      in
+      let state, model = fresh () in
+      let state = ref state and model = ref model in
+      let seen = Hashtbl.create 4 in
+      let fail what round = QCheck2.Test.fail_reportf "%s differs after round %d" what round in
+      let sorted key keep =
+        List.filter keep (List.init colors Fun.id)
+        |> List.sort (fun a b -> compare (key a, a) (key b, b))
+      in
+      let compare_all ~round ~arrived =
+        let s = !state and m = !model in
+        for color = 0 to colors - 1 do
+          if Color_state.deadline s color <> Ref_state.deadline m color then fail "deadline" round;
+          if Color_state.eligible s color <> Ref_state.eligible m color then fail "eligible" round
+        done;
+        if Color_state.stats s <> Ref_state.stats m then fail "stats" round;
+        if Color_state.timestamp_events s <> Ref_state.timestamp_events m then
+          fail "timestamp_events" round;
+        if !hooked <> !ref_hooked then fail "on_timestamp events" round;
+        if Color_state.serialize_fields s <> Ref_state.serialize_fields m then
+          fail "serialize_fields" round;
+        if Color_state.eligible_count s <> List.length (Ref_state.eligible_colors m) then
+          fail "eligible_count" round;
+        let deadline color = (Ref_state.deadline m color, bounds.(color)) in
+        let expected =
+          [
+            (Color_state.Deadline, sorted deadline (Ref_state.eligible m));
+            (Deadline_all, sorted deadline (fun _ -> true));
+          ]
+          @
+          if arrived then
+            let ts color = Ref_state.timestamp m color ~round
+            and ts2 color = Ref_state.timestamp2 m color ~round in
+            [
+              (Color_state.Recency, sorted (fun c -> -ts c) (Ref_state.eligible m));
+              (Recency2, sorted (fun c -> (-ts2 c, -ts c)) (Ref_state.eligible m));
+            ]
+          else []
+        in
+        List.iter
+          (fun (order, want) ->
+            let got = ranked s order in
+            if got <> want then fail "a rank order" round;
+            (match order with
+            | Deadline | Deadline_all ->
+                (* Walking on after each color gives the rest of the order. *)
+                let rec suffixes = function
+                  | [] -> ()
+                  | color :: rest ->
+                      let after = ref [] in
+                      Color_state.iter_ranked_after s order color (fun c ->
+                          after := c :: !after;
+                          true);
+                      if List.rev !after <> rest then fail "a walk after a color" round;
+                      suffixes rest
+                in
+                suffixes got
+            | Recency | Recency2 -> ());
+            let version = Color_state.version s order in
+            (match Hashtbl.find_opt seen order with
+            | Some (v, before) when v = version && before <> got ->
+                fail "an order with an unmoved version" round
+            | _ -> ());
+            Hashtbl.replace seen order (version, got))
+          expected
+      in
+      List.iteri
+        (fun i r ->
+          if i = cut then begin
+            let blob = Color_state.serialize_fields !state
+            and ref_blob = Ref_state.serialize_fields !model in
+            let state', model' = fresh () in
+            Color_state.deserialize_fields state'
+              (Rrs_sim.Event_sink.Json.parse_fields ("{" ^ blob ^ "}"));
+            Ref_state.deserialize_fields model'
+              (Rrs_sim.Event_sink.Json.parse_fields ("{" ^ ref_blob ^ "}"));
+            state := state';
+            model := model';
+            Hashtbl.reset seen;
+            compare_all ~round:r.round ~arrived:false
+          end;
+          let in_cache color = r.cached.(color) in
+          Color_state.on_drop !state ~round:r.round ~dropped:r.dropped ~in_cache;
+          Ref_state.on_drop !model ~round:r.round ~dropped:r.dropped ~in_cache;
+          compare_all ~round:r.round ~arrived:false;
+          Color_state.on_arrival !state ~round:r.round ~request:r.request;
+          Ref_state.on_arrival !model ~round:r.round ~request:r.request;
+          compare_all ~round:r.round ~arrived:true)
+        rounds;
+      true)
+
+(* A blob whose deadlines differ within one bound group cannot have been
+   written by [Color_state]: restoring it is refused with the color and
+   the group named, not resolved last-wins. *)
+let test_split_group_deadline_refused () =
+  let instance =
+    Instance.make ~delta:2 ~bounds:[| 4; 4; 2 |]
+      ~arrivals:[ (0, [ (0, 2); (1, 2); (2, 2) ]); (4, [ (0, 2) ]) ]
+      ()
+  in
+  let policy : (module Rrs_sim.Policy.POLICY) = (module Rrs_core.Policy_lru_edf) in
+  let stepper =
+    Rrs_sim.Stepper.create ~record_events:false ~checkpoint_every:1 ~policy
+      {
+        Rrs_sim.Stepper.name = "split";
+        delta = instance.delta;
+        bounds = instance.bounds;
+        n = 8;
+        speed = 1;
+        horizon = instance.horizon;
+      }
+  in
+  for round = 0 to 5 do
+    Rrs_sim.Stepper.feed stepper instance.requests.(round);
+    Rrs_sim.Stepper.step stepper
+  done;
+  let snapshot = Rrs_sim.Stepper.snapshot stepper in
+  (* Colors 0 and 1 share bound 4; at round 5 both have deadline 8. Edit
+     color 1's to 12 in the policy blob's deadline array. *)
+  let find sub from =
+    let n = String.length snapshot and m = String.length sub in
+    let rec go i =
+      if i + m > n then Alcotest.failf "no %S in the snapshot: %s" sub snapshot
+      else if String.sub snapshot i m = sub then i
+      else go (i + 1)
+    in
+    go from
+  in
+  let key = find "cs_dd" 0 in
+  let first = find "[" key and last = find "]" key in
+  check_bool "deadlines before the edit" true
+    (String.sub snapshot first (last - first + 1) = "[8,8,6]");
+  let edited =
+    String.sub snapshot 0 first ^ "[8,12,6]"
+    ^ String.sub snapshot (last + 1) (String.length snapshot - last - 1)
+  in
+  (match Rrs_sim.Stepper.restore ~record_events:false ~policy snapshot with
+  | Ok _ -> ()
+  | Error message -> Alcotest.failf "the unedited snapshot must restore: %s" message);
+  match Rrs_sim.Stepper.restore ~record_events:false ~policy edited with
+  | Ok _ -> Alcotest.fail "a split bound group was restored"
+  | Error message ->
+      let mentions sub =
+        let n = String.length message and m = String.length sub in
+        let rec go i = i + m <= n && (String.sub message i m = sub || go (i + 1)) in
+        go 0
+      in
+      check_bool
+        (Printf.sprintf "names color 1 and bound 4: %s" message)
+        true
+        (mentions "cs_dd" && mentions "color 1" && mentions "bound 4")
+
+(* One layout reused across rounds answers what a fresh layout answers
+   from the same wanted set and [current], whether [current] follows the
+   last target (as the engine applies it, with failed reconfigurations,
+   crashes and a second mini-round) or was overwritten anywhere. The set
+   is sometimes wanted again with [rewant]. *)
+let prop_layout_reuse_matches_fresh =
+  QCheck2.Test.make ~name:"cache_layout: a reused layout = a fresh one, every round"
+    ~count:300
+    QCheck2.Gen.(
+      let* n = int_range 1 10 in
+      let* copies = int_range 1 2 in
+      let colors = 6 in
+      let step =
+        let* change = frequency [ (2, return false); (1, return true) ] in
+        let* subset = array_size (return colors) bool in
+        let* failed = array_size (return n) (frequency [ (6, return false); (1, return true) ]) in
+        let* crashed = array_size (return n) (frequency [ (8, return false); (1, return true) ]) in
+        let* overwrite = opt (pair (int_bound (n - 1)) (option (int_bound (colors - 1)))) in
+        let* rewant = bool in
+        return (change, subset, failed, crashed, overwrite, rewant)
+      in
+      let* steps = list_size (int_range 1 25) step in
+      return (n, copies, colors, steps))
+    (fun (n, copies, colors, steps) ->
+      let reused = Cache_layout.create ~n ~copies ~num_colors:colors in
+      let current = Array.make n None in
+      let wanted = ref [] in
+      List.for_all
+        (fun (change, subset, failed, crashed, overwrite, rewant) ->
+          if change then begin
+            let chosen = List.filter (fun c -> subset.(c)) (List.init colors Fun.id) in
+            wanted := List.filteri (fun i _ -> (i + 1) * copies <= n) chosen
+          end;
+          (match overwrite with Some (location, cell) -> current.(location) <- cell | None -> ());
+          let order f = List.iter f (List.rev !wanted) in
+          let fresh = Cache_layout.create ~n ~copies ~num_colors:colors in
+          List.iter (Cache_layout.want fresh) !wanted;
+          let want = Array.copy (Cache_layout.assign fresh ~current ~order) in
+          if rewant && not change then Cache_layout.rewant reused
+          else List.iter (Cache_layout.want reused) !wanted;
+          let got = Cache_layout.assign reused ~current ~order in
+          (* Apply the target as the engine does. *)
+          Array.iteri
+            (fun location cell ->
+              match cell with
+              | Some _ when not failed.(location) -> current.(location) <- cell
+              | _ -> ())
+            got;
+          Array.iteri (fun location c -> if c then current.(location) <- None) crashed;
+          got = want)
+        steps)
+
 (* ---- Policy invariants on random instances ---- *)
 
 let policy_invariant_test ~name ~policy ~max_distinct_of_n ~copies =
@@ -255,6 +538,27 @@ let prop_policies_validate_on_unbatched =
           let _ = H.run_validated ~n:8 ~policy instance in
           true)
         Rrs_stats.Experiment.standard_policies)
+
+(* The reference comparison of [Test_reference] on unbatched input:
+   arrivals off the bounds' multiples make a color nonidle between two
+   boundaries, which the sweep-shape instances never do. *)
+let prop_unbatched_match_reference =
+  QCheck2.Test.make ~count:15
+    ~name:"every policy = its reference model on unbatched input"
+    QCheck2.Gen.(
+      let* seed = int_bound 10_000 in
+      let* colors = int_range 4 48 in
+      let* n = oneofl [ 4; 8; 16 ] in
+      let* delta = int_range 1 4 in
+      let* load = float_range 0.1 1.0 in
+      let* horizon = int_range 32 96 in
+      let* speed = int_range 1 2 in
+      return
+        ( Rrs_workload.Random_workloads.unbatched ~seed ~colors ~delta
+            ~bound_range:(1, 16) ~horizon ~load (),
+          n,
+          speed ))
+    (fun (instance, n, speed) -> Test_reference.agree ~n ~speed instance)
 
 (* ---- Directed scenarios ---- *)
 
@@ -391,6 +695,8 @@ let suite =
         quick "timestamp = latest wrap before boundary" test_timestamp_definition;
         quick "drop classification" test_drop_classification;
         quick "epoch counting" test_epoch_counting_includes_incomplete;
+        prop prop_color_state_matches_reference;
+        quick "a split bound group's deadline is refused" test_split_group_deadline_refused;
       ] );
     ( "core.ranking",
       [
@@ -404,6 +710,7 @@ let suite =
         quick "rejects bad inputs" test_layout_errors;
         prop prop_layout_well_formed;
         prop prop_layout_minimizes_moves;
+        prop prop_layout_reuse_matches_fresh;
       ] );
     ( "core.policies",
       [
@@ -412,6 +719,7 @@ let suite =
         prop prop_lru_edf_invariants;
         prop prop_seq_edf_invariants;
         prop prop_policies_validate_on_unbatched;
+        prop prop_unbatched_match_reference;
         quick "appendix A shape" test_lru_killer_shape;
         quick "appendix B shape" test_edf_killer_shape;
         quick "dlru-edf survives both adversaries" test_lru_edf_handles_both_adversaries;

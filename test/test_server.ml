@@ -534,11 +534,20 @@ let run_with_interruption_v2 ?(policy = policy) ~n ~cut ~checkpoint_every
         header = List.hd full_lines && is_suffix ~of_:(List.tl full_lines) rest
     | [] -> false
   in
+  let stats_differing =
+    List.filter
+      (fun key ->
+        Rrs_core.Instrument.stat full.Engine.stats key
+        <> Rrs_core.Instrument.stat result.Stepper.stats key)
+      [ "timestamp_updates"; "super_epochs"; "wraps"; "epochs"; "edf_evictions";
+        "lru_promotions" ]
+  in
   let outcome =
     ( Ledger.total_cost full.Engine.ledger,
       Ledger.total_cost result.Stepper.ledger,
       full.Engine.final_assignment = result.Stepper.final_assignment,
-      stream_ok )
+      stream_ok,
+      stats_differing )
   in
   Sys.remove full_path;
   Sys.remove resumed_path;
@@ -556,7 +565,7 @@ let prop_snapshot_restore_v2 =
       let horizon = instance.Instance.horizon in
       QCheck2.assume (horizon > 1);
       let cut = 1 + (cut_seed mod (horizon - 1)) in
-      let full_cost, resumed_cost, same_assignment, stream_ok =
+      let full_cost, resumed_cost, same_assignment, stream_ok, _ =
         run_with_interruption_v2 ~n:4 ~cut ~checkpoint_every instance
       in
       full_cost = resumed_cost && same_assignment && stream_ok)
@@ -577,10 +586,19 @@ let prop_snapshot_restore_v2_sweep_shape =
       let cut = 1 + (cut_seed mod (horizon - 1)) in
       List.for_all
         (fun (policy, _) ->
-          let full_cost, resumed_cost, same_assignment, stream_ok =
+          let full_cost, resumed_cost, same_assignment, stream_ok, stats_differing =
             run_with_interruption_v2 ~policy ~n ~cut ~checkpoint_every instance
           in
-          full_cost = resumed_cost && same_assignment && stream_ok)
+          (* The policy stats too: a restore must not lose what the
+             blob does not spell out (which colors wrapped since their
+             last boundary, the super-epoch in progress). *)
+          (stats_differing = []
+          || QCheck2.Test.fail_reportf "%s resumed at round %d: stats %s differ"
+               (let (module P : Rrs_sim.Policy.POLICY) = policy in
+                P.name)
+               cut
+               (String.concat ", " stats_differing))
+          && full_cost = resumed_cost && same_assignment && stream_ok)
         (H.policy_pairs instance))
 
 (* Checkpointing compacts the replay base but must never perturb the
