@@ -45,32 +45,23 @@ let transform (instance : Instance.t) =
   let inner_bounds = Array.map (fun subcolor -> bounds.(parent_of.(subcolor)))
       (Array.init !total (fun i -> i))
   in
-  let arrivals =
-    List.map
-      (fun (round, request) ->
-        let split =
-          List.concat_map
-            (fun (color, count) ->
-              let d = bounds.(color) in
-              let rec chunks_of j remaining acc =
-                if remaining <= 0 then List.rev acc
-                else
-                  let here = min remaining d in
-                  chunks_of (j + 1) (remaining - here)
-                    ((base.(color) + j, here) :: acc)
-              in
-              chunks_of 0 count [])
-            request
-        in
-        (round, split))
-      (Instance.nonempty_arrivals instance)
-  in
-  let inner =
-    Instance.make
+  let b =
+    Instance.builder
       ~name:(instance.name ^ "+distribute")
-      ~horizon:instance.horizon ~delta:instance.delta ~bounds:inner_bounds
-      ~arrivals ()
+      ~horizon:instance.horizon ~delta:instance.delta ~bounds:inner_bounds ()
   in
+  (* Chunks of [D_l] jobs, the last one partial, to subcolors in order. *)
+  Array.iteri
+    (fun round request ->
+      List.iter
+        (fun (color, count) ->
+          let d = bounds.(color) in
+          for j = 0 to ((count + d - 1) / d) - 1 do
+            Instance.add b ~round ~color:(base.(color) + j) ~count:(min d (count - (j * d)))
+          done)
+        request)
+    instance.requests;
+  let inner = Instance.finish b in
   (inner, parent_of)
 
 let default_policy : (module Rrs_sim.Policy.POLICY) =

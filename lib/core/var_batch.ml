@@ -24,27 +24,24 @@ let effective_bound d =
 let transform (instance : Instance.t) =
   let bounds = instance.bounds in
   let effective = Array.map effective_bound bounds in
-  let arrivals =
-    List.map
-      (fun (round, request) ->
-        List.map
-          (fun (color, count) ->
-            let d = bounds.(color) in
-            let a' =
-              if d = 1 then round
-              else
-                let q = effective.(color) in
-                ((round / q) + 1) * q
-            in
-            (a', color, count))
-          request)
-      (Instance.nonempty_arrivals instance)
-    |> List.concat
-    |> List.map (fun (round, color, count) -> (round, [ (color, count) ]))
+  let b =
+    Instance.builder ~name:(instance.name ^ "+varbatch") ~delta:instance.delta
+      ~bounds:effective ()
   in
-  Instance.make
-    ~name:(instance.name ^ "+varbatch")
-    ~delta:instance.delta ~bounds:effective ~arrivals ()
+  Array.iteri
+    (fun round request ->
+      List.iter
+        (fun (color, count) ->
+          let delayed =
+            if bounds.(color) = 1 then round
+            else
+              let q = effective.(color) in
+              ((round / q) + 1) * q
+          in
+          Instance.add b ~round:delayed ~color ~count)
+        request)
+    instance.requests;
+  Instance.finish b
 
 let run ?policy ~n instance =
   let batched_instance = transform instance in

@@ -6,34 +6,30 @@ type t = {
   horizon : int;
 }
 
-(* Colors with a positive count are the ones a request carries once
-   normalized; only those are checked against [bounds]. *)
-let unknown_color num_colors (color, count) =
-  count > 0 && (color < 0 || color >= num_colors)
+(* What refuses an arrival. *)
+type refusal = Negative_round | Unknown_color of int
 
-(* One round's entries merged as [Types.normalize_request] merges them
-   (ascending colors, positive counts), except that a color whose counts
-   sum past [max_int] is refused instead of wrapped. *)
-let merge_round round entries =
-  if Types.is_normalized entries then entries
-  else
-    let rec merge = function
-      | [] -> []
-      | (color, count) :: rest -> add color count rest
-    and add color total = function
-      | (c, count) :: rest when c = color ->
-          if total > max_int - count then
-            invalid_arg
-              (Printf.sprintf "Instance.make: job count overflow (color %d, round %d)"
-                 color round);
-          add color (total + count) rest
-      | rest -> (color, total) :: merge rest
-    in
-    List.filter (fun (_, count) -> count > 0) entries
-    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-    |> merge
+type builder = {
+  b_name : string;
+  b_horizon : int option;
+  b_delta : int;
+  b_bounds : int array;
+  (* [buckets.(round)]: the round's entries, last added first. Grown by
+     doubling; rounds at or past an explicit horizon are not kept. *)
+  mutable buckets : Types.request array;
+  (* Every entry so far was added below its bucket's head, so every
+     bucket is in strictly ascending colors. Checked as each entry is
+     added, while the head is likely still cached. *)
+  mutable ascending : bool;
+  mutable max_deadline : int;
+  mutable negative_count : bool;
+  (* The id of the arrival being added, and the first arrival refused
+     with what refused it. *)
+  mutable arrival : int;
+  mutable refused : (int * refusal) option;
+}
 
-let make ?(name = "instance") ?horizon ~delta ~bounds ~arrivals () =
+let builder ?(name = "instance") ?horizon ~delta ~bounds () =
   if delta < 1 then invalid_arg "Instance.make: delta must be >= 1";
   if Array.length bounds = 0 then invalid_arg "Instance.make: no colors";
   Array.iteri
@@ -41,61 +37,132 @@ let make ?(name = "instance") ?horizon ~delta ~bounds ~arrivals () =
       if d < 1 then
         invalid_arg (Printf.sprintf "Instance.make: bound of color %d is %d" c d))
     bounds;
-  let num_colors = Array.length bounds in
-  (* A negative count anywhere is reported first, in the words of
-     [Types.normalize_request]. *)
-  List.iter
-    (fun (_, request) ->
-      List.iter
-        (fun (_, count) ->
-          if count < 0 then invalid_arg "Types.normalize_request: negative count")
-        request)
-    arrivals;
-  let max_deadline = ref 0 in
-  List.iter
-    (fun (round, request) ->
-      if round < 0 then invalid_arg "Instance.make: negative round";
-      (* Report the least unknown color: the first a sorted request meets. *)
-      (match List.filter (unknown_color num_colors) request with
-      | [] -> ()
-      | unknown ->
-          invalid_arg
-            (Printf.sprintf "Instance.make: unknown color %d"
-               (List.fold_left (fun least (color, _) -> min least color) max_int unknown)));
-      List.iter
-        (fun (color, count) ->
-          if count > 0 then max_deadline := max !max_deadline (round + bounds.(color)))
-        request)
-    arrivals;
+  {
+    b_name = name;
+    b_horizon = horizon;
+    b_delta = delta;
+    b_bounds = bounds;
+    buckets = [||];
+    ascending = true;
+    max_deadline = 0;
+    negative_count = false;
+    arrival = 0;
+    refused = None;
+  }
+
+(* The first arrival refused is reported: its negative round, checked
+   before any of its entries is added, or else its least unknown color. *)
+let refuse_color b color =
+  match b.refused with
+  | None -> b.refused <- Some (b.arrival, Unknown_color color)
+  | Some (arrival, Unknown_color least) when arrival = b.arrival && color < least ->
+      b.refused <- Some (arrival, Unknown_color color)
+  | Some _ -> ()
+
+let grow b round =
+  let buckets = Array.make (max (round + 1) (2 * Array.length b.buckets)) [] in
+  Array.blit b.buckets 0 buckets 0 (Array.length b.buckets);
+  b.buckets <- buckets
+
+(* One entry of the current arrival. Only a positive count of a known
+   color at a round the instance can hold is bucketed. *)
+let add_entry b ~round ~color ~count =
+  if count < 0 then b.negative_count <- true
+  else if count > 0 then
+    if color < 0 || color >= Array.length b.b_bounds then refuse_color b color
+    else if round >= 0 then begin
+      let deadline = round + b.b_bounds.(color) in
+      if deadline > b.max_deadline then b.max_deadline <- deadline;
+      match b.b_horizon with
+      | Some horizon when round >= horizon -> ()
+      | _ ->
+          if round >= Array.length b.buckets then grow b round;
+          let bucket = b.buckets.(round) in
+          (match bucket with (head, _) :: _ when head <= color -> b.ascending <- false | _ -> ());
+          b.buckets.(round) <- (color, count) :: bucket
+    end
+
+let start_arrival b round =
+  b.arrival <- b.arrival + 1;
+  if round < 0 && Option.is_none b.refused then b.refused <- Some (b.arrival, Negative_round)
+
+let add b ~round ~color ~count =
+  start_arrival b round;
+  add_entry b ~round ~color ~count
+
+let rec ascending = function
+  | (a, _) :: ((b, _) :: _ as rest) -> a < b && ascending rest
+  | _ -> true
+
+let rec descending = function
+  | (a, _) :: ((b, _) :: _ as rest) -> a > b && descending rest
+  | _ -> true
+
+(* One round's entries (positive counts, last added first) in ascending
+   colors, a color's counts summed. Entries added in ascending or
+   descending color order are kept or reversed; only others are sorted,
+   and there a color whose counts sum past [max_int] is refused instead
+   of wrapped. *)
+let order_round round entries =
+  if ascending entries then entries
+  else if descending entries then List.rev entries
+  else
+    let rec merge = function
+      | [] -> []
+      | (color, count) :: rest -> sum color count rest
+    and sum color total = function
+      | (c, count) :: rest when c = color ->
+          if total > max_int - count then
+            invalid_arg
+              (Printf.sprintf "Instance.make: job count overflow (color %d, round %d)"
+                 color round);
+          sum color (total + count) rest
+      | rest -> (color, total) :: merge rest
+    in
+    merge (List.sort (fun (a, _) (b, _) -> Int.compare a b) entries)
+
+let finish b =
+  if b.negative_count then invalid_arg "Types.normalize_request: negative count";
+  (match b.refused with
+  | None -> ()
+  | Some (_, Negative_round) -> invalid_arg "Instance.make: negative round"
+  | Some (_, Unknown_color color) ->
+      invalid_arg (Printf.sprintf "Instance.make: unknown color %d" color));
   let horizon =
-    match horizon with
-    | None -> max 1 (!max_deadline + 1)
+    match b.b_horizon with
+    | None -> max 1 (b.max_deadline + 1)
     | Some h ->
-        if h < !max_deadline + 1 then
+        if h < b.max_deadline + 1 then
           invalid_arg
             (Printf.sprintf "Instance.make: horizon %d truncates deadline %d" h
-               !max_deadline);
+               b.max_deadline);
         h
   in
+  (* Every bucketed round is before its deadline, so before [horizon]. *)
   let requests = Array.make horizon [] in
-  (* Bucket each round's entries, last first, then merge each round once.
-     Each round's list and its pairs are fresh and allocated in round
-     order, so the engine reads one round's arrivals from adjacent memory,
-     not from pairs spread over the whole arrival list. An arrival at or
-     past the horizon carries no job (the horizon covers every deadline),
-     so it has nothing to bucket. *)
+  Array.blit b.buckets 0 requests 0 (min horizon (Array.length b.buckets));
+  if not b.ascending then
+    Array.iteri
+      (fun round entries ->
+        match entries with [] | [ _ ] -> () | _ -> requests.(round) <- order_round round entries)
+      requests;
+  { name = b.b_name; delta = b.b_delta; bounds = b.b_bounds; requests; horizon }
+
+(* Last entry first, so a normalized request lands in its bucket as is. *)
+let rec add_request b round = function
+  | [] -> ()
+  | (color, count) :: rest ->
+      add_request b round rest;
+      add_entry b ~round ~color ~count
+
+let make ?name ?horizon ~delta ~bounds ~arrivals () =
+  let b = builder ?name ?horizon ~delta ~bounds () in
   List.iter
     (fun (round, request) ->
-      if round < horizon then
-        requests.(round) <- List.rev_append request requests.(round))
+      start_arrival b round;
+      add_request b round request)
     arrivals;
-  Array.iteri
-    (fun round reversed ->
-      if reversed <> [] then
-        requests.(round) <-
-          merge_round round (List.rev_map (fun (color, count) -> (color, count)) reversed))
-    requests;
-  { name; delta; bounds; requests; horizon }
+  finish b
 
 let num_colors t = Array.length t.bounds
 

@@ -13,28 +13,64 @@ type t = private {
   horizon : int;
 }
 
-(** [make ~delta ~bounds ~arrivals ()] builds an instance from sparse
-    arrivals [(round, request)], in any order. All arrivals of one round
-    are merged into one normalized request; the horizon is
-    [max (round + D_color) + 1] over all arriving jobs (at least 1), or
-    the explicit [horizon] if given (it must cover every deadline).
+(** {1 Building}
 
-    Cost: one pass buckets the arrivals by round, then each non-empty
-    round is normalized once — [O(A log k)] for [A] arrival entries and
-    at most [k] entries in one round, plus [O(horizon)]. A round whose
-    entries arrive in ascending color order (as the generators' are) is
-    not sorted: it costs a bucket cell and a fresh cell and pair per
-    entry.
+    Every instance is built by one round builder: entries are bucketed by
+    round as they are added, and [finish] turns the buckets into the
+    request array in one pass. [make], the generators of [rrs_workload]
+    and the solver's transforms all go through it. *)
+
+type builder
+
+(** [builder ?name ?horizon ~delta ~bounds ()] starts an instance with no
+    arrivals. With [horizon], [finish] keeps it (it must cover every
+    deadline); without, the horizon is [max (round + D_color) + 1] over
+    all added jobs (at least 1).
 
     @raise Invalid_argument on, in this order: [delta < 1], an empty
-    [bounds] array, a bound [< 1]; a negative count in any arrival; then,
-    at the first arrival with one, a negative round or a color outside
-    [0, #colors) (the least such color, among positive counts); then a
-    horizon that truncates deadlines; then, at the first round with one,
-    a color whose counts in that round sum past [max_int] (["job count
-    overflow"], naming the least such color). An arrival that carries no
-    job (an empty or all-zero request) is ignored wherever it falls,
-    past the horizon too; only a negative round is refused. *)
+    [bounds] array, a bound [< 1]. *)
+val builder :
+  ?name:string -> ?horizon:int -> delta:int -> bounds:int array -> unit -> builder
+
+(** [add b ~round ~color ~count] adds [count] jobs of [color] arriving
+    at [round]: an arrival of one entry. A zero count carries no job and
+    is ignored wherever it falls; invalid entries are reported by
+    [finish], not here. Cost: a cell and a pair, plus the doubling of the
+    bucket array when [round] is past it. *)
+val add : builder -> round:int -> color:Types.color -> count:int -> unit
+
+(** [finish b] is the instance of everything added to [b] so far; [b]
+    may be added to and finished again. Each round's entries are put in
+    ascending colors, a color's counts merged. Entries added to each
+    round in strictly descending colors (the generators add colors from
+    the last down) already are: when every round's were, [finish] copies
+    the buckets and walks no list, [O(horizon)]. Otherwise a round whose
+    entries were added in strictly ascending colors is reversed, and
+    only other rounds are sorted, [O(k log k)] for [k] entries in one
+    round.
+
+    @raise Invalid_argument on, in this order: a negative count in any
+    entry; then, at the first arrival with one, a negative round or a
+    color outside [0, #colors) (the least such color, among positive
+    counts); then a horizon that truncates deadlines; then, at the first
+    round with one, a color whose counts in that round sum past
+    [max_int] (["job count overflow"], naming the least such color). *)
+val finish : builder -> t
+
+(** [make ~delta ~bounds ~arrivals ()] builds an instance from sparse
+    arrivals [(round, request)], in any order: a fold of [arrivals] into
+    a {!builder}, one arrival per element, then {!finish}. All arrivals of
+    one round are merged into one normalized request. An arrival that
+    carries no job (an empty or all-zero request) is ignored wherever it
+    falls, past the horizon too; only a negative round is refused.
+
+    Cost: a cell and a pair per entry. A round given as one normalized
+    request, or as arrivals listed in descending colors, is kept as is;
+    one whose arrivals are listed in ascending colors (one color's
+    arrivals after another's) is reversed, a cell more per entry; only
+    other rounds are sorted.
+
+    @raise Invalid_argument as {!builder}, then as {!finish}. *)
 val make :
   ?name:string ->
   ?horizon:int ->

@@ -990,4 +990,6 @@ let restore ?record_events ?sink ?probes ?profile ?label ?checkpoint_every
   | t ->
       let* () = verify t ps in
       Ok t
+  | exception (Json.Parse_error message | Failure message | Invalid_argument message) ->
+      Error ("restore: " ^ message)
   | exception e -> Error ("restore: " ^ Printexc.to_string e)

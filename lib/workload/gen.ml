@@ -8,25 +8,48 @@ let int_range t ~lo ~hi =
   lo + Random.State.int t (hi - lo + 1)
 
 let float t bound = Random.State.float t bound
-let flip t ~p = Random.State.float t 1.0 < p
+
+(* [Random.State.float t 1.0] without boxing its result: OCaml 5's
+   definition (the top 53 of 64 random bits, scaled; a zero is redrawn),
+   inlined where the compiler keeps the float unboxed. *)
+let[@inline] unit_float t =
+  let bits = ref (Int64.shift_right_logical (Random.State.bits64 t) 11) in
+  while !bits = 0L do
+    bits := Int64.shift_right_logical (Random.State.bits64 t) 11
+  done;
+  Int64.to_float !bits *. 0x1.p-53
+
+let flip t ~p = unit_float t < p
 
 let geometric t ~p ~cap =
   if p <= 0.0 || p > 1.0 then invalid_arg "Gen.geometric: p out of (0, 1]";
-  let rec count failures =
-    if failures >= cap then cap
-    else if Random.State.float t 1.0 < p then failures
-    else count (failures + 1)
-  in
-  count 0
+  let failures = ref 0 in
+  while !failures < cap && not (unit_float t < p) do
+    incr failures
+  done;
+  if !failures >= cap then cap else !failures
+
+(* Knuth's method against [limit = exp (-. lambda)]. *)
+let[@inline] knuth t ~limit ~cap =
+  let k = ref 0 in
+  let product = ref (unit_float t) in
+  while not (!product <= limit || !k >= cap) do
+    incr k;
+    product := !product *. unit_float t
+  done;
+  min !k cap
 
 let poisson t ~lambda ~cap =
   if lambda < 0.0 then invalid_arg "Gen.poisson: negative lambda";
+  knuth t ~limit:(exp (-.lambda)) ~cap
+
+let poisson_draws t ~lambda ~cap =
   let limit = exp (-.lambda) in
-  let rec draw k product =
-    let product = product *. Random.State.float t 1.0 in
-    if product <= limit || k >= cap then min k cap else draw (k + 1) product
-  in
-  draw 0 1.0
+  fun () ->
+    (* Refused at a draw, as [poisson] refuses it: a drawer never called
+       raises nothing. *)
+    if lambda < 0.0 then invalid_arg "Gen.poisson: negative lambda";
+    knuth t ~limit ~cap
 
 let choice t = function
   | [] -> invalid_arg "Gen.choice: empty list"

@@ -3,7 +3,17 @@
     All generators are deterministic in their seed. Bounds are powers of
     two unless stated otherwise; arrivals are batched at multiples of
     each color's bound (the [.. | D_l] batch model), with an option to
-    cap batch sizes at [D_l] (rate-limited). *)
+    cap batch sizes at [D_l] (rate-limited).
+
+    The draw order is part of the seed contract: the bounds first (and
+    [bursty]'s initial states), then color by color in ascending order,
+    each color's batches (or arrivals) in round order. Every seed has
+    named the same instance (name, bounds, requests, horizon) since the
+    generators were written; the experiment tables and the benchmark's
+    golden ledgers depend on it. The batched generators keep their
+    counts in one int array and add them to an {!Rrs_sim.Instance.builder}
+    colors descending, so no round is reversed or sorted: about 6 minor
+    words per non-empty batch. *)
 
 (** [uniform ~seed ~colors ~delta ~bound_log_range:(lo, hi) ~horizon
     ~load ~rate_limited ()]: every color gets an independent power-of-two

@@ -429,15 +429,11 @@ let test_split_group_deadline_refused () =
   match Rrs_sim.Stepper.restore ~record_events:false ~policy edited with
   | Ok _ -> Alcotest.fail "a split bound group was restored"
   | Error message ->
-      let mentions sub =
-        let n = String.length message and m = String.length sub in
-        let rec go i = i + m <= n && (String.sub message i m = sub || go (i + 1)) in
-        go 0
-      in
-      check_bool
-        (Printf.sprintf "names color 1 and bound 4: %s" message)
-        true
-        (mentions "cs_dd" && mentions "color 1" && mentions "bound 4")
+      Alcotest.(check string)
+        "names color 1 and bound 4"
+        "restore: field \"cs_dd\": color 1 has deadline 12, but color 0 of its bound \
+         group (bound 4) has 8"
+        message
 
 (* One layout reused across rounds answers what a fresh layout answers
    from the same wanted set and [current], whether [current] follows the
@@ -652,12 +648,13 @@ let test_allocation_budget () =
     Rrs_core.Policies.all
 
 (* [Instance.make] on the benchmark sweep's 256-color arrivals in the
-   generators' shape: color-major, one color per arrival (41,104
-   arrivals over 4,000 rounds, up to 256 of them per round). Building
-   within 64 minor words per arrival means each round is merged once
-   (27 words per arrival with OCaml 5.1.1: a bucket cell, the final cell
-   and pair, and the passes' closures). Re-normalizing a round at each
-   of its arrivals allocated 1,481 words per arrival here. *)
+   old generators' shape: color-major, one color per arrival (41,104
+   arrivals over 4,000 rounds, up to 256 of them per round). 9 minor
+   words per arrival were measured with OCaml 5.1.1 (a bucket cell and
+   pair, and the cell of each round's one reversal, as its arrivals come
+   in ascending colors); the bound is that plus 10 %. Bucketing and then
+   copying every round allocated 27 words per arrival here, and
+   re-normalizing a round at each of its arrivals 1,481. *)
 let test_instance_build_allocation () =
   let reference =
     Rrs_workload.Random_workloads.zipf ~seed:2 ~colors:256 ~delta:8
@@ -679,8 +676,34 @@ let test_instance_build_allocation () =
   check_bool "same instance" true
     (built.requests = reference.requests && built.horizon = reference.horizon);
   check_bool
-    (Printf.sprintf "%.1f minor words per arrival (%d arrivals) <= 64" per_arrival count)
-    true (per_arrival <= 64.)
+    (Printf.sprintf "%.1f minor words per arrival (%d arrivals) <= 9.9" per_arrival count)
+    true (per_arrival <= 9.9)
+
+(* The generators at the benchmark sweep's shapes (8 colors over 20,000
+   rounds, 256 colors over 4,000): minor words per generated job, within
+   10 % of what was measured with OCaml 5.1.1 (uniform 1.65, zipf 1.95).
+   What remains is the cell and the pair of each non-empty batch (6
+   words) and, for zipf, a few closures per color; the draws allocate
+   nothing. Through a [(round, request)] list and a recursive
+   [Gen.poisson] this was 18.9 and 28.5 words per job. *)
+let test_generator_allocation () =
+  let per_job name generate limit =
+    let before = Gc.minor_words () in
+    let instance : Instance.t = generate () in
+    let words = Gc.minor_words () -. before in
+    let per_job = words /. float_of_int (Instance.total_jobs instance) in
+    check_bool
+      (Printf.sprintf "%s: %.2f minor words per job <= %.2f" name per_job limit)
+      true (per_job <= limit)
+  in
+  per_job "uniform"
+    (Rrs_workload.Random_workloads.uniform ~seed:1 ~colors:8 ~delta:4
+       ~bound_log_range:(1, 4) ~horizon:20_000 ~load:0.9 ~rate_limited:true)
+    1.82;
+  per_job "zipf"
+    (Rrs_workload.Random_workloads.zipf ~seed:2 ~colors:256 ~delta:8
+       ~bound_log_range:(2, 6) ~horizon:4_000 ~load:0.2 ~s:1.1 ~rate_limited:true)
+    2.15
 
 let prop p = QCheck_alcotest.to_alcotest p
 
@@ -728,6 +751,7 @@ let suite =
       [
         quick "batch path within its budget" test_allocation_budget;
         quick "instance build merges each round once" test_instance_build_allocation;
+        quick "generated jobs within their budget" test_generator_allocation;
       ] );
     ( "core.par_edf",
       [

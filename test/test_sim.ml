@@ -91,6 +91,23 @@ let test_instance_no_job_past_horizon () =
   check "derived horizon" 3 i.horizon;
   check "total jobs" 2 (Instance.total_jobs i)
 
+(* A builder keeps what it was given: finishing it again after more
+   adds gives the instance of everything added, and leaves the instance
+   finished first as it was. *)
+let test_builder_finish_again () =
+  let b = Instance.builder ~name:"b" ~delta:2 ~bounds:[| 2; 4 |] () in
+  Instance.add b ~round:2 ~color:1 ~count:1;
+  Instance.add b ~round:2 ~color:0 ~count:3;
+  let first = Instance.finish b in
+  Instance.add b ~round:2 ~color:1 ~count:2;
+  Instance.add b ~round:0 ~color:0 ~count:1;
+  let second = Instance.finish b in
+  Alcotest.(check (array (list (pair int int))))
+    "first" [| []; []; [ (0, 3); (1, 1) ]; []; []; []; [] |] first.requests;
+  Alcotest.(check (array (list (pair int int))))
+    "second" [| [ (0, 1) ]; []; [ (0, 3); (1, 3) ]; []; []; []; [] |] second.requests;
+  Alcotest.(check string) "name" "b" second.name
+
 (* ---- Instance.make against its per-arrival reference ---- *)
 
 (* Arrival lists in the shapes [Instance.make] must treat as the
@@ -193,17 +210,32 @@ let expected_make ?horizon ~delta ~bounds ~arrivals () =
            color round)
   | Ok _, None -> reference arrivals
 
+(* [Instance.make] and the round builder it folds into. [Instance.add]
+   adds an arrival of one entry, so the builder fed every entry in order
+   answers what [make] answers for the arrivals split into one entry
+   each, error messages included. *)
 let prop_make_matches_reference =
   QCheck2.Test.make ~name:"instance: make equals the per-arrival reference"
     ~count:3000 ~print:print_make_input gen_make_input
     (fun (delta, bounds, arrivals, horizon) ->
-      let expected = expected_make ?horizon ~delta ~bounds ~arrivals () in
-      let got =
+      let fields (i : Instance.t) = (i.requests, i.horizon) in
+      let made = outcome (fun () -> fields (Instance.make ?horizon ~delta ~bounds ~arrivals ())) in
+      let built =
         outcome (fun () ->
-            let i = Instance.make ?horizon ~delta ~bounds ~arrivals () in
-            (i.Instance.requests, i.Instance.horizon))
+            let b = Instance.builder ?horizon ~delta ~bounds () in
+            List.iter
+              (fun (round, request) ->
+                List.iter (fun (color, count) -> Instance.add b ~round ~color ~count) request)
+              arrivals;
+            fields (Instance.finish b))
       in
-      expected = got)
+      let entries =
+        List.concat_map
+          (fun (round, request) -> List.map (fun entry -> (round, [ entry ])) request)
+          arrivals
+      in
+      made = expected_make ?horizon ~delta ~bounds ~arrivals ()
+      && built = expected_make ?horizon ~delta ~bounds ~arrivals:entries ())
 
 let prop_normalize_matches_reference =
   QCheck2.Test.make ~name:"types: normalize_request equals the Hashtbl reference"
@@ -717,6 +749,7 @@ let suite =
         quick "classification" test_instance_classification;
         quick "validation errors" test_instance_validation_errors;
         quick "arrival with no job past the horizon" test_instance_no_job_past_horizon;
+        quick "a builder finishes again" test_builder_finish_again;
         quick "iter_jobs" test_iter_jobs;
         prop prop_normalize_matches_reference;
         prop prop_make_matches_reference;

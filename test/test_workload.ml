@@ -201,6 +201,118 @@ let test_spec_determinism () =
     (Rrs_sim.Trace.to_string (parse "zipf:colors=6,seed=9"))
     (Rrs_sim.Trace.to_string (parse "zipf:colors=6,seed=9"))
 
+(* ---- Equivalence with the list route of {!Reference_workloads} ---- *)
+
+(* A run of [Gen.poisson], [Gen.poisson_draws], [Gen.geometric] and
+   [Gen.flip] calls with random parameters returns what the recursive
+   definitions (and [Random.State.float]) returned and leaves the RNG
+   where they left it (the next draws agree). *)
+let prop_gen_matches_reference =
+  QCheck2.Test.make
+    ~name:"gen: poisson and geometric equal the recursive definitions" ~count:500
+    QCheck2.Gen.(
+      pair (int_range 0 100_000)
+        (list_size (int_range 1 20)
+           (oneof
+              [
+                map2 (fun lambda cap -> `Poisson (lambda, cap)) (float_range 0.0 40.0) (int_range (-2) 200);
+                map3
+                  (fun lambda cap n -> `Poisson_draws (lambda, cap, n))
+                  (float_range 0.0 40.0) (int_range (-2) 200) (int_range 0 4);
+                map2 (fun p cap -> `Geometric (p, cap)) (float_range 0.01 1.0) (int_range (-2) 40);
+                map (fun p -> `Flip p) (float_range 0.0 1.0);
+              ])))
+    (fun (seed, calls) ->
+      let a = Gen.create ~seed and b = Gen.create ~seed in
+      let new_draw = function
+        | `Poisson (lambda, cap) -> [ Gen.poisson a ~lambda ~cap ]
+        | `Poisson_draws (lambda, cap, n) ->
+            let draw = Gen.poisson_draws a ~lambda ~cap in
+            List.init n (fun _ -> draw ())
+        | `Geometric (p, cap) -> [ Gen.geometric a ~p ~cap ]
+        | `Flip p -> [ Bool.to_int (Gen.flip a ~p) ]
+      in
+      let old_draw = function
+        | `Poisson (lambda, cap) -> [ Reference_workloads.poisson b ~lambda ~cap ]
+        | `Poisson_draws (lambda, cap, n) ->
+            List.init n (fun _ -> Reference_workloads.poisson b ~lambda ~cap)
+        | `Geometric (p, cap) -> [ Reference_workloads.geometric b ~p ~cap ]
+        | `Flip p -> [ Bool.to_int (Gen.float b 1.0 < p) ]
+      in
+      List.for_all (fun call -> new_draw call = old_draw call) calls
+      && List.init 4 (fun _ -> Gen.int a 1_000_000) = List.init 4 (fun _ -> Gen.int b 1_000_000))
+
+let fields (i : Instance.t) = (i.name, i.bounds, i.requests, i.horizon)
+
+(* Small batched shapes: a seed, colors, delta, a power-of-two bound
+   range, a horizon (empty ones included) and a load. *)
+let gen_batched_shape =
+  QCheck2.Gen.(
+    let* seed = int_range 0 100_000 in
+    let* colors = int_range 1 12 in
+    let* delta = int_range 1 6 in
+    let* lo = int_range 0 3 in
+    let* hi = int_range lo (lo + 3) in
+    let* horizon = int_range 0 300 in
+    let* load = float_range 0.0 2.0 in
+    let* rate_limited = bool in
+    return (seed, colors, delta, (lo, hi), horizon, load, rate_limited))
+
+let print_batched_shape (seed, colors, delta, (lo, hi), horizon, load, rate_limited) =
+  Printf.sprintf "seed=%d colors=%d delta=%d bounds=2^%d..2^%d horizon=%d load=%h rate_limited=%b"
+    seed colors delta lo hi horizon load rate_limited
+
+let prop_uniform_matches_reference =
+  QCheck2.Test.make ~name:"random: uniform equals the list route" ~count:300
+    ~print:print_batched_shape gen_batched_shape
+    (fun (seed, colors, delta, bound_log_range, horizon, load, rate_limited) ->
+      fields
+        (Random_workloads.uniform ~seed ~colors ~delta ~bound_log_range ~horizon ~load
+           ~rate_limited ())
+      = Reference_workloads.uniform ~seed ~colors ~delta ~bound_log_range ~horizon ~load
+          ~rate_limited ())
+
+let prop_bursty_matches_reference =
+  QCheck2.Test.make ~name:"random: bursty equals the list route" ~count:300
+    ~print:(fun (shape, churn) -> Printf.sprintf "%s churn=%h" (print_batched_shape shape) churn)
+    QCheck2.Gen.(pair gen_batched_shape (float_range 0.0 1.0))
+    (fun ((seed, colors, delta, bound_log_range, horizon, load, rate_limited), churn) ->
+      fields
+        (Random_workloads.bursty ~seed ~colors ~delta ~bound_log_range ~horizon ~load
+           ~churn ~rate_limited ())
+      = Reference_workloads.bursty ~seed ~colors ~delta ~bound_log_range ~horizon ~load
+          ~churn ~rate_limited ())
+
+let prop_zipf_matches_reference =
+  QCheck2.Test.make ~name:"random: zipf equals the list route" ~count:300
+    ~print:(fun (shape, s) -> Printf.sprintf "%s s=%h" (print_batched_shape shape) s)
+    QCheck2.Gen.(pair gen_batched_shape (float_range 0.5 2.0))
+    (fun ((seed, colors, delta, bound_log_range, horizon, load, rate_limited), s) ->
+      fields
+        (Random_workloads.zipf ~seed ~colors ~delta ~bound_log_range ~horizon ~load ~s
+           ~rate_limited ())
+      = Reference_workloads.zipf ~seed ~colors ~delta ~bound_log_range ~horizon ~load ~s
+          ~rate_limited ())
+
+let prop_unbatched_matches_reference =
+  QCheck2.Test.make ~name:"random: unbatched equals the list route" ~count:300
+    ~print:(fun (seed, colors, delta, (lo, hi), horizon, load) ->
+      Printf.sprintf "seed=%d colors=%d delta=%d bounds=%d..%d horizon=%d load=%h" seed
+        colors delta lo hi horizon load)
+    QCheck2.Gen.(
+      let* seed = int_range 0 100_000 in
+      let* colors = int_range 1 12 in
+      let* delta = int_range 1 6 in
+      let* lo = int_range 1 8 in
+      let* hi = int_range lo (lo + 10) in
+      let* horizon = int_range 0 300 in
+      let* load = float_range 0.02 1.0 in
+      return (seed, colors, delta, (lo, hi), horizon, load))
+    (fun (seed, colors, delta, bound_range, horizon, load) ->
+      fields
+        (Random_workloads.unbatched ~seed ~colors ~delta ~bound_range ~horizon ~load ())
+      = Reference_workloads.unbatched ~seed ~colors ~delta ~bound_range ~horizon ~load ())
+
 let quick name f = Alcotest.test_case name `Quick f
 
 let suite =
@@ -211,6 +323,7 @@ let suite =
         quick "ranges" test_gen_ranges;
         quick "poisson mean" test_gen_poisson_mean;
         quick "errors" test_gen_errors;
+        QCheck_alcotest.to_alcotest prop_gen_matches_reference;
       ] );
     ( "workload.random",
       [
@@ -219,6 +332,10 @@ let suite =
         quick "generator determinism" test_generators_deterministic;
         quick "zipf skew" test_zipf_skew;
         quick "unbatched class" test_unbatched_is_unbatched;
+        QCheck_alcotest.to_alcotest prop_uniform_matches_reference;
+        QCheck_alcotest.to_alcotest prop_bursty_matches_reference;
+        QCheck_alcotest.to_alcotest prop_zipf_matches_reference;
+        QCheck_alcotest.to_alcotest prop_unbatched_matches_reference;
       ] );
     ( "workload.scenarios",
       [
