@@ -17,16 +17,12 @@ type run = {
   extras : (string * int) list; (* extra integer metrics, schema-free *)
 }
 
-type error = { err_key : string; err_text : string; err_attempts : int }
-
 type experiment = {
   id : string;
   claim : string;
   mutable runs : run list; (* reverse submission order *)
-  mutable errors : error list; (* reverse submission order *)
   mutable exp_wall_s : float;
   mutable exp_minor_words : float;
-  mutable domain_load : (int * int * float) list; (* (domain, tasks, busy_s) *)
 }
 
 type t = {
@@ -67,15 +63,7 @@ let start_experiment t ~id ~claim =
   close_current t;
   t.current <-
     Some
-      {
-        id;
-        claim;
-        runs = [];
-        errors = [];
-        exp_wall_s = 0.0;
-        exp_minor_words = 0.0;
-        domain_load = [];
-      };
+      { id; claim; runs = []; exp_wall_s = 0.0; exp_minor_words = 0.0 };
   t.started_at <- Clock.now_s ();
   t.minor0 <- Gc.minor_words ()
 
@@ -92,29 +80,6 @@ let record t ~policy ~workload ~n ~delta ~cost ~reconfig_count ~drop_count
     { policy; workload; n; delta; cost; reconfig_count; drop_count;
       exec_count; wall_s; minor_words; phases; extras }
     :: experiment.runs
-
-let record_outcome t ~workload ~policy (outcome : Rrs_sim.Sweep.outcome) =
-  record t ~policy ~workload ~n:outcome.n ~delta:outcome.delta
-    ~cost:outcome.cost ~reconfig_count:outcome.reconfig_count
-    ~drop_count:outcome.drop_count ~exec_count:outcome.exec_count
-    ~wall_s:outcome.wall_s ()
-
-let record_error t ~key ~error ~attempts =
-  let experiment = current_experiment t in
-  experiment.errors <-
-    { err_key = key; err_text = error; err_attempts = attempts }
-    :: experiment.errors
-
-let record_failure t (failure : Rrs_sim.Sweep.failure) =
-  record_error t ~key:failure.key ~error:failure.exn_text
-    ~attempts:failure.attempts
-
-let set_domain_load t loads =
-  let experiment = current_experiment t in
-  experiment.domain_load <-
-    List.map
-      (fun (l : Rrs_sim.Sweep.domain_load) -> (l.domain, l.tasks, l.busy_s))
-      loads
 
 (* ---- JSON rendering (hand-rolled: the container has no JSON library,
    and the schema is flat enough that escaping + printf suffice) ---- *)
@@ -195,33 +160,6 @@ let render_experiment buffer experiment =
     (Printf.sprintf ", \"wall_s\": %s, \"minor_words\": %s,\n"
        (float_field experiment.exp_wall_s)
        (float_field experiment.exp_minor_words));
-  (match experiment.domain_load with
-  | [] -> ()
-  | loads ->
-      Buffer.add_string buffer "     \"domain_load\": [";
-      List.iteri
-        (fun i (domain, tasks, busy_s) ->
-          if i > 0 then Buffer.add_string buffer ", ";
-          Buffer.add_string buffer
-            (Printf.sprintf "{\"domain\": %d, \"tasks\": %d, \"busy_s\": %s}"
-               domain tasks (float_field busy_s)))
-        loads;
-      Buffer.add_string buffer "],\n");
-  (match List.rev experiment.errors with
-  | [] -> ()
-  | errors ->
-      Buffer.add_string buffer "     \"errors\": [";
-      List.iteri
-        (fun i { err_key; err_text; err_attempts } ->
-          if i > 0 then Buffer.add_string buffer ", ";
-          Buffer.add_string buffer "{\"key\": ";
-          escape_into buffer err_key;
-          Buffer.add_string buffer ", \"error\": ";
-          escape_into buffer err_text;
-          Buffer.add_string buffer
-            (Printf.sprintf ", \"attempts\": %d}" err_attempts))
-        errors;
-      Buffer.add_string buffer "],\n");
   Buffer.add_string buffer "     \"runs\": [";
   let runs = List.rev experiment.runs in
   List.iteri

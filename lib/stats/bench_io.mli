@@ -10,11 +10,6 @@
       "experiments": [
         { "id": "E1", "claim": "...",
           "wall_s": 0.01, "minor_words": 12345.0,
-          "domain_load": [                        // optional (sweeps)
-            { "domain": 0, "tasks": 16, "busy_s": 0.5 } ],
-          "errors": [                             // optional (failed tasks)
-            { "key": "crashy/uniform-0.9/seed=0/n=8",
-              "error": "Failure(\"boom\")", "attempts": 1 } ],
           "runs": [
             { "policy": "dlru-edf", "workload": "uniform-0.9", "n": 16,
               "delta": 4, "cost": 123, "reconfig_count": 10,
@@ -28,23 +23,20 @@
                 "reconfig":{"wall_s": 0.0001, "minor_words": 10.0},
                 "execute": {"wall_s": 0.0001, "minor_words": 10.0} },
               "extras": {                 // optional integer metrics
-                "sessions": 8, "rounds_per_s": 120000, "p99_us": 85 } } ] } ],
+                "conns": 2048, "calls_per_s": 3700, "p99_us": 2000 } } ] } ],
       "totals": { "experiments": 16, "runs": 120, "wall_s": 1.23 } }
     v}
 
     rrs-bench/2 extends rrs-bench/1 with the optional per-run ["phases"]
     object (per-phase monotonic wall clock + GC minor-words from
-    [Engine.run ~profile:true]) and the optional per-experiment
-    ["domain_load"] array (per-domain utilization from
-    [Sweep.run_profiled]); all rrs-bench/1 fields are unchanged.
-    rrs-bench/3 adds the optional per-experiment ["errors"] array — one
-    entry per task that failed terminally (after retries), keyed so a
-    partially-failed sweep still reports which runs died and why; all
-    rrs-bench/2 fields are unchanged.
+    [Engine.run ~profile:true]); all rrs-bench/1 fields are unchanged.
+    rrs-bench/2 and /3 also defined optional per-experiment
+    ["domain_load"] and ["errors"] arrays; nothing writes them any more,
+    so a reader meets them only in older documents.
 
     [cost], [reconfig_count], [reconfig_cost] (= delta * reconfig_count)
     and [drop_count] are deterministic for fixed seeds; [wall_s],
-    [minor_words], [phases] and [domain_load] are environment-dependent.
+    [minor_words] and [phases] are environment-dependent.
     Comparisons across commits must key on (experiment id, run index) and
     the deterministic fields only. All wall clocks are monotonic
     ({!Rrs_obs.Clock}). *)
@@ -67,8 +59,8 @@ val start_experiment : t -> id:string -> claim:string -> unit
 (** Record one run into the current experiment. [exec_count] defaults to
     unknown; [wall_s]/[minor_words] to unmeasured; [phases] (from
     [Rrs_obs.Profile.fields]) to absent. [extras] is an optional flat
-    object of additional integer metrics (e.g. E18's [sessions],
-    [rounds_per_s], [p50_us], [p99_us]); absent entries render nothing,
+    object of additional integer metrics (e.g. the churn bench's [conns],
+    [calls_per_s], [p50_us], [p99_us]); absent entries render nothing,
     so the addition is backward-compatible within rrs-bench/3. *)
 val record :
   t ->
@@ -86,22 +78,6 @@ val record :
   ?extras:(string * int) list ->
   unit ->
   unit
-
-(** Record a sweep outcome (workload taken from the task key). *)
-val record_outcome : t -> workload:string -> policy:string ->
-  Rrs_sim.Sweep.outcome -> unit
-
-(** Record a failed task into the current experiment's ["errors"] array.
-    [attempts] counts every try, retries included. *)
-val record_error : t -> key:string -> error:string -> attempts:int -> unit
-
-(** [record_failure t f] is {!record_error} for a {!Rrs_sim.Sweep.failure}
-    (the backtrace stays out of the JSON — it is for logs). *)
-val record_failure : t -> Rrs_sim.Sweep.failure -> unit
-
-(** Attach per-domain load accounting (from [Sweep.run_profiled]) to the
-    current experiment. *)
-val set_domain_load : t -> Rrs_sim.Sweep.domain_load list -> unit
 
 (** Close the current experiment and render the whole document. *)
 val to_string : t -> string

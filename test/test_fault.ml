@@ -1,7 +1,7 @@
 (* Fault-layer tests: plan normalization and serialization, crash/repair
    and failed-reconfiguration engine semantics, empty-plan byte-identity,
-   the abort record on policy exceptions, sweep failure isolation with
-   bounded retry, and ledger conservation under random fault plans. *)
+   the abort record on policy exceptions, and ledger conservation under
+   random fault plans. *)
 
 module Instance = Rrs_sim.Instance
 module Engine = Rrs_sim.Engine
@@ -10,7 +10,6 @@ module Schedule = Rrs_sim.Schedule
 module Fault = Rrs_sim.Fault
 module Fault_gen = Rrs_workload.Fault_gen
 module Event_sink = Rrs_sim.Event_sink
-module Sweep = Rrs_sim.Sweep
 module Report = Rrs_stats.Report
 module H = Test_helpers
 
@@ -312,113 +311,6 @@ let test_abort_record_on_policy_exception () =
   | Ok _ -> Alcotest.fail "report must reject an aborted stream");
   Sys.remove path
 
-(* ---- sweep isolation and retry ---- *)
-
-let sweep_tasks ?faults () =
-  List.map
-    (fun seed ->
-      Sweep.task
-        ~key:(Printf.sprintf "ok/seed=%d" seed)
-        ?faults ~policy ~n:4
-        (small_instance ~seed ()))
-    [ 1; 2; 3 ]
-
-let test_sweep_isolates_crash () =
-  let tasks =
-    sweep_tasks ()
-    @ [
-        Sweep.task ~key:"bad/seed=9"
-          ~policy:(crashing_policy ~crash_round:0)
-          ~n:4 (small_instance ~seed:9 ());
-      ]
-  in
-  let results = Sweep.run_results ~domains:2 tasks in
-  check "all tasks reported" 4 (List.length results);
-  let oks, errors =
-    List.partition_map
-      (function Ok o -> Left o | Error f -> Right f)
-      results
-  in
-  check "survivors" 3 (List.length oks);
-  (match errors with
-  | [ f ] ->
-      check_string "failed key" "bad/seed=9" f.Sweep.key;
-      check_bool "exception text" true
-        (f.Sweep.exn_text = "Failure(\"policy exploded\")");
-      check "single attempt (not transient)" 1 f.Sweep.attempts
-  | _ -> Alcotest.fail "expected exactly one failure");
-  (* Sweep.run converts the failure into an attributable Failure. *)
-  match Sweep.run ~domains:2 tasks with
-  | _ -> Alcotest.fail "run must raise on a failed task"
-  | exception Failure message ->
-      check_bool "run names the key" true
-        (contains ~affix:"bad/seed=9" message)
-
-(* Raises Sys_error on the first [transient_failures] creations, then
-   works — the shape of a sink whose disk was briefly full. *)
-let flaky_policy ~failures_left : (module Rrs_sim.Policy.POLICY) =
-  (module struct
-    module P = Rrs_core.Policy_lru_edf
-
-    let name = "flaky"
-
-    type t = P.t
-
-    let create ~n ~delta ~bounds =
-      if !failures_left > 0 then begin
-        decr failures_left;
-        raise (Sys_error "transient: disk full")
-      end;
-      P.create ~n ~delta ~bounds
-
-    let on_drop = P.on_drop
-    let on_arrival = P.on_arrival
-    let reconfigure = P.reconfigure
-    let stats = P.stats
-    let serialize = P.serialize
-    let deserialize = P.deserialize
-  end)
-
-let test_sweep_retries_transient () =
-  let failures_left = ref 1 in
-  let tasks =
-    [
-      Sweep.task ~key:"flaky" ~policy:(flaky_policy ~failures_left) ~n:4
-        (small_instance ());
-    ]
-  in
-  (match Sweep.run_results ~domains:1 ~retries:1 tasks with
-  | [ Ok outcome ] -> check_string "recovered" "flaky" outcome.Sweep.key
-  | [ Error f ] -> Alcotest.failf "retry should recover: %s" f.Sweep.exn_text
-  | _ -> Alcotest.fail "one result expected");
-  (* With retries exhausted the Sys_error is a terminal failure. *)
-  let failures_left = ref 10 in
-  match
-    Sweep.run_results ~domains:1 ~retries:2
-      [
-        Sweep.task ~key:"flaky" ~policy:(flaky_policy ~failures_left) ~n:4
-          (small_instance ());
-      ]
-  with
-  | [ Error f ] -> check "attempts recorded" 3 f.Sweep.attempts
-  | _ -> Alcotest.fail "expected terminal failure"
-
-let test_faulted_sweep_deterministic_across_domains () =
-  let faults =
-    Fault_gen.random ~seed:3 ~n:4 ~horizon:120 ~crash_density:0.15
-      ~reconfig_fail_rate:0.02 ()
-  in
-  let outcomes domains = Sweep.run ~domains (sweep_tasks ~faults ()) in
-  let a = outcomes 1 and b = outcomes 3 in
-  check_bool "outcomes byte-identical across domain counts" true
-    (List.for_all2
-       (fun (x : Sweep.outcome) (y : Sweep.outcome) ->
-         x.key = y.key && x.cost = y.cost
-         && x.reconfig_count = y.reconfig_count
-         && x.drop_count = y.drop_count
-         && x.exec_count = y.exec_count && x.stats = y.stats)
-       a b)
-
 (* ---- properties ---- *)
 
 (* Every instance covers its deadlines (Instance.make guarantees it), so
@@ -490,14 +382,6 @@ let suite =
           test_offline_probe_matches_plan;
         Alcotest.test_case "abort record on exception" `Quick
           test_abort_record_on_policy_exception;
-      ] );
-    ( "fault.sweep",
-      [
-        Alcotest.test_case "crash isolation" `Quick test_sweep_isolates_crash;
-        Alcotest.test_case "transient retry" `Quick
-          test_sweep_retries_transient;
-        Alcotest.test_case "deterministic across domains" `Quick
-          test_faulted_sweep_deterministic_across_domains;
       ] );
     ( "fault.properties",
       [ prop prop_conservation_under_faults; prop prop_empty_plan_same_cost ]

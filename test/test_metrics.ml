@@ -1,13 +1,22 @@
-(* Tests for the QoS metrics module. *)
+(* Tests for the QoS metrics module and the BENCH json writer. *)
 
 module Instance = Rrs_sim.Instance
 module Engine = Rrs_sim.Engine
 module Schedule = Rrs_sim.Schedule
 module Metrics = Rrs_stats.Metrics
+module Bench_io = Rrs_stats.Bench_io
 module H = Test_helpers
 
 let check = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
+let check_string = Alcotest.(check string)
+
+let contains haystack needle =
+  let nl = String.length needle and hl = String.length haystack in
+  let rec go i =
+    i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1))
+  in
+  go 0
 
 let solve ~n i =
   match Rrs_core.Solver.solve ~n i with
@@ -62,6 +71,40 @@ let prop_metrics_consistent =
              && row.loss_rate <= 1.0)
            metrics.by_color)
 
+(* ---- Bench_io ---- *)
+
+let test_tag_of_path () =
+  check_string "BENCH_ prefix stripped" "pr1"
+    (Bench_io.tag_of_path "results/BENCH_pr1.json");
+  check_string "plain basename" "baseline"
+    (Bench_io.tag_of_path "/tmp/baseline.json")
+
+let test_json_document () =
+  let b = Bench_io.create ~tag:"unit" in
+  Bench_io.start_experiment b ~id:"E1" ~claim:{|quotes " and \ slashes|};
+  Bench_io.record b ~policy:"dlru" ~workload:"w0" ~n:4 ~delta:3 ~cost:17
+    ~reconfig_count:5 ~drop_count:2 ();
+  Bench_io.record b ~policy:"edf" ~workload:"w1" ~n:8 ~delta:3 ~cost:9
+    ~reconfig_count:0 ~drop_count:9 ~exec_count:42 ~wall_s:0.25 ();
+  let json = Bench_io.to_string b in
+  check_bool "schema version" true (contains json {|"schema": "rrs-bench/3"|});
+  check_bool "tag" true (contains json {|"tag": "unit"|});
+  check_bool "claim escaped" true (contains json {|quotes \" and \\ slashes|});
+  check_bool "reconfig_cost = delta * reconfigs" true
+    (contains json {|"reconfig_cost": 15|});
+  check_bool "optional exec_count present" true
+    (contains json {|"exec_count": 42|});
+  check_bool "optional wall_s present" true (contains json {|"wall_s": 0.250000|});
+  check_bool "totals" true
+    (contains json {|"totals": {"experiments": 1, "runs": 2|})
+
+let test_json_adhoc_experiment () =
+  let b = Bench_io.create ~tag:"t" in
+  Bench_io.record b ~policy:"p" ~workload:"w" ~n:1 ~delta:1 ~cost:0
+    ~reconfig_count:0 ~drop_count:0 ();
+  check_bool "implicit adhoc group" true
+    (contains (Bench_io.to_string b) {|"id": "adhoc"|})
+
 let quick name f = Alcotest.test_case name `Quick f
 let prop p = QCheck_alcotest.to_alcotest p
 
@@ -72,5 +115,11 @@ let suite =
         quick "handcrafted profile" test_metrics_handcrafted;
         quick "all-dropped profile" test_metrics_all_dropped;
         prop prop_metrics_consistent;
+      ] );
+    ( "stats.bench_io",
+      [
+        quick "tag_of_path" test_tag_of_path;
+        quick "json document" test_json_document;
+        quick "adhoc experiment" test_json_adhoc_experiment;
       ] );
   ]

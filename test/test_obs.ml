@@ -9,7 +9,6 @@ module Clock = Rrs_obs.Clock
 module Event_sink = Rrs_sim.Event_sink
 module Engine = Rrs_sim.Engine
 module Ledger = Rrs_sim.Ledger
-module Sweep = Rrs_sim.Sweep
 module Trace = Rrs_sim.Trace
 module Instance = Rrs_sim.Instance
 module Report = Rrs_stats.Report
@@ -413,35 +412,7 @@ let test_profile_off_by_default () =
   let result = Engine.run ~record_events:false ~n:4 ~policy instance in
   check_bool "no profile" true (result.Engine.profile = None)
 
-(* ---- sweep profiling + monotonic clock ---- *)
-
-let test_sweep_run_profiled () =
-  let tasks =
-    List.map
-      (fun seed ->
-        Sweep.task
-          ~key:(Printf.sprintf "seed=%d" seed)
-          ~policy ~n:4
-          (small_instance ~seed ()))
-      [ 1; 2; 3; 4; 5 ]
-  in
-  let plain = Sweep.run ~domains:2 tasks in
-  let profiled = Sweep.run_profiled ~domains:2 tasks in
-  check "outcome count" 5 (List.length profiled.Sweep.outcomes);
-  check "domains" 2 profiled.Sweep.domains;
-  check "loads cover all tasks" 5
-    (List.fold_left (fun acc (l : Sweep.domain_load) -> acc + l.tasks) 0
-       profiled.Sweep.loads);
-  check_bool "busy fits in wall" true
-    (List.for_all
-       (fun (l : Sweep.domain_load) ->
-         l.busy_s >= 0.0 && l.busy_s <= profiled.Sweep.wall_s +. 1.0)
-       profiled.Sweep.loads);
-  check_bool "deterministic outcomes" true
-    (List.for_all2
-       (fun (a : Sweep.outcome) (b : Sweep.outcome) ->
-         a.key = b.key && a.cost = b.cost)
-       plain profiled.Sweep.outcomes)
+(* ---- monotonic clock ---- *)
 
 let test_clock_monotonic () =
   let t0 = Clock.now_s () in
@@ -581,7 +552,6 @@ let suite =
       ] );
     ( "obs.sweep",
       [
-        Alcotest.test_case "run_profiled" `Quick test_sweep_run_profiled;
         Alcotest.test_case "monotonic clock" `Quick test_clock_monotonic;
       ] );
     ( "obs.instrument",

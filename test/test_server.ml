@@ -648,6 +648,62 @@ let test_checkpoint_compaction_bound () =
   check_bool "snapshot size stays flat" true (snap_late < 2 * !snap_early);
   ignore (Stepper.finish stepper)
 
+(* E19: a stepper that never checkpoints (K = 0) embeds every arrival,
+   so its snapshot grows linearly with session age; K = 256 stays
+   bounded by the interval. Both age on the same seeded feed (~n jobs
+   per round over 8 colours), and the K = 0 growth rate carried to 60k
+   rounds no longer fits one inline frame. *)
+let test_snapshot_growth_k0_vs_checkpointed () =
+  let bounds = [| 2; 3; 4; 6; 8; 12; 16; 24 |] and n = 8 in
+  let colors = Array.length bounds in
+  let aging every =
+    ( Stepper.create ~record_events:false ~checkpoint_every:every ~policy
+        { Stepper.name = Printf.sprintf "e19-k%d" every; delta = 4; bounds;
+          n; speed = 1; horizon = 0 },
+      Random.State.make [| 0xE19; 1 |] )
+  in
+  let k0 = aging 0 and k256 = aging 256 in
+  let age_to rounds =
+    List.iter
+      (fun (stepper, random) ->
+        while Stepper.round stepper < rounds do
+          let counts = Array.make colors 0 in
+          for _ = 1 to n do
+            let c = Random.State.int random colors in
+            counts.(c) <- counts.(c) + 1
+          done;
+          Stepper.feed stepper
+            (List.filter (fun (_, k) -> k > 0)
+               (List.init colors (fun c -> (c, counts.(c)))));
+          Stepper.step stepper
+        done)
+      [ k0; k256 ];
+    ( String.length (Stepper.snapshot (fst k0)),
+      String.length (Stepper.snapshot (fst k256)) )
+  in
+  let early = 2_000 and late = 10_000 in
+  let k0_early, k256_early = age_to early in
+  let k0_late, k256_late = age_to late in
+  check_bool
+    (Printf.sprintf "K = 0 grows >= 4x (%d -> %d bytes)" k0_early k0_late)
+    true (k0_late >= 4 * k0_early);
+  List.iter
+    (fun (age, bytes) ->
+      check_bool
+        (Printf.sprintf "K = 256 under 32 KiB at %d rounds (%d bytes)" age
+           bytes)
+        true (bytes < 32_768))
+    [ (early, k256_early); (late, k256_late) ];
+  check_bool
+    (Printf.sprintf "K = 256 under 1/20 of K = 0 (%d vs %d bytes)" k256_late
+       k0_late)
+    true (20 * k256_late < k0_late);
+  let bytes_per_round = (k0_late - k0_early) / (late - early) in
+  check_bool
+    (Printf.sprintf "K = 0 at 60k rounds (%d B/round) exceeds max_frame"
+       bytes_per_round)
+    true (60_000 * bytes_per_round > Wire.max_frame)
+
 (* serialize o deserialize is the identity for every registry policy
    (and the weighted Landlord): restoring a checkpointed snapshot and
    re-snapshotting it reproduces the document byte for byte, policy
@@ -2940,6 +2996,8 @@ let suite =
           test_checkpointing_does_not_perturb_stream;
         Alcotest.test_case "checkpoints bound history and snapshot size"
           `Quick test_checkpoint_compaction_bound;
+        Alcotest.test_case "snapshot growth: K = 0 linear, K = 256 flat"
+          `Quick test_snapshot_growth_k0_vs_checkpointed;
         Alcotest.test_case "policy blob serialize/deserialize fixpoint" `Quick
           test_policy_blob_fixpoint;
       ] );
