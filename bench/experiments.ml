@@ -208,19 +208,19 @@ let e4 () =
             Random_workloads.uniform ~seed ~colors:8 ~delta:4
               ~bound_log_range:(0, 4) ~horizon:256 ~load ~rate_limited:false ()
           in
-          match Rrs_core.Distribute.run ~n instance with
+          match Rrs_core.Solver.solve ~pipeline:Distributed ~n instance with
           | Error message -> Format.printf "E4 failed: %s@." message
-          | Ok result ->
+          | Ok outcome ->
               let reference = Experiment.reference ~m instance in
-              let outer = Rrs_core.Distribute.cost result in
+              let subcolors, _ = Rrs_core.Distribute.transform instance in
               Table.add_row table
                 [
                   Table.cell_float ~decimals:1 load;
                   Table.cell_int seed;
-                  Table.cell_int (Instance.num_colors result.inner_instance);
-                  Table.cell_int outer;
-                  Table.cell_int (Ledger.total_cost result.inner.ledger);
-                  Table.cell_ratio (ratio outer (Experiment.denominator reference));
+                  Table.cell_int (Instance.num_colors subcolors);
+                  Table.cell_int outcome.cost;
+                  Table.cell_int (Ledger.total_cost outcome.inner.ledger);
+                  Table.cell_ratio (ratio outcome.cost (Experiment.denominator reference));
                 ])
         [ 1; 2 ])
     [ 2.0; 4.0; 8.0 ];
@@ -244,11 +244,10 @@ let e5 () =
               Random_workloads.unbatched ~seed ~colors:10 ~delta:4
                 ~bound_range:(3, 40) ~horizon:256 ~load ()
             in
-            match Rrs_core.Var_batch.run ~n instance with
+            match Rrs_core.Solver.solve ~pipeline:Var_batched ~n instance with
             | Error _ -> None
-            | Ok result ->
+            | Ok { cost; _ } ->
                 let reference = Experiment.reference ~m instance in
-                let cost = Rrs_core.Var_batch.cost result in
                 Some
                   (ratio cost (Experiment.denominator reference), cost,
                    reference.lower_bound))

@@ -68,10 +68,14 @@ let tests () =
     [
       Test.make ~name:"pipeline/distribute"
         (Staged.stage (fun () ->
-             ignore (Result.get_ok (Rrs_core.Distribute.run ~n:16 batched))));
+             ignore
+               (Result.get_ok
+                  (Rrs_core.Solver.solve ~pipeline:Distributed ~n:16 batched))));
       Test.make ~name:"pipeline/varbatch"
         (Staged.stage (fun () ->
-             ignore (Result.get_ok (Rrs_core.Var_batch.run ~n:16 unbatched))));
+             ignore
+               (Result.get_ok
+                  (Rrs_core.Solver.solve ~pipeline:Var_batched ~n:16 unbatched))));
       Test.make ~name:"reference/par-edf"
         (Staged.stage (fun () ->
              ignore (Rrs_core.Par_edf.drop_cost ~m:2 (make_instance ~colors:32))));

@@ -2,9 +2,8 @@
    library.
 
    Subcommands: gen, info, run, trace-run, report, compare, sweep,
-   validate, weighted, faults. An instance
-   SOURCE argument is either a workload spec ("uniform:colors=8,load=0.9")
-   or "@path/to/file.trace". *)
+   weighted, faults. An instance SOURCE argument is either a workload
+   spec ("uniform:colors=8,load=0.9") or "@path/to/file.trace". *)
 
 open Cmdliner
 
@@ -118,7 +117,7 @@ let run_cmd =
           outcome.reconfig_count delta (delta * outcome.reconfig_count)
           outcome.drop_count;
         List.iter (fun (key, value) -> Format.printf "  %s = %d@." key value)
-          outcome.stats;
+          outcome.inner.stats;
         if timeline then
           print_string (Rrs_stats.Render.timeline ~max_width:110 outcome.schedule);
         if metrics then
@@ -418,27 +417,6 @@ let sweep_cmd =
   Cmd.v
     (Cmd.info "sweep" ~doc:"Solver cost across resource-augmentation factors.")
     Term.(const run $ source_arg $ m_arg $ factors $ csv_arg $ json)
-
-(* ---- validate ---- *)
-
-let validate_cmd =
-  let run source n =
-    let instance = or_die (load_source source) in
-    let outcome = or_die (Rrs_core.Solver.solve ~n instance) in
-    match Rrs_sim.Schedule.validate outcome.schedule with
-    | Ok () ->
-        Format.printf "ok: %s pipeline, cost %d, schedule valid@."
-          (Rrs_core.Solver.pipeline_to_string outcome.pipeline)
-          outcome.cost
-    | Error errors ->
-        Format.printf "INVALID (%d errors)@." (List.length errors);
-        List.iteri (fun i e -> if i < 10 then Format.printf "  %s@." e) errors;
-        exit 1
-  in
-  Cmd.v
-    (Cmd.info "validate"
-       ~doc:"Run the solver and independently validate its schedule.")
-    Term.(const run $ source_arg $ n_arg)
 
 (* ---- faults ---- *)
 
@@ -1681,6 +1659,6 @@ let () =
        (Cmd.group info
           [
             gen_cmd; info_cmd; run_cmd; trace_run_cmd; report_cmd; compare_cmd;
-            sweep_cmd; validate_cmd; weighted_cmd; faults_cmd; serve_cmd;
+            sweep_cmd; weighted_cmd; faults_cmd; serve_cmd;
             client_cmd; analyze_cmd; top_cmd; route_cmd; shard_set_cmd;
           ]))

@@ -55,8 +55,6 @@ type t = {
   mutable keys_round : int;
   mutable wraps : int;
   mutable timestamp_updates : int;
-  mutable timestamp_event_log : (int * int) list; (* reverse chronological *)
-  record_timestamp_events : bool;
   on_timestamp : (round:int -> color:int -> unit) option;
 }
 
@@ -87,8 +85,7 @@ let position colors count color =
   done;
   !lo
 
-let create ?(record_timestamp_events = false) ?on_timestamp
-    ?(orders = [ Recency; Recency2; Deadline ]) ~delta ~bounds () =
+let create ?on_timestamp ?(orders = [ Recency; Recency2; Deadline ]) ~delta ~bounds () =
   let num_colors = Array.length bounds in
   let ranked_set order =
     if List.mem order orders then Some (Ranked_set.create ~universe:num_colors)
@@ -141,8 +138,6 @@ let create ?(record_timestamp_events = false) ?on_timestamp
     keys_round = -1;
     wraps = 0;
     timestamp_updates = 0;
-    timestamp_event_log = [];
-    record_timestamp_events;
     on_timestamp;
   }
 
@@ -267,8 +262,6 @@ let note_timestamp t color ~round =
   if current <> info.last_timestamp then begin
     info.last_timestamp <- current;
     t.timestamp_updates <- t.timestamp_updates + 1;
-    if t.record_timestamp_events then
-      t.timestamp_event_log <- (round, color) :: t.timestamp_event_log;
     match t.on_timestamp with
     | None -> ()
     | Some hook -> hook ~round ~color
@@ -432,8 +425,6 @@ let stats t =
     ("ineligible_drops", !ineligible_drops);
   ]
 
-let timestamp_events t = List.rev t.timestamp_event_log
-
 (* ---- serialization (the rrs-snap/2 policy-blob building blocks) ----
 
    Field fragments, not a whole object, so a policy can splice them into
@@ -523,7 +514,6 @@ let deserialize_fields t fields =
   per_color "cs_last_timestamp" (fun _ i v -> i.last_timestamp <- v);
   t.wraps <- Json.int_field fields "cs_wraps";
   t.timestamp_updates <- Json.int_field fields "cs_timestamp_updates";
-  t.timestamp_event_log <- [];
   (* The blob does not say which colors wrapped since their group's last
      boundary: every color whose timestamp may differ from the one last
      reported is visited at its next boundary. *)

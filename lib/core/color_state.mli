@@ -58,15 +58,13 @@ type t
 type order = Recency | Recency2 | Deadline | Deadline_all
 
 (** [on_timestamp] is invoked once per timestamp-update event, in
-    chronological order, as the event happens — the incremental
-    alternative to [record_timestamp_events] for consumers (super-epoch
-    tracking) that must not hold the whole event log. [orders] are the
+    chronological order, as the event happens (super-epoch tracking
+    consumes them this way). [orders] are the
     rank orders the state keeps (default: all three); each recency order
     costs its upkeep at every event, so a policy asks only for those it
     reads. The deadline orders cost nothing to keep and are always
     available. *)
 val create :
-  ?record_timestamp_events:bool ->
   ?on_timestamp:(round:int -> color:int -> unit) ->
   ?orders:order list ->
   delta:int ->
@@ -151,10 +149,6 @@ val sync_keys : t -> round:int -> unit
     ["wraps"], ["timestamp_updates"], ["eligible_drops"],
     ["ineligible_drops"]. *)
 val stats : t -> (string * int) list
-
-(** Chronological [(round, color)] timestamp-update events (empty unless
-    [record_timestamp_events] was set). Used to count super-epochs. *)
-val timestamp_events : t -> (int * int) list
 
 (** The per-color state as [rrs-snap/2] policy-blob field fragments
     (["cs_"]-prefixed keys, no surrounding braces), for policies to splice

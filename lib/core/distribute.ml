@@ -1,14 +1,4 @@
 module Instance = Rrs_sim.Instance
-module Schedule = Rrs_sim.Schedule
-module Rebuild = Rrs_sim.Rebuild
-module Engine = Rrs_sim.Engine
-
-type result = {
-  schedule : Schedule.t;
-  inner_instance : Instance.t;
-  inner : Engine.result;
-  parent_of : int array;
-}
 
 let transform (instance : Instance.t) =
   if not (Instance.is_batched instance) then
@@ -42,9 +32,7 @@ let transform (instance : Instance.t) =
         parent_of.(base.(color) + j) <- color
       done)
     chunks;
-  let inner_bounds = Array.map (fun subcolor -> bounds.(parent_of.(subcolor)))
-      (Array.init !total (fun i -> i))
-  in
+  let inner_bounds = Array.map (fun color -> bounds.(color)) parent_of in
   let b =
     Instance.builder
       ~name:(instance.name ^ "+distribute")
@@ -61,22 +49,4 @@ let transform (instance : Instance.t) =
           done)
         request)
     instance.requests;
-  let inner = Instance.finish b in
-  (inner, parent_of)
-
-let default_policy : (module Rrs_sim.Policy.POLICY) =
-  (module Policy_lru_edf)
-
-let run ?(policy = default_policy) ~n instance =
-  let inner_instance, parent_of = transform instance in
-  let inner = Engine.run ~record_events:true ~n ~policy inner_instance in
-  let actions =
-    Reduction.actions_of_events
-      ~map:(fun subcolor -> parent_of.(subcolor))
-      (Rrs_sim.Ledger.events inner.ledger)
-  in
-  match Rebuild.rebuild ~instance ~n ~speed:1 ~actions with
-  | Error message -> Error message
-  | Ok schedule -> Ok { schedule; inner_instance; inner; parent_of }
-
-let cost result = Schedule.total_cost result.schedule
+  (Instance.finish b, parent_of)

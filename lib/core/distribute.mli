@@ -6,31 +6,12 @@
     receives at most [D_l] jobs per batch — a rate-limited instance.
     ΔLRU-EDF runs on the subcolor instance; configuring subcolor [(l, j)]
     becomes configuring [l], and executing an [(l, j)] job becomes
-    executing an [l] job. Collapsed same-color reconfigurations cost
-    nothing, so the outer cost is at most the inner cost (Lemma 4.2);
-    Theorem 2 makes the composition resource competitive. *)
-
-type result = {
-  schedule : Rrs_sim.Schedule.t; (* on the original instance *)
-  inner_instance : Rrs_sim.Instance.t; (* the rate-limited subcolor instance *)
-  inner : Rrs_sim.Engine.result; (* the inner policy's run *)
-  parent_of : int array; (* inner subcolor -> original color *)
-}
+    executing an [l] job ({!Solver.solve} runs the composition).
+    Collapsed same-color reconfigurations cost nothing, so the outer cost
+    is at most the inner cost (Lemma 4.2); Theorem 2 makes the
+    composition resource competitive. *)
 
 (** Build the rate-limited subcolor instance and the subcolor->color map.
     Works for any batched instance; subcolor bounds equal parent bounds.
     @raise Invalid_argument if the instance is not batched. *)
 val transform : Rrs_sim.Instance.t -> Rrs_sim.Instance.t * int array
-
-(** [run ~n instance] executes the full reduction with [n] resources.
-    [policy] is the inner algorithm (default ΔLRU-EDF).
-    Returns [Error _] if the inner schedule cannot be replayed on the
-    original instance (a reduction bug — never expected). *)
-val run :
-  ?policy:(module Rrs_sim.Policy.POLICY) ->
-  n:int ->
-  Rrs_sim.Instance.t ->
-  (result, string) Stdlib.result
-
-(** Total cost of the outer (relabeled) schedule. *)
-val cost : result -> int

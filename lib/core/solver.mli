@@ -5,7 +5,13 @@
       directly (Section 3, Theorem 1);
     - batched [Δ|1|D_l|D_l] with power-of-two bounds: Distribute
       (Section 4, Theorem 2);
-    - anything else, arbitrary bounds: VarBatch (Section 5, Theorem 3). *)
+    - anything else, arbitrary bounds: VarBatch (Section 5, Theorem 3).
+
+    The two reductions are instance transforms ({!Distribute.transform},
+    {!Var_batch.transform}): the inner policy runs once on the
+    transformed instance, and its reconfigurations and executions,
+    relabeled to the original colors, are replayed onto the original
+    instance by one {!Rrs_sim.Rebuild.rebuild}. *)
 
 type pipeline = Direct_lru_edf | Distributed | Var_batched
 
@@ -20,7 +26,9 @@ type outcome = {
   cost : int;
   reconfig_count : int;
   drop_count : int;
-  stats : (string * int) list; (* innermost policy counters *)
+  inner : Rrs_sim.Engine.result;
+      (* the inner policy's run on the transformed instance (the given
+         one for [Direct_lru_edf]); its [stats] are the policy counters *)
 }
 
 (** [solve ~n instance] runs the appropriate pipeline with [n] resources.

@@ -1,5 +1,6 @@
 (** Algorithm VarBatch (Section 5): reduce general arrivals [Δ|1|D_l|1]
-    to batched arrivals, then apply Distribute.
+    to batched arrivals, then apply Distribute ({!Solver.solve} runs the
+    composition).
 
     A job of a color with bound [D >= 2] arriving in a half-block is
     delayed to the start of the next half-block and must execute within
@@ -12,12 +13,6 @@
     extension of Section 5.3. Theorem 3 makes the composition resource
     competitive. *)
 
-type result = {
-  schedule : Rrs_sim.Schedule.t; (* on the original instance *)
-  batched_instance : Rrs_sim.Instance.t; (* after half-block delaying *)
-  distribute : Distribute.result; (* the inner reduction's run *)
-}
-
 (** The effective batched bound [q] for an original bound: largest power
     of two [<= D/2], and [1] for [D = 1]. *)
 val effective_bound : int -> int
@@ -25,15 +20,3 @@ val effective_bound : int -> int
 (** Delay arrivals into half-block batches; bounds become effective
     bounds. *)
 val transform : Rrs_sim.Instance.t -> Rrs_sim.Instance.t
-
-(** [run ~n instance] executes the full pipeline
-    (delay -> Distribute -> ΔLRU-EDF) and rebuilds the schedule against
-    the {e original} instance. [policy] is the innermost algorithm
-    (default ΔLRU-EDF). *)
-val run :
-  ?policy:(module Rrs_sim.Policy.POLICY) ->
-  n:int ->
-  Rrs_sim.Instance.t ->
-  (result, string) Stdlib.result
-
-val cost : result -> int

@@ -1,4 +1,5 @@
 module Clock = Rrs_obs.Clock
+module Json = Rrs_sim.Event_sink.Json
 
 let schema_version = "rrs-bench/3"
 
@@ -84,30 +85,14 @@ let record t ~policy ~workload ~n ~delta ~cost ~reconfig_count ~drop_count
 (* ---- JSON rendering (hand-rolled: the container has no JSON library,
    and the schema is flat enough that escaping + printf suffice) ---- *)
 
-let escape_into buffer s =
-  Buffer.add_char buffer '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buffer "\\\""
-      | '\\' -> Buffer.add_string buffer "\\\\"
-      | '\n' -> Buffer.add_string buffer "\\n"
-      | '\r' -> Buffer.add_string buffer "\\r"
-      | '\t' -> Buffer.add_string buffer "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buffer (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buffer c)
-    s;
-  Buffer.add_char buffer '"'
-
 let float_field value =
   if Float.is_finite value then Printf.sprintf "%.6f" value else "0.0"
 
 let render_run buffer run =
   Buffer.add_string buffer "      {\"policy\": ";
-  escape_into buffer run.policy;
+  Json.escape_into buffer run.policy;
   Buffer.add_string buffer ", \"workload\": ";
-  escape_into buffer run.workload;
+  Json.escape_into buffer run.workload;
   Buffer.add_string buffer
     (Printf.sprintf
        ", \"n\": %d, \"delta\": %d, \"cost\": %d, \"reconfig_count\": %d, \
@@ -132,7 +117,7 @@ let render_run buffer run =
       List.iteri
         (fun i (name, wall_s, minor_words) ->
           if i > 0 then Buffer.add_string buffer ", ";
-          escape_into buffer name;
+          Json.escape_into buffer name;
           Buffer.add_string buffer
             (Printf.sprintf ": {\"wall_s\": %s, \"minor_words\": %s}"
                (float_field wall_s) (float_field minor_words)))
@@ -145,7 +130,7 @@ let render_run buffer run =
       List.iteri
         (fun i (name, value) ->
           if i > 0 then Buffer.add_string buffer ", ";
-          escape_into buffer name;
+          Json.escape_into buffer name;
           Buffer.add_string buffer (Printf.sprintf ": %d" value))
         extras;
       Buffer.add_char buffer '}');
@@ -153,9 +138,9 @@ let render_run buffer run =
 
 let render_experiment buffer experiment =
   Buffer.add_string buffer "    {\"id\": ";
-  escape_into buffer experiment.id;
+  Json.escape_into buffer experiment.id;
   Buffer.add_string buffer ", \"claim\": ";
-  escape_into buffer experiment.claim;
+  Json.escape_into buffer experiment.claim;
   Buffer.add_string buffer
     (Printf.sprintf ", \"wall_s\": %s, \"minor_words\": %s,\n"
        (float_field experiment.exp_wall_s)
@@ -175,9 +160,9 @@ let to_string t =
   let experiments = List.rev t.experiments in
   let buffer = Buffer.create 4096 in
   Buffer.add_string buffer "{\n  \"schema\": ";
-  escape_into buffer schema_version;
+  Json.escape_into buffer schema_version;
   Buffer.add_string buffer ",\n  \"tag\": ";
-  escape_into buffer t.tag;
+  Json.escape_into buffer t.tag;
   Buffer.add_string buffer ",\n  \"experiments\": [";
   List.iteri
     (fun i experiment ->

@@ -66,7 +66,7 @@ let run_solver ?pipeline ~n ~reference instance =
            ~algorithm:
              ("solver/" ^ Rrs_core.Solver.pipeline_to_string outcome.pipeline)
            ~n ~reference ~cost:outcome.cost ~reconfig_count:outcome.reconfig_count
-           ~drop_count:outcome.drop_count ~stats:outcome.stats)
+           ~drop_count:outcome.drop_count ~stats:outcome.inner.stats)
 
 let standard_policies : (string * (module Rrs_sim.Policy.POLICY)) list =
   [

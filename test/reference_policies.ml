@@ -180,8 +180,6 @@ module Color_state = struct
     boundary_groups : (int * int list) list; (* (bound, colors with that bound) *)
     mutable wraps : int;
     mutable timestamp_updates : int;
-    mutable timestamp_event_log : (int * int) list; (* reverse chronological *)
-    record_timestamp_events : bool;
     on_timestamp : (round:int -> color:int -> unit) option;
   }
 
@@ -200,7 +198,7 @@ module Color_state = struct
       last_timestamp = 0;
     }
 
-  let create ?(record_timestamp_events = false) ?on_timestamp ~delta ~bounds () =
+  let create ?on_timestamp ~delta ~bounds () =
     let num_colors = Array.length bounds in
     let groups = Hashtbl.create 8 in
     Array.iteri
@@ -219,8 +217,6 @@ module Color_state = struct
       boundary_groups;
       wraps = 0;
       timestamp_updates = 0;
-      timestamp_event_log = [];
-      record_timestamp_events;
       on_timestamp;
     }
 
@@ -261,8 +257,6 @@ module Color_state = struct
     if current <> info.last_timestamp then begin
       info.last_timestamp <- current;
       t.timestamp_updates <- t.timestamp_updates + 1;
-      if t.record_timestamp_events then
-        t.timestamp_event_log <- (round, color) :: t.timestamp_event_log;
       match t.on_timestamp with
       | None -> ()
       | Some hook -> hook ~round ~color
@@ -339,8 +333,6 @@ module Color_state = struct
       ("ineligible_drops", !ineligible_drops);
     ]
 
-  let timestamp_events t = List.rev t.timestamp_event_log
-
   (* ---- serialization (the rrs-snap/2 policy-blob building blocks) ----
 
      Field fragments, not a whole object, so a policy can splice them into
@@ -413,8 +405,7 @@ module Color_state = struct
     per_color "cs_ineligible_drops" (fun i v -> i.ineligible_drops <- v);
     per_color "cs_last_timestamp" (fun i v -> i.last_timestamp <- v);
     t.wraps <- Json.int_field fields "cs_wraps";
-    t.timestamp_updates <- Json.int_field fields "cs_timestamp_updates";
-    t.timestamp_event_log <- []
+    t.timestamp_updates <- Json.int_field fields "cs_timestamp_updates"
 end
 
 module Ranking = struct

@@ -79,11 +79,10 @@ let test_varbatch_on_already_batched () =
   (* VarBatch on an already-batched power-of-two instance still works
      (it re-batches at half the bound). *)
   let i = Instance.make ~delta:2 ~bounds:[| 4 |] ~arrivals:[ (0, [ (0, 3) ]) ] () in
-  match Rrs_core.Var_batch.run ~n:8 i with
+  check "half bound" 2 (Rrs_core.Var_batch.transform i).bounds.(0);
+  match Rrs_core.Solver.solve ~pipeline:Var_batched ~n:8 i with
   | Error e -> Alcotest.fail e
-  | Ok result ->
-      check_bool "valid" true (Schedule.validate result.schedule = Ok ());
-      check "half bound" 2 result.batched_instance.Instance.bounds.(0)
+  | Ok { schedule; _ } -> check_bool "valid" true (Schedule.validate schedule = Ok ())
 
 let test_distribute_empty_request_rounds () =
   (* Batched instance with sparse, far-apart arrivals. *)
@@ -92,12 +91,12 @@ let test_distribute_empty_request_rounds () =
       ~arrivals:[ (0, [ (0, 20) ]); (64, [ (0, 20) ]) ]
       ()
   in
-  match Rrs_core.Distribute.run ~n:8 i with
+  match Rrs_core.Solver.solve ~pipeline:Distributed ~n:8 i with
   | Error e -> Alcotest.fail e
-  | Ok result ->
-      check_bool "valid" true (Schedule.validate result.schedule = Ok ());
+  | Ok { schedule; _ } ->
+      check_bool "valid" true (Schedule.validate schedule = Ok ());
       check "jobs conserved" 40
-        (Schedule.exec_count result.schedule + Schedule.drop_count result.schedule)
+        (Schedule.exec_count schedule + Schedule.drop_count schedule)
 
 let test_static_with_zero_jobs () =
   match Rrs_offline.Static_offline.run ~m:2 (Lazy.force empty) with

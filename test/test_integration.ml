@@ -114,9 +114,9 @@ let test_solver_stats_surface_epochs () =
   | Error e -> Alcotest.fail e
   | Ok outcome ->
       check_bool "epoch stat exposed" true
-        (List.mem_assoc "epochs" outcome.stats);
+        (List.mem_assoc "epochs" outcome.inner.stats);
       check_bool "drop split exposed" true
-        (List.mem_assoc "eligible_drops" outcome.stats)
+        (List.mem_assoc "eligible_drops" outcome.inner.stats)
 
 let test_render_timeline () =
   let i =

@@ -64,22 +64,21 @@ let prop_distribute_transform_sound =
              !subtotal = Instance.jobs_of_color instance parent)
            (List.init (Instance.num_colors instance) Fun.id))
 
+(* Lemma 4.2: the schedule replayed onto the original instance costs at
+   most the inner run on the transformed one, and executes (so drops)
+   exactly the inner run's jobs. *)
+let outer_at_most_inner pipeline instance =
+  match Solver.solve ~pipeline ~n:8 instance with
+  | Error e -> QCheck2.Test.fail_report e
+  | Ok { schedule; cost; inner; _ } ->
+      Schedule.validate schedule = Ok ()
+      && cost <= Rrs_sim.Ledger.total_cost inner.ledger
+      && Schedule.exec_count schedule = Rrs_sim.Ledger.exec_count inner.ledger
+      && Schedule.drop_count schedule = Rrs_sim.Ledger.drop_count inner.ledger
+
 let prop_distribute_outer_at_most_inner =
-  (* Lemma 4.2: the relabeled schedule costs at most the inner one, and
-     executes exactly as many jobs. *)
   QCheck2.Test.make ~name:"distribute: outer cost <= inner cost (Lemma 4.2)"
-    ~count:60 H.gen_batched (fun instance ->
-      match Distribute.run ~n:8 instance with
-      | Error e -> QCheck2.Test.fail_report e
-      | Ok result ->
-          let inner_cost = Rrs_sim.Ledger.total_cost result.inner.ledger in
-          let outer_cost = Distribute.cost result in
-          Schedule.validate result.schedule = Ok ()
-          && outer_cost <= inner_cost
-          && Schedule.exec_count result.schedule
-             = Rrs_sim.Ledger.exec_count result.inner.ledger
-          && Schedule.drop_count result.schedule
-             = Rrs_sim.Ledger.drop_count result.inner.ledger)
+    ~count:60 H.gen_batched (outer_at_most_inner Solver.Distributed)
 
 (* ---- Var_batch ---- *)
 
@@ -124,15 +123,18 @@ let prop_varbatch_transform_feasible =
 let prop_varbatch_schedule_valid =
   QCheck2.Test.make ~name:"varbatch: end-to-end schedule validates on original"
     ~count:40 H.gen_unbatched (fun instance ->
-      match Var_batch.run ~n:8 instance with
+      match Solver.solve ~pipeline:Var_batched ~n:8 instance with
       | Error e -> QCheck2.Test.fail_report e
-      | Ok result ->
-          Schedule.validate result.schedule = Ok ()
+      | Ok { schedule; _ } ->
+          Schedule.validate schedule = Ok ()
           (* every executed job is executed within its original window:
              implied by validation, but also check drop conservation *)
-          && Schedule.drop_count result.schedule
-             + Schedule.exec_count result.schedule
+          && Schedule.drop_count schedule + Schedule.exec_count schedule
              = Instance.total_jobs instance)
+
+let prop_varbatch_outer_at_most_inner =
+  QCheck2.Test.make ~name:"varbatch: outer cost <= inner cost, same executions"
+    ~count:40 H.gen_unbatched (outer_at_most_inner Solver.Var_batched)
 
 (* ---- Solver ---- *)
 
@@ -211,6 +213,7 @@ let suite =
         quick "bound-1 passthrough" test_varbatch_bound_one_passthrough;
         prop prop_varbatch_transform_feasible;
         prop prop_varbatch_schedule_valid;
+        prop prop_varbatch_outer_at_most_inner;
       ] );
     ( "core.solver",
       [

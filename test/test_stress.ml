@@ -27,12 +27,12 @@ let test_large_varbatch_pipeline () =
     Rrs_workload.Random_workloads.unbatched ~seed:77 ~colors:24 ~delta:6
       ~bound_range:(3, 100) ~horizon:2048 ~load:0.5 ()
   in
-  match Rrs_core.Var_batch.run ~n:24 instance with
+  match Rrs_core.Solver.solve ~pipeline:Var_batched ~n:24 instance with
   | Error e -> Alcotest.fail e
-  | Ok result ->
-      check_bool "validates" true (Schedule.validate result.schedule = Ok ());
+  | Ok { schedule; _ } ->
+      check_bool "validates" true (Schedule.validate schedule = Ok ());
       check "jobs conserved" (Instance.total_jobs instance)
-        (Schedule.exec_count result.schedule + Schedule.drop_count result.schedule)
+        (Schedule.exec_count schedule + Schedule.drop_count schedule)
 
 let test_large_distribute_bursts () =
   (* Heavy bursts create many subcolors. *)
@@ -40,14 +40,13 @@ let test_large_distribute_bursts () =
     Rrs_workload.Random_workloads.uniform ~seed:5 ~colors:16 ~delta:4
       ~bound_log_range:(0, 3) ~horizon:1024 ~load:8.0 ~rate_limited:false ()
   in
-  match Rrs_core.Distribute.run ~n:16 instance with
+  let subcolors, _ = Rrs_core.Distribute.transform instance in
+  check_bool "many subcolors" true
+    (Instance.num_colors subcolors > Instance.num_colors instance);
+  match Rrs_core.Solver.solve ~pipeline:Distributed ~n:16 instance with
   | Error e -> Alcotest.fail e
-  | Ok result ->
-      check_bool "many subcolors" true
-        (Instance.num_colors result.inner_instance > Instance.num_colors instance);
-      check_bool "outer <= inner" true
-        (Rrs_core.Distribute.cost result
-        <= Ledger.total_cost result.inner.ledger)
+  | Ok { cost; inner; _ } ->
+      check_bool "outer <= inner" true (cost <= Ledger.total_cost inner.ledger)
 
 let test_timing_wheel_long_horizon () =
   let wheel = Rrs_ds.Timing_wheel.create ~horizon:4 () in
