@@ -644,6 +644,16 @@ let log_level_arg =
           "Server log threshold: debug, info, warn or error. Records are \
            single key=value lines on stderr.")
 
+(* Apply --log-level; an unknown level exits 1. *)
+let set_log_level text =
+  match Rrs_server.Slog.level_of_string text with
+  | Some level -> Rrs_server.Slog.set_level level
+  | None ->
+      Format.eprintf
+        "error: unknown --log-level %S (want debug, info, warn or error)@."
+        text;
+      exit 1
+
 let serve_cmd =
   let snap_dir =
     Arg.(
@@ -761,13 +771,7 @@ let serve_cmd =
       admission_mode log_level =
     let address = or_die (address_of_args socket tcp) in
     let max_wire = or_die (check_wire ~default:2 wire) in
-    (match Rrs_server.Slog.level_of_string log_level with
-    | Some level -> Rrs_server.Slog.set_level level
-    | None ->
-        Format.eprintf
-          "error: unknown --log-level %S (want debug, info, warn or error)@."
-          log_level;
-        exit 1);
+    set_log_level log_level;
     let metrics =
       Option.map (fun text -> or_die (parse_aux_address text)) metrics
     in
@@ -1359,6 +1363,60 @@ let top_cmd =
       const run $ verbose_arg $ socket_arg $ tcp_arg $ interval $ count $ slow
       $ wire $ timeout_ms)
 
+(* The router's flags default to [Router.default_config]: only a given
+   value overrides it, and a value below 1 exits 1. *)
+let router_defaults =
+  Rrs_server.Router.default_config
+    ~address:(Rrs_server.Server.Unix_socket "") ~shards:[]
+
+let router_flag name ~docv doc =
+  Arg.(value & opt (some int) None & info [ name ] ~docv ~doc)
+
+(* [config] with the router flags given; a value below 1 exits 1. *)
+let with_router_flags ?connect_timeout_ms ~timeout_ms ~fail_threshold
+    ~probe_interval_ms config =
+  let pick name given default =
+    match given with
+    | None -> default
+    | Some v when v >= 1 -> v
+    | Some v ->
+        Format.eprintf "error: --%s must be at least 1 (got %d)@." name v;
+        exit 1
+  in
+  {
+    config with
+    Rrs_server.Router.timeout_ms =
+      pick "timeout-ms" timeout_ms config.Rrs_server.Router.timeout_ms;
+    connect_timeout_ms =
+      pick "connect-timeout-ms" connect_timeout_ms config.connect_timeout_ms;
+    fail_threshold = pick "fail-threshold" fail_threshold config.fail_threshold;
+    probe_interval_ms =
+      pick "probe-interval-ms" probe_interval_ms config.probe_interval_ms;
+  }
+
+let router_timeout_ms =
+  router_flag "timeout-ms" ~docv:"MS"
+    (Printf.sprintf
+       "Per-backend-call deadline (default %d). A shard not answering \
+        within $(docv) counts as a failure; the client gets a clean error, \
+        never a hang."
+       router_defaults.timeout_ms)
+
+let router_fail_threshold =
+  router_flag "fail-threshold" ~docv:"K"
+    (Printf.sprintf
+       "Consecutive backend failures that trip a shard to 'down' (default \
+        %d). Down shards are refused immediately and re-admitted by \
+        background hello probes."
+       router_defaults.fail_threshold)
+
+let router_probe_interval_ms =
+  router_flag "probe-interval-ms" ~docv:"MS"
+    (Printf.sprintf
+       "First re-admission probe delay after a trip (default %d); later \
+        probes back off exponentially."
+       router_defaults.probe_interval_ms)
+
 let route_cmd =
   let shards =
     Arg.(
@@ -1382,37 +1440,10 @@ let route_cmd =
       & info [ "backend-wire" ] ~docv:"1|2"
           ~doc:"Framing spoken to the shards (default 2, binary).")
   in
-  let timeout_ms =
-    Arg.(
-      value & opt int 0
-      & info [ "timeout-ms" ] ~docv:"MS"
-          ~doc:
-            "Per-backend-call deadline (default 2000). A shard not \
-             answering within $(docv) counts as a failure; the client \
-             gets a clean error, never a hang.")
-  in
   let connect_timeout_ms =
-    Arg.(
-      value & opt int 0
-      & info [ "connect-timeout-ms" ] ~docv:"MS"
-          ~doc:"Backend connect budget (default 1000).")
-  in
-  let fail_threshold =
-    Arg.(
-      value & opt int 0
-      & info [ "fail-threshold" ] ~docv:"K"
-          ~doc:
-            "Consecutive backend failures that trip a shard to 'down' \
-             (default 3). Down shards are refused immediately and \
-             re-admitted by background hello probes.")
-  in
-  let probe_interval_ms =
-    Arg.(
-      value & opt int 0
-      & info [ "probe-interval-ms" ] ~docv:"MS"
-          ~doc:
-            "First re-admission probe delay after a trip (default 200); \
-             later probes back off exponentially.")
+    router_flag "connect-timeout-ms" ~docv:"MS"
+      (Printf.sprintf "Backend connect budget (default %d)."
+         router_defaults.connect_timeout_ms)
   in
   let replicas =
     Arg.(
@@ -1425,13 +1456,7 @@ let route_cmd =
       connect_timeout_ms fail_threshold probe_interval_ms replicas log_level =
     let address = or_die (address_of_args socket tcp) in
     let max_wire = or_die (check_wire ~default:2 wire) in
-    (match Rrs_server.Slog.level_of_string log_level with
-    | Some level -> Rrs_server.Slog.set_level level
-    | None ->
-        Format.eprintf
-          "error: unknown --log-level %S (want debug, info, warn or error)@."
-          log_level;
-        exit 1);
+    set_log_level log_level;
     if shards = [] then begin
       Format.eprintf "error: no shards (pass --shard at least once)@.";
       exit 1
@@ -1446,18 +1471,14 @@ let route_cmd =
         shards
     in
     let config =
-      {
-        (Rrs_server.Router.default_config ~address ~shards) with
-        Rrs_server.Router.max_wire;
-        backend_wire = or_die (check_wire ~default:2 backend_wire);
-        timeout_ms = (if timeout_ms > 0 then timeout_ms else 2000);
-        connect_timeout_ms =
-          (if connect_timeout_ms > 0 then connect_timeout_ms else 1000);
-        fail_threshold = (if fail_threshold > 0 then fail_threshold else 3);
-        probe_interval_ms =
-          (if probe_interval_ms > 0 then probe_interval_ms else 200);
-        replicas;
-      }
+      with_router_flags ?connect_timeout_ms ~timeout_ms ~fail_threshold
+        ~probe_interval_ms
+        {
+          (Rrs_server.Router.default_config ~address ~shards) with
+          Rrs_server.Router.max_wire;
+          backend_wire = or_die (check_wire ~default:2 backend_wire);
+          replicas;
+        }
     in
     match Rrs_server.Router.serve config with
     | () -> ()
@@ -1477,8 +1498,9 @@ let route_cmd =
           again.")
     Term.(
       const run $ verbose_arg $ socket_arg $ tcp_arg $ shards $ wire
-      $ backend_wire $ timeout_ms $ connect_timeout_ms $ fail_threshold
-      $ probe_interval_ms $ replicas $ log_level_arg)
+      $ backend_wire $ router_timeout_ms $ connect_timeout_ms
+      $ router_fail_threshold $ router_probe_interval_ms $ replicas
+      $ log_level_arg)
 
 let shard_set_cmd =
   let shards =
@@ -1505,24 +1527,6 @@ let shard_set_cmd =
              here) a kill -9 loses at most $(docv) rounds per session \
              (0 = the server's built-in default).")
   in
-  let timeout_ms =
-    Arg.(
-      value & opt int 0
-      & info [ "timeout-ms" ] ~docv:"MS"
-          ~doc:"Router per-backend-call deadline (default 2000).")
-  in
-  let fail_threshold =
-    Arg.(
-      value & opt int 0
-      & info [ "fail-threshold" ] ~docv:"K"
-          ~doc:"Consecutive failures tripping a shard down (default 3).")
-  in
-  let probe_interval_ms =
-    Arg.(
-      value & opt int 0
-      & info [ "probe-interval-ms" ] ~docv:"MS"
-          ~doc:"First re-admission probe delay (default 200).")
-  in
   let base_backoff_ms =
     Arg.(
       value & opt int 100
@@ -1535,13 +1539,11 @@ let shard_set_cmd =
   let run () socket tcp shards dir checkpoint_every timeout_ms fail_threshold
       probe_interval_ms base_backoff_ms log_level =
     let address = or_die (address_of_args socket tcp) in
-    (match Rrs_server.Slog.level_of_string log_level with
-    | Some level -> Rrs_server.Slog.set_level level
-    | None ->
-        Format.eprintf
-          "error: unknown --log-level %S (want debug, info, warn or error)@."
-          log_level;
-        exit 1);
+    set_log_level log_level;
+    let router_config =
+      with_router_flags ~timeout_ms ~fail_threshold ~probe_interval_ms
+        (Rrs_server.Router.default_config ~address ~shards:[])
+    in
     if shards < 1 then begin
       Format.eprintf "error: --shards must be at least 1@.";
       exit 1
@@ -1607,14 +1609,7 @@ let shard_set_cmd =
         shard_specs
     in
     let config =
-      {
-        (Rrs_server.Router.default_config ~address ~shards:router_shards) with
-        Rrs_server.Router.timeout_ms =
-          (if timeout_ms > 0 then timeout_ms else 2000);
-        fail_threshold = (if fail_threshold > 0 then fail_threshold else 3);
-        probe_interval_ms =
-          (if probe_interval_ms > 0 then probe_interval_ms else 200);
-      }
+      { router_config with Rrs_server.Router.shards = router_shards }
     in
     let stop_requested = Atomic.make false in
     let request_stop _signal = Atomic.set stop_requested true in
@@ -1648,8 +1643,8 @@ let shard_set_cmd =
           router's hello probe — sessions on other shards never notice.")
     Term.(
       const run $ verbose_arg $ socket_arg $ tcp_arg $ shards $ dir
-      $ checkpoint_every $ timeout_ms $ fail_threshold $ probe_interval_ms
-      $ base_backoff_ms $ log_level_arg)
+      $ checkpoint_every $ router_timeout_ms $ router_fail_threshold
+      $ router_probe_interval_ms $ base_backoff_ms $ log_level_arg)
 
 let () =
   let doc = "reconfigurable resource scheduling with variable delay bounds" in

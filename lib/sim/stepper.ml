@@ -73,23 +73,31 @@ let instantiate (module P : Policy.POLICY) ~n ~delta ~bounds =
     p_deserialize = (fun blob -> P.deserialize state blob);
   }
 
-(* A materialized-state checkpoint: the [rrs-snap/2] replay base.
-   Everything a fresh stepper needs to stand at [ck_round] as if it had
-   replayed rounds [0..ck_round-1]: the pool's deadline multisets, the
-   physical assignment, the offline set, the ledger counters, and the
-   policy's serialized internal state. Its size is bounded by the
-   instance (colors x distinct deadlines, locations, policy blob), never
-   by the rounds served. *)
+(* The scheduler state between rounds, as the paper's model has it:
+   each color's pending deadline multiset, each location's color, the
+   offline set and the ledger counters. Its size is bounded by the
+   instance (colors x distinct deadlines, locations), never by the
+   rounds served. A checkpoint's base and a snapshot's cross-check are
+   both this record, built by [state_of], written by [state_lines],
+   read by [state_of_lines] and compared by [verify]. *)
+type state = {
+  pending : (int * (int * int) list) list;
+      (* nonidle color -> deadline multiset, colors ascending *)
+  assignment : int array; (* -1 = unconfigured *)
+  offline : int list; (* ascending *)
+  reconfigs : int;
+  failed : int;
+  drops : int;
+  execs : int;
+}
+
+(* A checkpoint, the [rrs-snap/2] replay base: everything a fresh
+   stepper needs to stand at [ck_round] as if it had replayed rounds
+   [0..ck_round-1]. *)
 type checkpoint = {
   ck_round : int;
   ck_accepted : int;
-  ck_pending : (int * (int * int) list) list; (* color -> deadline multiset *)
-  ck_assignment : int array; (* -1 = unconfigured *)
-  ck_offline : int list;
-  ck_reconfigs : int;
-  ck_failed : int;
-  ck_drops : int;
-  ck_execs : int;
+  ck_state : state;
   ck_policy : string; (* the policy's [serialize] blob *)
 }
 
@@ -258,37 +266,38 @@ let pp_dropped =
     ~pp_sep:(fun ppf () -> Format.fprintf ppf " ")
     (fun ppf (c, k) -> Format.fprintf ppf "%d:%d" c k)
 
-let offline_list offline =
-  let acc = ref [] in
-  for location = Array.length offline - 1 downto 0 do
-    if offline.(location) then acc := location :: !acc
-  done;
-  !acc
-
-(* Materialize the current state as the new replay base and drop the
-   arrival history it supersedes. Called between rounds (the fed buffer
-   has been consumed), so the checkpoint is exactly "the state at the
-   start of round [t.round]". *)
-let take_checkpoint t =
+let state_of t =
   let pending = ref [] in
   for color = Array.length t.config.bounds - 1 downto 0 do
     match Job_pool.deadlines t.pool color with
     | [] -> ()
     | deadlines -> pending := (color, deadlines) :: !pending
   done;
+  let offline = ref [] in
+  for location = t.config.n - 1 downto 0 do
+    if t.offline.(location) then offline := location :: !offline
+  done;
+  {
+    pending = !pending;
+    assignment = Array.map (function None -> -1 | Some c -> c) t.assignment;
+    offline = !offline;
+    reconfigs = Ledger.reconfig_count t.ledger;
+    failed = Ledger.failed_reconfig_count t.ledger;
+    drops = Ledger.drop_count t.ledger;
+    execs = Ledger.exec_count t.ledger;
+  }
+
+(* Materialize the current state as the new replay base and drop the
+   arrival history it supersedes. Called between rounds (the fed buffer
+   has been consumed), so the checkpoint is exactly "the state at the
+   start of round [t.round]". *)
+let take_checkpoint t =
   t.base <-
     Some
       {
         ck_round = t.round;
         ck_accepted = t.accepted_jobs;
-        ck_pending = !pending;
-        ck_assignment =
-          Array.map (function None -> -1 | Some c -> c) t.assignment;
-        ck_offline = offline_list t.offline;
-        ck_reconfigs = Ledger.reconfig_count t.ledger;
-        ck_failed = Ledger.failed_reconfig_count t.ledger;
-        ck_drops = Ledger.drop_count t.ledger;
-        ck_execs = Ledger.exec_count t.ledger;
+        ck_state = state_of t;
         ck_policy = t.pi.p_serialize ();
       };
   t.history <- []
@@ -461,124 +470,104 @@ let finish t =
    The document's source of truth for restore is the deterministic replay
    section: config + fault plan + a replay base + the arrivals to replay
    on top of it + the still buffered feed. The base is the latest
-   materialized-state checkpoint ([base_*] lines) and the arrivals are
-   only those consumed since it; a stepper that has not checkpointed
-   (or never does, [checkpoint_every = 0]) writes no [base_*] lines and
-   replays from round 0. The legacy rrs-snap/1 header lacks
-   [checkpoint_every] and its document never has a base. Either way the
-   [check_*] lines carry the current materialized scheduler state (pool
-   deadlines, assignment, offline set, ledger counters); [restore]
-   replays and cross-checks them, so a snapshot that does not reproduce
+   checkpoint ([base] header, its [state] as [base_*] lines, the policy
+   blob) and the arrivals are only those consumed since it; a stepper
+   that has not checkpointed (or never does, [checkpoint_every = 0])
+   writes no base and replays from round 0. The legacy rrs-snap/1 header
+   lacks [checkpoint_every] and its document never has a base. Either
+   way the [check_*] lines carry the current [state]; [restore] replays
+   and cross-checks it, so a snapshot that does not reproduce
    (nondeterministic policy, a policy-serialization bug, version drift)
    fails loudly instead of silently diverging. *)
 
-let ints_to_json array =
-  let buffer = Buffer.create 64 in
+(* Append [fmt]'s output and a newline to [buffer]. *)
+let line buffer fmt =
+  Printf.kbprintf (fun b -> Buffer.add_char b '\n') buffer fmt
+
+(* A JSON int array of [get] over [items], for [%a]. *)
+let column get buffer items =
   Buffer.add_char buffer '[';
-  Array.iteri
-    (fun i v ->
+  List.iteri
+    (fun i item ->
       if i > 0 then Buffer.add_char buffer ',';
-      Buffer.add_string buffer (string_of_int v))
-    array;
-  Buffer.add_char buffer ']';
-  Buffer.contents buffer
+      Buffer.add_string buffer (string_of_int (get item)))
+    items;
+  Buffer.add_char buffer ']'
 
-let request_fields request =
-  let colors = Array.of_list (List.map fst request) in
-  let counts = Array.of_list (List.map snd request) in
-  Printf.sprintf "\"colors\":%s,\"counts\":%s" (ints_to_json colors)
-    (ints_to_json counts)
+let ints buffer array = column Fun.id buffer (Array.to_list array)
 
-let pending_fields deadlines =
-  let ds = Array.of_list (List.map fst deadlines) in
-  let ks = Array.of_list (List.map snd deadlines) in
-  Printf.sprintf "\"deadlines\":%s,\"counts\":%s" (ints_to_json ds)
-    (ints_to_json ks)
+(* [(color, count)] arrivals or [(deadline, count)] runs as two columns. *)
+let pairs keys buffer items =
+  Printf.bprintf buffer "\"%s\":%a,\"counts\":%a" keys (column fst) items
+    (column snd) items
+
+(* The [<kind>_*] lines of [s]; only the cross-check's counters carry the
+   total cost. *)
+let state_lines buffer ~kind ?cost s =
+  List.iter
+    (fun (color, deadlines) ->
+      line buffer "{\"type\":\"%s_pending\",\"color\":%d,%a}" kind color
+        (pairs "deadlines") deadlines)
+    s.pending;
+  line buffer "{\"type\":\"%s_assignment\",\"colors\":%a}" kind ints
+    s.assignment;
+  if s.offline <> [] then
+    line buffer "{\"type\":\"%s_offline\",\"locations\":%a}" kind
+      (column Fun.id) s.offline;
+  line buffer
+    "{\"type\":\"%s_counters\",\"reconfigs\":%d,\"failed\":%d,\"drops\":%d,\
+     \"execs\":%d%t}"
+    kind s.reconfigs s.failed s.drops s.execs (fun buffer ->
+      Option.iter (Printf.bprintf buffer ",\"cost\":%d") cost)
 
 let snapshot t =
   let buffer = Buffer.create 1024 in
-  let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buffer s;
-                                   Buffer.add_char buffer '\n') fmt in
-  line
-    "{\"schema\":%s,\"name\":%s,\"delta\":%d,\"n\":%d,\"speed\":%d,\
-     \"horizon\":%d,\"bounds\":%s,\"policy\":%s,\"round\":%d,\
+  line buffer
+    "{\"schema\":%a,\"name\":%a,\"delta\":%d,\"n\":%d,\"speed\":%d,\
+     \"horizon\":%d,\"bounds\":%a,\"policy\":%a,\"round\":%d,\
      \"accepted\":%d,\"checkpoint_every\":%d}"
-    (Json.escape snapshot_schema)
-    (Json.escape t.config.name)
-    t.config.delta t.config.n t.config.speed t.config.horizon
-    (ints_to_json t.config.bounds)
-    (Json.escape t.pi.p_name)
-    t.round t.accepted_jobs t.checkpoint_every;
-  (match t.fault_plan with
-  | None -> ()
-  | Some plan ->
+    Json.escape_into snapshot_schema Json.escape_into t.config.name
+    t.config.delta t.config.n t.config.speed t.config.horizon ints
+    t.config.bounds Json.escape_into t.pi.p_name t.round t.accepted_jobs
+    t.checkpoint_every;
+  Option.iter
+    (fun plan ->
       List.iter
         (fun { Fault.location; from_round; until_round } ->
-          line
+          line buffer
             "{\"type\":\"fault_crash\",\"location\":%d,\"from\":%d,\
              \"until\":%d}"
             location from_round until_round)
         plan.Fault.crashes;
       List.iter
         (fun { Fault.rf_round; rf_location } ->
-          line "{\"type\":\"fault_reconfig\",\"round\":%d,\"location\":%d}"
+          line buffer
+            "{\"type\":\"fault_reconfig\",\"round\":%d,\"location\":%d}"
             rf_round rf_location)
-        plan.Fault.reconfig_failures);
+        plan.Fault.reconfig_failures)
+    t.fault_plan;
   (* The replay base: restore seeds this state directly instead of
      replaying rounds [0..base.round-1]. *)
-  (match t.base with
-  | None -> ()
-  | Some ck ->
-      line "{\"type\":\"base\",\"round\":%d,\"accepted\":%d}" ck.ck_round
-        ck.ck_accepted;
-      List.iter
-        (fun (color, deadlines) ->
-          line "{\"type\":\"base_pending\",\"color\":%d,%s}" color
-            (pending_fields deadlines))
-        ck.ck_pending;
-      line "{\"type\":\"base_assignment\",\"colors\":%s}"
-        (ints_to_json ck.ck_assignment);
-      if ck.ck_offline <> [] then
-        line "{\"type\":\"base_offline\",\"locations\":%s}"
-          (ints_to_json (Array.of_list ck.ck_offline));
-      line
-        "{\"type\":\"base_counters\",\"reconfigs\":%d,\"failed\":%d,\
-         \"drops\":%d,\"execs\":%d}"
-        ck.ck_reconfigs ck.ck_failed ck.ck_drops ck.ck_execs;
-      line "{\"type\":\"base_policy\",\"blob\":%s}" (Json.escape ck.ck_policy));
+  Option.iter
+    (fun ck ->
+      line buffer "{\"type\":\"base\",\"round\":%d,\"accepted\":%d}"
+        ck.ck_round ck.ck_accepted;
+      state_lines buffer ~kind:"base" ck.ck_state;
+      line buffer "{\"type\":\"base_policy\",\"blob\":%a}" Json.escape_into
+        ck.ck_policy)
+    t.base;
   List.iter
     (fun (round, request) ->
-      line "{\"type\":\"arrival\",\"round\":%d,%s}" round
-        (request_fields request))
+      line buffer "{\"type\":\"arrival\",\"round\":%d,%a}" round
+        (pairs "colors") request)
     (List.rev t.history);
   (match buffered_request t with
   | [] -> ()
-  | request -> line "{\"type\":\"buffered\",%s}" (request_fields request));
-  Array.iteri
-    (fun color _ ->
-      match Job_pool.deadlines t.pool color with
-      | [] -> ()
-      | deadlines ->
-          line "{\"type\":\"check_pending\",\"color\":%d,%s}" color
-            (pending_fields deadlines))
-    t.config.bounds;
-  line "{\"type\":\"check_assignment\",\"colors\":%s}"
-    (ints_to_json
-       (Array.map (function None -> -1 | Some c -> c) t.assignment));
-  (match offline_list t.offline with
-  | [] -> ()
-  | offline ->
-      line "{\"type\":\"check_offline\",\"locations\":%s}"
-        (ints_to_json (Array.of_list offline)));
-  line
-    "{\"type\":\"check_counters\",\"reconfigs\":%d,\"failed\":%d,\
-     \"drops\":%d,\"execs\":%d,\"cost\":%d}"
-    (Ledger.reconfig_count t.ledger)
-    (Ledger.failed_reconfig_count t.ledger)
-    (Ledger.drop_count t.ledger)
-    (Ledger.exec_count t.ledger)
-    (Ledger.total_cost t.ledger);
-  line "{\"type\":\"end\"}";
+  | request ->
+      line buffer "{\"type\":\"buffered\",%a}" (pairs "colors") request);
+  state_lines buffer ~kind:"check" ~cost:(Ledger.total_cost t.ledger)
+    (state_of t);
+  line buffer "{\"type\":\"end\"}";
   Buffer.contents buffer
 
 let save t ~path = Atomic_file.write ~path (snapshot t)
@@ -595,25 +584,57 @@ type parsed_snapshot = {
   ps_base : checkpoint option; (* the replay base, when present *)
   ps_arrivals : (int * Types.request) list; (* chronological *)
   ps_buffered : Types.request;
-  ps_pending : (int * (int * int) list) list; (* color -> deadline multiset *)
-  ps_assignment : int array;
-  ps_offline : int list;
-  ps_counters : int * int * int * int; (* reconfigs, failed, drops, execs *)
+  ps_check : state; (* the state the replay must reach *)
 }
 
-let parse_request fields =
-  let colors = Json.ints_field fields "colors" in
+let parse_error fmt = Printf.ksprintf (fun m -> raise (Json.Parse_error m)) fmt
+
+let parse_pairs fields keys =
+  let firsts = Json.ints_field fields keys in
   let counts = Json.ints_field fields "counts" in
-  if Array.length colors <> Array.length counts then
-    raise (Json.Parse_error "colors/counts length mismatch");
-  Array.to_list (Array.map2 (fun c k -> (c, k)) colors counts)
+  if Array.length firsts <> Array.length counts then
+    parse_error "%s/counts length mismatch" keys;
+  Array.to_list (Array.map2 (fun x k -> (x, k)) firsts counts)
+
+(* One section's [state] from [sections], the [(kind, (part, fields))]
+   of its [<kind>_<part>] lines, newest first; every part but [pending]
+   occurs at most once, as [parse_snapshot] checks. *)
+let state_of_lines ~kind sections =
+  let lines =
+    List.rev_map snd (List.filter (fun (k, _) -> k = kind) sections)
+  in
+  let part name =
+    match List.assoc_opt name lines with
+    | Some fields -> fields
+    | None -> parse_error "snapshot missing %s_%s" kind name
+  in
+  let assignment = Json.ints_field (part "assignment") "colors" in
+  let counters = part "counters" in
+  {
+    pending =
+      List.filter_map
+        (fun (name, fields) ->
+          if name <> "pending" then None
+          else
+            Some
+              (Json.int_field fields "color", parse_pairs fields "deadlines"))
+        lines;
+    assignment;
+    offline =
+      (match List.assoc_opt "offline" lines with
+      | None -> []
+      | Some fields -> Array.to_list (Json.ints_field fields "locations"));
+    reconfigs = Json.int_field counters "reconfigs";
+    failed = Json.int_field counters "failed";
+    drops = Json.int_field counters "drops";
+    execs = Json.int_field counters "execs";
+  }
 
 let parse_snapshot text =
-  let lines =
+  match
     String.split_on_char '\n' text
     |> List.filter (fun line -> String.trim line <> "")
-  in
-  match lines with
+  with
   | [] -> Error "empty snapshot (no schema header)"
   | header :: rest -> (
       try
@@ -622,299 +643,200 @@ let parse_snapshot text =
         (* The legacy read-only schema: no checkpoint interval, no base. *)
         let schema_v1 = "rrs-snap/1" in
         if schema <> snapshot_schema && schema <> schema_v1 then
-          Error
-            (Printf.sprintf "unsupported snapshot schema %S (want %S or %S)"
-               schema snapshot_schema schema_v1)
-        else begin
-          let v1 = schema = schema_v1 in
-          let ps_config =
-            {
-              name = Json.str_field fields "name";
-              delta = Json.int_field fields "delta";
-              n = Json.int_field fields "n";
-              speed = Json.int_field fields "speed";
-              horizon = Json.int_field fields "horizon";
-              bounds = Json.ints_field fields "bounds";
-            }
-          in
-          let ps_policy = Json.str_field fields "policy" in
-          let ps_round = Json.int_field fields "round" in
-          let ps_accepted = Json.int_field fields "accepted" in
-          let ps_checkpoint_every =
-            if v1 then 0 else Json.int_field fields "checkpoint_every"
-          in
-          let crashes = ref [] and fault_reconfigs = ref [] in
-          let arrivals = ref [] and buffered = ref [] in
-          let pending = ref [] and offline = ref [] in
-          let assignment = ref None and counters = ref None in
-          let base_header = ref None and base_pending = ref [] in
-          let base_assignment = ref None and base_offline = ref [] in
-          let base_counters = ref None and base_policy = ref None in
-          let only_v2 kind =
-            if v1 then
-              raise
-                (Json.Parse_error
-                   (Printf.sprintf "%S line in an rrs-snap/1 document" kind))
-          in
-          let ended = ref false in
-          List.iteri
-            (fun index line ->
-              if !ended then
-                raise
-                  (Json.Parse_error
-                     (Printf.sprintf "line %d: content after end" (index + 2)));
-              let fields = Json.parse_fields line in
-              match Json.str_field fields "type" with
-              | "fault_crash" ->
-                  crashes :=
-                    {
-                      Fault.location = Json.int_field fields "location";
-                      from_round = Json.int_field fields "from";
-                      until_round = Json.int_field fields "until";
-                    }
-                    :: !crashes
-              | "fault_reconfig" ->
-                  fault_reconfigs :=
-                    {
-                      Fault.rf_round = Json.int_field fields "round";
-                      rf_location = Json.int_field fields "location";
-                    }
-                    :: !fault_reconfigs
-              | "arrival" ->
-                  arrivals :=
-                    (Json.int_field fields "round", parse_request fields)
-                    :: !arrivals
-              | "buffered" -> buffered := parse_request fields
-              | "base" ->
-                  only_v2 "base";
-                  base_header :=
-                    Some
-                      ( Json.int_field fields "round",
-                        Json.int_field fields "accepted" )
-              | "base_pending" ->
-                  only_v2 "base_pending";
-                  let color = Json.int_field fields "color" in
-                  let ds = Json.ints_field fields "deadlines" in
-                  let ks = Json.ints_field fields "counts" in
-                  if Array.length ds <> Array.length ks then
-                    raise
-                      (Json.Parse_error "deadlines/counts length mismatch");
-                  base_pending :=
-                    ( color,
-                      Array.to_list (Array.map2 (fun d k -> (d, k)) ds ks) )
-                    :: !base_pending
-              | "base_assignment" ->
-                  only_v2 "base_assignment";
-                  base_assignment := Some (Json.ints_field fields "colors")
-              | "base_offline" ->
-                  only_v2 "base_offline";
-                  base_offline :=
-                    Array.to_list (Json.ints_field fields "locations")
-              | "base_counters" ->
-                  only_v2 "base_counters";
-                  base_counters :=
-                    Some
-                      ( Json.int_field fields "reconfigs",
-                        Json.int_field fields "failed",
-                        Json.int_field fields "drops",
-                        Json.int_field fields "execs" )
-              | "base_policy" ->
-                  only_v2 "base_policy";
-                  base_policy := Some (Json.str_field fields "blob")
-              | "check_pending" ->
-                  let color = Json.int_field fields "color" in
-                  let ds = Json.ints_field fields "deadlines" in
-                  let ks = Json.ints_field fields "counts" in
-                  if Array.length ds <> Array.length ks then
-                    raise
-                      (Json.Parse_error "deadlines/counts length mismatch");
-                  pending :=
-                    ( color,
-                      Array.to_list (Array.map2 (fun d k -> (d, k)) ds ks) )
-                    :: !pending
-              | "check_assignment" ->
-                  assignment := Some (Json.ints_field fields "colors")
-              | "check_offline" ->
-                  offline :=
-                    Array.to_list (Json.ints_field fields "locations")
-              | "check_counters" ->
-                  counters :=
-                    Some
-                      ( Json.int_field fields "reconfigs",
-                        Json.int_field fields "failed",
-                        Json.int_field fields "drops",
-                        Json.int_field fields "execs" )
-              | "end" -> ended := true
-              | other ->
-                  raise
-                    (Json.Parse_error
-                       (Printf.sprintf "line %d: unknown snapshot line %S"
-                          (index + 2) other)))
-            rest;
-          if not !ended then Error "truncated snapshot (no end line)"
-          else
-            let base =
-              match !base_header with
-              | None ->
-                  if
-                    !base_pending <> [] || !base_assignment <> None
-                    || !base_offline <> [] || !base_counters <> None
-                    || !base_policy <> None
-                  then Error "base_* lines without a base line"
-                  else Ok None
-              | Some (ck_round, ck_accepted) -> (
-                  match (!base_assignment, !base_counters, !base_policy) with
-                  | None, _, _ -> Error "snapshot missing base_assignment"
-                  | _, None, _ -> Error "snapshot missing base_counters"
-                  | _, _, None -> Error "snapshot missing base_policy"
-                  | ( Some ck_assignment,
-                      Some (ck_reconfigs, ck_failed, ck_drops, ck_execs),
-                      Some ck_policy ) ->
-                      Ok
-                        (Some
-                           {
-                             ck_round;
-                             ck_accepted;
-                             ck_pending = List.rev !base_pending;
-                             ck_assignment;
-                             ck_offline = !base_offline;
-                             ck_reconfigs;
-                             ck_failed;
-                             ck_drops;
-                             ck_execs;
-                             ck_policy;
-                           }))
+          parse_error "unsupported snapshot schema %S (want %S or %S)" schema
+            snapshot_schema schema_v1;
+        let v1 = schema = schema_v1 in
+        let ps_config =
+          {
+            name = Json.str_field fields "name";
+            delta = Json.int_field fields "delta";
+            n = Json.int_field fields "n";
+            speed = Json.int_field fields "speed";
+            horizon = Json.int_field fields "horizon";
+            bounds = Json.ints_field fields "bounds";
+          }
+        in
+        let ps_policy = Json.str_field fields "policy" in
+        let ps_round = Json.int_field fields "round" in
+        let ps_accepted = Json.int_field fields "accepted" in
+        let ps_checkpoint_every =
+          if v1 then 0 else Json.int_field fields "checkpoint_every"
+        in
+        let crashes = ref [] and fault_reconfigs = ref [] in
+        let arrivals = ref [] and buffered = ref [] in
+        let base_header = ref None and base_policy = ref None in
+        let sections = ref [] and seen = ref [] and ended = ref false in
+        List.iteri
+          (fun index line ->
+            let number = index + 2 in
+            if !ended then parse_error "line %d: content after end" number;
+            let fields = Json.parse_fields line in
+            let kind = Json.str_field fields "type" in
+            (match kind with
+            | "fault_crash" | "fault_reconfig" | "arrival" | "base_pending"
+            | "check_pending" -> ()
+            | _ ->
+                if List.mem kind !seen then
+                  parse_error "line %d: repeated %s line" number kind;
+                seen := kind :: !seen);
+            let only_v2 () =
+              if v1 then parse_error "%S line in an rrs-snap/1 document" kind
             in
-            match (base, !assignment, !counters) with
-            | Error message, _, _ -> Error message
-            | _, None, _ -> Error "snapshot missing check_assignment"
-            | _, _, None -> Error "snapshot missing check_counters"
-            | Ok base, Some assignment, Some counters ->
-                let faults =
-                  if !crashes = [] && !fault_reconfigs = [] then None
-                  else
-                    Some
-                      (Fault.make ~name:"restored"
-                         ~crashes:(List.rev !crashes)
-                         ~reconfig_failures:(List.rev !fault_reconfigs) ())
-                in
-                Ok
+            match kind with
+            | "fault_crash" ->
+                crashes :=
                   {
-                    ps_checkpoint_every;
-                    ps_config;
-                    ps_policy;
-                    ps_round;
-                    ps_accepted;
-                    ps_faults = faults;
-                    ps_base = base;
-                    ps_arrivals = List.rev !arrivals;
-                    ps_buffered = !buffered;
-                    ps_pending = List.rev !pending;
-                    ps_assignment = assignment;
-                    ps_offline = !offline;
-                    ps_counters = counters;
+                    Fault.location = Json.int_field fields "location";
+                    from_round = Json.int_field fields "from";
+                    until_round = Json.int_field fields "until";
                   }
-        end
-      with
-      | Json.Parse_error message -> Error message
-      | Fault.Invalid message -> Error message)
+                  :: !crashes
+            | "fault_reconfig" ->
+                fault_reconfigs :=
+                  {
+                    Fault.rf_round = Json.int_field fields "round";
+                    rf_location = Json.int_field fields "location";
+                  }
+                  :: !fault_reconfigs
+            | "arrival" ->
+                arrivals :=
+                  (Json.int_field fields "round", parse_pairs fields "colors")
+                  :: !arrivals
+            | "buffered" -> buffered := parse_pairs fields "colors"
+            | "base" ->
+                only_v2 ();
+                base_header :=
+                  Some
+                    ( Json.int_field fields "round",
+                      Json.int_field fields "accepted" )
+            | "base_policy" ->
+                only_v2 ();
+                base_policy := Some (Json.str_field fields "blob")
+            | "end" -> ended := true
+            | _ -> (
+                match String.split_on_char '_' kind with
+                | [ section; ("pending" | "assignment" | "offline" | "counters")
+                    as part ]
+                  when section = "base" || section = "check" ->
+                    if section = "base" then only_v2 ();
+                    sections := (section, (part, fields)) :: !sections
+                | _ ->
+                    parse_error "line %d: unknown snapshot line %S" number
+                      kind))
+          rest;
+        if not !ended then parse_error "truncated snapshot (no end line)";
+        let ps_base =
+          match (!base_header, !base_policy) with
+          | None, None when not (List.mem_assoc "base" !sections) -> None
+          | None, _ -> parse_error "base_* lines without a base line"
+          | Some (ck_round, ck_accepted), policy ->
+              let ck_state = state_of_lines ~kind:"base" !sections in
+              let ck_policy =
+                match policy with
+                | Some blob -> blob
+                | None -> parse_error "snapshot missing base_policy"
+              in
+              Some { ck_round; ck_accepted; ck_state; ck_policy }
+        in
+        let ps_check = state_of_lines ~kind:"check" !sections in
+        Ok
+          {
+            ps_checkpoint_every;
+            ps_config;
+            ps_policy;
+            ps_round;
+            ps_accepted;
+            ps_faults =
+              (if !crashes = [] && !fault_reconfigs = [] then None
+               else
+                 Some
+                   (Fault.make ~name:"restored" ~crashes:(List.rev !crashes)
+                      ~reconfig_failures:(List.rev !fault_reconfigs) ()));
+            ps_base;
+            ps_arrivals = List.rev !arrivals;
+            ps_buffered = !buffered;
+            ps_check;
+          }
+      with Json.Parse_error message | Fault.Invalid message -> Error message)
 
 let check message condition = if condition then Ok () else Error message
 
 let ( let* ) = Result.bind
 
+(* The replayed state against the document's cross-check, part by part. *)
 let verify t ps =
-  let reconfigs, failed, drops, execs = ps.ps_counters in
-  let* () =
-    check
-      (Printf.sprintf
-         "snapshot check failed: replayed counters \
-          (reconfigs=%d failed=%d drops=%d execs=%d) differ from snapshot \
-          (reconfigs=%d failed=%d drops=%d execs=%d)"
-         (Ledger.reconfig_count t.ledger)
-         (Ledger.failed_reconfig_count t.ledger)
-         (Ledger.drop_count t.ledger)
-         (Ledger.exec_count t.ledger)
-         reconfigs failed drops execs)
-      (Ledger.reconfig_count t.ledger = reconfigs
-      && Ledger.failed_reconfig_count t.ledger = failed
-      && Ledger.drop_count t.ledger = drops
-      && Ledger.exec_count t.ledger = execs)
+  let live = state_of t and snap = ps.ps_check in
+  let failed fmt =
+    Printf.ksprintf (fun m -> Error ("snapshot check failed: " ^ m)) fmt
   in
   let* () =
-    check "snapshot check failed: accepted-job count differs"
-      (t.accepted_jobs = ps.ps_accepted)
-  in
-  let replayed =
-    Array.map (function None -> -1 | Some c -> c) t.assignment
-  in
-  let* () =
-    check "snapshot check failed: assignment differs" (replayed = ps.ps_assignment)
-  in
-  let offline =
-    Array.to_list t.offline
-    |> List.mapi (fun i o -> if o then Some i else None)
-    |> List.filter_map Fun.id
-  in
-  let* () =
-    check "snapshot check failed: offline set differs"
-      (offline = ps.ps_offline)
-  in
-  let rec check_pending = function
-    | [] -> Ok ()
-    | (color, deadlines) :: rest ->
-        if
-          color >= 0
-          && color < Array.length t.config.bounds
-          && Job_pool.deadlines t.pool color = deadlines
-        then check_pending rest
-        else
-          Error
-            (Printf.sprintf
-               "snapshot check failed: pending multiset of color %d differs"
-               color)
-  in
-  let* () = check_pending ps.ps_pending in
-  (* Every color absent from the snapshot must be idle after replay. *)
-  let listed = List.map fst ps.ps_pending in
-  let rec check_idle color =
-    if color >= Array.length t.config.bounds then Ok ()
-    else if List.mem color listed || Job_pool.pending t.pool color = 0 then
-      check_idle (color + 1)
+    if
+      live.reconfigs = snap.reconfigs && live.failed = snap.failed
+      && live.drops = snap.drops && live.execs = snap.execs
+    then Ok ()
     else
-      Error
-        (Printf.sprintf
-           "snapshot check failed: color %d pending after replay but idle in \
-            snapshot"
-           color)
+      failed
+        "replayed counters (reconfigs=%d failed=%d drops=%d execs=%d) differ \
+         from snapshot (reconfigs=%d failed=%d drops=%d execs=%d)"
+        live.reconfigs live.failed live.drops live.execs snap.reconfigs
+        snap.failed snap.drops snap.execs
   in
-  check_idle 0
+  if t.accepted_jobs <> ps.ps_accepted then failed "accepted-job count differs"
+  else if live.assignment <> snap.assignment then failed "assignment differs"
+  else if live.offline <> snap.offline then failed "offline set differs"
+  else
+    let num_colors = Array.length t.config.bounds in
+    let differs (color, deadlines) =
+      color < 0 || color >= num_colors
+      || Option.value ~default:[] (List.assoc_opt color live.pending)
+         <> deadlines
+    in
+    match List.find_opt differs snap.pending with
+    | Some (color, _) -> failed "pending multiset of color %d differs" color
+    | None -> (
+        match
+          List.find_opt
+            (fun (color, _) -> not (List.mem_assoc color snap.pending))
+            live.pending
+        with
+        | Some (color, _) ->
+            failed "color %d pending after replay but idle in snapshot" color
+        | None -> Ok ())
 
 (* Install a checkpoint into a freshly created stepper: re-add the
-   pending jobs (deadlines are >= ck_round >= 0, so a fresh pool accepts
-   them; the next [step]'s drop phase advances the wheel), blit the
+   pending jobs (the pool accepts them: each lies in the window
+   [ck_round, ck_round + D - 1] a live pool holds at that round, checked
+   here; the next [step]'s drop phase advances the wheel), blit the
    assignment/offline sets, seed the ledger counters, apply the policy
    blob, and mark the trace as checkpoint-seeded so readers can reconcile
    the partial event stream. *)
 let seed_checkpoint t ck =
-  if Array.length ck.ck_assignment <> t.config.n then
+  let s = ck.ck_state and num_colors = Array.length t.config.bounds in
+  if Array.length s.assignment <> t.config.n then
     failwith "base_assignment length differs from n";
   List.iter
     (fun (color, deadlines) ->
-      if color < 0 || color >= Array.length t.config.bounds then
+      if color < 0 || color >= num_colors then
         failwith (Printf.sprintf "base_pending of unknown color %d" color);
+      let last = ck.ck_round + t.config.bounds.(color) - 1 in
       List.iter
-        (fun (deadline, count) -> Job_pool.add t.pool ~color ~deadline ~count)
+        (fun (deadline, count) ->
+          if deadline < ck.ck_round || deadline > last then
+            failwith
+              (Printf.sprintf
+                 "base_pending of color %d has deadline %d outside %d..%d"
+                 color deadline ck.ck_round last);
+          Job_pool.add t.pool ~color ~deadline ~count)
         deadlines)
-    ck.ck_pending;
+    s.pending;
   Array.iteri
     (fun location c ->
-      if c < -1 || c >= Array.length t.config.bounds then
+      if c < -1 || c >= num_colors then
         failwith
           (Printf.sprintf "base_assignment of unknown color %d at location %d"
              c location);
       t.assignment.(location) <- (if c < 0 then None else Some c))
-    ck.ck_assignment;
+    s.assignment;
   List.iter
     (fun location ->
       if location < 0 || location >= t.config.n then
@@ -924,16 +846,15 @@ let seed_checkpoint t ck =
         t.offline.(location) <- true;
         t.offline_count <- t.offline_count + 1
       end)
-    ck.ck_offline;
-  Ledger.seed t.ledger ~reconfigs:ck.ck_reconfigs ~failed:ck.ck_failed
-    ~drops:ck.ck_drops ~execs:ck.ck_execs;
+    s.offline;
+  Ledger.seed t.ledger ~reconfigs:s.reconfigs ~failed:s.failed ~drops:s.drops
+    ~execs:s.execs;
   t.round <- ck.ck_round;
   t.accepted_jobs <- ck.ck_accepted;
   t.pi.p_deserialize ck.ck_policy;
   t.base <- Some ck;
-  Event_sink.write_restored t.sink ~round:ck.ck_round
-    ~reconfigs:ck.ck_reconfigs ~failed:ck.ck_failed ~drops:ck.ck_drops
-    ~execs:ck.ck_execs
+  Event_sink.write_restored t.sink ~round:ck.ck_round ~reconfigs:s.reconfigs
+    ~failed:s.failed ~drops:s.drops ~execs:s.execs
 
 let restore ?record_events ?sink ?probes ?profile ?label ?checkpoint_every
     ~policy:(module P : Policy.POLICY) text =

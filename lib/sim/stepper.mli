@@ -23,17 +23,18 @@
     plan, a replay base and the arrivals consumed since that base, and
     restore re-runs them round by round (policies are deterministic, so
     this reconstructs the policy's live state exactly). The document
-    also carries the current materialized state (pool deadline
-    multisets, assignment, offline set, ledger counters); restore
-    cross-checks the replay against them and fails loudly on any
-    mismatch rather than continuing from a diverged state.
+    also carries the current scheduler state ([check_*] lines): each
+    color's pending deadline multiset, the assignment, the offline set
+    and the ledger counters. Restore cross-checks the replay against it
+    and fails loudly on any mismatch rather than continuing from a
+    diverged state.
 
     Every stepper writes [rrs-snap/2]. With [checkpoint_every = K]
-    (> 0), every K-th round the stepper materializes its state — pool,
-    assignment, offline set, ledger counters, and the policy's
-    {!Policy.POLICY.serialize} blob — as the new replay base and drops
-    the arrival history it supersedes. Snapshots then embed the
-    checkpoint ([base_*] lines) plus at most K rounds of arrivals, so
+    (> 0), every K-th round the stepper takes that same state record,
+    with the policy's {!Policy.POLICY.serialize} blob, as the new
+    replay base and drops the arrival history it supersedes. Snapshots
+    then embed the checkpoint ([base_*] lines, the same record as the
+    [check_*] lines) plus at most K rounds of arrivals, so
     resident history, snapshot bytes and restore replay time are all
     O(K), independent of the rounds served. With [K = 0] the document
     has no [base_*] lines and embeds {e every} arrival ever consumed:
@@ -188,9 +189,12 @@ val save : t -> path:string -> unit
 (** [restore ~policy doc] rebuilds a stepper by deterministic replay —
     from the embedded checkpoint when the document has one, from round
     0 otherwise (always for a legacy [rrs-snap/1] document) — and
-    cross-checks the result against the document's materialized state
+    cross-checks the result against the document's [check_*] state
     (see module docs). A checkpoint that names a color or location
-    outside the config is refused. [policy] must be the module the
+    outside the config, or a base deadline outside
+    [[base_round, base_round + D - 1]] for its color, is refused, and so
+    is a second copy of a line kind a document has at most once
+    (["line N: repeated <type> line"]). [policy] must be the module the
     snapshot names. [checkpoint_every] overrides the document's
     interval for the restored stepper (default: keep the document's;
     0 for /1 documents). Replayed events go to [sink]. *)

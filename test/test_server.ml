@@ -29,6 +29,24 @@ let policy : (module Rrs_sim.Policy.POLICY) = (module Rrs_core.Policy_lru_edf)
 let read_file path =
   In_channel.with_open_bin path In_channel.input_all
 
+let contains ~needle haystack =
+  let n = String.length needle and h = String.length haystack in
+  let rec go i =
+    i + n <= h && (String.sub haystack i n = needle || go (i + 1))
+  in
+  go 0
+
+(* [s] with the first [sub] replaced by [by]; fails when [s] lacks [sub]. *)
+let replace_once ~sub ~by s =
+  let n = String.length sub in
+  let rec find i =
+    if i + n > String.length s then Alcotest.failf "no %s in document" sub
+    else if String.sub s i n = sub then i
+    else find (i + 1)
+  in
+  let at = find 0 in
+  String.sub s 0 at ^ by ^ String.sub s (at + n) (String.length s - at - n)
+
 (* ---- wire codec: qcheck round trip over every frame type ---- *)
 
 let gen_name =
@@ -463,6 +481,58 @@ let test_frozen_v1_snapshot_resumes () =
         (String.concat "\n" (header :: body))
   | [] -> Alcotest.fail "empty fixture"
 
+(* The run [Snap_v2_fixtures.checkpointed] was captured from. *)
+let v2_fixture_stepper () =
+  let faults =
+    Rrs_sim.Fault.make
+      ~crashes:
+        [ { Rrs_sim.Fault.location = 2; from_round = 5; until_round = 30 } ]
+      ~reconfig_failures:
+        (List.init 12 (fun round ->
+             { Rrs_sim.Fault.rf_round = round; rf_location = round mod 4 }))
+      ()
+  in
+  let stepper =
+    Stepper.create ~faults ~checkpoint_every:8 ~policy
+      { Stepper.name = "fix \"v2\" \\ \t"; delta = 3;
+        bounds = [| 2; 3; 4; 8 |]; n = 4; speed = 1; horizon = 40 }
+  in
+  for round = 0 to 18 do
+    (match round mod 4 with
+    | 0 -> Stepper.feed stepper [ (0, 2); (3, 1) ]
+    | 1 ->
+        Stepper.feed stepper [ (1, 1) ];
+        Stepper.feed stepper [ (2, 2) ]
+    | 2 -> ()
+    | _ -> Stepper.feed stepper [ (3, 3); (1, 1) ]);
+    Stepper.step stepper
+  done;
+  Stepper.feed stepper [ (2, 1) ];
+  Stepper.feed stepper [ (0, 1); (2, 1) ];
+  stepper
+
+(* The frozen /2 document: the live run still writes it byte for byte,
+   it restores to a stepper that writes it again, and the restored
+   stepper continues exactly as the live one. *)
+let test_frozen_v2_snapshot () =
+  let doc = Snap_v2_fixtures.checkpointed in
+  let live = v2_fixture_stepper () in
+  check_string "live snapshot = frozen document" doc (Stepper.snapshot live);
+  match Stepper.restore ~policy doc with
+  | Error message -> Alcotest.failf "frozen /2 document: %s" message
+  | Ok restored ->
+      check_string "restored snapshot = frozen document" doc
+        (Stepper.snapshot restored);
+      List.iter
+        (fun stepper ->
+          Stepper.feed stepper [ (1, 2) ];
+          for _ = 1 to 9 do
+            Stepper.step stepper
+          done)
+        [ live; restored ];
+      check_string "same state 9 rounds on" (Stepper.snapshot live)
+        (Stepper.snapshot restored)
+
 let prop_snapshot_restore =
   QCheck2.Test.make
     ~name:"snapshot at a random round + restore = uninterrupted run"
@@ -751,8 +821,37 @@ let test_restore_rejects_tampering () =
          (String.split_on_char '\n' doc))
   in
   (match Stepper.restore ~policy tampered with
-  | Error _ -> ()
+  | Error message ->
+      check_bool ("error names the counters: " ^ message) true
+        (contains ~needle:"counters" message)
   | Ok _ -> Alcotest.fail "tampered snapshot must not restore");
+  (* Each other part of the cross-check, on a document that has all of
+     them (an offline location, pending jobs, arrivals since the base). *)
+  List.iter
+    (fun (sub, by, part) ->
+      match
+        Stepper.restore ~policy
+          (replace_once ~sub ~by Snap_v2_fixtures.checkpointed)
+      with
+      | Error message ->
+          check_bool
+            (Printf.sprintf "tampered %s: error names %s: %s" sub part message)
+            true
+            (contains ~needle:part message)
+      | Ok _ -> Alcotest.failf "tampered %s must not restore" sub)
+    [
+      ( {|{"type":"check_pending","color":1,"deadlines":[20],"counts":[1]}|},
+        {|{"type":"check_pending","color":1,"deadlines":[21],"counts":[1]}|},
+        "pending multiset of color 1" );
+      ( {|{"type":"check_assignment","colors":[3,3,-1,2]}|},
+        {|{"type":"check_assignment","colors":[3,3,-1,1]}|},
+        "assignment" );
+      ( {|{"type":"check_offline","locations":[2]}|},
+        {|{"type":"check_offline","locations":[3]}|},
+        "offline set" );
+      (* The header's; the base line's is 40. *)
+      ({|"accepted":49,|}, {|"accepted":50,|}, "accepted-job count");
+    ];
   match Stepper.restore ~policy "not a snapshot" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "garbage must not restore"
@@ -975,13 +1074,6 @@ let test_server_drain_restore () =
     (Wire.encode (normalize_stats stats))
 
 (* ---- rrs-wire/2: binary codec, resync, negotiation ---- *)
-
-let contains ~needle haystack =
-  let n = String.length needle and h = String.length haystack in
-  let rec go i =
-    i + n <= h && (String.sub haystack i n = needle || go (i + 1))
-  in
-  go 0
 
 let prop_wire2_roundtrip =
   QCheck2.Test.make
@@ -1500,6 +1592,98 @@ let test_restore_refuses_unknown_base_color () =
       | Ok _ ->
           Alcotest.failf "base_assignment %s restored with 3 colors" base)
     [ ("[99,99]", "[99,99]"); ("[3,-1]", "[3,-1]"); ("[-2,-1]", "[-1,-1]") ]
+
+(* ---- regression: a base deadline the model cannot produce ----
+
+   At the start of round r a pending job of color l has a deadline in
+   [r, r + D_l - 1]. A document whose base moves color 1's deadlines
+   out of that window, in its check lines too so the replay agrees, is
+   refused with an error that names the color, the deadline and the
+   window. *)
+
+let test_restore_refuses_impossible_base_deadline () =
+  let stepper =
+    Stepper.create ~checkpoint_every:16 ~policy
+      { (session_config ~name:"deadlines" ()) with
+        bounds = [| 2; 8; 4 |]; n = 1 }
+  in
+  for _ = 1 to 16 do
+    Stepper.feed stepper [ (0, 1); (1, 1); (2, 1) ];
+    Stepper.step stepper
+  done;
+  let doc = Stepper.snapshot stepper in
+  ignore (Stepper.finish stepper);
+  let pending kind =
+    List.find
+      (String.starts_with
+         ~prefix:(Printf.sprintf "{\"type\":\"%s_pending\",\"color\":1," kind))
+      (String.split_on_char '\n' doc)
+  in
+  check_string "base = check at the base round" (pending "check")
+    (replace_once ~sub:"base" ~by:"check" (pending "base"));
+  let deadlines = Scanf.sscanf (pending "base") "%_s@[%[0-9,]" Fun.id in
+  List.iter
+    (fun shift ->
+      let shifted =
+        String.split_on_char ',' deadlines
+        |> List.map (fun d -> string_of_int (int_of_string d + shift))
+        |> String.concat ","
+      in
+      let forge doc kind =
+        let line = pending kind in
+        replace_once ~sub:line
+          ~by:
+            (replace_once ~sub:("[" ^ deadlines ^ "]")
+               ~by:("[" ^ shifted ^ "]") line)
+          doc
+      in
+      let forged = List.fold_left forge doc [ "base"; "check" ] in
+      let first = List.hd (String.split_on_char ',' shifted) in
+      match Stepper.restore ~policy forged with
+      | Error m ->
+          check_bool ("error names color, deadline and window: " ^ m) true
+            (contains ~needle:"color 1" m
+            && contains ~needle:("deadline " ^ first) m
+            && contains ~needle:"16..23" m)
+      | Ok _ ->
+          Alcotest.failf "base deadlines %s restored at round 16 with D = 8"
+            shifted)
+    [ 100; -16 ]
+
+(* ---- regression: a repeated singleton line is refused ----
+
+   Every line kind a document has at most once (the base header, each
+   base and check part but the per-color pending lines, the policy blob
+   and the buffered feed) draws "line N: repeated <type> line" when it
+   appears twice, instead of the later copy silently winning. *)
+
+let test_restore_refuses_repeated_lines () =
+  let lines = String.split_on_char '\n' Snap_v2_fixtures.checkpointed in
+  List.iter
+    (fun kind ->
+      let prefix = Printf.sprintf "{\"type\":\"%s\"," kind in
+      let index =
+        match List.find_index (String.starts_with ~prefix) lines with
+        | Some index -> index
+        | None -> Alcotest.failf "fixture has no %s line" kind
+      in
+      let doubled =
+        List.concat
+          (List.mapi (fun i l -> if i = index then [ l; l ] else [ l ]) lines)
+      in
+      (* Line numbers count the header as 1: the copy is line index + 2. *)
+      let expected =
+        Printf.sprintf "line %d: repeated %s line" (index + 2) kind
+      in
+      match Stepper.restore ~policy (String.concat "\n" doubled) with
+      | Error m ->
+          check_bool (expected ^ ": " ^ m) true (contains ~needle:expected m)
+      | Ok _ -> Alcotest.failf "a repeated %s line restored" kind)
+    [
+      "base"; "base_assignment"; "base_offline"; "base_counters";
+      "base_policy"; "buffered"; "check_assignment"; "check_offline";
+      "check_counters";
+    ]
 
 (* ---- regression: concurrent saves of one path ----
 
@@ -2985,8 +3169,14 @@ let suite =
           test_snapshot_restore_midrun;
         Alcotest.test_case "frozen rrs-snap/1 document resumes" `Quick
           test_frozen_v1_snapshot_resumes;
+        Alcotest.test_case "frozen rrs-snap/2 document: bytes and restore"
+          `Quick test_frozen_v2_snapshot;
         Alcotest.test_case "restore refuses an unknown base color" `Quick
           test_restore_refuses_unknown_base_color;
+        Alcotest.test_case "restore refuses an impossible base deadline"
+          `Quick test_restore_refuses_impossible_base_deadline;
+        Alcotest.test_case "restore refuses a repeated singleton line" `Quick
+          test_restore_refuses_repeated_lines;
         Alcotest.test_case "restore rejects tampering" `Quick
           test_restore_rejects_tampering;
         prop prop_snapshot_restore;
