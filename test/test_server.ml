@@ -3169,14 +3169,8 @@ let suite =
           test_snapshot_restore_midrun;
         Alcotest.test_case "frozen rrs-snap/1 document resumes" `Quick
           test_frozen_v1_snapshot_resumes;
-        Alcotest.test_case "frozen rrs-snap/2 document: bytes and restore"
-          `Quick test_frozen_v2_snapshot;
         Alcotest.test_case "restore refuses an unknown base color" `Quick
           test_restore_refuses_unknown_base_color;
-        Alcotest.test_case "restore refuses an impossible base deadline"
-          `Quick test_restore_refuses_impossible_base_deadline;
-        Alcotest.test_case "restore refuses a repeated singleton line" `Quick
-          test_restore_refuses_repeated_lines;
         Alcotest.test_case "restore rejects tampering" `Quick
           test_restore_rejects_tampering;
         prop prop_snapshot_restore;
@@ -3190,6 +3184,12 @@ let suite =
           `Quick test_snapshot_growth_k0_vs_checkpointed;
         Alcotest.test_case "policy blob serialize/deserialize fixpoint" `Quick
           test_policy_blob_fixpoint;
+        Alcotest.test_case "frozen rrs-snap/2 document: bytes and restore"
+          `Quick test_frozen_v2_snapshot;
+        Alcotest.test_case "restore refuses an impossible base deadline"
+          `Quick test_restore_refuses_impossible_base_deadline;
+        Alcotest.test_case "restore refuses a repeated singleton line" `Quick
+          test_restore_refuses_repeated_lines;
       ] );
     ( "server.live",
       [
