@@ -184,12 +184,6 @@ let trace_run_cmd =
              rrs-events/2, one JSON object per line; read it back with \
              'rrs report').")
   in
-  let no_probes =
-    Arg.(
-      value & flag
-      & info [ "no-probes" ]
-          ~doc:"Skip the engine probes (slack/latency/churn/queue-depth).")
-  in
   let faults_file =
     Arg.(
       value & opt (some string) None
@@ -199,7 +193,7 @@ let trace_run_cmd =
              crashed locations go dark, poisoned reconfigurations pay delta \
              without taking effect.")
   in
-  let run () source n algo output no_probes faults_file =
+  let run () source n algo output faults_file =
     let instance = or_die (load_source source) in
     match policy_of_name algo with
     | None ->
@@ -217,20 +211,23 @@ let trace_run_cmd =
           Fun.protect
             ~finally:(fun () -> close_out channel)
             (fun () ->
-              let probes =
-                if no_probes then None
-                else Some (Rrs_obs.Probe.create_registry ())
-              in
               Rrs_sim.Engine.run ~sink:(Rrs_sim.Event_sink.Jsonl channel)
-                ?probes ~profile:true ?faults ~n ~policy instance)
+                ~profile:true ?faults ~n ~policy instance)
         in
         Format.printf "%a@." Rrs_sim.Ledger.pp_summary result.ledger;
         (match result.profile with
         | Some profile -> Rrs_stats.Table.print (Rrs_stats.Render.phase_table profile)
         | None -> ());
-        if not no_probes then
-          List.iter (fun (key, value) -> Format.printf "  %s = %d@." key value)
-            result.stats;
+        List.iter (fun (key, value) -> Format.printf "  %s = %d@." key value)
+          result.stats;
+        (* The distributions come from the stream just written, the same
+           fold 'rrs report' runs. *)
+        (match Rrs_stats.Report.of_path output with
+        | Ok report ->
+            List.iter Rrs_stats.Table.print (Rrs_stats.Report.tables report)
+        | Error message ->
+            Format.eprintf "error: %s: %s@." output message;
+            exit 1);
         Format.eprintf "wrote %s@." output
   in
   Cmd.v
@@ -240,7 +237,7 @@ let trace_run_cmd =
           per-round snapshot to a JSONL file (bounded memory at any horizon).")
     Term.(
       const run $ verbose_arg $ source_arg $ n_arg $ algo_arg $ output
-      $ no_probes $ faults_file)
+      $ faults_file)
 
 (* ---- report ---- *)
 
@@ -357,8 +354,10 @@ let sweep_cmd =
       value & opt (some string) None
       & info [ "json" ] ~docv:"FILE"
           ~doc:
-            "Also write the sweep as a versioned BENCH json document to \
-             $(docv) (schema rrs-bench/1; see EXPERIMENTS.md).")
+            (Printf.sprintf
+               "Also write the sweep as a versioned BENCH json document to \
+                $(docv) (schema %s; see EXPERIMENTS.md)."
+               Rrs_stats.Bench_io.schema_version))
   in
   let run source m factors csv json =
     let instance = or_die (load_source source) in
@@ -583,21 +582,32 @@ let weighted_cmd =
 
 (* ---- serve / client ---- *)
 
+(* HOST:PORT split at the last ':', an empty HOST meaning 127.0.0.1;
+   [None] when [text] does not end in ':<integer>'. *)
+let host_port text =
+  match String.rindex_opt text ':' with
+  | None -> None
+  | Some colon -> (
+      match
+        int_of_string_opt
+          (String.sub text (colon + 1) (String.length text - colon - 1))
+      with
+      | None -> None
+      | Some port when port < 0 ->
+          Some (Error (Printf.sprintf "bad port in %S" text))
+      | Some port ->
+          let host = String.sub text 0 colon in
+          let host = if host = "" then "127.0.0.1" else host in
+          Some (Ok (Rrs_server.Server.Tcp (host, port))))
+
 let address_of_args socket tcp =
   match (socket, tcp) with
   | Some path, None -> Ok (Rrs_server.Server.Unix_socket path)
   | None, Some hostport -> (
-      match String.rindex_opt hostport ':' with
-      | None -> Error "expected --tcp HOST:PORT"
-      | Some colon -> (
-          let host = String.sub hostport 0 colon in
-          let host = if host = "" then "127.0.0.1" else host in
-          let port =
-            String.sub hostport (colon + 1) (String.length hostport - colon - 1)
-          in
-          match int_of_string_opt port with
-          | Some port when port >= 0 -> Ok (Rrs_server.Server.Tcp (host, port))
-          | _ -> Error (Printf.sprintf "bad port %S" port)))
+      match host_port hostport with
+      | Some address -> address
+      | None ->
+          Error (Printf.sprintf "expected --tcp HOST:PORT, got %S" hostport))
   | Some _, Some _ -> Error "--socket and --tcp are mutually exclusive"
   | None, None -> Error "one of --socket PATH or --tcp HOST:PORT is required"
 
@@ -621,20 +631,9 @@ let check_wire ~default = function
 (* A metrics/admin address: HOST:PORT when the text ends in a :port,
    otherwise a Unix socket path. *)
 let parse_aux_address text =
-  match String.rindex_opt text ':' with
-  | Some colon
-    when int_of_string_opt
-           (String.sub text (colon + 1) (String.length text - colon - 1))
-         <> None ->
-      let host = String.sub text 0 colon in
-      let host = if host = "" then "127.0.0.1" else host in
-      let port =
-        int_of_string
-          (String.sub text (colon + 1) (String.length text - colon - 1))
-      in
-      if port >= 0 then Ok (Rrs_server.Server.Tcp (host, port))
-      else Error (Printf.sprintf "bad port in %S" text)
-  | _ -> Ok (Rrs_server.Server.Unix_socket text)
+  match host_port text with
+  | Some address -> address
+  | None -> Ok (Rrs_server.Server.Unix_socket text)
 
 let log_level_arg =
   Arg.(
@@ -1434,12 +1433,6 @@ let route_cmd =
         "Highest wire version negotiable on the front (default 2). With \
          --wire 1 the router refuses rrs-wire/2 hellos."
   in
-  let backend_wire =
-    Arg.(
-      value & opt int 0
-      & info [ "backend-wire" ] ~docv:"1|2"
-          ~doc:"Framing spoken to the shards (default 2, binary).")
-  in
   let connect_timeout_ms =
     router_flag "connect-timeout-ms" ~docv:"MS"
       (Printf.sprintf "Backend connect budget (default %d)."
@@ -1452,7 +1445,7 @@ let route_cmd =
           ~doc:
             "Ring virtual nodes per shard (0 = built-in default, 128).")
   in
-  let run () socket tcp shards wire backend_wire timeout_ms
+  let run () socket tcp shards wire timeout_ms
       connect_timeout_ms fail_threshold probe_interval_ms replicas log_level =
     let address = or_die (address_of_args socket tcp) in
     let max_wire = or_die (check_wire ~default:2 wire) in
@@ -1476,7 +1469,6 @@ let route_cmd =
         {
           (Rrs_server.Router.default_config ~address ~shards) with
           Rrs_server.Router.max_wire;
-          backend_wire = or_die (check_wire ~default:2 backend_wire);
           replicas;
         }
     in
@@ -1498,7 +1490,7 @@ let route_cmd =
           again.")
     Term.(
       const run $ verbose_arg $ socket_arg $ tcp_arg $ shards $ wire
-      $ backend_wire $ router_timeout_ms $ connect_timeout_ms
+      $ router_timeout_ms $ connect_timeout_ms
       $ router_fail_threshold $ router_probe_interval_ms $ replicas
       $ log_level_arg)
 

@@ -83,7 +83,6 @@ type config = {
   address : Net.address; (* front listener *)
   shards : shard_spec list;
   max_wire : int; (* front framings negotiable; 1 pins /1 *)
-  backend_wire : int; (* framing spoken to shards (default 2) *)
   timeout_ms : int; (* per-backend-call deadline *)
   connect_timeout_ms : int; (* backend connect budget *)
   fail_threshold : int; (* consecutive failures before down *)
@@ -98,7 +97,6 @@ let default_config ~address ~shards =
     address;
     shards;
     max_wire = 2;
-    backend_wire = 2;
     timeout_ms = 2_000;
     connect_timeout_ms = 1_000;
     fail_threshold = 3;
@@ -248,13 +246,9 @@ let forward t conn frame session =
             ~timeout_ms:t.cfg.connect_timeout_ms
         with
         | Error message -> Handler.Reply (fail message)
-        | Ok leg when t.cfg.backend_wire = 1 ->
-            legs.(i) <- Some leg;
-            send leg;
-            Handler.Pending
         | Ok leg -> (
-            let wire = t.cfg.backend_wire in
-            match Client.hello ~wire with
+            (* Shard legs always negotiate /2. *)
+            match Client.hello ~wire:2 with
             | Error message ->
                 Event_loop.close_leg leg;
                 Handler.Reply (fail message)
@@ -262,7 +256,7 @@ let forward t conn frame session =
                 (* The hello shares the call's deadline: a shard that
                    accepts and never answers costs [timeout_ms]. *)
                 Event_loop.call leg hello ~timeout_ms (fun reply ->
-                    match Client.hello_outcome ~wire reply with
+                    match Client.hello_outcome ~wire:2 reply with
                     | Ok () ->
                         Event_loop.set_leg_framing leg Wire.V2;
                         legs.(i) <- Some leg;

@@ -70,7 +70,6 @@ type config = {
   address : Net.address;  (** front listener *)
   shards : shard_spec list;
   max_wire : int;  (** front framings negotiable; [1] pins [rrs-wire/1] *)
-  backend_wire : int;  (** framing spoken to shards (default 2, binary) *)
   timeout_ms : int;
       (** per-backend-call deadline; a new leg's hello gets its own *)
   connect_timeout_ms : int;  (** backend connect budget *)

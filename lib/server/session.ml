@@ -1,5 +1,4 @@
 module Stepper = Rrs_sim.Stepper
-module Probe = Rrs_obs.Probe
 module Json = Rrs_sim.Event_sink.Json
 
 let snapshot_schema = "rrs-sess/1"
@@ -11,8 +10,6 @@ type t = {
   policy_key : string;
   queue_limit : int;
   stepper : Stepper.t;
-  probes : Probe.registry;
-  shed_jobs : Probe.counter;
   mutable shed : int;
   mutable fed : int; (* jobs offered = accepted + shed *)
   mutable declared : Wire.decl option;
@@ -45,14 +42,12 @@ let resolve_policy key =
 let negative_interval k =
   Error (Printf.sprintf "negative checkpoint interval %d" k)
 
-let make ~name ~policy_key ~queue_limit ~trace stepper probes =
+let make ~name ~policy_key ~queue_limit ~trace stepper =
   {
     name;
     policy_key;
     queue_limit;
     stepper;
-    probes;
-    shed_jobs = Probe.counter probes "shed_jobs";
     shed = 0;
     fed = 0;
     declared = None;
@@ -94,13 +89,13 @@ let create ~name ~policy:policy_key ?(queue_limit = 0)
         match open_trace trace_dir name with
         | exception Sys_error message -> Error message
         | trace, sink -> (
-            let probes = Probe.create_registry () in
+            (* Without a trace the stepper keeps no event log: nothing
+               reads one, and it would grow with every round served. *)
             match
-              Stepper.create ?sink ~probes ~checkpoint_every
+              Stepper.create ~record_events:false ?sink ~checkpoint_every
                 ~label:("session " ^ name) ~policy config
             with
-            | stepper ->
-                Ok (make ~name ~policy_key ~queue_limit ~trace stepper probes)
+            | stepper -> Ok (make ~name ~policy_key ~queue_limit ~trace stepper)
             | exception Invalid_argument message ->
                 Option.iter close_out trace;
                 Error message))
@@ -194,7 +189,6 @@ let feed t ~colors ~counts =
             t.fed <- t.fed + jobs;
             t.shed <- t.shed + jobs;
             t.policed <- t.policed + jobs;
-            Probe.add t.shed_jobs jobs;
             Ok (Policed { color; offered; allowance })
         | None -> (
             let buffered = Stepper.buffered_jobs t.stepper in
@@ -203,7 +197,6 @@ let feed t ~colors ~counts =
               (* All-or-nothing shed: a partially admitted request
                  would make the stream depend on admission timing. *)
               t.shed <- t.shed + jobs;
-              Probe.add t.shed_jobs jobs;
               Ok
                 (Shed_reply
                    { shed = jobs; buffered; limit = t.queue_limit })
@@ -453,16 +446,15 @@ let restore ?trace_dir ?checkpoint_every text =
                         | Error _ as e -> e
                         | Ok policy -> (
                             let trace, sink = open_trace trace_dir name in
-                            let probes = Probe.create_registry () in
                             match
-                              Stepper.restore ?sink ~probes
+                              Stepper.restore ~record_events:false ?sink
                                 ?checkpoint_every:checkpoint_override
                                 ~label:("session " ^ name) ~policy rest
                             with
                             | Ok stepper ->
                                 let t =
                                   make ~name ~policy_key ~queue_limit ~trace
-                                    stepper probes
+                                    stepper
                                 in
                                 t.fed <- fed;
                                 t.shed <- shed;
@@ -477,7 +469,6 @@ let restore ?trace_dir ?checkpoint_every text =
                                      (if Array.length admitted = colors then
                                         admitted
                                       else Array.make colors 0));
-                                Probe.add t.shed_jobs shed;
                                 Ok t
                             | Error _ as e ->
                                 Option.iter close_out trace;

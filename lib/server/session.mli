@@ -11,9 +11,9 @@
 
     {b Admission control}: [feed] is bounded by [queue_limit] jobs of
     fed-but-unstepped backlog. A feed that would exceed it is {e shed} —
-    refused whole, counted in the session's [shed] total and the
-    [shed_jobs] probe, and answered explicitly; the session itself is
-    never harmed. Conservation, checked by the E18 harness:
+    refused whole, counted in the session's [shed] total, and answered
+    explicitly; the session itself is never harmed. Conservation,
+    checked by the E18 harness:
     [fed = accepted + shed] and
     [accepted = execs + drops + pool pending + buffered].
 
@@ -46,7 +46,9 @@ type t
 (** [create ~name ~policy config] opens a session at round 0. [policy]
     is a registry key ({!Rrs_core.Policies}); [trace_dir], when given,
     streams the session's [rrs-events/2] document to
-    [<trace_dir>/<name>.events.jsonl]. [checkpoint_every] (default
+    [<trace_dir>/<name>.events.jsonl]; without it the session keeps no
+    event log, so its memory does not grow with the rounds served
+    ({!restore} likewise). [checkpoint_every] (default
     {!default_checkpoint_every}; 0 = never) is the stepper's checkpoint
     interval. Errors (unknown policy, invalid config, a negative
     interval, a trace file that cannot be opened) are returned, never

@@ -12,7 +12,7 @@ type result = Stepper.result = {
   profile : Rrs_obs.Profile.t option;
 }
 
-let run ?(speed = 1) ?(record_events = true) ?sink ?probes ?(profile = false)
+let run ?(speed = 1) ?(record_events = true) ?sink ?(profile = false)
     ?faults ~n ~policy:(module P : Policy.POLICY) (instance : Instance.t) =
   if n < 1 then invalid_arg "Engine.run: n must be >= 1";
   if speed < 1 then invalid_arg "Engine.run: speed must be >= 1";
@@ -20,7 +20,7 @@ let run ?(speed = 1) ?(record_events = true) ?sink ?probes ?(profile = false)
       m "run %s: policy=%s n=%d speed=%d horizon=%d" instance.Instance.name
         P.name n speed instance.Instance.horizon);
   let stepper =
-    Stepper.create ~record_events ?sink ?probes ~profile ?faults
+    Stepper.create ~record_events ?sink ~profile ?faults
       ~label:"Engine.run" ~policy:(module P)
       {
         Stepper.name = instance.Instance.name;

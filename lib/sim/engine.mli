@@ -26,12 +26,9 @@
       A policy exception mid-run closes the stream with an explicit
       [aborted] record (then re-raises), so readers can tell an abort
       from silent truncation.
-    - [probes]: register the standard engine probes ([exec_slack],
-      [drop_latency], [round_reconfigs], [queue_depth],
-      [offline_locations], [failed_reconfigs], per-color
-      [queue_depth_c<i>] gauges) in the given registry; their snapshot is
-      appended to [result.stats], sharing the policy-stats namespace that
-      [Rrs_core.Instrument.stat] reads.
+      The stream is the one source of run distributions:
+      {!Rrs_stats.Report} folds it into execution slack, drop latency,
+      per-round churn, queue depth and offline locations.
     - [profile]: per-phase monotonic wall-clock + GC minor-words
       aggregates in [result.profile]. *)
 
@@ -42,7 +39,7 @@ val phase_names : string list
 type result = Stepper.result = {
   ledger : Ledger.t;
   stats : (string * int) list;
-      (* policy-reported counters, then the probe snapshot (if any) *)
+      (* the policy's own counters ({!Policy.POLICY.stats}) *)
   final_assignment : Types.color option array;
   profile : Rrs_obs.Profile.t option;
 }
@@ -55,8 +52,6 @@ type result = Stepper.result = {
     @param record_events keep the full event log in the ledger (needed by
     {!Schedule.validate}); default true. Ignored when [sink] is given.
     @param sink explicit event sink (overrides [record_events]).
-    @param probes register and drive the standard engine probes in this
-    registry.
     @param profile measure per-phase wall clock and allocation; default
     false.
     @param faults deterministic fault plan; absent or {!Fault.empty}
@@ -68,7 +63,6 @@ val run :
   ?speed:int ->
   ?record_events:bool ->
   ?sink:Event_sink.t ->
-  ?probes:Rrs_obs.Probe.registry ->
   ?profile:bool ->
   ?faults:Fault.plan ->
   n:int ->

@@ -1,4 +1,3 @@
-module Probe = Rrs_obs.Probe
 module Profile = Rrs_obs.Profile
 module Json = Event_sink.Json
 
@@ -21,33 +20,6 @@ type result = {
   final_assignment : Types.color option array;
   profile : Profile.t option;
 }
-
-(* The standard engine probes, registered in the caller's registry so
-   policies and analysis helpers share the namespace. *)
-type probes = {
-  registry : Probe.registry;
-  exec_slack : Probe.histogram;
-  drop_latency : Probe.histogram;
-  round_reconfigs : Probe.histogram;
-  queue_depth : Probe.histogram;
-  offline_locations : Probe.histogram;
-  failed_reconfigs : Probe.counter;
-  color_depth : Probe.gauge array;
-}
-
-let make_probes registry ~num_colors =
-  {
-    registry;
-    exec_slack = Probe.histogram registry "exec_slack";
-    drop_latency = Probe.histogram registry "drop_latency";
-    round_reconfigs = Probe.histogram registry "round_reconfigs";
-    queue_depth = Probe.histogram registry "queue_depth";
-    offline_locations = Probe.histogram registry "offline_locations";
-    failed_reconfigs = Probe.counter registry "failed_reconfigs";
-    color_depth =
-      Array.init num_colors (fun color ->
-          Probe.gauge registry (Printf.sprintf "queue_depth_c%d" color));
-  }
 
 (* A policy instantiated over its (existential) state, so the stepper can
    hold any policy without exposing the state type. *)
@@ -109,7 +81,6 @@ type t = {
   pool : Job_pool.t;
   ledger : Ledger.t;
   sink : Event_sink.t;
-  probes : probes option;
   prof : Profile.t;
   profile : bool;
   fault_plan : Fault.plan option; (* original plan, embedded in snapshots *)
@@ -118,7 +89,6 @@ type t = {
   offline : bool array;
   checkpoint_every : int; (* 0 = never checkpoint (full-history replay) *)
   mutable base : checkpoint option; (* latest checkpoint, if any *)
-  mutable offline_count : int;
   mutable round : int; (* the round the next [step] executes *)
   mutable first_chunk : Types.request; (* the round's first fed chunk *)
   mutable buffered : Types.request list; (* later fed chunks, newest first *)
@@ -134,7 +104,7 @@ type t = {
   mutable finished : bool;
 }
 
-let create ?(record_events = true) ?sink ?probes ?(profile = false) ?faults
+let create ?(record_events = true) ?sink ?(profile = false) ?faults
     ?(checkpoint_every = 0) ?(label = "Stepper")
     ~policy:(module P : Policy.POLICY) config =
   if checkpoint_every < 0 then
@@ -163,7 +133,6 @@ let create ?(record_events = true) ?sink ?probes ?(profile = false) ?faults
   Event_sink.write_header sink ~name:config.name ~delta:config.delta
     ~n:config.n ~speed:config.speed ~horizon:config.horizon
     ~bounds:config.bounds;
-  let probes = Option.map (fun reg -> make_probes reg ~num_colors) probes in
   let prof = Profile.create phase_names in
   let pi = instantiate (module P) ~n:config.n ~delta:config.delta
       ~bounds:config.bounds in
@@ -175,7 +144,6 @@ let create ?(record_events = true) ?sink ?probes ?(profile = false) ?faults
     pool;
     ledger;
     sink;
-    probes;
     prof;
     profile;
     fault_plan = faults;
@@ -184,7 +152,6 @@ let create ?(record_events = true) ?sink ?probes ?(profile = false) ?faults
     offline = Array.make config.n false;
     checkpoint_every;
     base = None;
-    offline_count = 0;
     round = 0;
     first_chunk = [];
     buffered = [];
@@ -246,14 +213,11 @@ let idle_mark = { Profile.mark_s = 0.0; mark_minor = 0.0 }
 let mark t = if t.profile then Profile.start () else idle_mark
 let tick t index m = if t.profile then Profile.stop t.prof index m
 
-let rec record_drops ledger probes ~bounds ~round = function
+let rec record_drops ledger ~round = function
   | [] -> ()
   | (color, count) :: rest ->
       Ledger.record_drop ledger ~round ~color ~count;
-      (match probes with
-      | None -> ()
-      | Some p -> Probe.observe_n p.drop_latency bounds.(color) ~n:count);
-      record_drops ledger probes ~bounds ~round rest
+      record_drops ledger ~round rest
 
 let rec add_arrivals pool ~bounds ~round = function
   | [] -> ()
@@ -308,7 +272,6 @@ let step t =
   let num_colors = Array.length bounds in
   let pool = t.pool and ledger = t.ledger and sink = t.sink in
   let assignment = t.assignment and offline = t.offline in
-  let probes = t.probes in
   let round = t.round in
   let reconfigs0 = Ledger.reconfig_count ledger in
   let drops0 = Ledger.drop_count ledger in
@@ -322,13 +285,11 @@ let step t =
       List.iter
         (fun location ->
           offline.(location) <- false;
-          t.offline_count <- t.offline_count - 1;
           Ledger.record_repair ledger ~round ~location)
         (Fault.repairs_at plan ~round);
       List.iter
         (fun location ->
           offline.(location) <- true;
-          t.offline_count <- t.offline_count + 1;
           assignment.(location) <- None;
           Ledger.record_crash ledger ~round ~location)
         (Fault.crashes_at plan ~round));
@@ -339,7 +300,7 @@ let step t =
   | _ :: _ when Logs.Src.level Log.src = Some Logs.Debug ->
       Log.debug (fun m -> m "round %d: dropped %a" round pp_dropped dropped)
   | _ -> ());
-  record_drops ledger probes ~bounds ~round dropped;
+  record_drops ledger ~round dropped;
   t.pi.p_on_drop ~round ~dropped;
   tick t 0 m0;
   (* Arrival phase: consume the fed buffer. *)
@@ -389,13 +350,9 @@ let step t =
               match t.faults with
               | None -> false
               | Some plan -> Fault.reconfig_fails plan ~round ~location
-            then begin
+            then
               Ledger.record_failed_reconfig ledger ~round ~mini_round ~location
-                ~previous:assignment.(location) ~attempted:next;
-              match probes with
-              | None -> ()
-              | Some p -> Probe.incr p.failed_reconfigs
-            end
+                ~previous:assignment.(location) ~attempted:next
             else begin
               Ledger.record_reconfig ledger ~round ~mini_round ~location
                 ~previous:assignment.(location) ~next;
@@ -411,27 +368,14 @@ let step t =
       | Some _, Some color when not offline.(location) -> (
           match Job_pool.execute pool ~color ~round with
           | -1 -> ()
-          | deadline -> (
+          | deadline ->
               Ledger.record_execute ledger ~round ~mini_round ~location ~color
-                ~deadline;
-              match probes with
-              | None -> ()
-              | Some p -> Probe.observe p.exec_slack (deadline - round)))
+                ~deadline)
       | _ -> ()
     done;
     tick t 3 m3
   done;
-  (* End-of-round observability: probes and the streamed snapshot. *)
-  (match probes with
-  | None -> ()
-  | Some p ->
-      Probe.observe p.round_reconfigs
-        (Ledger.reconfig_count ledger - reconfigs0);
-      Probe.observe p.queue_depth (Job_pool.total_pending pool);
-      Probe.observe p.offline_locations t.offline_count;
-      Array.iteri
-        (fun color g -> Probe.set_gauge g (Job_pool.pending pool color))
-        p.color_depth);
+  (* End of round: the streamed round snapshot. *)
   Event_sink.write_round sink ~round
     ~pending:(Job_pool.total_pending pool)
     ~reconfigs:(Ledger.reconfig_count ledger - reconfigs0)
@@ -454,13 +398,9 @@ let finish t =
     ~drops:(Ledger.drop_count t.ledger)
     ~execs:(Ledger.exec_count t.ledger);
   Event_sink.flush t.sink;
-  let stats =
-    t.pi.p_stats ()
-    @ (match t.probes with Some p -> Probe.snapshot p.registry | None -> [])
-  in
   {
     ledger = t.ledger;
-    stats;
+    stats = t.pi.p_stats ();
     final_assignment = t.assignment;
     profile = (if t.profile then Some t.prof else None);
   }
@@ -842,10 +782,7 @@ let seed_checkpoint t ck =
       if location < 0 || location >= t.config.n then
         failwith
           (Printf.sprintf "base_offline location %d out of range" location);
-      if not t.offline.(location) then begin
-        t.offline.(location) <- true;
-        t.offline_count <- t.offline_count + 1
-      end)
+      t.offline.(location) <- true)
     s.offline;
   Ledger.seed t.ledger ~reconfigs:s.reconfigs ~failed:s.failed ~drops:s.drops
     ~execs:s.execs;
@@ -856,7 +793,7 @@ let seed_checkpoint t ck =
   Event_sink.write_restored t.sink ~round:ck.ck_round ~reconfigs:s.reconfigs
     ~failed:s.failed ~drops:s.drops ~execs:s.execs
 
-let restore ?record_events ?sink ?probes ?profile ?label ?checkpoint_every
+let restore ?record_events ?sink ?profile ?label ?checkpoint_every
     ~policy:(module P : Policy.POLICY) text =
   let* ps = parse_snapshot text in
   let* () =
@@ -867,7 +804,7 @@ let restore ?record_events ?sink ?probes ?profile ?label ?checkpoint_every
   in
   match
     let t =
-      create ?record_events ?sink ?probes ?profile ?faults:ps.ps_faults ?label
+      create ?record_events ?sink ?profile ?faults:ps.ps_faults ?label
         ~checkpoint_every:
           (match checkpoint_every with
           | Some k -> k

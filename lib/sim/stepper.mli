@@ -76,22 +76,9 @@ type config = {
 type result = {
   ledger : Ledger.t;
   stats : (string * int) list;
-      (* policy-reported counters, then the probe snapshot (if any) *)
+      (* the policy's own counters ({!Policy.POLICY.stats}) *)
   final_assignment : Types.color option array;
   profile : Rrs_obs.Profile.t option;
-}
-
-(** The standard engine probes (see {!Engine}); exposed so analysis
-    helpers can reuse the record shape. *)
-type probes = {
-  registry : Rrs_obs.Probe.registry;
-  exec_slack : Rrs_obs.Probe.histogram;
-  drop_latency : Rrs_obs.Probe.histogram;
-  round_reconfigs : Rrs_obs.Probe.histogram;
-  queue_depth : Rrs_obs.Probe.histogram;
-  offline_locations : Rrs_obs.Probe.histogram;
-  failed_reconfigs : Rrs_obs.Probe.counter;
-  color_depth : Rrs_obs.Probe.gauge array;
 }
 
 type t
@@ -110,7 +97,6 @@ type t
 val create :
   ?record_events:bool ->
   ?sink:Event_sink.t ->
-  ?probes:Rrs_obs.Probe.registry ->
   ?profile:bool ->
   ?faults:Fault.plan ->
   ?checkpoint_every:int ->
@@ -127,7 +113,7 @@ val feed : t -> Types.request -> unit
 
 (** [step t] runs one full round: fault transitions, drop phase, arrival
     phase (consuming the fed buffer), [speed] reconfigure+execute
-    mini-rounds, then the probes and the streamed round snapshot.
+    mini-rounds, then the streamed round snapshot.
     @raise Invalid_argument on a policy protocol violation (wrong target
     length, color out of range) or a finished stepper. *)
 val step : t -> unit
@@ -201,7 +187,6 @@ val save : t -> path:string -> unit
 val restore :
   ?record_events:bool ->
   ?sink:Event_sink.t ->
-  ?probes:Rrs_obs.Probe.registry ->
   ?profile:bool ->
   ?label:string ->
   ?checkpoint_every:int ->

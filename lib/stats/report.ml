@@ -16,6 +16,7 @@ type t = {
   drop_latency : Probe.hist_snapshot;
   round_reconfigs : Probe.hist_snapshot;
   queue_depth : Probe.hist_snapshot;
+  offline_locations : Probe.hist_snapshot;
   summary : Event_sink.summary;
 }
 
@@ -25,11 +26,13 @@ let of_channel channel =
   let drop_latency = Probe.histogram registry "drop_latency" in
   let round_reconfigs = Probe.histogram registry "round_reconfigs" in
   let queue_depth = Probe.histogram registry "queue_depth" in
+  let offline_locations = Probe.histogram registry "offline_locations" in
   let header = ref None in
   let summary = ref None in
   let reconfigs = ref 0 and drops = ref 0 and execs = ref 0 in
   let failed = ref 0 and crashes = ref 0 and repairs = ref 0 in
   let rounds = ref 0 and events = ref 0 in
+  let offline = ref 0 in
   let restored = ref false in
   let error = ref None in
   let lineno = ref 0 in
@@ -70,12 +73,21 @@ let of_channel channel =
                           reconfigs so cost stays delta*reconfigs+drops. *)
                        incr reconfigs;
                        incr failed
-                   | Event_sink.Crash _ -> incr crashes
-                   | Event_sink.Repair _ -> incr repairs)
+                   | Event_sink.Crash _ ->
+                       incr crashes;
+                       incr offline
+                   | Event_sink.Repair _ ->
+                       incr repairs;
+                       decr offline)
                | Event_sink.Round snap, Some _ ->
                    incr rounds;
                    Probe.observe round_reconfigs snap.snap_reconfigs;
-                   Probe.observe queue_depth snap.snap_pending
+                   Probe.observe queue_depth snap.snap_pending;
+                   (* The stream does not say which locations were
+                      offline at a checkpoint, so a restored trace
+                      leaves this distribution empty. *)
+                   if not !restored then
+                     Probe.observe offline_locations !offline
                | Event_sink.Restored r, Some _ ->
                    (* A checkpoint-seeded trace: the stream carries only
                       events from res_round on, so seed the folded totals
@@ -142,6 +154,7 @@ let of_channel channel =
             drop_latency = Probe.snapshot_histogram drop_latency;
             round_reconfigs = Probe.snapshot_histogram round_reconfigs;
             queue_depth = Probe.snapshot_histogram queue_depth;
+            offline_locations = Probe.snapshot_histogram offline_locations;
             summary = sum;
           }
 
@@ -167,5 +180,5 @@ let tables t =
     Render.percentile_table ~title:"job trajectory (per event)"
       [ t.exec_slack; t.drop_latency ];
     Render.percentile_table ~title:"round trajectory (per round)"
-      [ t.round_reconfigs; t.queue_depth ];
+      [ t.round_reconfigs; t.queue_depth; t.offline_locations ];
   ]

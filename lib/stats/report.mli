@@ -6,7 +6,15 @@
     [Ledger.pp_summary] printed during the run, because both go through
     [Ledger.pp_summary_counts] — plus the trajectory distributions
     (execution slack, drop latency, per-round reconfig churn, queue
-    depth) the streaming sink preserves and end-of-run totals lose.
+    depth, offline locations) the streaming sink preserves and
+    end-of-run totals lose. This fold is the one place those
+    distributions are computed; the engine records none of them live.
+
+    [offline_locations] counts, per round, the locations offline after
+    that round's [crash]/[repair] events. A trace that starts with a
+    [restored] line (a checkpoint-seeded session) leaves it empty: the
+    stream does not say which locations were offline at the
+    checkpoint.
 
     Memory is bounded: events fold into fixed-bucket histograms
     ({!Rrs_obs.Probe}), never a retained list. The closing summary line
@@ -29,6 +37,8 @@ type t = {
   drop_latency : Rrs_obs.Probe.hist_snapshot; (* delay bound of dropped jobs *)
   round_reconfigs : Rrs_obs.Probe.hist_snapshot; (* churn per round *)
   queue_depth : Rrs_obs.Probe.hist_snapshot; (* pending jobs per round *)
+  offline_locations : Rrs_obs.Probe.hist_snapshot;
+      (* offline locations per round; empty for a restored trace *)
   summary : Rrs_sim.Event_sink.summary; (* the file's closing line *)
 }
 
@@ -42,5 +52,7 @@ val total_cost : t -> int
 (** The live run's [Ledger.pp_summary] line, reconstructed. *)
 val summary_string : t -> string
 
-(** Percentile tables for the four trajectory distributions. *)
+(** Percentile tables for the five trajectory distributions: per event
+    (slack, drop latency) and per round (churn, queue depth, offline
+    locations). *)
 val tables : t -> Table.t list

@@ -240,17 +240,23 @@ let test_offline_probe_matches_plan () =
     Fault_gen.random ~seed:9 ~n ~horizon:instance.Instance.horizon
       ~crash_density:0.2 ~reconfig_fail_rate:0.05 ()
   in
-  let probes = Rrs_obs.Probe.create_registry () in
-  let result = Engine.run ~probes ~faults ~n ~policy instance in
-  let stat key = H.stat result.Engine.stats key in
+  let path, result = trace_to_file ~faults ~n instance in
+  let report =
+    match Report.of_path path with
+    | Ok report -> report
+    | Error message -> Alcotest.failf "report: %s" message
+  in
+  Sys.remove path;
   (* Plan horizon = instance horizon, so no clipping: the offline
-     histogram sums exactly the plan's offline location-rounds. *)
+     distribution sums exactly the plan's offline location-rounds. *)
   check "offline location-rounds"
     (Fault.offline_location_rounds faults)
-    (stat "offline_locations_sum");
-  check "failed reconfigs probe"
+    report.Report.offline_locations.Rrs_obs.Probe.sum;
+  check "one offline sample per round" instance.Instance.horizon
+    report.Report.offline_locations.Rrs_obs.Probe.count;
+  check "failed reconfigs"
     (Ledger.failed_reconfig_count result.Engine.ledger)
-    (stat "failed_reconfigs")
+    report.Report.failed_reconfig_count
 
 (* A policy that behaves like dlru-edf until [crash_round], then raises. *)
 let crashing_policy ~crash_round : (module Rrs_sim.Policy.POLICY) =

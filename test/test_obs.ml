@@ -365,26 +365,27 @@ let test_report_requires_header () =
   Sys.remove path
 
 let test_engine_probe_stats () =
-  let instance = small_instance () in
-  let registry = Probe.create_registry () in
-  let result =
-    Engine.run ~record_events:false ~probes:registry ~n:4 ~policy instance
+  let instance, path, result = run_traced () in
+  let report =
+    match Report.of_path path with
+    | Ok report -> report
+    | Error message -> Alcotest.failf "report: %s" message
   in
-  let stat key = Test_helpers.stat result.Engine.stats key in
-  check "exec_slack_count = executions"
-    (Ledger.exec_count result.Engine.ledger)
-    (stat "exec_slack_count");
-  check "drop_latency_count = drops"
-    (Ledger.drop_count result.Engine.ledger)
-    (stat "drop_latency_count");
+  Sys.remove path;
   check "round_reconfigs_sum = reconfigs"
     (Ledger.reconfig_count result.Engine.ledger)
-    (stat "round_reconfigs_sum");
+    report.Report.round_reconfigs.Probe.sum;
   check "one churn sample per round" instance.Instance.horizon
-    (stat "round_reconfigs_count");
-  (* Policy stats survive alongside the probe namespace. *)
+    report.Report.round_reconfigs.Probe.count;
+  check "one queue-depth sample per round" instance.Instance.horizon
+    report.Report.queue_depth.Probe.count;
+  (* [result.stats] is the policy's own counters, nothing else. *)
   check_bool "policy stats present" true
-    (List.mem_assoc "epochs" result.Engine.stats)
+    (List.mem_assoc "epochs" result.Engine.stats);
+  check_bool "no engine distributions in stats" false
+    (List.exists
+       (fun (key, _) -> String.starts_with ~prefix:"round_reconfigs" key)
+       result.Engine.stats)
 
 let test_engine_profile () =
   let instance = small_instance () in

@@ -288,6 +288,61 @@ let test_session_shed_and_conservation () =
   | Ok _ -> ()
   | Error m -> Alcotest.fail m
 
+(* A session without a trace dir keeps no event log: its live heap does
+   not grow with the rounds it serves. The shape is perfbench's tick (8
+   colours, n = 8, delta = 4, 8 jobs a round, the default K = 256); an
+   in-memory event log costs it about 80 live words a round, so the
+   10,000 rounds between the two samples would add some 800,000 words
+   against the 20,000 allowed. Checked for a created session and for
+   one restored from a snapshot. *)
+let test_session_memory_flat () =
+  let slack = 20_000 in
+  let config =
+    { Stepper.name = "flat"; delta = 4; bounds = [| 2; 3; 4; 6; 8; 12; 16; 24 |];
+      n = 8; speed = 1; horizon = 0 }
+  in
+  let colors = Array.init 8 Fun.id and counts = Array.make 8 1 in
+  let serve session rounds =
+    for _ = 1 to rounds do
+      (match Session.feed session ~colors ~counts with
+      | Ok (Session.Accepted _) -> ()
+      | Ok _ -> Alcotest.fail "feed not accepted"
+      | Error m -> Alcotest.fail m);
+      match Session.step session ~rounds:1 with
+      | Ok _ -> ()
+      | Error m -> Alcotest.fail m
+    done
+  in
+  let live_words () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let check_flat label session =
+    serve session 10_000;
+    let at_10k = live_words () in
+    serve session 10_000;
+    let at_20k = live_words () in
+    check_bool
+      (Printf.sprintf "%s: live words at 20k rounds (%d) <= at 10k (%d) + %d"
+         label at_20k at_10k slack)
+      true
+      (at_20k <= at_10k + slack)
+  in
+  let session =
+    match Session.create ~name:"flat" ~policy:"dlru-edf" config with
+    | Ok s -> s
+    | Error m -> Alcotest.fail m
+  in
+  check_flat "created" session;
+  let restored =
+    match Session.restore (Session.snapshot session) with
+    | Ok s -> s
+    | Error m -> Alcotest.fail m
+  in
+  Session.release session;
+  check_flat "restored" restored;
+  Session.release restored
+
 (* Losing a close/close or close/release race must not raise out of the
    loser: the trace channel is closed exactly once. *)
 let test_session_close_idempotent_trace () =
@@ -3158,6 +3213,8 @@ let suite =
           test_frozen_v1_session_upgrades;
         Alcotest.test_case "concurrent saves of one path never tear" `Quick
           test_concurrent_saves_never_tear;
+        Alcotest.test_case "untraced session memory stays flat" `Quick
+          test_session_memory_flat;
       ] );
     ( "server.stepper",
       [

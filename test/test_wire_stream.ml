@@ -101,6 +101,108 @@ let test_v2_oversize_header () =
   Buffer.add_string b (Wire.to_wire Wire.V2 (Wire.Stats { session = "s" }));
   ignore (check_equivalent Wire.V2 (Buffer.contents b) [ 3; 3; 3; 3 ])
 
+(* ---- the max_frame boundary, both framings ----
+
+   A frame of exactly [max_frame] bytes (a /1 line without its newline,
+   a /2 payload without its 7-byte header) is read; one byte more is
+   refused as too long. Each check below fails when the limit moves by
+   one byte either way. *)
+
+let too_long = Printf.sprintf "frame longer than %d bytes" Wire.max_frame
+
+(* An [error] frame whose [framing] encoding measures exactly [size]
+   bytes by the [max_frame] rule. *)
+let frame_of_size framing size =
+  let frame k = Wire.Error_frame { message = String.make k 'x' } in
+  let measure k =
+    let bytes = String.length (Wire.to_wire framing (frame k)) in
+    match framing with Wire.V1 -> bytes - 1 | Wire.V2 -> bytes - 7
+  in
+  let guess = size - 64 in
+  let k = guess + (size - measure guess) in
+  Alcotest.(check int) "frame sized exactly" size (measure k);
+  frame k
+
+(* Results without the 4 MiB payloads, for messages. *)
+let summary results =
+  String.concat " | "
+    (List.map
+       (function
+         | Wire.Frame f -> Printf.sprintf "Frame of %d bytes" (String.length (Wire.encode f))
+         | Wire.Malformed m -> "Malformed " ^ m
+         | Wire.Eof -> "Eof")
+       results)
+
+let check_first name expected results =
+  match (expected, results) with
+  | `Frame f, Wire.Frame g :: _ when f = g -> ()
+  | `Too_long, Wire.Malformed m :: _ when m = too_long -> ()
+  | _ ->
+      Alcotest.failf "%s: got %s" name
+        (summary (List.filteri (fun i _ -> i < 3) results))
+
+(* Stream (one feed, and 64 KiB feeds) and the pull reader agree, and
+   their first result is [expected]. *)
+let check_readers framing data expected =
+  let name = match framing with Wire.V1 -> "/1" | Wire.V2 -> "/2" in
+  let whole = Test_server.stream_results framing data [] in
+  let pieces =
+    Test_server.stream_results framing data
+      (List.init ((String.length data / 65536) + 1) (fun _ -> 65536))
+  in
+  let pulled = Pull_reader.results framing data in
+  check_first (name ^ " stream") expected whole;
+  check_first (name ^ " pull reader") expected pulled;
+  if whole <> pieces || whole <> pulled then
+    Alcotest.failf "%s readers disagree:\n  one feed: %s\n  pieces: %s\n  pull: %s"
+      name (summary whole) (summary pieces) (summary pulled)
+
+let test_max_frame_boundary () =
+  List.iter
+    (fun framing ->
+      let at = frame_of_size framing Wire.max_frame in
+      let over = frame_of_size framing (Wire.max_frame + 1) in
+      check_readers framing (Wire.to_wire framing at) (`Frame at);
+      check_readers framing (Wire.to_wire framing over) `Too_long)
+    [ Wire.V1; Wire.V2 ]
+
+let test_decode_binary_max_frame () =
+  let at = frame_of_size Wire.V2 Wire.max_frame in
+  let over = frame_of_size Wire.V2 (Wire.max_frame + 1) in
+  (match Wire.decode_binary (Wire.to_wire Wire.V2 at) with
+  | Ok frame when frame = at -> ()
+  | Ok _ -> Alcotest.fail "max_frame payload decoded to another frame"
+  | Error m -> Alcotest.failf "max_frame payload refused: %s" m);
+  match Wire.decode_binary (Wire.to_wire Wire.V2 over) with
+  | Error m -> Alcotest.(check string) "max_frame + 1 payload" too_long m
+  | Ok _ -> Alcotest.fail "max_frame + 1 payload decoded"
+
+(* A /1 line still waiting for its newline is held up to [max_frame]
+   bytes; one more and the scanner drops it rather than buffer it. *)
+let test_v1_scanner_max_frame () =
+  let pending_line size =
+    let line = Wire.to_wire Wire.V1 (frame_of_size Wire.V1 size) in
+    String.sub line 0 (String.length line - 1)
+  in
+  let feed_line size =
+    let s = Wire.Stream.create Wire.V1 in
+    Wire.Stream.feed_string s (pending_line size);
+    Alcotest.(check bool) "no result before the newline" true
+      (Wire.Stream.next s = None);
+    s
+  in
+  let s = feed_line Wire.max_frame in
+  Alcotest.(check int) "a max_frame line is held" Wire.max_frame
+    (Wire.Stream.buffered s);
+  Wire.Stream.feed_string s "\n";
+  check_first "held line" (`Frame (frame_of_size Wire.V1 Wire.max_frame))
+    (Option.to_list (Wire.Stream.next s));
+  let s = feed_line (Wire.max_frame + 1) in
+  Alcotest.(check int) "a max_frame + 1 line is dropped" 0
+    (Wire.Stream.buffered s);
+  Wire.Stream.feed_string s "\n";
+  check_first "dropped line" `Too_long (Option.to_list (Wire.Stream.next s))
+
 (* The hello negotiation: one /1 frame, switch, then /2 traffic — the
    stream must honor set_framing at the frame boundary even when the /2
    bytes were already buffered before the switch. *)
@@ -213,5 +315,11 @@ let suite =
         Alcotest.test_case "byte-at-a-time conversation" `Quick
           test_byte_at_a_time;
         Alcotest.test_case "http request heads" `Quick test_http_heads;
+        Alcotest.test_case "frames at max_frame and max_frame + 1" `Quick
+          test_max_frame_boundary;
+        Alcotest.test_case "decode_binary at max_frame and max_frame + 1"
+          `Quick test_decode_binary_max_frame;
+        Alcotest.test_case "/1 scanner holds max_frame, drops one more"
+          `Quick test_v1_scanner_max_frame;
       ] );
   ]
